@@ -26,11 +26,16 @@
 //! ## Handler sends and done-chains
 //!
 //! Handlers may send (request/response patterns): such sends are staged in
-//! a per-mailbox outbox and pushed by the runtime. After `done(mb)` no one
-//! may send to `mb` anymore; for a response mailbox fed only by handlers
-//! of another mailbox, declare [`Selector::chain_done`] — its done is
-//! signalled automatically once the upstream mailbox terminates, which is
-//! HClib-Actor's mailbox-chaining termination pattern.
+//! a per-mailbox outbox — a queue of same-destination *runs* — and pushed
+//! by the runtime, each run's unsent part going to `push_slice` as it
+//! lies, so a round costs what the conveyor accepts, not what is queued.
+//! After `done(mb)` no one may send to `mb` anymore; for a response mailbox
+//! fed only by handlers of another mailbox, declare
+//! [`Selector::chain_done`] — its done is signalled automatically once the
+//! upstream mailbox terminates, which is HClib-Actor's mailbox-chaining
+//! termination pattern.
+
+use std::collections::VecDeque;
 
 use actorprof_trace::{PeCollector, SharedCollector, TraceBuffer, TraceConfig};
 use fabsp_conveyors::{Conveyor, ConveyorOptions, ConveyorStats, ExchangeMode};
@@ -65,13 +70,97 @@ type Handler<'h, T> = Box<dyn FnMut(usize, T, u32, &mut ProcCtx<'_, T>) + 'h>;
 
 struct Mailbox<T: Copy + Default + Send + 'static> {
     conveyor: Conveyor<T>,
-    user_done: bool,
-    done_signaled: bool,
     complete: bool,
     /// Signal done automatically once this other mailbox completes.
     chained_after: Option<usize>,
-    /// Sends staged by handlers, pushed by the runtime: `(msg, dst)`.
-    outbox: std::collections::VecDeque<(T, usize)>,
+}
+
+/// The done state of one mailbox.
+#[derive(Debug, Clone, Copy, Default)]
+struct DoneState {
+    /// The user (MAIN, a handler, or a completed chain) declared done.
+    user_done: bool,
+    /// Done went out to the conveyor: nothing may be sent anymore.
+    done_signaled: bool,
+    /// A handler of the batch being dispatched asked for done; becomes
+    /// `user_done` when the batch ends.
+    requested: bool,
+}
+
+/// Sends staged by handlers toward one mailbox, awaiting the runtime's
+/// next progress round: the items in staging order, and beside them the
+/// maximal same-destination runs they form. The front run's unsent part is
+/// handed to `push_slice` where it lies — nothing is copied but the item
+/// itself, once, when it is staged.
+#[derive(Debug)]
+struct Outbox<T> {
+    items: VecDeque<T>,
+    /// `(destination, unsent items)` per run; the lengths sum to
+    /// `items.len()`, and no queued run is empty.
+    runs: VecDeque<(usize, usize)>,
+    /// Items ever staged.
+    staged: u64,
+}
+
+impl<T> Outbox<T> {
+    fn new() -> Outbox<T> {
+        Outbox {
+            items: VecDeque::new(),
+            runs: VecDeque::new(),
+            staged: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Append `msg`, extending the tail run when it goes the same way.
+    fn stage(&mut self, msg: T, dst: usize) {
+        self.items.push_back(msg);
+        self.staged += 1;
+        match self.runs.back_mut() {
+            Some((d, len)) if *d == dst => *len += 1,
+            _ => self.runs.push_back((dst, 1)),
+        }
+    }
+
+    /// The oldest unsent items that share a destination, and it. Where the
+    /// front run wraps around the ring this is the part before the wrap —
+    /// any non-empty prefix serves, the rest follows on the next call.
+    fn front_run(&self) -> Option<(&[T], usize)> {
+        let &(dst, len) = self.runs.front()?;
+        let head = self.items.as_slices().0;
+        Some((&head[..len.min(head.len())], dst))
+    }
+
+    /// The conveyor accepted the first `n` items of the front run.
+    fn advance(&mut self, n: usize) {
+        self.items.drain(..n);
+        let front = self.runs.front_mut().expect("advance follows front_run");
+        front.1 -= n;
+        if front.1 == 0 {
+            self.runs.pop_front();
+        }
+    }
+}
+
+/// What handlers reach through [`ProcCtx`]. Owned by the selector apart
+/// from the conveyors, so a handler can stage sends while the slice that
+/// `pull_batch` lends out is alive — no per-batch moving or snapshotting.
+#[derive(Debug)]
+struct Staging<T> {
+    outboxes: Vec<Outbox<T>>,
+    done: Vec<DoneState>,
+}
+
+impl<T> Staging<T> {
+    /// End of a handler batch: done requests take effect.
+    fn apply_done_requests(&mut self) {
+        for d in &mut self.done {
+            d.user_done |= std::mem::take(&mut d.requested);
+        }
+    }
 }
 
 /// An actor with multiple guarded mailboxes (one conveyor each).
@@ -80,12 +169,13 @@ struct Mailbox<T: Copy + Default + Send + 'static> {
 /// read-only graph) instead of requiring `'static` captures.
 pub struct Selector<'h, T: Copy + Default + Send + 'static> {
     mailboxes: Vec<Mailbox<T>>,
+    staging: Staging<T>,
     handler: Option<Handler<'h, T>>,
     timer: RegionTimer,
     collector: SharedCollector,
-    /// Batched logical/PAPI send events; the per-send fast path appends
-    /// here (a plain `Vec` push — no shared borrow, no mutex) and the batch
-    /// drains into the collector at progress boundaries.
+    /// Batched logical/PAPI send runs; the send fast path appends here (a
+    /// plain `Vec` push — no shared borrow, no mutex) and the batch drains
+    /// into the collector at progress boundaries.
     send_buf: TraceBuffer,
     papi_events: Vec<fabsp_hwpc::Event>,
     /// How the runtime drives the conveyors: batched slice submission and
@@ -93,9 +183,6 @@ pub struct Selector<'h, T: Copy + Default + Send + 'static> {
     /// code is identical under both — the conveyor orders items the same
     /// way — so this is a pure runtime-efficiency knob.
     exchange: ExchangeMode,
-    /// Reusable staging buffer for batching contiguous same-destination
-    /// outbox runs into one `push_slice` (no per-round allocation).
-    outbox_scratch: Vec<T>,
     executed: bool,
 }
 
@@ -108,9 +195,7 @@ pub struct MainCtx<'a, 'h, 'p, T: Copy + Default + Send + 'static> {
 /// Context passed to message handlers. Sends are staged in the mailbox
 /// outbox and pushed by the runtime between handler invocations.
 pub struct ProcCtx<'a, T> {
-    outboxes: &'a mut [std::collections::VecDeque<(T, usize)>],
-    done_flags: &'a [(bool, bool)], // (user_done, done_signaled) per mailbox
-    done_requests: &'a mut [bool],
+    staging: &'a mut Staging<T>,
     rank: usize,
     n_pes: usize,
 }
@@ -122,25 +207,25 @@ impl<T: Copy> ProcCtx<'_, T> {
     /// Panics if `done` was already signalled for `mailbox` — sending into
     /// a terminated mailbox is a protocol violation in HClib-Actor too.
     pub fn send(&mut self, mailbox: usize, msg: T, dst: usize) {
-        assert!(mailbox < self.outboxes.len(), "mailbox {mailbox} invalid");
+        assert!(mailbox < self.staging.done.len(), "mailbox {mailbox} invalid");
         assert!(dst < self.n_pes, "destination PE {dst} invalid");
-        let (user_done, signaled) = self.done_flags[mailbox];
+        let done = self.staging.done[mailbox];
         assert!(
-            !(user_done || signaled) || !self.done_requests[mailbox],
+            !(done.user_done || done.done_signaled) || !done.requested,
             "handler send to mailbox {mailbox} after done"
         );
         assert!(
-            !signaled,
+            !done.done_signaled,
             "handler send to mailbox {mailbox} after its done was signalled"
         );
-        self.outboxes[mailbox].push_back((msg, dst));
+        self.staging.outboxes[mailbox].stage(msg, dst);
     }
 
     /// Request `done(mailbox)` from handler code (e.g. on receipt of a
     /// poison-pill message).
     pub fn done(&mut self, mailbox: usize) {
-        assert!(mailbox < self.done_requests.len(), "mailbox {mailbox} invalid");
-        self.done_requests[mailbox] = true;
+        assert!(mailbox < self.staging.done.len(), "mailbox {mailbox} invalid");
+        self.staging.done[mailbox].requested = true;
     }
 
     /// The rank of this PE.
@@ -151,6 +236,20 @@ impl<T: Copy> ProcCtx<'_, T> {
     /// Number of PEs.
     pub fn n_pes(&self) -> usize {
         self.n_pes
+    }
+}
+
+/// Account `count` sends the conveyor just accepted toward `dst`: one
+/// run-length trace event, one telemetry add.
+fn note_sends<T>(buf: &mut TraceBuffer, pe: &Pe, mailbox: usize, dst: usize, count: usize) {
+    buf.record_send_run(
+        dst,
+        std::mem::size_of::<T>() as u32,
+        mailbox as u32,
+        count as u64,
+    );
+    if let Some(m) = pe.metrics() {
+        m.add(Counter::ActorSends, count as u64);
     }
 }
 
@@ -188,22 +287,22 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
             conveyor.attach_collector(collector.clone());
             mailboxes.push(Mailbox {
                 conveyor,
-                user_done: false,
-                done_signaled: false,
                 complete: false,
                 chained_after: None,
-                outbox: std::collections::VecDeque::new(),
             });
         }
         Ok(Selector {
             mailboxes,
+            staging: Staging {
+                outboxes: (0..n_mailboxes).map(|_| Outbox::new()).collect(),
+                done: vec![DoneState::default(); n_mailboxes],
+            },
             handler: Some(Box::new(handler)),
             timer: RegionTimer::new(),
             collector,
             send_buf: TraceBuffer::for_config(&config.trace),
             papi_events,
             exchange: config.conveyor.exchange,
-            outbox_scratch: Vec::new(),
             executed: false,
         })
     }
@@ -237,6 +336,16 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         }
     }
 
+    /// `mailbox` exists and MAIN may still send through it.
+    fn check_open(&self, mailbox: usize) -> Result<(), ActorError> {
+        self.check_mailbox(mailbox)?;
+        let done = self.staging.done[mailbox];
+        if done.user_done || done.done_signaled {
+            return Err(ActorError::SendAfterDone { mailbox });
+        }
+        Ok(())
+    }
+
     /// Run one FA-BSP superstep: execute `main` (the `finish` body), then
     /// drive communication to termination. Mailboxes not explicitly
     /// `done`-d (and not chained) are done-d when `main` returns.
@@ -254,12 +363,14 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         if self.executed {
             // re-arm for another superstep
             for m in &mut self.mailboxes {
-                debug_assert!(m.outbox.is_empty(), "termination implies drained outbox");
                 m.conveyor.reset(pe);
-                m.user_done = false;
-                m.done_signaled = false;
                 m.complete = false;
             }
+            debug_assert!(
+                self.staging.outboxes.iter().all(Outbox::is_empty),
+                "termination implies drained outboxes"
+            );
+            self.staging.done.fill(DoneState::default());
         }
         self.executed = true;
 
@@ -286,10 +397,8 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         self.timer.exit(Region::Main);
 
         // Implicit done for unchained mailboxes the body didn't close.
-        for mb in 0..self.mailboxes.len() {
-            if !self.mailboxes[mb].user_done && self.mailboxes[mb].chained_after.is_none() {
-                self.mailboxes[mb].user_done = true;
-            }
+        for (m, d) in self.mailboxes.iter().zip(&mut self.staging.done) {
+            d.user_done |= m.chained_after.is_none();
         }
 
         // COMM-side drive to termination.
@@ -330,10 +439,7 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         msg: T,
         dst: usize,
     ) -> Result<(), ActorError> {
-        self.check_mailbox(mailbox)?;
-        if self.mailboxes[mailbox].user_done || self.mailboxes[mailbox].done_signaled {
-            return Err(ActorError::SendAfterDone { mailbox });
-        }
+        self.check_open(mailbox)?;
 
         // The push fast path is MAIN work (T_MAIN = "time taken by the
         // application to generate a message and append it to the mailbox").
@@ -385,13 +491,7 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         msgs: &[T],
         dst: usize,
     ) -> Result<(), ActorError> {
-        self.check_mailbox(mailbox)?;
-        if self.mailboxes[mailbox].user_done || self.mailboxes[mailbox].done_signaled {
-            return Err(ActorError::SendAfterDone { mailbox });
-        }
-        if msgs.is_empty() {
-            return Ok(());
-        }
+        self.check_open(mailbox)?;
         if self.force_per_item() {
             for &msg in msgs {
                 self.send_from_main(pe, mailbox, msg, dst)?;
@@ -399,43 +499,32 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
             return Ok(());
         }
 
-        let record = |buf: &mut TraceBuffer, accepted: usize| {
-            for _ in 0..accepted {
-                buf.record_send(dst, std::mem::size_of::<T>() as u32, mailbox as u32, None);
+        let mut offset = 0;
+        let mut in_main = true;
+        while offset < msgs.len() {
+            model::SEND_PUSH.charge();
+            let report = self.mailboxes[mailbox]
+                .conveyor
+                .push_slice(pe, &msgs[offset..], dst)?;
+            note_sends::<T>(&mut self.send_buf, pe, mailbox, dst, report.accepted);
+            offset += report.accepted;
+            if offset == msgs.len() {
+                break;
             }
-        };
-
-        model::SEND_PUSH.charge();
-        let report = self.mailboxes[mailbox].conveyor.push_slice(pe, msgs, dst)?;
-        record(&mut self.send_buf, report.accepted);
-        if let Some(m) = pe.metrics() {
-            m.add(Counter::ActorSends, report.accepted as u64);
-        }
-        let mut offset = report.accepted;
-
-        if offset < msgs.len() {
             // Buffers full mid-slice: leave MAIN and alternate progress
             // with resubmission of the unaccepted suffix.
-            self.timer.exit(Region::Main);
-            loop {
-                self.progress_once(pe);
-                model::SEND_PUSH.charge();
-                let report = self.mailboxes[mailbox]
-                    .conveyor
-                    .push_slice(pe, &msgs[offset..], dst)?;
-                record(&mut self.send_buf, report.accepted);
-                if let Some(m) = pe.metrics() {
-                    m.add(Counter::ActorSends, report.accepted as u64);
-                }
-                offset += report.accepted;
-                if offset == msgs.len() {
-                    break;
-                }
+            if in_main {
+                self.timer.exit(Region::Main);
+                in_main = false;
+            } else {
                 if let Some(m) = pe.metrics() {
                     m.count(Counter::ActorYields);
                 }
                 pe.poll_yield();
             }
+            self.progress_once(pe);
+        }
+        if !in_main {
             self.timer.enter(Region::Main);
         }
         Ok(())
@@ -443,7 +532,7 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
 
     fn done_from_main(&mut self, mailbox: usize) -> Result<(), ActorError> {
         self.check_mailbox(mailbox)?;
-        self.mailboxes[mailbox].user_done = true;
+        self.staging.done[mailbox].user_done = true;
         Ok(())
     }
 
@@ -488,18 +577,15 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         let mut any_active = false;
         for mb in 0..self.mailboxes.len() {
             // Resolve chained dones: fire when the upstream completed.
-            if !self.mailboxes[mb].user_done {
-                if let Some(after) = self.mailboxes[mb].chained_after {
-                    if self.mailboxes[after].complete {
-                        self.mailboxes[mb].user_done = true;
-                    }
-                }
+            if let Some(after) = self.mailboxes[mb].chained_after {
+                self.staging.done[mb].user_done |= self.mailboxes[after].complete;
+            }
+            let done = &mut self.staging.done[mb];
+            let done_eff = done.user_done && self.staging.outboxes[mb].is_empty();
+            if done_eff {
+                done.done_signaled = true;
             }
             let m = &mut self.mailboxes[mb];
-            let done_eff = m.user_done && m.outbox.is_empty();
-            if done_eff {
-                m.done_signaled = true;
-            }
             let active = m.conveyor.advance(pe, done_eff);
             if !active {
                 m.complete = true;
@@ -507,177 +593,96 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
             any_active |= active;
         }
 
-        // Deliver: run handlers (PROC) on everything pulled.
+        // Deliver: run handlers (PROC) on everything pulled. The handler
+        // context borrows the selector's own staging — nothing is built
+        // per batch, let alone per item.
         let mut handler = self.handler.take().expect("handler in use reentrantly");
         let n_pes = pe.n_pes();
         let rank = pe.rank();
-        if !self.force_per_item() {
-            // Batched drain: each `pull_batch` hands out one origin run as
-            // a zero-copy slice; the handler runs over it without the
-            // per-item pull round-trip.
-            for mb in 0..self.mailboxes.len() {
-                while self.mailboxes[mb].conveyor.pending_pulls() > 0 {
-                    let done_flags: Vec<(bool, bool)> = self
-                        .mailboxes
-                        .iter()
-                        .map(|m| (m.user_done, m.done_signaled))
-                        .collect();
-                    let mut done_requests = vec![false; self.mailboxes.len()];
-                    // Outboxes move into owned storage before `pull_batch`
-                    // borrows the conveyor, so the handler context and the
-                    // delivered slice can coexist.
-                    let mut outboxes: Vec<_> = self
-                        .mailboxes
-                        .iter_mut()
-                        .map(|m| std::mem::take(&mut m.outbox))
-                        .collect();
-                    let mut pulled_any = false;
-                    if let Some(batch) = self.mailboxes[mb].conveyor.pull_batch() {
-                        pulled_any = true;
-                        let from = batch.src;
-                        let mut ctx = ProcCtx {
-                            outboxes: &mut outboxes,
-                            done_flags: &done_flags,
-                            done_requests: &mut done_requests,
-                            rank,
-                            n_pes,
-                        };
-                        self.timer.enter(Region::Proc);
-                        for &msg in batch.items {
-                            model::PULL.charge();
-                            model::HANDLER_DISPATCH.charge();
-                            handler(mb, msg, from, &mut ctx);
-                        }
-                        self.timer.exit(Region::Proc);
-                    }
-                    for (m, ob) in self.mailboxes.iter_mut().zip(outboxes) {
-                        m.outbox = ob;
-                    }
-                    for (m, req) in self.mailboxes.iter_mut().zip(done_requests) {
-                        if req {
-                            m.user_done = true;
-                        }
-                    }
-                    if !pulled_any {
-                        break;
-                    }
-                }
-            }
-            self.handler = Some(handler);
-            return any_active;
-        }
+        let per_item = self.force_per_item();
         for mb in 0..self.mailboxes.len() {
-            while let Some(delivery) = self.mailboxes[mb].conveyor.pull() {
-                let (from, msg) = (delivery.src, delivery.item);
-                model::PULL.charge();
-                let done_flags: Vec<(bool, bool)> = self
-                    .mailboxes
-                    .iter()
-                    .map(|m| (m.user_done, m.done_signaled))
-                    .collect();
-                let mut done_requests = vec![false; self.mailboxes.len()];
-                // split borrows: outboxes only
-                let mut outboxes: Vec<_> = self
-                    .mailboxes
-                    .iter_mut()
-                    .map(|m| std::mem::take(&mut m.outbox))
-                    .collect();
-                {
+            if per_item {
+                while let Some(delivery) = self.mailboxes[mb].conveyor.pull() {
+                    model::PULL.charge();
+                    model::HANDLER_DISPATCH.charge();
                     let mut ctx = ProcCtx {
-                        outboxes: &mut outboxes,
-                        done_flags: &done_flags,
-                        done_requests: &mut done_requests,
+                        staging: &mut self.staging,
                         rank,
                         n_pes,
                     };
-                    model::HANDLER_DISPATCH.charge();
                     self.timer.enter(Region::Proc);
-                    handler(mb, msg, from, &mut ctx);
+                    handler(mb, delivery.item, delivery.src, &mut ctx);
                     self.timer.exit(Region::Proc);
+                    self.staging.apply_done_requests();
                 }
-                for (m, ob) in self.mailboxes.iter_mut().zip(outboxes) {
-                    m.outbox = ob;
+                continue;
+            }
+            // Batched drain: each `pull_batch` hands out one origin run as
+            // a zero-copy slice; the handler runs over it without the
+            // per-item pull round-trip.
+            while let Some(batch) = self.mailboxes[mb].conveyor.pull_batch() {
+                let mut ctx = ProcCtx {
+                    staging: &mut self.staging,
+                    rank,
+                    n_pes,
+                };
+                self.timer.enter(Region::Proc);
+                for &msg in batch.items {
+                    model::PULL.charge();
+                    model::HANDLER_DISPATCH.charge();
+                    handler(mb, msg, batch.src, &mut ctx);
                 }
-                for (m, req) in self.mailboxes.iter_mut().zip(done_requests) {
-                    if req {
-                        m.user_done = true;
-                    }
-                }
+                self.timer.exit(Region::Proc);
+                self.staging.apply_done_requests();
             }
         }
         self.handler = Some(handler);
         any_active
     }
 
-    /// Push handler-staged sends into the conveyors (best effort; items
-    /// that don't fit stay queued for the next round).
-    ///
-    /// In batched mode, contiguous same-destination runs at the front of
-    /// each outbox are submitted with one `push_slice`; only the accepted
-    /// prefix is popped, so refused items stay queued exactly as in the
-    /// per-item path.
+    /// Push handler-staged sends into the conveyors (best effort). Each
+    /// outbox's front run goes to `push_slice` as it lies and advances by
+    /// the accepted prefix; a refused suffix stays queued, in order, for
+    /// the next round — so a round costs O(accepted), whatever the backlog.
     fn drain_outboxes(&mut self, pe: &Pe) {
-        if !self.force_per_item() {
-            let mut scratch = std::mem::take(&mut self.outbox_scratch);
-            for mb in 0..self.mailboxes.len() {
-                while let Some(&(_, dst)) = self.mailboxes[mb].outbox.front() {
-                    assert!(
-                        !self.mailboxes[mb].done_signaled,
-                        "outbox item for mailbox {mb} after done was signalled"
-                    );
-                    scratch.clear();
-                    for &(msg, d) in self.mailboxes[mb].outbox.iter() {
-                        if d != dst {
-                            break;
-                        }
-                        scratch.push(msg);
-                    }
-                    model::SEND_PUSH.charge();
-                    let report = self.mailboxes[mb]
-                        .conveyor
-                        .push_slice(pe, &scratch, dst)
-                        .expect("outbox destinations were validated at staging");
-                    for _ in 0..report.accepted {
-                        self.mailboxes[mb].outbox.pop_front();
-                        self.send_buf.record_send(
-                            dst,
-                            std::mem::size_of::<T>() as u32,
-                            mb as u32,
-                            None,
-                        );
-                    }
-                    if let Some(m) = pe.metrics() {
-                        m.add(Counter::ActorSends, report.accepted as u64);
-                    }
-                    if report.accepted < scratch.len() {
-                        break; // buffers full; retry next round
-                    }
-                }
-            }
-            self.outbox_scratch = scratch;
-            return;
-        }
+        let per_item = self.force_per_item();
         for mb in 0..self.mailboxes.len() {
-            while let Some(&(msg, dst)) = self.mailboxes[mb].outbox.front() {
+            while let Some((items, dst)) = self.staging.outboxes[mb].front_run() {
                 assert!(
-                    !self.mailboxes[mb].done_signaled,
+                    !self.staging.done[mb].done_signaled,
                     "outbox item for mailbox {mb} after done was signalled"
                 );
-                let papi_before = self.papi_snapshot();
-                model::SEND_PUSH.charge();
-                let outcome = self.mailboxes[mb]
-                    .conveyor
-                    .push(pe, msg, dst)
-                    .expect("outbox destinations were validated at staging");
-                if !outcome.is_accepted() {
-                    break;
+                if per_item {
+                    // One push per item, each with its own counter deltas.
+                    let papi_before = self.papi_snapshot();
+                    model::SEND_PUSH.charge();
+                    let outcome = self.mailboxes[mb]
+                        .conveyor
+                        .push(pe, items[0], dst)
+                        .expect("outbox destinations were validated at staging");
+                    if !outcome.is_accepted() {
+                        break;
+                    }
+                    let deltas = self.papi_deltas(&papi_before);
+                    self.staging.outboxes[mb].advance(1);
+                    self.send_buf
+                        .record_send(dst, std::mem::size_of::<T>() as u32, mb as u32, deltas);
+                    if let Some(m) = pe.metrics() {
+                        m.count(Counter::ActorSends);
+                    }
+                    continue;
                 }
-                let deltas = self.papi_deltas(&papi_before);
-                self.mailboxes[mb].outbox.pop_front();
-                self.send_buf
-                    .record_send(dst, std::mem::size_of::<T>() as u32, mb as u32, deltas);
-                if let Some(m) = pe.metrics() {
-                    m.count(Counter::ActorSends);
+                model::SEND_PUSH.charge();
+                let submitted = items.len();
+                let accepted = self.mailboxes[mb]
+                    .conveyor
+                    .push_slice(pe, items, dst)
+                    .expect("outbox destinations were validated at staging")
+                    .accepted;
+                self.staging.outboxes[mb].advance(accepted);
+                note_sends::<T>(&mut self.send_buf, pe, mb, dst, accepted);
+                if accepted < submitted {
+                    break; // buffers full; retry next round
                 }
             }
         }
@@ -686,8 +691,8 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
     /// Merged conveyor statistics over all mailboxes.
     pub fn stats(&self) -> ConveyorStats {
         let mut total = ConveyorStats::default();
-        for m in &self.mailboxes {
-            total.merge(&m.conveyor.stats());
+        for mb in 0..self.mailboxes.len() {
+            total.merge(&self.stats_of(mb));
         }
         total
     }
@@ -695,7 +700,14 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
     /// Per-mailbox conveyor statistics.
     pub fn mailbox_stats(&self, mailbox: usize) -> Result<ConveyorStats, ActorError> {
         self.check_mailbox(mailbox)?;
-        Ok(self.mailboxes[mailbox].conveyor.stats())
+        Ok(self.stats_of(mailbox))
+    }
+
+    fn stats_of(&self, mailbox: usize) -> ConveyorStats {
+        ConveyorStats {
+            outbox_staged: self.staging.outboxes[mailbox].staged,
+            ..self.mailboxes[mailbox].conveyor.stats()
+        }
     }
 
     /// A shared handle to the trace collector (e.g. to inspect mid-run).
@@ -801,6 +813,49 @@ mod tests {
             (total, actor.into_collector())
         })
         .unwrap()
+    }
+
+    #[test]
+    fn outbox_hands_out_runs_in_order_and_keeps_refused_suffixes() {
+        let mut outbox = Outbox::new();
+        assert!(outbox.front_run().is_none());
+        for (msg, dst) in [(10, 1), (11, 1), (12, 1), (20, 0), (30, 1)] {
+            outbox.stage(msg, dst);
+        }
+        assert_eq!(outbox.front_run(), Some((&[10, 11, 12][..], 1)));
+        outbox.advance(2); // the conveyor took a prefix
+        assert_eq!(outbox.front_run(), Some((&[12][..], 1)));
+        outbox.stage(31, 1); // extends the tail run, not the front one
+        outbox.advance(1);
+        assert_eq!(outbox.front_run(), Some((&[20][..], 0)));
+        outbox.advance(1);
+        assert_eq!(outbox.front_run(), Some((&[30, 31][..], 1)));
+        outbox.advance(2);
+        assert!(outbox.is_empty() && outbox.items.is_empty());
+        assert_eq!(outbox.staged, 6);
+
+        // A run that wraps around the ring comes out in two pieces, in order.
+        let mut outbox = Outbox::new();
+        let cap = {
+            outbox.stage(0u64, 0);
+            outbox.items.capacity()
+        };
+        for i in 1..cap as u64 {
+            outbox.stage(i, 0);
+        }
+        outbox.advance(cap - 1);
+        for i in 0..3 {
+            outbox.stage(100 + i, 0); // no growth: these wrap
+        }
+        assert_eq!(outbox.items.capacity(), cap);
+        let mut seen = Vec::new();
+        while let Some((items, dst)) = outbox.front_run() {
+            assert_eq!(dst, 0);
+            seen.extend_from_slice(items);
+            let n = items.len();
+            outbox.advance(n);
+        }
+        assert_eq!(seen, [cap as u64 - 1, 100, 101, 102]);
     }
 
     #[test]

@@ -208,6 +208,12 @@ impl From<actorprof::RunError> for AppError {
 /// per-item `ctx.send` loop — the conveyor orders items per
 /// (source, destination) link either way, so results are unchanged while
 /// the protocol cost is amortized over whole slices.
+///
+/// Buckets go out in *pairwise* order — rank `r` visits `r+1, r+2, …, r`
+/// (mod the PE count) — so at every step the PEs target a permutation of
+/// each other. In ascending order every PE would drain bucket 0 first and
+/// all of them would hammer PE 0 while the others idle. The order is a
+/// pure function of `(rank, n_pes)`, so traces stay deterministic.
 #[derive(Debug)]
 pub struct DestBuckets<T> {
     buckets: Vec<Vec<T>>,
@@ -226,16 +232,17 @@ impl<T: Copy + Default + Send + 'static> DestBuckets<T> {
         self.buckets[dst].push(msg);
     }
 
-    /// Submit every bucket through `ctx.send_slice` on `mailbox`, clearing
-    /// the buckets for reuse (e.g. the next BFS level).
+    /// Submit every bucket through `ctx.send_slice` on `mailbox` in
+    /// pairwise order, clearing the buckets for reuse (e.g. the next BFS
+    /// level).
     pub fn send_all(
         &mut self,
         ctx: &mut MainCtx<'_, '_, '_, T>,
         mailbox: usize,
     ) -> Result<(), ActorError> {
-        for (dst, bucket) in self.buckets.iter_mut().enumerate() {
-            ctx.send_slice(mailbox, bucket, dst)?;
-            bucket.clear();
+        for dst in scatter_order(ctx.rank(), self.buckets.len()) {
+            ctx.send_slice(mailbox, &self.buckets[dst], dst)?;
+            self.buckets[dst].clear();
         }
         Ok(())
     }
@@ -249,6 +256,13 @@ impl<T: Copy + Default + Send + 'static> DestBuckets<T> {
     pub fn is_empty(&self) -> bool {
         self.buckets.iter().all(Vec::is_empty)
     }
+}
+
+/// The destinations rank `rank` of `n_pes` visits, in order: its right
+/// neighbour first, itself last. Step `i` over all ranks is the rotation
+/// by `i + 1`, a permutation.
+fn scatter_order(rank: usize, n_pes: usize) -> impl Iterator<Item = usize> {
+    (1..=n_pes).map(move |step| (rank + step) % n_pes)
 }
 
 /// Assemble per-PE `(result, collector)` pairs into results + bundle.
@@ -267,6 +281,7 @@ pub fn split_outcomes<R>(outcomes: Vec<(R, PeCollector)>) -> Result<(Vec<R>, Tra
 mod tests {
     use super::*;
     use actorprof_trace::TraceConfig;
+    use fabsp_shmem::SchedSpec;
 
     #[test]
     fn split_outcomes_orders_by_rank() {
@@ -276,6 +291,106 @@ mod tests {
         let (results, bundle) = split_outcomes::<usize>(outcomes).unwrap();
         assert_eq!(results, vec![0, 10, 20]);
         assert_eq!(bundle.n_pes(), 3);
+    }
+
+    #[test]
+    fn scatter_steps_are_permutations_and_cover_every_bucket_once() {
+        for n_pes in [1, 2, 3, 4, 8] {
+            let orders: Vec<Vec<usize>> = (0..n_pes)
+                .map(|rank| scatter_order(rank, n_pes).collect())
+                .collect();
+            for (rank, order) in orders.iter().enumerate() {
+                let mut visited = order.clone();
+                visited.sort_unstable();
+                assert_eq!(visited, (0..n_pes).collect::<Vec<_>>(), "rank {rank}/{n_pes}");
+                assert_eq!(order[n_pes - 1], rank, "own bucket goes last");
+            }
+            for step in 0..n_pes {
+                let mut targets: Vec<usize> = orders.iter().map(|o| o[step]).collect();
+                targets.sort_unstable();
+                assert_eq!(
+                    targets,
+                    (0..n_pes).collect::<Vec<_>>(),
+                    "step {step}/{n_pes}: one sender per receiver"
+                );
+            }
+        }
+    }
+
+    /// The `PE<i>_send.csv` files an app on a 2x2 grid streams when `run`
+    /// with the given tracing.
+    fn streamed_csvs(
+        tag: &str,
+        sched: SchedSpec,
+        run: impl FnOnce(Grid, TraceConfig) -> Result<(), AppError>,
+    ) -> Vec<Vec<u8>> {
+        let grid = Grid::new(2, 2).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "actorprof-scatter-{tag}-{sched:?}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        run(grid, TraceConfig::off().with_streaming(&dir))
+            .unwrap_or_else(|e| panic!("{tag} under {sched:?}: {e}"));
+        let files = (0..grid.n_pes())
+            .map(|pe| std::fs::read(dir.join(format!("PE{pe}_send.csv"))).unwrap())
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        files
+    }
+
+    /// The OS scheduler and two seeded walks.
+    fn schedules() -> [SchedSpec; 3] {
+        [
+            SchedSpec::Os,
+            SchedSpec::random_walk(1),
+            SchedSpec::random_walk(2),
+        ]
+    }
+
+    #[test]
+    fn histogram_send_csv_is_byte_identical_under_every_schedule() {
+        // MAIN is the only sender, so the record order is the scatter
+        // order — a function of (rank, n_pes) and the seed alone, even with
+        // buffers small enough that handlers interleave every slice.
+        let run = |sched| {
+            streamed_csvs("histogram", sched, |grid, trace| {
+                let mut cfg = crate::histogram::HistogramConfig::new(grid);
+                cfg.trace = trace;
+                cfg.sched = sched;
+                cfg.conveyor.capacity = 8;
+                crate::histogram::run(&cfg).map(drop)
+            })
+        };
+        let [os, a, b] = schedules().map(run);
+        assert!(os.iter().all(|f| !f.is_empty()));
+        assert!(os == a && os == b, "PE<i>_send.csv depends on the schedule");
+    }
+
+    #[test]
+    fn index_gather_send_csv_holds_the_same_lines_under_every_schedule() {
+        // Responses are sent by handlers, and when a response goes out
+        // relative to MAIN's requests (and to responses owed to other PEs)
+        // is the schedule's choice — as it was before the scatter order —
+        // so only the multiset of lines is a function of the input.
+        let run = |sched| {
+            let files = streamed_csvs("index-gather", sched, |grid, trace| {
+                let mut cfg = crate::index_gather::IndexGatherConfig::new(grid);
+                cfg.trace = trace;
+                cfg.sched = sched;
+                crate::index_gather::run(&cfg).map(drop)
+            });
+            files
+                .into_iter()
+                .map(|f| {
+                    let mut lines: Vec<Vec<u8>> = f.split(|&c| c == b'\n').map(Vec::from).collect();
+                    lines.sort_unstable();
+                    lines
+                })
+                .collect::<Vec<_>>()
+        };
+        let [os, a, b] = schedules().map(run);
+        assert!(os == a && os == b, "PE<i>_send.csv lines depend on the schedule");
     }
 
     #[test]

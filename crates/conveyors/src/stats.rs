@@ -29,6 +29,10 @@ pub struct ConveyorStats {
     /// relay re-staging, pull hand-off, and the capture+apply pair of a
     /// non-blocking put). This is the §IV-D memcpy count.
     pub item_copies: u64,
+    /// Items the selector copied into a handler outbox — one copy per
+    /// handler-originated send, ahead of the `item_copies` its push pays.
+    /// Filled in by `Selector::stats`; zero for a bare conveyor.
+    pub outbox_staged: u64,
     /// Calls to `advance`.
     pub advances: u64,
     /// Relay-link parks forced by chaos injection
@@ -74,6 +78,7 @@ impl ConveyorStats {
         self.nonblock_progress += other.nonblock_progress;
         self.quiets += other.quiets;
         self.item_copies += other.item_copies;
+        self.outbox_staged += other.outbox_staged;
         self.advances += other.advances;
         self.forced_parks += other.forced_parks;
         self.buffer_allocs += other.buffer_allocs;

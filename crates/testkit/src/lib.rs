@@ -396,6 +396,79 @@ pub fn assert_nbi_invisible_until_quiet(seeds: impl IntoIterator<Item = u64>, fa
     }
 }
 
+/// What one PE saw of a [`handler_backlog`] run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BacklogRun {
+    /// Responses this PE's handler received.
+    pub received: u64,
+    /// Items this PE's handlers copied into the outbox
+    /// ([`ConveyorStats::outbox_staged`]).
+    pub staged: u64,
+    /// Responses this PE's conveyor accepted.
+    pub pushed: u64,
+}
+
+/// Litmus for the selector's handler outbox — run it on every PE of a
+/// world. Each PE sends one request to its right neighbour; the handler
+/// answers it with `backlog` sequence-numbered responses staged in one
+/// go, all to the requester, or (`alternating`) item `i` to PE
+/// `(requester + i) % n_pes`. Nothing drains while a handler runs, so the
+/// outbox holds the whole backlog at once, and with conveyor buffers of
+/// `capacity` items almost every submission is refused part-way. The
+/// response mailbox is chained after the request mailbox.
+///
+/// # Panics
+/// Panics (poisoning the world) if responses from one source arrive out of
+/// staging order — a refused suffix resubmitted wrongly — or, inside the
+/// selector, if the response mailbox's done goes out while a run is
+/// still queued.
+pub fn handler_backlog(pe: &Pe, capacity: usize, backlog: u64, alternating: bool) -> BacklogRun {
+    use fabsp_actor::{Selector, SelectorConfig};
+    use std::cell::{Cell, RefCell};
+
+    let n_pes = pe.n_pes();
+    let received = Cell::new(0u64);
+    let last_from: RefCell<Vec<Option<u64>>> = RefCell::new(vec![None; n_pes]);
+    let config = SelectorConfig {
+        conveyor: ConveyorOptions {
+            capacity,
+            ..ConveyorOptions::default()
+        },
+        ..SelectorConfig::default()
+    };
+    let mut actor = Selector::new(pe, 2, config, |mb, seq: u64, from, ctx| {
+        if mb == 0 {
+            for i in 0..backlog {
+                let dst = from as usize + if alternating { i as usize } else { 0 };
+                ctx.send(1, i, dst % n_pes);
+            }
+            return;
+        }
+        let last = &mut last_from.borrow_mut()[from as usize];
+        assert!(
+            last.is_none_or(|l| l < seq),
+            "PE {} got response {seq} from PE {from} after {last:?}: link FIFO broken",
+            ctx.rank()
+        );
+        *last = Some(seq);
+        received.set(received.get() + 1);
+    })
+    .expect("two-mailbox selector");
+    actor.chain_done(1, 0).expect("responses end after requests");
+    actor
+        .execute(pe, |ctx| {
+            ctx.send(0, 0, (ctx.rank() + 1) % ctx.n_pes())
+                .expect("request");
+            ctx.done(0).expect("done");
+        })
+        .expect("execute");
+    BacklogRun {
+        received: received.get(),
+        staged: actor.stats().outbox_staged,
+        pushed: actor.mailbox_stats(1).expect("mailbox 1").pushed,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

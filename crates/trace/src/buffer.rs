@@ -4,18 +4,24 @@
 //! means a `RefCell` borrow (and, for the aggregate structures, hash-map and
 //! matrix updates) *per message*. §IV-E's premise is that tracing must stay
 //! cheap enough to leave on, so the runtime layers instead write fixed-size
-//! [`SendEvent`]/[`PhysicalEvent`] values into a thread-local
+//! [`SendRun`]/[`PhysicalEvent`] values into a thread-local
 //! [`TraceBuffer`] — a plain `Vec` push, no locks, no shared borrows — and
 //! the collector replays the batch at natural drain boundaries
 //! (`Conveyor::advance`, selector progress, termination) via
 //! [`PeCollector::drain`].
 //!
+//! The send path's natural unit is a *(destination, run)*: a `send_slice`
+//! or a drained handler outbox hands the conveyor many same-size messages
+//! for one destination at once, so the buffer holds one [`SendRun`] per
+//! accepted prefix — not one event per message — and adjacent runs with
+//! the same key coalesce.
+//!
 //! Exactness is preserved: every event carries everything `record_send` /
 //! `record_physical` would have been told at event time, including the
-//! hardware-counter deltas and the cycle timestamp, so the drained
-//! collector state is identical to the eager one — the paper's exact
-//! `local_send` / `nonblock_send` / `nonblock_progress` counts and FIFO
-//! order survive batching.
+//! hardware-counter deltas and the cycle timestamp, and runs replay in
+//! capture order, so the drained collector state is identical to the eager
+//! per-message one — the paper's exact `local_send` / `nonblock_send` /
+//! `nonblock_progress` counts and FIFO order survive batching.
 //!
 //! [`PeCollector`]: crate::PeCollector
 //! [`PeCollector::drain`]: crate::PeCollector::drain
@@ -26,17 +32,21 @@ use fabsp_telemetry::Phase;
 use crate::config::TraceConfig;
 use crate::record::SendType;
 
-/// One logical send, captured on the fast path for deferred replay.
+/// `count` consecutive logical sends of one size to one destination through
+/// one mailbox, captured on the fast path for deferred replay.
 #[derive(Debug, Clone, Copy)]
-pub struct SendEvent {
+pub struct SendRun {
     /// Destination PE.
     pub dst_pe: u32,
-    /// Payload bytes.
+    /// Payload bytes of each message.
     pub msg_size: u32,
-    /// Mailbox the send went through.
+    /// Mailbox the sends went through.
     pub mailbox_id: u32,
+    /// Messages in the run (≥ 1).
+    pub count: u64,
     /// Hardware-counter deltas around the send (configured-event order,
-    /// prefix of the bank), when PAPI tracing measured them.
+    /// prefix of the bank), when PAPI tracing measured them. Only a
+    /// per-item `send` measures them, so such a run has `count == 1`.
     pub papi: Option<[u64; MAX_EVENTS]>,
 }
 
@@ -81,7 +91,7 @@ pub struct TraceBuffer {
     span_knob: Option<fabsp_telemetry::SamplingKnob>,
     /// Hot spans seen so far, sampled or not.
     span_seen: u64,
-    sends: Vec<SendEvent>,
+    sends: Vec<SendRun>,
     physical: Vec<PhysicalEvent>,
     spans: Vec<SpanEvent>,
 }
@@ -120,7 +130,8 @@ impl TraceBuffer {
         self.wants_spans
     }
 
-    /// Capture one logical send. A `Vec` push — nothing shared, no borrow.
+    /// Capture one logical send — a run of 1 carrying its PAPI deltas, if
+    /// any were measured. A `Vec` push — nothing shared, no borrow.
     #[inline]
     pub fn record_send(
         &mut self,
@@ -129,13 +140,46 @@ impl TraceBuffer {
         mailbox_id: u32,
         papi: Option<[u64; MAX_EVENTS]>,
     ) {
-        if self.wants_sends {
-            self.sends.push(SendEvent {
-                dst_pe: dst_pe as u32,
+        if !self.wants_sends {
+            return;
+        }
+        if papi.is_none() {
+            return self.record_send_run(dst_pe, msg_size, mailbox_id, 1);
+        }
+        self.sends.push(SendRun {
+            dst_pe: dst_pe as u32,
+            msg_size,
+            mailbox_id,
+            count: 1,
+            papi,
+        });
+    }
+
+    /// Capture `count` consecutive sends to one destination as one event —
+    /// what an accepted `push_slice` prefix is. Extends the previous run
+    /// when it has the same key, so resubmitted suffixes of one slice and
+    /// back-to-back per-item sends cost no extra events.
+    #[inline]
+    pub fn record_send_run(&mut self, dst_pe: usize, msg_size: u32, mailbox_id: u32, count: u64) {
+        if !self.wants_sends || count == 0 {
+            return;
+        }
+        let dst_pe = dst_pe as u32;
+        match self.sends.last_mut() {
+            Some(last)
+                if last.papi.is_none()
+                    && (last.dst_pe, last.msg_size, last.mailbox_id)
+                        == (dst_pe, msg_size, mailbox_id) =>
+            {
+                last.count += count;
+            }
+            _ => self.sends.push(SendRun {
+                dst_pe,
                 msg_size,
                 mailbox_id,
-                papi,
-            });
+                count,
+                papi: None,
+            }),
         }
     }
 
@@ -184,8 +228,8 @@ impl TraceBuffer {
         self.sends.is_empty() && self.physical.is_empty() && self.spans.is_empty()
     }
 
-    /// Captured-but-undrained logical sends.
-    pub fn pending_sends(&self) -> &[SendEvent] {
+    /// Captured-but-undrained logical send runs.
+    pub fn pending_sends(&self) -> &[SendRun] {
         &self.sends
     }
 
@@ -199,7 +243,7 @@ impl TraceBuffer {
         &self.spans
     }
 
-    pub(crate) fn take_events(&mut self) -> (Vec<SendEvent>, Vec<PhysicalEvent>, Vec<SpanEvent>) {
+    pub(crate) fn take_events(&mut self) -> (Vec<SendRun>, Vec<PhysicalEvent>, Vec<SpanEvent>) {
         (
             std::mem::take(&mut self.sends),
             std::mem::take(&mut self.physical),
@@ -209,7 +253,7 @@ impl TraceBuffer {
 
     pub(crate) fn put_back_storage(
         &mut self,
-        sends: Vec<SendEvent>,
+        sends: Vec<SendRun>,
         physical: Vec<PhysicalEvent>,
         spans: Vec<SpanEvent>,
     ) {
@@ -245,8 +289,24 @@ mod tests {
         assert_eq!(b.pending_sends().len(), 2);
         assert_eq!(b.pending_sends()[0].dst_pe, 2);
         assert_eq!(b.pending_sends()[1].msg_size, 16);
+        assert_eq!(b.pending_sends()[1].count, 1);
         assert_eq!(b.pending_physical().len(), 1);
         assert_eq!(b.pending_physical()[0].buffer_size, 128);
+    }
+
+    #[test]
+    fn adjacent_runs_with_one_key_coalesce_and_measured_sends_do_not() {
+        let mut b = TraceBuffer::for_config(&TraceConfig::off().with_logical());
+        b.record_send_run(1, 8, 0, 5);
+        b.record_send_run(1, 8, 0, 0); // a refused submission records nothing
+        b.record_send_run(1, 8, 0, 7);
+        b.record_send(1, 8, 0, None);
+        b.record_send_run(1, 8, 1, 2); // other mailbox: a new run
+        b.record_send(1, 8, 1, Some([3; MAX_EVENTS]));
+        b.record_send(1, 8, 1, None); // never folded into a measured run
+        let counts: Vec<u64> = b.pending_sends().iter().map(|r| r.count).collect();
+        assert_eq!(counts, [13, 2, 1, 1]);
+        assert!(b.pending_sends()[2].papi.is_some());
     }
 
     #[test]

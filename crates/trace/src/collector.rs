@@ -154,6 +154,7 @@ impl PeCollector {
     /// `dst_pe` via `mailbox_id`. `papi_deltas`, if PAPI tracing is
     /// configured, carries the counter deltas measured around the send, in
     /// the configured event order.
+    #[inline]
     pub fn record_send(
         &mut self,
         dst_pe: usize,
@@ -161,37 +162,33 @@ impl PeCollector {
         mailbox_id: u32,
         papi_deltas: Option<&[u64]>,
     ) {
+        self.record_send_run(dst_pe, msg_size, mailbox_id, 1, papi_deltas);
+    }
+
+    /// Record `count` consecutive logical sends of `msg_size` bytes each to
+    /// `dst_pe` via `mailbox_id` — identical in every observable (matrix,
+    /// exact records, stream bytes, PAPI lines) to `count` calls of
+    /// [`record_send`](PeCollector::record_send), the first of which
+    /// carries `papi_deltas`. The aggregates are bumped by `count`; the run
+    /// is expanded to per-message records only when exact records or
+    /// streaming ask for them.
+    pub fn record_send_run(
+        &mut self,
+        dst_pe: usize,
+        msg_size: u32,
+        mailbox_id: u32,
+        count: u64,
+        papi_deltas: Option<&[u64]>,
+    ) {
         debug_assert!(dst_pe < self.n_pes);
         if self.config.logical {
             let cell = &mut self.logical_matrix[dst_pe];
-            cell.sends += 1;
-            cell.bytes += msg_size as u64;
-            let sampled = self.config.logical_sample <= 1
-                || self.send_counter.is_multiple_of(self.config.logical_sample as u64);
-            self.send_counter += 1;
-            if sampled && (self.config.logical_records || self.stream.is_some()) {
-                let record = LogicalRecord {
-                    src_node: self.node(),
-                    src_pe: self.pe,
-                    dst_node: (dst_pe / self.pes_per_node) as u32,
-                    dst_pe: dst_pe as u32,
-                    msg_size,
-                };
-                if let Some(w) = &mut self.stream {
-                    // identical line format to writer::write_logical_exact
-                    writeln!(
-                        w,
-                        "{},{},{},{},{}",
-                        record.src_node,
-                        record.src_pe,
-                        record.dst_node,
-                        record.dst_pe,
-                        record.msg_size
-                    )
-                    .expect("stream write failed (disk full?)");
-                } else {
-                    self.logical_records.push(record);
-                }
+            cell.sends += count;
+            cell.bytes += count * msg_size as u64;
+            let first = self.send_counter;
+            self.send_counter += count;
+            if self.config.logical_records || self.stream.is_some() {
+                self.expand_run(dst_pe, msg_size, first, count);
             }
         }
         if let Some(papi) = &self.config.papi {
@@ -199,14 +196,49 @@ impl PeCollector {
                 .papi_agg
                 .entry((dst_pe as u32, mailbox_id))
                 .or_default();
-            agg.num_sends += 1;
-            agg.pkt_size += msg_size as u64;
+            agg.num_sends += count;
+            agg.pkt_size += count * msg_size as u64;
             if let Some(deltas) = papi_deltas {
                 debug_assert_eq!(deltas.len(), papi.events().len());
                 for (acc, d) in agg.counters.iter_mut().zip(deltas) {
                     *acc += d;
                 }
             }
+        }
+    }
+
+    /// Emit the per-message records of sends `first..first + count`: those
+    /// whose index the `logical_sample` stride keeps, to the stream if one
+    /// is open and to memory otherwise.
+    fn expand_run(&mut self, dst_pe: usize, msg_size: u32, first: u64, count: u64) {
+        // multiples of the stride in [first, first + count)
+        let kept = match self.config.logical_sample.max(1) as u64 {
+            1 => count,
+            stride => (first + count).div_ceil(stride) - first.div_ceil(stride),
+        };
+        if kept == 0 {
+            return;
+        }
+        let record = LogicalRecord {
+            src_node: self.node(),
+            src_pe: self.pe,
+            dst_node: (dst_pe / self.pes_per_node) as u32,
+            dst_pe: dst_pe as u32,
+            msg_size,
+        };
+        let Some(w) = &mut self.stream else {
+            let len = self.logical_records.len() + kept as usize;
+            self.logical_records.resize(len, record);
+            return;
+        };
+        // identical line format to writer::write_logical_exact
+        let line = format!(
+            "{},{},{},{},{}\n",
+            record.src_node, record.src_pe, record.dst_node, record.dst_pe, record.msg_size
+        );
+        for _ in 0..kept {
+            w.write_all(line.as_bytes())
+                .expect("stream write failed (disk full?)");
         }
     }
 
@@ -255,9 +287,10 @@ impl PeCollector {
     /// Replay a batch of hot-path events captured in a
     /// [`TraceBuffer`](crate::TraceBuffer) and leave the buffer empty (its
     /// storage is retained for reuse). Events are replayed in capture
-    /// order, so the drained collector state — matrices, exact records,
-    /// PAPI aggregates, physical timeline — is identical to eager
-    /// per-event recording.
+    /// order — a send run as one aggregate bump, not message by message —
+    /// so the drained collector state — matrices, exact records, PAPI
+    /// aggregates, physical timeline — is identical to eager per-message
+    /// recording.
     pub fn drain(&mut self, buf: &mut crate::TraceBuffer) {
         let n_events = self
             .config
@@ -266,12 +299,13 @@ impl PeCollector {
             .map(|p| p.events().len())
             .unwrap_or(0);
         let (sends, physical, spans) = buf.take_events();
-        for ev in &sends {
-            self.record_send(
-                ev.dst_pe as usize,
-                ev.msg_size,
-                ev.mailbox_id,
-                ev.papi.as_ref().map(|bank| &bank[..n_events]),
+        for run in &sends {
+            self.record_send_run(
+                run.dst_pe as usize,
+                run.msg_size,
+                run.mailbox_id,
+                run.count,
+                run.papi.as_ref().map(|bank| &bank[..n_events]),
             );
         }
         for ev in &physical {
@@ -573,6 +607,11 @@ mod tests {
             eager.record_send(dst, 16, 1, Some(&bank[..2]));
             buf.record_send(dst, 16, 1, Some(bank));
         }
+        // a run replays as its messages would have, one by one
+        for _ in 0..5 {
+            eager.record_send(2, 16, 1, None);
+        }
+        buf.record_send_run(2, 16, 1, 5);
         eager.record_physical(SendType::LocalSend, 64, 0);
         eager.record_physical(SendType::NonblockSend, 128, 2);
         buf.record_physical(SendType::LocalSend, 64, 0);

@@ -34,7 +34,7 @@ pub mod collector;
 pub mod config;
 pub mod record;
 
-pub use buffer::{PhysicalEvent, SendEvent, SpanEvent, TraceBuffer};
+pub use buffer::{PhysicalEvent, SendRun, SpanEvent, TraceBuffer};
 pub use collector::{PeCollector, SharedCollector};
 pub use config::{PapiConfig, TraceConfig, TraceConfigError};
 pub use fabsp_telemetry::{Phase, SamplingKnob};

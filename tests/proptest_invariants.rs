@@ -1,9 +1,11 @@
 //! Property-based tests on the core invariants, spanning crates.
 
 use actorprof_suite::actorprof::{Matrix, Quartiles};
+use actorprof_suite::actorprof_trace::{PapiConfig, PeCollector, TraceBuffer, TraceConfig};
 use actorprof_suite::fabsp_apps::triangle::{count_triangles, DistKind, TriangleConfig};
 use actorprof_suite::fabsp_graph::edgelist::to_lower_triangular;
 use actorprof_suite::fabsp_graph::{triangle_ref, Csr, Distribution};
+use actorprof_suite::fabsp_hwpc::MAX_EVENTS;
 use actorprof_suite::fabsp_shmem::Grid;
 use proptest::prelude::*;
 
@@ -30,6 +32,100 @@ proptest! {
             let config = TriangleConfig::new(Grid::new(2, 2).unwrap()).with_dist(dist);
             let outcome = count_triangles(&l, &config).unwrap();
             prop_assert_eq!(outcome.triangles, expected);
+        }
+    }
+}
+
+/// The trace configuration of one `SendRun` equivalence case, streaming
+/// (if asked for) into `dir`.
+fn send_run_config(sample: u32, mode: u32, papi: bool, dir: &std::path::Path) -> TraceConfig {
+    let mut config = match mode {
+        0 => TraceConfig::off(),
+        1 => TraceConfig::off().with_logical(),
+        2 => TraceConfig::off().with_logical_sampling(sample),
+        _ => TraceConfig::off()
+            .with_logical_sampling(sample)
+            .with_streaming(dir),
+    };
+    if papi {
+        config = config.with_papi(PapiConfig::case_study());
+    }
+    config
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Run-length send events are invisible: whatever mix of per-item
+    /// `send`s (one event each, with PAPI deltas when measured),
+    /// `send_slice`s (one run per accepted prefix) and drained handler
+    /// runs the selector emits, drained to the collector at arbitrary
+    /// points, the collector ends up — matrix, exact records, PAPI lines,
+    /// footprint, streamed bytes — where one `record_send` per message
+    /// would have put it, under every sampling stride and record sink.
+    #[test]
+    fn send_runs_equal_per_message_recording(
+        ops in proptest::collection::vec((0u32..3, 0usize..4, 0u32..2, 1u64..70, 0u64..70, 0u32..3), 1..40),
+        sample_idx in 0usize..3,
+        mode in 0u32..4,
+        papi in 0u32..2,
+    ) {
+        const N_EVENTS: usize = 2; // PapiConfig::case_study()
+        let sample = [1u32, 3, 64][sample_idx];
+        let papi = papi == 1;
+        // cases run one after the other, each removing its files
+        let dirs = ["runs", "ref"].map(|side| {
+            std::env::temp_dir().join(format!("actorprof-sendrun-{}-{side}", std::process::id()))
+        });
+        let config = send_run_config(sample, mode, papi, &dirs[0]);
+        let mut buf = TraceBuffer::for_config(&config);
+        let mut runs = PeCollector::new(1, 4, 2, config);
+        let mut reference = PeCollector::new(1, 4, 2, send_run_config(sample, mode, papi, &dirs[1]));
+
+        let mut sent = 0u64;
+        for &(kind, dst, mailbox, count, split, drain) in &ops {
+            if kind == 0 {
+                // `send`: one event per message, each with its own deltas
+                for _ in 0..count {
+                    sent += 1;
+                    let bank = papi.then(|| {
+                        let mut bank = [0u64; MAX_EVENTS];
+                        bank[..N_EVENTS].copy_from_slice(&[sent, 7 * sent]);
+                        bank
+                    });
+                    buf.record_send(dst, 8, mailbox, bank);
+                    reference.record_send(dst, 8, mailbox, bank.as_ref().map(|b| &b[..N_EVENTS]));
+                }
+            } else {
+                // `send_slice` accepted in two prefixes / one drained handler run
+                let first = if kind == 1 { split.min(count) } else { count };
+                buf.record_send_run(dst, 8, mailbox, first);
+                buf.record_send_run(dst, 8, mailbox, count - first);
+                for _ in 0..count {
+                    reference.record_send(dst, 8, mailbox, None);
+                }
+            }
+            if drain == 0 {
+                runs.drain(&mut buf);
+            }
+        }
+        runs.drain(&mut buf);
+        runs.flush_stream();
+        reference.flush_stream();
+
+        prop_assert_eq!(runs.logical_matrix(), reference.logical_matrix());
+        prop_assert_eq!(runs.total_sends(), reference.total_sends());
+        prop_assert_eq!(runs.logical_records(), reference.logical_records());
+        prop_assert_eq!(runs.papi_records(), reference.papi_records());
+        prop_assert_eq!(runs.trace_bytes(), reference.trace_bytes());
+        if mode == 3 {
+            let [a, b] = dirs.each_ref().map(|d| std::fs::read(d.join("PE1_send.csv")).unwrap());
+            prop_assert!(a == b, "streamed PE1_send.csv differs from the per-message reference");
+            let lines = a.iter().filter(|&&c| c == b'\n').count() as u64;
+            prop_assert_eq!(lines, reference.total_sends().div_ceil(sample as u64));
+        }
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }

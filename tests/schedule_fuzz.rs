@@ -30,7 +30,9 @@ use actorprof_suite::fabsp_apps::registry;
 use actorprof_suite::fabsp_conveyors::ConveyorOptions;
 use actorprof_suite::fabsp_shmem::{FaultSpec, Grid, RecoverySpec, SchedSpec, TransportSpec};
 use actorprof_suite::fabsp_testkit::matrix::{MatrixParams, MatrixRun};
-use actorprof_suite::fabsp_testkit::DEFAULT_STEP_BUDGET;
+use actorprof_suite::fabsp_testkit::{
+    assert_schedule_independent, handler_backlog, DEFAULT_STEP_BUDGET,
+};
 
 /// CI seed offset: disjoint jobs explore disjoint schedule sets.
 fn seed_base() -> u64 {
@@ -227,6 +229,29 @@ fn registry_survives_capacity_one_aggregation_on_ipc_transport() {
                 .run(&p)
                 .unwrap_or_else(|e| panic!("{} ipc capacity-1 seed {seed}: {e}", app.name));
             out.assert_matches(&base, &format!("{} ipc capacity-1 seed {seed}", app.name));
+        }
+    }
+}
+
+#[test]
+fn handler_outbox_backlog_is_schedule_independent() {
+    // The registry's request/response apps answer a request with one
+    // item; this arm answers it with thousands, so the handler outbox
+    // holds a deep backlog of alternating-destination runs that tiny
+    // buffers refuse part-way on nearly every submission — on the
+    // two-node grid, under every fault mode. The litmus panics on a link
+    // FIFO violation; each PE's counts must match the OS baseline's.
+    const BACKLOG: u64 = 4_000;
+    for (mode, faults) in fault_modes().into_iter().enumerate() {
+        let runs = assert_schedule_independent(
+            fuzz_grid(),
+            sweep_seeds(0, mode + 30, 2),
+            faults,
+            |pe| handler_backlog(pe, 4, BACKLOG, true),
+        );
+        for (rank, run) in runs.iter().enumerate() {
+            assert_eq!(run.received, BACKLOG, "PE {rank} ({faults:?})");
+            assert_eq!(run.staged, run.pushed, "PE {rank} ({faults:?})");
         }
     }
 }
