@@ -99,12 +99,17 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Where the workspace's policy is checked in, relative to the root.
+pub const POLICY_PATH: &str = "crates/analyzer/policy.toml";
+
 /// Load the policy from its checked-in location.
 pub fn load_policy(root: &Path) -> Result<Policy, String> {
-    let path = root.join("crates/analyzer/policy.toml");
+    let path = root.join(POLICY_PATH);
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Policy::parse(&text).map_err(|e| e.to_string())
+    let mut policy = Policy::parse(&text).map_err(|e| e.to_string())?;
+    policy.path = POLICY_PATH.to_string();
+    Ok(policy)
 }
 
 /// Lint the whole tree under `root` with `policy`; findings are sorted by
@@ -117,9 +122,10 @@ pub fn lint_tree(root: &Path, policy: &Policy) -> std::io::Result<Vec<Finding>> 
 
 /// Lint an explicit file list (workspace-relative paths under `root`).
 /// [`lint_tree`] scans the standard roots; the fixture harness and the
-/// diff-aware lanes pass their own lists.
+/// diff-aware lanes pass their own lists. Whatever the list, the policy's
+/// own entries are checked against `root` first (`stale-policy-entry`).
 pub fn lint_files(root: &Path, files: &[String], policy: &Policy) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
+    let mut findings = lints::lint_policy_files(root, policy);
     let mut atomic_sites = Vec::new();
     let mut waivers_by_file: std::collections::BTreeMap<String, Vec<lints::Waiver>> =
         std::collections::BTreeMap::new();

@@ -10,6 +10,9 @@
 //! | `static-mut`           | no `static mut` anywhere |
 //! | `ptr-cast`             | `as *mut` / `as *const` only under `[ptr-cast-allowlist]` path prefixes |
 //! | `missing-forbid`       | crate roots must pin their unsafe posture: `#![forbid(unsafe_code)]`, or for the unsafe-bearing crates (shmem, hwpc) `#![deny(unsafe_op_in_unsafe_fn)]` |
+//! | `stale-policy-entry`   | every file a policy entry names (`[lock-allowlist]`, `[[ordering]]`, file-restricted `[[pairing]]`) must exist — a deleted file takes its waivers with it |
+
+use std::path::Path;
 
 use crate::lexer::{self, ScannedFile};
 use crate::policy::Policy;
@@ -168,6 +171,25 @@ fn finding(
         message: message.into(),
         hint: hint.into(),
     }
+}
+
+/// Policy entries naming a file that does not exist under `root`. The
+/// finding points at the entry in the policy file, not at any source file.
+pub fn lint_policy_files(root: &Path, policy: &Policy) -> Vec<Finding> {
+    policy
+        .file_refs
+        .iter()
+        .filter(|(_, file)| !root.join(file).is_file())
+        .map(|(line, file)| {
+            finding(
+                &policy.path,
+                *line,
+                "stale-policy-entry",
+                format!("policy entry names `{file}`, which does not exist"),
+                "delete this entry (or fix the path if the file was renamed)",
+            )
+        })
+        .collect()
 }
 
 /// `unsafe` must carry a SAFETY comment on its line or in the contiguous

@@ -99,7 +99,12 @@ fn main() -> ExitCode {
                     }
                 };
                 let before = findings.len();
-                findings.retain(|f| changed.iter().any(|c| c == &f.file));
+                // Stale policy entries always stay in scope: the deletion
+                // that caused one is exactly what the changed-file list
+                // (`--diff-filter=d`) leaves out.
+                findings.retain(|f| {
+                    f.lint == "stale-policy-entry" || changed.iter().any(|c| c == &f.file)
+                });
                 eprintln!(
                     "fabsp-analyzer: diff vs {base}: {} changed file(s), \
                      {}/{before} finding(s) in scope",

@@ -272,6 +272,10 @@ pub struct PairingRule {
 /// The full parsed policy.
 #[derive(Debug, Clone, Default)]
 pub struct Policy {
+    /// Root-relative path the policy was read from; findings about the
+    /// policy itself are reported against it. Set by whoever loads the
+    /// text ([`Policy::parse`] sees only the text).
+    pub path: String,
     /// Files allowed to name lock types (`Mutex`, `RwLock`, `Condvar`, …)
     /// or mention `parking_lot`.
     pub lock_files: Vec<String>,
@@ -280,6 +284,11 @@ pub struct Policy {
     pub ordering: Vec<OrderingRule>,
     pub protocol: ProtocolPolicy,
     pub pairing: Vec<PairingRule>,
+    /// Every file the policy names, as `(1-based line of the entry, path)`:
+    /// `[lock-allowlist]` items, `[[ordering]]` files and file-restricted
+    /// `[[pairing]]` waivers. The `stale-policy-entry` lint checks each
+    /// still exists, so deleting a file cannot leave its waivers behind.
+    pub file_refs: Vec<(usize, String)>,
 }
 
 impl Policy {
@@ -291,14 +300,27 @@ impl Policy {
                 "lock-allowlist" => {
                     policy.lock_files =
                         take_list(&section, "files")?;
+                    for file in &policy.lock_files {
+                        // Array items may sit on their own lines: point at
+                        // the first line after the header quoting the path.
+                        let quoted = format!("\"{file}\"");
+                        let offset = src
+                            .lines()
+                            .skip(section.line)
+                            .position(|l| strip_comment(l).contains(&quoted))
+                            .map_or(0, |i| i + 1);
+                        policy.file_refs.push((section.line + offset, file.clone()));
+                    }
                 }
                 "ptr-cast-allowlist" => {
                     policy.ptr_cast_prefixes =
                         take_list(&section, "prefixes")?;
                 }
                 "ordering" => {
+                    let file = take_str(&section, "file")?;
+                    policy.file_refs.push((section.line, file.clone()));
                     policy.ordering.push(OrderingRule {
-                        file: take_str(&section, "file")?,
+                        file,
                         symbol: take_str(&section, "symbol")?,
                         allow: take_list(&section, "allow")?,
                         why: take_str(&section, "why")?,
@@ -351,7 +373,12 @@ impl Policy {
                     policy.pairing.push(PairingRule {
                         symbol: take_str(&section, "symbol")?,
                         file: match section.entries.get("file") {
-                            Some(Value::Str(s)) => s.clone(),
+                            Some(Value::Str(s)) => {
+                                if s != "*" {
+                                    policy.file_refs.push((section.line, s.clone()));
+                                }
+                                s.clone()
+                            }
                             Some(Value::List(_)) => {
                                 return Err(err(
                                     section.line,
@@ -483,6 +510,17 @@ why = "debug asserts only"
         assert_eq!(p.ordering.len(), 2);
         let rules = p.allowed_orderings("crates/shmem/src/ring.rs", Some("state"));
         assert_eq!(rules.len(), 2, "named + wildcard rules both apply");
+        // Every named file is recorded with the line of its entry: list
+        // items at their own line, [[ordering]] rows at their header.
+        assert_eq!(
+            p.file_refs,
+            vec![
+                (5, "crates/shmem/src/sync.rs".to_string()),
+                (6, "crates/testkit/src/lib.rs".to_string()),
+                (12, "crates/shmem/src/ring.rs".to_string()),
+                (18, "crates/shmem/src/ring.rs".to_string()),
+            ]
+        );
     }
 
     #[test]

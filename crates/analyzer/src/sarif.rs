@@ -30,7 +30,7 @@ pub fn json_escape(s: &str) -> String {
 
 /// Rule metadata: every lint the analyzer can emit, with a one-line help
 /// text (shown by SARIF viewers next to the finding).
-pub const RULES: [(&str, &str); 16] = [
+pub const RULES: [(&str, &str); 17] = [
     ("undocumented-unsafe", "unsafe blocks must carry a SAFETY comment"),
     ("lock-outside-allowlist", "lock types are forbidden outside the policy allowlist"),
     ("unlisted-ordering", "atomic orderings must be registered in policy.toml"),
@@ -47,6 +47,7 @@ pub const RULES: [(&str, &str); 16] = [
     ("orphaned-release", "Release publish with no Acquire consume on the symbol"),
     ("orphaned-acquire", "Acquire consume with no Release publish on the symbol"),
     ("bad-waiver", "inline waivers must carry a justification"),
+    ("stale-policy-entry", "policy entries must name files that exist"),
 ];
 
 /// Render findings as a SARIF 2.1.0 log.

@@ -39,7 +39,8 @@ fn corpus_findings() -> Vec<fabsp_analyzer::Finding> {
     let root = fixtures_root();
     let policy_text =
         std::fs::read_to_string(root.join("policy.toml")).expect("fixture policy reads");
-    let policy = Policy::parse(&policy_text).expect("fixture policy parses");
+    let mut policy = Policy::parse(&policy_text).expect("fixture policy parses");
+    policy.path = "policy.toml".to_string();
     let mut files = Vec::new();
     walk(&root, &root, &mut files);
     files.sort();
@@ -94,6 +95,7 @@ fn every_violation_class_is_seeded() {
         "orphaned-release",
         "orphaned-acquire",
         "bad-waiver",
+        "stale-policy-entry",
     ];
     for rule in required {
         assert!(found.contains(rule), "no seeded violation exercises `{rule}`");

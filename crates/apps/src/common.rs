@@ -4,7 +4,7 @@ use actorprof::{ProfError, TraceBundle};
 use actorprof_trace::{PeCollector, TraceConfig};
 use fabsp_actor::{ActorError, MainCtx};
 use fabsp_conveyors::ConveyorOptions;
-use fabsp_shmem::{FaultSpec, Grid, Harness, RecoverySpec, SchedSpec, ShmemError, TransportSpec};
+use fabsp_shmem::{FaultSpec, Grid, Harness, RecoverySpec, SchedSpec, ShmemError};
 
 /// Run configuration shared by every bundled application: layout, tracing,
 /// aggregation, randomness, and testkit controls in one place.
@@ -38,8 +38,6 @@ pub struct RunConfig {
     pub checkpoint_every: Option<u64>,
     /// Continuous-profiling overhead budget, percent (`None` = off).
     pub continuous: Option<f64>,
-    /// Transport backend carrying cross-node bytes (`InProc` by default).
-    pub transport: TransportSpec,
 }
 
 impl RunConfig {
@@ -56,7 +54,6 @@ impl RunConfig {
             recovery: RecoverySpec::Abort,
             checkpoint_every: None,
             continuous: None,
-            transport: TransportSpec::InProc,
         }
     }
 
@@ -108,19 +105,12 @@ impl RunConfig {
         self
     }
 
-    /// Select the transport backend.
-    pub fn with_transport(mut self, transport: TransportSpec) -> RunConfig {
-        self.transport = transport;
-        self
-    }
-
     /// The SPMD harness this configuration describes.
     pub fn harness(&self) -> Harness {
         let mut h = Harness::new(self.grid)
             .sched(self.sched)
             .faults(self.faults)
-            .recovery(self.recovery)
-            .transport(self.transport);
+            .recovery(self.recovery);
         if let Some(n) = self.checkpoint_every {
             h = h.checkpoint_every(n);
         }
@@ -135,8 +125,7 @@ impl RunConfig {
             .conveyor(self.conveyor)
             .sched(self.sched)
             .faults(self.faults)
-            .recovery(self.recovery)
-            .transport(self.transport);
+            .recovery(self.recovery);
         if let Some(n) = self.checkpoint_every {
             p = p.checkpoint_every(n);
         }

@@ -58,7 +58,6 @@ pub fn apply_params(run: &mut RunConfig, p: &MatrixParams) {
     run.recovery = p.recovery;
     run.checkpoint_every = p.checkpoint_every;
     run.continuous = p.continuous;
-    run.transport = p.transport;
 }
 
 /// Flatten the bundle's logical matrix row-major, when requested.

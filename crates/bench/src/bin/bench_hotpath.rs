@@ -25,12 +25,7 @@
 //! checkpoint-on overhead exceeds it; checkpoint-off is the plain spsc
 //! configuration, so its cost when disabled is zero by construction),
 //! `ACTORPROF_BATCH_GATE` (when set, exit non-zero if the oned batched
-//! speedup over per-item spsc falls below it),
-//! `ACTORPROF_TRANSPORT_GATE_PCT` (when set, exit non-zero if the fresh
-//! `InProc` per-item throughput falls more than that percentage below the
-//! frozen `BENCH_hotpath.json` — the regression budget for the transport
-//! dispatch on the hot path; the comparison only engages when the run's
-//! items/pes knobs match the frozen file's).
+//! speedup over per-item spsc falls below it).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,7 +34,7 @@ use std::time::Instant;
 use actorprof_trace::{PeCollector, TraceConfig};
 use fabsp_bench::baseline::MutexConveyor;
 use fabsp_conveyors::{Conveyor, ConveyorOptions};
-use fabsp_shmem::{spmd, Grid, Harness, TransportSpec};
+use fabsp_shmem::{spmd, Grid, Harness};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -52,17 +47,9 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// round-robin destinations, drained to termination. Returns the slowest
 /// PE's wall time for the push/advance/pull loop (construction excluded).
 /// `trace` attaches a collector with that config; `telemetry` keeps the
-/// always-on metrics registry wired (off isolates the ring baseline);
-/// `transport` selects the backend carrying cross-node bytes (`InProc`
-/// is the gated hot path, `Ipc` prices the ring-mailbox mirror).
-fn run_spsc(
-    grid: Grid,
-    items: usize,
-    trace: Option<TraceConfig>,
-    telemetry: bool,
-    transport: TransportSpec,
-) -> f64 {
-    let mut harness = Harness::new(grid).transport(transport);
+/// always-on metrics registry wired (off isolates the ring baseline).
+fn run_spsc(grid: Grid, items: usize, trace: Option<TraceConfig>, telemetry: bool) -> f64 {
+    let mut harness = Harness::new(grid);
     if !telemetry {
         harness = harness.telemetry_off();
     }
@@ -291,24 +278,6 @@ fn best_tput(reps: usize, total_items: usize, mut run: impl FnMut() -> f64) -> f
         .fold(0.0f64, f64::max)
 }
 
-/// Pull `"key": <number>` out of the frozen JSON, scoped to the first
-/// occurrence of `"section"` (empty section = whole document). A few
-/// string finds beat a JSON dependency for a file this tool itself wrote.
-fn frozen_number(json: &str, section: &str, key: &str) -> Option<f64> {
-    let start = if section.is_empty() {
-        0
-    } else {
-        json.find(&format!("\"{section}\""))?
-    };
-    let tail = &json[start..];
-    let tail = &tail[tail.find(&format!("\"{key}\""))?..];
-    let rest = tail[tail.find(':')? + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let items = env_usize("ACTORPROF_HOTPATH_ITEMS", 200_000);
     let pes = env_usize("ACTORPROF_HOTPATH_PES", 8);
@@ -325,35 +294,19 @@ fn main() {
         ("mesh2d", Grid::new(2, pes / 2).expect("grid")),
     ];
 
-    // The frozen baseline this run may be gated against (read before the
-    // write below replaces it).
-    let frozen = std::fs::read_to_string(&out).ok();
-
     let mut sections = Vec::new();
     let mut oned_telemetry_overhead = 0.0f64;
     let mut oned_ckpt_overhead = 0.0f64;
     let mut oned_batched_speedup = 0.0f64;
-    let mut fresh_spsc: Vec<(&str, f64)> = Vec::new();
     for (name, grid) in topologies {
         let total = items * grid.n_pes();
         eprintln!("[{name}] {} PEs x {items} items, best of {reps}", grid.n_pes());
         let mutex = best_tput(reps, total, || run_mutex(grid, items));
-        let spsc = best_tput(reps, total, || {
-            run_spsc(grid, items, None, false, TransportSpec::InProc)
-        });
-        let ipc = best_tput(reps, total, || {
-            run_spsc(grid, items, None, false, TransportSpec::ipc())
-        });
+        let spsc = best_tput(reps, total, || run_spsc(grid, items, None, false));
         let batched = best_tput(reps, total, || run_spsc_batched(grid, items, false));
         let batched_adaptive = best_tput(reps, total, || run_spsc_batched(grid, items, true));
         let traced = best_tput(reps, total, || {
-            run_spsc(
-                grid,
-                items,
-                Some(TraceConfig::off().with_physical()),
-                false,
-                TransportSpec::InProc,
-            )
+            run_spsc(grid, items, Some(TraceConfig::off().with_physical()), false)
         });
         // the always-on configuration: metrics registry wired, phase spans
         // enabled but sampled (1 in 64 hot-phase spans kept)
@@ -363,7 +316,6 @@ fn main() {
                 items,
                 Some(TraceConfig::off().with_spans().with_span_sampling(64)),
                 true,
-                TransportSpec::InProc,
             )
         });
         // fault tolerance on: one symmetric-heap checkpoint per superstep
@@ -373,24 +325,20 @@ fn main() {
         let overhead = (1.0 - traced / spsc) * 100.0;
         let telemetry_overhead = (1.0 - telemetry / spsc) * 100.0;
         let ckpt_overhead = (1.0 - ckpt / spsc) * 100.0;
-        let ipc_overhead = (1.0 - ipc / spsc) * 100.0;
         if name == "oned" {
             oned_telemetry_overhead = telemetry_overhead;
             oned_ckpt_overhead = ckpt_overhead;
             oned_batched_speedup = batched_speedup;
         }
-        fresh_spsc.push((name, spsc));
         eprintln!(
-            "[{name}] mutex {:.2e} it/s | spsc {:.2e} it/s ({speedup:.2}x) | ipc {:.2e} it/s ({ipc_overhead:.1}% overhead) | batched {:.2e} it/s ({batched_speedup:.2}x vs per-item) | adaptive {:.2e} it/s | traced {:.2e} it/s ({overhead:.1}% overhead) | telemetry {:.2e} it/s ({telemetry_overhead:.1}% overhead) | ckpt {:.2e} it/s ({ckpt_overhead:.1}% overhead)",
-            mutex, spsc, ipc, batched, batched_adaptive, traced, telemetry, ckpt
+            "[{name}] mutex {:.2e} it/s | spsc {:.2e} it/s ({speedup:.2}x) | batched {:.2e} it/s ({batched_speedup:.2}x vs per-item) | adaptive {:.2e} it/s | traced {:.2e} it/s ({overhead:.1}% overhead) | telemetry {:.2e} it/s ({telemetry_overhead:.1}% overhead) | ckpt {:.2e} it/s ({ckpt_overhead:.1}% overhead)",
+            mutex, spsc, batched, batched_adaptive, traced, telemetry, ckpt
         );
         sections.push(format!(
             r#"    "{name}": {{
       "mutex_baseline_items_per_sec": {mutex:.0},
       "spsc_items_per_sec": {spsc:.0},
       "speedup_vs_mutex": {speedup:.3},
-      "ipc_transport_items_per_sec": {ipc:.0},
-      "ipc_transport_overhead_percent": {ipc_overhead:.2},
       "batched_items_per_sec": {batched:.0},
       "batched_speedup_vs_per_item": {batched_speedup:.3},
       "batched_adaptive_items_per_sec": {batched_adaptive:.0},
@@ -486,39 +434,5 @@ fn main() {
             std::process::exit(1);
         }
         println!("batch gate ok: oned batched {oned_batched_speedup:.2}x >= {gate}x vs per-item");
-    }
-    // Transport-dispatch regression gate: the InProc per-item hot path
-    // must stay within the budget of the frozen baseline. Only engages
-    // when the run's knobs match what the frozen file was measured with —
-    // a smoke run at reduced scale cannot be compared to it.
-    if let Ok(gate) = std::env::var("ACTORPROF_TRANSPORT_GATE_PCT") {
-        let gate: f64 = gate
-            .parse()
-            .expect("ACTORPROF_TRANSPORT_GATE_PCT is a number");
-        let comparable = frozen.as_deref().filter(|json| {
-            frozen_number(json, "", "items_per_pe") == Some(items as f64)
-                && frozen_number(json, "", "pes") == Some(pes as f64)
-        });
-        match comparable {
-            Some(json) => {
-                for (name, spsc) in &fresh_spsc {
-                    let Some(base) = frozen_number(json, name, "spsc_items_per_sec") else {
-                        continue;
-                    };
-                    if *spsc < base * (1.0 - gate / 100.0) {
-                        eprintln!(
-                            "FAIL: {name} InProc {spsc:.0} it/s fell more than {gate}% below frozen {base:.0} it/s"
-                        );
-                        std::process::exit(1);
-                    }
-                    println!(
-                        "transport gate ok: {name} InProc {spsc:.0} it/s within {gate}% of frozen {base:.0} it/s"
-                    );
-                }
-            }
-            None => println!(
-                "transport gate skipped: no frozen baseline at matching items/pes knobs"
-            ),
-        }
     }
 }

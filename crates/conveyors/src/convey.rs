@@ -892,8 +892,8 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             LinkKind::Remote => {
                 // nonblock_send: shmem_putmem_nbi; the cell stays
                 // unpublished (invisible) until a later quiet. The copy
-                // count models the nbi capture + apply pair of the real
-                // transport, though the SPSC cell needs no capture copy.
+                // count models the nbi capture + apply pair of a real
+                // shmem_putmem_nbi, though the SPSC cell needs no capture copy.
                 self.cells
                     .write_nbi(pe, peer, cell, &self.links[link].buf)
                     .expect("landing cell bounds are static");

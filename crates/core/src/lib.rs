@@ -52,10 +52,7 @@ pub mod writer;
 pub use actorprof_trace::{PapiConfig, TraceConfig};
 pub use bundle::TraceBundle;
 pub use error::ProfError;
-pub use fabsp_shmem::{
-    Checkpoint, IpcConfig, KillRecord, RecoveryLog, RecoverySpec, TransportKind, TransportSpec,
-    TransportStats,
-};
+pub use fabsp_shmem::{Checkpoint, KillRecord, RecoveryLog, RecoverySpec};
 pub use fabsp_telemetry::{
     phase_site, ContinuousReport, Counter, FlightDump, Frame, Gauge, GovernorDecision,
     GovernorSample, Hist, OverheadBudget, OverheadGovernor, Phase, PhaseSite, SamplingKnob,

@@ -47,7 +47,6 @@ use fabsp_actor::{ActorError, ProcCtx, Selector, SelectorConfig};
 use fabsp_conveyors::ConveyorOptions;
 use fabsp_shmem::{
     spmd, FaultSpec, Grid, Harness, Pe, RecoveryLog, RecoverySpec, SchedSpec, ShmemError,
-    TransportSpec,
 };
 use fabsp_telemetry::{
     ContinuousReport, Counter, Frame, OverheadBudget, OverheadGovernor, SamplingKnob, Snapshot,
@@ -124,9 +123,6 @@ pub struct Profiler {
     recovery: RecoverySpec,
     /// Capture a symmetric-state checkpoint every `n` supersteps.
     checkpoint_every: Option<u64>,
-    /// Which backend carries cross-node bytes ([`TransportSpec::InProc`]
-    /// by default; `Ipc` routes them through a shared-memory segment).
-    transport: TransportSpec,
     /// Always-on metrics registry (counters, gauges, histograms, flight
     /// recorder); off only for A/B overhead measurement.
     telemetry_enabled: bool,
@@ -153,7 +149,6 @@ impl std::fmt::Debug for Profiler {
             .field("faults", &self.faults)
             .field("recovery", &self.recovery)
             .field("checkpoint_every", &self.checkpoint_every)
-            .field("transport", &self.transport)
             .field("telemetry_enabled", &self.telemetry_enabled)
             .field("observe_interval", &self.observe.as_ref().map(|(i, _)| *i))
             .field("continuous", &self.continuous)
@@ -176,7 +171,6 @@ impl Profiler {
             faults: FaultSpec::NONE,
             recovery: RecoverySpec::Abort,
             checkpoint_every: None,
-            transport: TransportSpec::InProc,
             telemetry_enabled: true,
             observe: None,
             continuous: None,
@@ -280,15 +274,6 @@ impl Profiler {
         self
     }
 
-    /// Select the transport backend carrying cross-node bytes.
-    /// [`TransportSpec::InProc`] (default) keeps the zero-copy memcpy
-    /// path; [`TransportSpec::ipc`] mirrors every cross-node transfer
-    /// into a shared-memory ring-mailbox segment.
-    pub fn transport(mut self, transport: TransportSpec) -> Profiler {
-        self.transport = transport;
-        self
-    }
-
     /// Record phase spans (superstep / advance / quiet / relay hop), every
     /// span kept; they appear as duration events in the Perfetto export.
     pub fn spans(mut self) -> Profiler {
@@ -382,7 +367,6 @@ impl Profiler {
             .sched(self.sched)
             .faults(self.faults)
             .recovery(self.recovery)
-            .transport(self.transport)
             .pin_pes(self.pin_pes);
         if let Some(n) = self.checkpoint_every {
             harness = harness.checkpoint_every(n);

@@ -156,14 +156,6 @@ impl SymmetricAtomicVec {
         if dst_pe != pe.rank() {
             // Off-rank AMOs traverse the modeled (possibly flaky) NIC.
             pe.net_attempt(TransferClass::Atomic);
-            if !pe.same_node_as(dst_pe) {
-                // 16-byte AMO command frame: target element + operand.
-                pe.carry(
-                    dst_pe,
-                    TransferClass::Atomic,
-                    crate::transport::payload_bytes(&[index as u64, value]),
-                )?;
-            }
         }
         let slot = &self.inner.regions[dst_pe][index];
         #[cfg(feature = "race-detect")]
@@ -187,13 +179,6 @@ impl SymmetricAtomicVec {
         pe.sched_point(SchedPoint::Atomic);
         if dst_pe != pe.rank() {
             pe.net_attempt(TransferClass::Atomic);
-            if !pe.same_node_as(dst_pe) {
-                pe.carry(
-                    dst_pe,
-                    TransferClass::Atomic,
-                    crate::transport::payload_bytes(&[index as u64, value]),
-                )?;
-            }
         }
         let slot = &self.inner.regions[dst_pe][index];
         #[cfg(feature = "race-detect")]
@@ -217,14 +202,6 @@ impl SymmetricAtomicVec {
         pe.sched_point(SchedPoint::Atomic);
         if src_pe != pe.rank() {
             pe.net_attempt(TransferClass::Atomic);
-            if !pe.same_node_as(src_pe) {
-                // 8-byte fetch request frame naming the element.
-                pe.carry(
-                    src_pe,
-                    TransferClass::Atomic,
-                    crate::transport::payload_bytes(&[index as u64]),
-                )?;
-            }
         }
         let slot = &self.inner.regions[src_pe][index];
         #[cfg(feature = "race-detect")]

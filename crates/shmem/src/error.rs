@@ -29,22 +29,6 @@ pub enum ShmemError {
         pe: usize,
         message: String,
     },
-    /// A transport carry did not fit its (src,dst) ring mailbox: the
-    /// framed size `needed` exceeded the `available` free bytes (or the
-    /// whole `ring_bytes` capacity). Raise
-    /// [`crate::transport::IpcConfig::ring_bytes`] or flush more often.
-    SegmentExhausted {
-        needed: usize,
-        available: usize,
-        ring_bytes: usize,
-    },
-    /// A transport rendezvous (worker join, process barrier, endpoint
-    /// recv) timed out after `waited_ms` — surfaced as a typed error
-    /// instead of a hang.
-    TransportRendezvous { waited_ms: u64, detail: String },
-    /// Transport construction or control-plane plumbing failed
-    /// (segment creation, socket setup, malformed handshake).
-    TransportSetup(String),
 }
 
 impl std::fmt::Display for ShmemError {
@@ -79,19 +63,6 @@ impl std::fmt::Display for ShmemError {
                 f,
                 "recovery exhausted after {attempts} attempts; last failure on PE {pe}: {message}"
             ),
-            ShmemError::SegmentExhausted {
-                needed,
-                available,
-                ring_bytes,
-            } => write!(
-                f,
-                "transport ring mailbox exhausted: frame needs {needed} bytes, {available} free \
-                 (capacity {ring_bytes})"
-            ),
-            ShmemError::TransportRendezvous { waited_ms, detail } => {
-                write!(f, "transport rendezvous timed out after {waited_ms} ms: {detail}")
-            }
-            ShmemError::TransportSetup(m) => write!(f, "transport setup failed: {m}"),
         }
     }
 }

@@ -32,7 +32,6 @@ use crate::grid::Grid;
 use crate::net::TransferClass;
 use crate::pe::Pe;
 use crate::sched::SchedPoint;
-use crate::transport;
 
 struct SymInner<T> {
     len: usize,
@@ -233,7 +232,6 @@ impl<T: Copy + Default + Send + Sync + 'static> SymmetricVec<T> {
             // Inter-node puts traverse the modeled (possibly flaky) NIC;
             // same-node puts are shmem_ptr memcpys and cannot time out.
             pe.net_attempt(TransferClass::RemotePut);
-            pe.carry(dst_pe, TransferClass::RemotePut, transport::payload_bytes(src))?;
         }
         #[cfg(feature = "race-detect")]
         self.trace_range(pe, dst_pe, offset, src.len(), true, "SymmetricVec::put");
@@ -265,9 +263,6 @@ impl<T: Copy + Default + Send + Sync + 'static> SymmetricVec<T> {
         let bytes = std::mem::size_of_val(dst);
         if !pe.same_node_as(src_pe) {
             pe.net_attempt(TransferClass::RemoteGet);
-            // A get's response payload travels src_pe → this PE; carry the
-            // request's extent (same byte count) at initiation.
-            pe.carry(src_pe, TransferClass::RemoteGet, transport::payload_bytes(&*dst))?;
         }
         #[cfg(feature = "race-detect")]
         self.trace_range(pe, src_pe, offset, dst.len(), false, "SymmetricVec::get");
@@ -304,12 +299,6 @@ impl<T: Copy + Default + Send + Sync + 'static> SymmetricVec<T> {
         self.check(dst_pe, offset, src.len())?;
         pe.sched_point(SchedPoint::PutNbi);
         let bytes = std::mem::size_of_val(src);
-        if !pe.same_node_as(dst_pe) {
-            // Carry at *staging* time — the network's DMA read of the
-            // source happens now, and the deferred closure stays
-            // transport-free (zero-alloc, no extra sched points at quiet).
-            pe.carry(dst_pe, TransferClass::NonBlockingPut, transport::payload_bytes(src))?;
-        }
         let inner = Arc::clone(&self.inner);
         let data: Vec<T> = src.to_vec();
         // The write *event* is deferred with the data: until quiet applies

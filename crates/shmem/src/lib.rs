@@ -64,7 +64,6 @@ pub mod ring;
 pub mod sched;
 pub mod spmd;
 mod sync;
-pub mod transport;
 
 pub use atomics::SymmetricAtomicVec;
 pub use checkpoint::Checkpoint;
@@ -77,9 +76,6 @@ pub use recovery::{KillRecord, RecoveryLog, RecoverySpec};
 pub use ring::SpscRing;
 pub use sched::{SchedPoint, SchedSpec, Scheduler};
 pub use spmd::Harness;
-pub use transport::{
-    IpcConfig, Transport, TransportKind, TransportSpec, TransportStats,
-};
 
 /// Mutex acquisitions by the calling thread so far (debug builds; release
 /// builds return 0). Re-exported so lock-freedom claims about the message

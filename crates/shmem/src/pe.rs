@@ -22,7 +22,6 @@ use crate::grid::Grid;
 use crate::net::{FaultSpec, NetLedger, NetStats, TransferClass};
 use crate::sched::{SchedPoint, Scheduler};
 use crate::sync::{PoisonBarrier, Rendezvous};
-use crate::transport::{FaultEvent, TransportHandle, TransportKind, TransportSpec, TransportStats};
 
 /// Shared state of one SPMD execution.
 pub(crate) struct World {
@@ -49,16 +48,12 @@ pub(crate) struct World {
     pub(crate) superstep_high: AtomicU64,
     /// Network operations re-attempted after injected transient timeouts.
     pub(crate) net_retries: AtomicU64,
-    /// Backend carrying this world's cross-node traffic. `InProc` hooks
-    /// are no-ops behind one discriminant check (hot-path gated).
-    pub(crate) transport: TransportHandle,
     /// Happens-before race detector, when this run checks its schedules.
     #[cfg(feature = "race-detect")]
     pub(crate) race: Option<Arc<crate::race::Detector>>,
 }
 
 impl World {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_harness(
         grid: Grid,
         sched: Option<Arc<dyn Scheduler>>,
@@ -66,7 +61,6 @@ impl World {
         telemetry: Option<Arc<TelemetryRegistry>>,
         checkpoint_every: Option<u64>,
         attempt: u32,
-        transport: TransportSpec,
     ) -> Arc<World> {
         if let Some(reg) = &telemetry {
             assert_eq!(
@@ -75,10 +69,6 @@ impl World {
                 "telemetry registry sized for a different PE count"
             );
         }
-        // A fresh backend per attempt: a restart models a replaced node,
-        // so carried-frame state from the dead attempt must not leak in.
-        let transport = TransportHandle::new(transport, grid.n_pes())
-            .expect("transport backend construction");
         Arc::new(World {
             grid,
             barrier: PoisonBarrier::new(grid.n_pes()),
@@ -93,7 +83,6 @@ impl World {
             attempt,
             superstep_high: AtomicU64::new(0),
             net_retries: AtomicU64::new(0),
-            transport,
             #[cfg(feature = "race-detect")]
             race: None,
         })
@@ -247,13 +236,6 @@ impl Pe {
         self.world
             .ledger
             .record(self.rank, TransferClass::Quiet, bytes);
-        // Completion fence on the transport: drain whatever this PE's
-        // carries staged (no-op on InProc; the threaded Ipc backend is
-        // already drained, so this only bumps its flush counter).
-        self.world
-            .transport
-            .flush(self.rank)
-            .expect("transport flush at quiet");
         self.note_quiet(quiet_begin);
         bytes
     }
@@ -293,7 +275,6 @@ impl Pe {
     /// Implies [`quiet`](Pe::quiet), as the OpenSHMEM specification requires.
     pub fn barrier_all(&self) {
         self.quiet();
-        self.world.transport.rendezvous_note(self.rank);
         let wait_begin = fabsp_hwpc::cycles_now();
         // Arrive strictly before the physical wait and depart strictly
         // after it, so every departer's clock covers every arriver's.
@@ -362,7 +343,6 @@ impl Pe {
         R: Send + Sync + 'static,
     {
         let seq = self.next_collective_seq();
-        self.world.transport.rendezvous_note(self.rank);
         self.sched_point(SchedPoint::Collective);
         // Rendezvous arrival/departure bracket the physical wait, like the
         // barrier's: collectives are full synchronization points.
@@ -421,13 +401,6 @@ impl Pe {
                 && kill.rank as usize == self.rank
                 && u64::from(kill.at_superstep) == superstep
             {
-                // Route the death through the transport before dying so
-                // both backends observe the same failure narrative (and
-                // forked peers can abort instead of hanging).
-                self.world.transport.note_fault(FaultEvent::Kill {
-                    pe: self.rank as u32,
-                    superstep: superstep as u32,
-                });
                 panic!(
                     "fault injection: kill_pe rank {} at superstep {superstep}",
                     self.rank
@@ -456,9 +429,7 @@ impl Pe {
             self.pending_nbi(),
             move |pending: Vec<usize>| -> Result<Arc<Checkpoint>, ShmemError> {
                 let total: usize = pending.iter().sum();
-                // The transport must also be drained: an undelivered
-                // carried frame would make the cut inconsistent.
-                if total > 0 || !world.transport.quiescent() {
+                if total > 0 {
                     return Err(ShmemError::CheckpointNotQuiescent { pending_nbi: total });
                 }
                 Ok(world.checkpoint.capture(superstep, &world.ledger))
@@ -483,7 +454,7 @@ impl Pe {
             self.pending_nbi(),
             move |pending: Vec<usize>| -> Result<(), ShmemError> {
                 let total: usize = pending.iter().sum();
-                if total > 0 || !world.transport.quiescent() {
+                if total > 0 {
                     return Err(ShmemError::CheckpointNotQuiescent { pending_nbi: total });
                 }
                 world.checkpoint.restore(&ckpt, &world.ledger);
@@ -552,9 +523,6 @@ impl Pe {
     fn note_net_retry(&self) {
         // Relaxed: a statistic read by the launcher after joining threads.
         self.world.net_retries.fetch_add(1, Ordering::Relaxed);
-        self.world.transport.note_fault(FaultEvent::Retry {
-            pe: self.rank as u32,
-        });
         if let Some(m) = self.metrics() {
             m.count(Counter::NetRetries);
         }
@@ -583,44 +551,6 @@ impl Pe {
             bytes,
             epoch: self.fence_epoch.get(),
         });
-    }
-
-    /// Hand one cross-node transfer to the transport at initiation time.
-    ///
-    /// This is the carry-at-initiation contract (see [`crate::transport`]):
-    /// it sits *after* the op's own scheduling point and fault roll, adds
-    /// neither, and is a no-op behind one discriminant check on `InProc` —
-    /// so schedules, traces, and digests are backend-invariant.
-    #[inline]
-    pub(crate) fn carry(
-        &self,
-        dst: usize,
-        class: TransferClass,
-        payload: &[std::mem::MaybeUninit<u8>],
-    ) -> Result<(), ShmemError> {
-        match &self.world.transport {
-            TransportHandle::InProc => Ok(()),
-            handle => {
-                handle.carry(self.rank, dst, class, payload)?;
-                if let Some(m) = self.metrics() {
-                    m.count(Counter::TransportFrames);
-                    m.add(Counter::TransportFrameBytes, payload.len() as u64);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Which transport backend carries this world's cross-node traffic.
-    #[inline]
-    pub fn transport_kind(&self) -> TransportKind {
-        self.world.transport.kind()
-    }
-
-    /// The transport backend's own activity counters (all-zero on
-    /// `InProc`, which carries nothing).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.world.transport.stats()
     }
 
     pub(crate) fn record_net(&self, class: TransferClass, bytes: usize) {

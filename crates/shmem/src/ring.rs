@@ -23,8 +23,8 @@
 //! ## Accounting
 //!
 //! The cost-model and network-ledger charges mirror the symmetric-heap
-//! operations each call models (so swapping the transport does not change
-//! what the profiler observes):
+//! operations each call models (so the profiler observes the same calls
+//! whether bytes land in a ring cell or a heap region):
 //!
 //! - [`write`](SpscRing::write) ≙ [`SymmetricVec::put`]: the `shmem_ptr` +
 //!   memcpy (same node) or blocking put (cross node).
@@ -227,7 +227,6 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
             model::MEMCPY_PER_BYTE.times(bytes as u64).charge();
             pe.record_net(TransferClass::LocalCopy, bytes);
         } else {
-            pe.carry(dst_pe, TransferClass::RemotePut, crate::transport::payload_bytes(src))?;
             model::PUTMEM_NBI.charge();
             model::MEMCPY_PER_BYTE.times(bytes as u64).charge();
             pe.record_net(TransferClass::RemotePut, bytes);
@@ -251,12 +250,6 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         self.check(dst_pe, cell, src.len())?;
         pe.sched_point(SchedPoint::PutNbi);
         let bytes = std::mem::size_of_val(src);
-        if !pe.same_node_as(dst_pe) {
-            // Carry at staging time (the wire's DMA read of the stable
-            // double-buffered source) so the pending closure stays
-            // zero-alloc and quiet gains no new work.
-            pe.carry(dst_pe, TransferClass::NonBlockingPut, crate::transport::payload_bytes(src))?;
-        }
         self.fill(dst_pe, cell, src);
         #[cfg(feature = "race-detect")]
         if let Some(d) = pe.race_detector() {
@@ -325,10 +318,6 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         #[cfg(not(feature = "race-detect"))]
         c.state.store(word, Ordering::Release);
         if dst_pe != pe.rank() {
-            if !pe.same_node_as(dst_pe) {
-                // The signalling put is an 8-byte remote atomic store.
-                pe.carry(dst_pe, TransferClass::Atomic, crate::transport::payload_bytes(&[word]))?;
-            }
             pe.record_net(TransferClass::Atomic, std::mem::size_of::<u64>());
         }
         Ok(())
@@ -374,10 +363,6 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         #[cfg(not(feature = "race-detect"))]
         c.state.store(0, Ordering::Release);
         if producer_pe != pe.rank() {
-            if !pe.same_node_as(producer_pe) {
-                // The ack travels back to the producer's node.
-                pe.carry(producer_pe, TransferClass::Atomic, crate::transport::payload_bytes(&[0u64]))?;
-            }
             pe.record_net(TransferClass::Atomic, std::mem::size_of::<u64>());
         }
         Ok(())

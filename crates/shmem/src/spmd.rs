@@ -18,7 +18,6 @@ use crate::net::FaultSpec;
 use crate::pe::{Pe, World};
 use crate::recovery::{backoff_delay, KillRecord, RecoveryLog, RecoverySpec};
 use crate::sched::{SchedSpec, Scheduler};
-use crate::transport::TransportSpec;
 
 /// How a run acquires its telemetry registry.
 #[derive(Clone, Default)]
@@ -71,9 +70,6 @@ pub struct Harness {
     /// buffers warm in one core's cache, but steals scheduling freedom the
     /// OS usually spends well, so it is off by default.
     pub pin_pes: bool,
-    /// Which backend carries cross-node traffic (default
-    /// [`TransportSpec::InProc`]; see [`crate::transport`]).
-    pub transport: TransportSpec,
     /// Whether to attach the happens-before race detector (on by default
     /// when the `race-detect` feature is compiled in, so the whole test
     /// suite runs checked).
@@ -95,7 +91,6 @@ impl Harness {
             recovery: RecoverySpec::Abort,
             checkpoint_every: None,
             pin_pes: false,
-            transport: TransportSpec::InProc,
             #[cfg(feature = "race-detect")]
             race_detect: true,
             #[cfg(feature = "race-detect")]
@@ -137,12 +132,6 @@ impl Harness {
     /// Select the recovery policy applied when a PE fails.
     pub fn recovery(mut self, recovery: RecoverySpec) -> Harness {
         self.recovery = recovery;
-        self
-    }
-
-    /// Select the transport backend carrying cross-node traffic.
-    pub fn transport(mut self, transport: TransportSpec) -> Harness {
-        self.transport = transport;
         self
     }
 
@@ -278,7 +267,6 @@ where
             telemetry.clone(),
             harness.checkpoint_every,
             attempt,
-            harness.transport,
         );
         #[cfg(feature = "race-detect")]
         if harness.race_detect {
@@ -409,302 +397,6 @@ where
     match original {
         Some((pe, message)) => Err((*pe, message.clone())),
         None => Ok(results),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Forked launch mode: worker *processes* hosting PE groups over the Ipc
-// transport's shared segment, with rendezvous on the UDS control plane.
-// ---------------------------------------------------------------------
-
-/// Env var marking a process as forked worker `<index>` (set by the
-/// coordinator on spawn; its presence routes [`run_forked`] into the
-/// worker branch).
-pub const ENV_IPC_WORKER: &str = "ACTORPROF_IPC_WORKER";
-const ENV_IPC_CTRL: &str = "ACTORPROF_IPC_CTRL";
-const ENV_IPC_SEGFD: &str = "ACTORPROF_IPC_SEGFD";
-const ENV_IPC_NPES: &str = "ACTORPROF_IPC_NPES";
-const ENV_IPC_RING: &str = "ACTORPROF_IPC_RING";
-const ENV_IPC_ATTEMPT: &str = "ACTORPROF_IPC_ATTEMPT";
-
-/// Launch plan for [`run_forked`]: how many worker processes to spawn,
-/// how many PEs each hosts, and how the coordinator re-enters this binary
-/// inside the workers (self-reexec: the workers run the *same* code path,
-/// which takes the worker branch when [`ENV_IPC_WORKER`] is set).
-#[derive(Debug, Clone)]
-pub struct ForkPlan {
-    /// Worker processes to fork.
-    pub processes: usize,
-    /// PEs hosted per worker process (threads inside the worker).
-    pub pes_per_worker: usize,
-    /// Arguments passed to `current_exe()` so the child reaches the same
-    /// [`run_forked`] call site (for a test: `["test_name", "--exact"]`).
-    pub reentry: Vec<String>,
-    /// Ipc segment tuning.
-    pub ipc: crate::transport::IpcConfig,
-    /// Worker-join and barrier deadline; elapsing it is a typed
-    /// [`ShmemError::TransportRendezvous`], never a hang.
-    pub rendezvous_timeout: std::time::Duration,
-    /// Fault injection (only `kill` is meaningful across processes).
-    pub faults: FaultSpec,
-    /// Recovery policy: restart respawns all workers as a fresh attempt.
-    pub recovery: RecoverySpec,
-}
-
-impl ForkPlan {
-    /// `processes` workers × `pes_per_worker` PEs re-entering via
-    /// `reentry` args, with default timeouts and no faults.
-    pub fn new(processes: usize, pes_per_worker: usize, reentry: &[&str]) -> ForkPlan {
-        ForkPlan {
-            processes,
-            pes_per_worker,
-            reentry: reentry.iter().map(|s| s.to_string()).collect(),
-            ipc: crate::transport::IpcConfig::default(),
-            rendezvous_timeout: std::time::Duration::from_secs(20),
-            faults: FaultSpec::NONE,
-            recovery: RecoverySpec::Abort,
-        }
-    }
-
-    /// Total PE count across all workers.
-    pub fn n_pes(&self) -> usize {
-        self.processes * self.pes_per_worker
-    }
-
-    /// Enable fault injection (kill only; flaky timing lives inside each
-    /// worker's own threaded world).
-    pub fn faults(mut self, faults: FaultSpec) -> ForkPlan {
-        self.faults = faults;
-        self
-    }
-
-    /// Select the recovery policy for dead workers.
-    pub fn recovery(mut self, recovery: RecoverySpec) -> ForkPlan {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Override the rendezvous/collection deadline.
-    pub fn rendezvous_timeout(mut self, timeout: std::time::Duration) -> ForkPlan {
-        self.rendezvous_timeout = timeout;
-        self
-    }
-
-    /// Override the Ipc segment tuning.
-    pub fn ipc(mut self, ipc: crate::transport::IpcConfig) -> ForkPlan {
-        self.ipc = ipc;
-        self
-    }
-}
-
-/// Outcome of a forked run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForkedRun {
-    /// Per-PE result words in rank order (read from the segment).
-    pub results: Vec<u64>,
-    /// Everything fault tolerance did along the way.
-    pub recovery: RecoveryLog,
-}
-
-/// Run `f` once per PE across forked worker *processes*.
-///
-/// The coordinator creates the shared segment, spawns `plan.processes`
-/// copies of the current executable (passing `plan.reentry` as argv), and
-/// rendezvouses them over a UDS control plane. Each worker re-executes the
-/// same code path; when it reaches this call, the [`ENV_IPC_WORKER`]
-/// marker routes it into the worker branch: it attaches the inherited
-/// segment, joins the rendezvous, runs `f` on one thread per hosted PE,
-/// publishes each PE's `u64` result into the segment, reports DONE, and
-/// exits the process (it never returns).
-///
-/// Worker death mid-superstep surfaces as a [`KillRecord`] (from the
-/// segment's death note) — restarted under
-/// [`RecoverySpec::RestartFromCheckpoint`], or reported as a typed error
-/// under [`RecoverySpec::Abort`]. A worker that never joins is a
-/// [`ShmemError::TransportRendezvous`].
-pub fn run_forked<F>(plan: ForkPlan, f: F) -> Result<ForkedRun, ShmemError>
-where
-    F: Fn(&crate::transport::ipc::IpcEndpoint) -> u64 + Sync,
-{
-    assert!(plan.processes > 0 && plan.pes_per_worker > 0, "empty fork plan");
-    if let Ok(index) = std::env::var(ENV_IPC_WORKER) {
-        let index: u64 = index.parse().expect("worker index env");
-        forked_worker_main(&plan, index, &f);
-    }
-    forked_coordinate(&plan)
-}
-
-/// Worker branch of [`run_forked`]; never returns.
-fn forked_worker_main<F>(plan: &ForkPlan, index: u64, f: &F) -> !
-where
-    F: Fn(&crate::transport::ipc::IpcEndpoint) -> u64 + Sync,
-{
-    use crate::transport::ipc::{IpcEndpoint, IpcTransport};
-    let getenv = |k: &str| std::env::var(k).unwrap_or_else(|_| panic!("missing {k}"));
-    let ctrl = std::path::PathBuf::from(getenv(ENV_IPC_CTRL));
-    let segfd: i32 = getenv(ENV_IPC_SEGFD).parse().expect("segfd env");
-    let n_pes: usize = getenv(ENV_IPC_NPES).parse().expect("npes env");
-    let ring: usize = getenv(ENV_IPC_RING).parse().expect("ring env");
-    let attempt: u64 = getenv(ENV_IPC_ATTEMPT).parse().expect("attempt env");
-    let transport = Arc::new(
-        IpcTransport::attach(segfd, n_pes, crate::transport::IpcConfig { ring_bytes: ring })
-            .expect("worker segment attach"),
-    );
-    let session = crate::transport::control::WorkerSession::join(
-        &ctrl,
-        index,
-        attempt,
-        plan.rendezvous_timeout,
-    )
-    .expect("worker rendezvous");
-    let base = session.base_rank as usize;
-    let mut status = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..plan.pes_per_worker)
-            .map(|i| {
-                let transport = transport.clone();
-                let kill = plan.faults.kill;
-                scope.spawn(move || {
-                    let ep = IpcEndpoint::new(transport.clone(), base + i)
-                        .with_fault(kill, attempt);
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&ep)));
-                    match result {
-                        Ok(v) => {
-                            transport.set_result(base + i, v);
-                            true
-                        }
-                        Err(_) => false,
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if !handle.join().unwrap_or(false) {
-                status = 2;
-            }
-        }
-    });
-    let _ = session.done(index, status);
-    std::process::exit(status as i32);
-}
-
-/// Coordinator branch of [`run_forked`].
-fn forked_coordinate(plan: &ForkPlan) -> Result<ForkedRun, ShmemError> {
-    use crate::transport::control::ControlPlane;
-    use crate::transport::ipc::IpcTransport;
-    let n_pes = plan.n_pes();
-    let transport = IpcTransport::coordinator(n_pes, plan.ipc)?;
-    let exe = std::env::current_exe()
-        .map_err(|e| ShmemError::TransportSetup(format!("current_exe: {e}")))?;
-    let ctrl_path = std::env::temp_dir().join(format!(
-        "fabsp-ipc-{}-{:x}.sock",
-        std::process::id(),
-        &transport as *const _ as usize
-    ));
-    let max_retries = plan.recovery.max_retries();
-    let backoff = match plan.recovery {
-        RecoverySpec::RestartFromCheckpoint { backoff, .. } => backoff,
-        RecoverySpec::Abort => std::time::Duration::ZERO,
-    };
-    let mut log = RecoveryLog::default();
-    let mut attempt = 0u64;
-    loop {
-        transport.reset_for_attempt(attempt);
-        let plane = ControlPlane::bind(&ctrl_path)?;
-        let mut children = Vec::with_capacity(plan.processes);
-        for i in 0..plan.processes {
-            let child = std::process::Command::new(&exe)
-                .args(&plan.reentry)
-                .env(ENV_IPC_WORKER, i.to_string())
-                .env(ENV_IPC_CTRL, &ctrl_path)
-                .env(ENV_IPC_SEGFD, transport.segment_fd().to_string())
-                .env(ENV_IPC_NPES, n_pes.to_string())
-                .env(ENV_IPC_RING, transport.ring_bytes().to_string())
-                .env(ENV_IPC_ATTEMPT, attempt.to_string())
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .map_err(|e| ShmemError::TransportSetup(format!("spawn worker {i}: {e}")))?;
-            children.push(child);
-        }
-        let rendezvous = plane.rendezvous(
-            plan.processes,
-            plan.pes_per_worker,
-            attempt,
-            plan.rendezvous_timeout,
-        );
-        let mut conns = match rendezvous {
-            Ok(conns) => conns,
-            Err(e) => {
-                for child in &mut children {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                return Err(e);
-            }
-        };
-        let mut failed = false;
-        for conn in &mut conns {
-            match ControlPlane::collect_done(conn, plan.rendezvous_timeout) {
-                Ok(0) => {}
-                Ok(_) | Err(_) => failed = true,
-            }
-        }
-        for child in &mut children {
-            // Reap; a worker that reported DONE(0) exits 0 promptly. A
-            // worker stuck past its DONE is killed, not waited on forever.
-            let deadline = std::time::Instant::now() + plan.rendezvous_timeout;
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if std::time::Instant::now() >= deadline => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        failed = true;
-                        break;
-                    }
-                    Ok(None) => std::thread::sleep(std::time::Duration::from_millis(2)),
-                    Err(_) => break,
-                }
-            }
-        }
-        if !failed {
-            return Ok(ForkedRun {
-                results: (0..n_pes).map(|p| transport.result(p)).collect(),
-                recovery: log,
-            });
-        }
-        // Attribute the failure: an injected kill leaves a death note in
-        // the segment; anything else is an unattributed worker death.
-        let (pe, message) = match transport.death() {
-            Some((rank, step)) => (
-                rank as usize,
-                format!("fault injection: kill_pe rank {rank} at superstep {step}"),
-            ),
-            None => (0, "worker process died mid-superstep".to_string()),
-        };
-        log.kills_observed.push(KillRecord {
-            attempt: attempt as u32,
-            pe,
-            message: message.clone(),
-        });
-        if attempt >= u64::from(max_retries) {
-            return Err(if max_retries == 0 {
-                ShmemError::PePanicked { pe, message }
-            } else {
-                ShmemError::RetriesExhausted {
-                    attempts: attempt as u32 + 1,
-                    pe,
-                    message,
-                }
-            });
-        }
-        let delay = backoff_delay(backoff, attempt as u32);
-        attempt += 1;
-        log.restarts += 1;
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
     }
 }
 

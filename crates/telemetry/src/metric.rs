@@ -48,16 +48,11 @@ pub enum Counter {
     /// continuous-profiling governor divides this by total PE cycles to
     /// keep measured overhead inside its budget.
     TelemetrySelfCycles,
-    /// Frames carried through a non-InProc transport backend's mailboxes
-    /// (zero on the default in-process memcpy path, which carries nothing).
-    TransportFrames,
-    /// Payload bytes inside carried transport frames (pre-padding).
-    TransportFrameBytes,
 }
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 14] = [
         Counter::ShmemPuts,
         Counter::ShmemQuiets,
         Counter::ShmemBarrierWaits,
@@ -72,8 +67,6 @@ impl Counter {
         Counter::BatchedPulls,
         Counter::TelemetrySpans,
         Counter::TelemetrySelfCycles,
-        Counter::TransportFrames,
-        Counter::TransportFrameBytes,
     ];
 
     /// Number of counters.
@@ -96,8 +89,6 @@ impl Counter {
             Counter::BatchedPulls => "conveyor.batched_pulls",
             Counter::TelemetrySpans => "telemetry.spans",
             Counter::TelemetrySelfCycles => "telemetry.self_cycles",
-            Counter::TransportFrames => "transport.frames",
-            Counter::TransportFrameBytes => "transport.frame_bytes",
         }
     }
 

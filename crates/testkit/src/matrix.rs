@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use fabsp_shmem::{FaultSpec, Grid, RecoveryLog, RecoverySpec, SchedSpec, TransportSpec};
+use fabsp_shmem::{FaultSpec, Grid, RecoveryLog, RecoverySpec, SchedSpec};
 
 use crate::ConveyorOptions;
 
@@ -71,9 +71,6 @@ pub struct MatrixParams {
     /// Continuous-profiling overhead budget, percent (`None` = off). The
     /// apps map it to `Profiler::continuous(OverheadBudget::pct(..))`.
     pub continuous: Option<f64>,
-    /// Transport backend carrying cross-node bytes (`InProc` by default;
-    /// the equivalence suites run every app under `Ipc` too).
-    pub transport: TransportSpec,
 }
 
 impl MatrixParams {
@@ -90,7 +87,6 @@ impl MatrixParams {
             recovery: RecoverySpec::Abort,
             checkpoint_every: None,
             continuous: None,
-            transport: TransportSpec::InProc,
         }
     }
 
@@ -122,12 +118,6 @@ impl MatrixParams {
     /// Override conveyor options (capacity-1 stress lanes).
     pub fn with_conveyor(mut self, conveyor: ConveyorOptions) -> MatrixParams {
         self.conveyor = conveyor;
-        self
-    }
-
-    /// Select the transport backend.
-    pub fn with_transport(mut self, transport: TransportSpec) -> MatrixParams {
-        self.transport = transport;
         self
     }
 }

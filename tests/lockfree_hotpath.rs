@@ -11,35 +11,18 @@
 //! `pull` asserts unconditionally.
 
 use actorprof_suite::fabsp_conveyors::{Conveyor, ConveyorOptions, TopologySpec};
-use actorprof_suite::fabsp_shmem::{
-    debug_lock_acquisitions, spmd, Grid, Harness, TransportSpec,
-};
+use actorprof_suite::fabsp_shmem::{debug_lock_acquisitions, spmd, Grid};
 
 /// All-to-all exchange measuring the lock delta attributable to `push` and
 /// `pull` alone (`advance` may legitimately lock: barriers, nbi drains).
 /// Returns (messages exchanged, hot-path lock delta) per PE.
-///
-/// The transport backend is pinned explicitly: the zero-delta gates below
-/// assert against `InProc` by construction (not by defaulting), and the
-/// `Ipc` lanes prove the ring-mailbox carry path is just as lock-free.
-fn hotpath_lock_delta(
-    grid: Grid,
-    items: usize,
-    capacity: usize,
-    transport: TransportSpec,
-) -> Vec<(u64, u64)> {
-    let harness = Harness::new(grid).transport(transport);
-    spmd::run(harness, move |pe| {
+fn hotpath_lock_delta(grid: Grid, items: usize, capacity: usize) -> Vec<(u64, u64)> {
+    spmd::run(grid, move |pe| {
         // telemetry is on by default: the zero deltas below prove the
         // always-on metrics stay off the mutex path too
         assert!(
             pe.metrics().is_some(),
             "default harness must wire the telemetry registry"
-        );
-        assert_eq!(
-            pe.transport_kind(),
-            transport.kind(),
-            "harness must run the requested transport backend"
         );
         let mut c = Conveyor::<u64>::new(
             pe,
@@ -86,8 +69,7 @@ fn hotpath_lock_delta(
 
 #[test]
 fn push_and_pull_take_no_locks_single_node() {
-    let runs = hotpath_lock_delta(Grid::single_node(4).unwrap(), 3000, 64, TransportSpec::InProc);
-    for (got, delta) in runs {
+    for (got, delta) in hotpath_lock_delta(Grid::single_node(4).unwrap(), 3000, 64) {
         assert_eq!(got, 3000);
         assert_eq!(delta, 0, "mutex acquired on the single-node hot path");
     }
@@ -97,22 +79,9 @@ fn push_and_pull_take_no_locks_single_node() {
 fn push_and_pull_take_no_locks_across_nodes() {
     // 2x2 mesh: exercises local links, remote (nbi) links, and the relay
     // re-stage path — all of which run inside push/pull/consume.
-    let runs = hotpath_lock_delta(Grid::new(2, 2).unwrap(), 3000, 64, TransportSpec::InProc);
-    for (got, delta) in runs {
+    for (got, delta) in hotpath_lock_delta(Grid::new(2, 2).unwrap(), 3000, 64) {
         assert_eq!(got, 3000);
         assert_eq!(delta, 0, "mutex acquired on the cross-node hot path");
-    }
-}
-
-#[test]
-fn push_and_pull_take_no_locks_across_nodes_ipc() {
-    // Every cross-node nbi put additionally stages a frame in the ipc
-    // ring mailbox; staging is pure atomics + memcpy, so the delta must
-    // stay zero here too.
-    let runs = hotpath_lock_delta(Grid::new(2, 2).unwrap(), 3000, 64, TransportSpec::ipc());
-    for (got, delta) in runs {
-        assert_eq!(got, 3000);
-        assert_eq!(delta, 0, "mutex acquired on the ipc-transport hot path");
     }
 }
 
@@ -120,33 +89,16 @@ fn push_and_pull_take_no_locks_across_nodes_ipc() {
 fn capacity_one_flush_inside_push_takes_no_locks() {
     // capacity 1 makes every push flush its link inline, so the flush
     // (cell claim + fill + release-publish) is measured by the same probe.
-    for (got, delta) in hotpath_lock_delta(Grid::new(2, 2).unwrap(), 200, 1, TransportSpec::InProc)
-    {
+    for (got, delta) in hotpath_lock_delta(Grid::new(2, 2).unwrap(), 200, 1) {
         assert_eq!(got, 200);
         assert_eq!(delta, 0, "mutex acquired by the inline flush path");
     }
 }
 
-#[test]
-fn capacity_one_flush_inside_push_takes_no_locks_ipc() {
-    for (got, delta) in hotpath_lock_delta(Grid::new(2, 2).unwrap(), 200, 1, TransportSpec::ipc())
-    {
-        assert_eq!(got, 200);
-        assert_eq!(delta, 0, "mutex acquired by the ipc inline flush path");
-    }
-}
-
 /// Batched variant of [`hotpath_lock_delta`]: whole slices staged with
 /// `push_slice`, deliveries drained as zero-copy `pull_batch` runs.
-fn batched_hotpath_lock_delta(
-    grid: Grid,
-    items: usize,
-    capacity: usize,
-    transport: TransportSpec,
-) -> Vec<(u64, u64)> {
-    let harness = Harness::new(grid).transport(transport);
-    spmd::run(harness, move |pe| {
-        assert_eq!(pe.transport_kind(), transport.kind());
+fn batched_hotpath_lock_delta(grid: Grid, items: usize, capacity: usize) -> Vec<(u64, u64)> {
+    spmd::run(grid, move |pe| {
         let mut c = Conveyor::<u64>::new(
             pe,
             ConveyorOptions {
@@ -200,9 +152,7 @@ fn batched_hotpath_lock_delta(
 
 #[test]
 fn push_slice_and_pull_batch_take_no_locks_single_node() {
-    let runs =
-        batched_hotpath_lock_delta(Grid::single_node(4).unwrap(), 3000, 64, TransportSpec::InProc);
-    for (got, delta) in runs {
+    for (got, delta) in batched_hotpath_lock_delta(Grid::single_node(4).unwrap(), 3000, 64) {
         assert_eq!(got, 3000);
         assert_eq!(delta, 0, "mutex acquired on the batched single-node hot path");
     }
@@ -210,20 +160,9 @@ fn push_slice_and_pull_batch_take_no_locks_single_node() {
 
 #[test]
 fn push_slice_and_pull_batch_take_no_locks_across_nodes() {
-    let runs =
-        batched_hotpath_lock_delta(Grid::new(2, 2).unwrap(), 3000, 64, TransportSpec::InProc);
-    for (got, delta) in runs {
+    for (got, delta) in batched_hotpath_lock_delta(Grid::new(2, 2).unwrap(), 3000, 64) {
         assert_eq!(got, 3000);
         assert_eq!(delta, 0, "mutex acquired on the batched cross-node hot path");
-    }
-}
-
-#[test]
-fn push_slice_and_pull_batch_take_no_locks_across_nodes_ipc() {
-    let runs = batched_hotpath_lock_delta(Grid::new(2, 2).unwrap(), 3000, 64, TransportSpec::ipc());
-    for (got, delta) in runs {
-        assert_eq!(got, 3000);
-        assert_eq!(delta, 0, "mutex acquired on the batched ipc hot path");
     }
 }
 

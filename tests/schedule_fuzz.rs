@@ -15,9 +15,7 @@
 //!
 //! Per-app seed budgets (Σ budgets × 3 modes = 132 schedules) keep the
 //! sweep past the 100-schedule floor while staying CI-affordable; the
-//! capacity-1, kill/restart, and ipc-transport lanes run smaller seed
-//! slices on top (the ipc arm runs one seed per app × mode, leaning on
-//! `transport_equivalence.rs` for the backend-vs-backend sweep).
+//! capacity-1 and kill/restart lanes run smaller seed slices on top.
 //!
 //! Physical traces and timings are intentionally *not* compared: buffer
 //! flush boundaries legitimately depend on the schedule.
@@ -28,7 +26,7 @@
 
 use actorprof_suite::fabsp_apps::registry;
 use actorprof_suite::fabsp_conveyors::ConveyorOptions;
-use actorprof_suite::fabsp_shmem::{FaultSpec, Grid, RecoverySpec, SchedSpec, TransportSpec};
+use actorprof_suite::fabsp_shmem::{FaultSpec, Grid, RecoverySpec, SchedSpec};
 use actorprof_suite::fabsp_testkit::matrix::{MatrixParams, MatrixRun};
 use actorprof_suite::fabsp_testkit::{
     assert_schedule_independent, handler_backlog, DEFAULT_STEP_BUDGET,
@@ -176,59 +174,6 @@ fn kill_and_restart_is_schedule_independent_across_registry() {
             out.assert_matches(&base, &ctx);
             assert_eq!(out.recovery.restarts, 1, "{ctx}: {}", out.recovery);
             assert_eq!(out.recovery.kills_observed.len(), 1, "{ctx}");
-        }
-    }
-}
-
-#[test]
-fn registry_is_schedule_independent_on_ipc_transport() {
-    // The ipc ring-mailbox backend rides the same contract: one seed per
-    // (app, fault mode) — a thin arm on top of the main sweep (30
-    // schedules, not a second 132) because the transport_equivalence
-    // suite already sweeps backend-vs-backend; this lane pins that the
-    // *schedule independence* property itself holds while the ipc
-    // backend is carrying the cross-node bytes.
-    let params = MatrixParams::new(fuzz_grid()).with_transport(TransportSpec::ipc());
-    for (app_idx, app) in registry().into_iter().enumerate() {
-        let base = baseline(&params, app.name);
-        for (mode, faults) in fault_modes().into_iter().enumerate() {
-            for seed in sweep_seeds(app_idx, mode + 20, 1) {
-                let p = params
-                    .clone()
-                    .with_sched(SchedSpec::random_walk(seed))
-                    .with_faults(faults);
-                let out = app.run(&p).unwrap_or_else(|e| {
-                    panic!("{} ipc seed {seed} ({faults:?}): {e}", app.name)
-                });
-                let ctx = format!("{} ipc seed {seed} ({faults:?})", app.name);
-                out.assert_matches(&base, &ctx);
-                out.assert_golden(&ctx);
-            }
-        }
-    }
-}
-
-#[test]
-fn registry_survives_capacity_one_aggregation_on_ipc_transport() {
-    // Capacity-1 lanes maximize flush pressure — with the ipc backend
-    // that also means a carry per (tiny) cross-node flush, the worst
-    // frame-rate case for the ring mailboxes. One seed per app.
-    let mut params = MatrixParams::new(fuzz_grid()).with_transport(TransportSpec::ipc());
-    params.conveyor = ConveyorOptions {
-        capacity: 1,
-        ..ConveyorOptions::default()
-    };
-    for (app_idx, app) in registry().into_iter().enumerate() {
-        let base = app
-            .run(&params)
-            .unwrap_or_else(|e| panic!("{} ipc capacity-1 baseline: {e}", app.name));
-        base.assert_golden(&format!("{} ipc capacity-1 baseline", app.name));
-        for seed in sweep_seeds(app_idx, 24, 1) {
-            let p = params.clone().with_sched(SchedSpec::random_walk(seed));
-            let out = app
-                .run(&p)
-                .unwrap_or_else(|e| panic!("{} ipc capacity-1 seed {seed}: {e}", app.name));
-            out.assert_matches(&base, &format!("{} ipc capacity-1 seed {seed}", app.name));
         }
     }
 }
