@@ -10,8 +10,10 @@
 //! the paper's three regions (Table I):
 //!
 //! - **MAIN** — inside the user body (message construction + local
-//!   computation, including the `push` fast path of `send`);
-//! - **PROC** — inside user message handlers;
+//!   computation, including every submission of `send`/`send_slice` to the
+//!   conveyor);
+//! - **PROC** — inside user message handlers (the runtime's own pull and
+//!   dispatch of a delivered batch is COMM);
 //! - **COMM** — everything else (aggregation, delivery, progress,
 //!   termination), *derived* as `T_TOTAL − T_MAIN − T_PROC` exactly as
 //!   §III-B derives it.
@@ -19,7 +21,7 @@
 //! The interleaving that defines FA-BSP happens in `send`: when
 //! aggregation buffers are full, the runtime leaves MAIN, advances the
 //! conveyors — running message handlers (PROC) in the middle of the user's
-//! send loop — and resumes MAIN once the push succeeds. The user never
+//! send loop — and resumes MAIN to submit what is left. The user never
 //! sees the retry (the "automatic message aggregation without any
 //! user-written error handling" of §I).
 //!
@@ -38,9 +40,9 @@
 use std::collections::VecDeque;
 
 use actorprof_trace::{PeCollector, SharedCollector, TraceBuffer, TraceConfig};
-use fabsp_conveyors::{Conveyor, ConveyorOptions, ConveyorStats, ExchangeMode};
+use fabsp_conveyors::{Conveyor, ConveyorError, ConveyorOptions, ConveyorStats};
 use fabsp_hwpc::cost::model;
-use fabsp_hwpc::{counters, Region, RegionTimer, MAX_EVENTS};
+use fabsp_hwpc::{counters, Event, Region, RegionTimer, MAX_EVENTS};
 use fabsp_shmem::Pe;
 use fabsp_telemetry::{Counter, Phase};
 
@@ -177,12 +179,7 @@ pub struct Selector<'h, T: Copy + Default + Send + 'static> {
     /// plain `Vec` push — no shared borrow, no mutex) and the batch drains
     /// into the collector at progress boundaries.
     send_buf: TraceBuffer,
-    papi_events: Vec<fabsp_hwpc::Event>,
-    /// How the runtime drives the conveyors: batched slice submission and
-    /// zero-copy batch delivery (default), or the per-item protocol. App
-    /// code is identical under both — the conveyor orders items the same
-    /// way — so this is a pure runtime-efficiency knob.
-    exchange: ExchangeMode,
+    papi_events: Vec<Event>,
     executed: bool,
 }
 
@@ -239,18 +236,54 @@ impl<T: Copy> ProcCtx<'_, T> {
     }
 }
 
-/// Account `count` sends the conveyor just accepted toward `dst`: one
-/// run-length trace event, one telemetry add.
-fn note_sends<T>(buf: &mut TraceBuffer, pe: &Pe, mailbox: usize, dst: usize, count: usize) {
+/// Read `events` into a fixed bank — no allocation on the send path.
+/// `None` when PAPI tracing is off.
+fn read_bank(events: &[Event]) -> Option<[u64; MAX_EVENTS]> {
+    if events.is_empty() {
+        return None;
+    }
+    let mut bank = [0u64; MAX_EVENTS];
+    for (slot, e) in bank.iter_mut().zip(events) {
+        *slot = counters::read(*e);
+    }
+    Some(bank)
+}
+
+/// The one way a message enters a conveyor: submit `msgs` toward `dst` with
+/// a single `push_slice` and account for the prefix it accepted — the
+/// modelled send cost per accepted message, one run-length trace event
+/// carrying the counter deltas of this submission (the unit of PAPI
+/// attribution is the accepted run), one telemetry add. Returns the
+/// accepted count.
+fn push_run<T: Copy + Default + Send + 'static>(
+    conveyor: &mut Conveyor<T>,
+    buf: &mut TraceBuffer,
+    events: &[Event],
+    pe: &Pe,
+    mailbox: usize,
+    msgs: &[T],
+    dst: usize,
+) -> Result<usize, ConveyorError> {
+    let before = read_bank(events);
+    let accepted = conveyor.push_slice(pe, msgs, dst)?.accepted;
+    model::SEND_PUSH.times(accepted as u64).charge();
+    let deltas = read_bank(events).zip(before).map(|(mut bank, before)| {
+        for (now, b) in bank.iter_mut().zip(before) {
+            *now = now.wrapping_sub(b);
+        }
+        bank
+    });
     buf.record_send_run(
         dst,
         std::mem::size_of::<T>() as u32,
         mailbox as u32,
-        count as u64,
+        accepted as u64,
+        deltas,
     );
     if let Some(m) = pe.metrics() {
-        m.add(Counter::ActorSends, count as u64);
+        m.add(Counter::ActorSends, accepted as u64);
     }
+    Ok(accepted)
 }
 
 impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
@@ -302,7 +335,6 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
             collector,
             send_buf: TraceBuffer::for_config(&config.trace),
             papi_events,
-            exchange: config.conveyor.exchange,
             executed: false,
         })
     }
@@ -430,60 +462,13 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         Ok(result)
     }
 
-    /// Send from MAIN: push with automatic retry (the FA-BSP interleave).
-    /// Only callable through [`MainCtx`]; see [`Selector::execute`].
-    fn send_from_main(
-        &mut self,
-        pe: &Pe,
-        mailbox: usize,
-        msg: T,
-        dst: usize,
-    ) -> Result<(), ActorError> {
-        self.check_open(mailbox)?;
-
-        // The push fast path is MAIN work (T_MAIN = "time taken by the
-        // application to generate a message and append it to the mailbox").
-        // The trace event is batched, not recorded — no shared borrow here.
-        let papi_before = self.papi_snapshot();
-        model::SEND_PUSH.charge();
-        let mut outcome = self.mailboxes[mailbox].conveyor.push(pe, msg, dst)?;
-        let deltas = self.papi_deltas(&papi_before);
-        self.send_buf
-            .record_send(dst, std::mem::size_of::<T>() as u32, mailbox as u32, deltas);
-        if let Some(m) = pe.metrics() {
-            m.count(Counter::ActorSends);
-        }
-
-        // Buffers full: leave MAIN, make progress (handlers run here —
-        // the RED interleaved into the BLUE of Fig. 1), retry.
-        if !outcome.is_accepted() {
-            self.timer.exit(Region::Main);
-            loop {
-                self.progress_once(pe);
-                outcome = self.mailboxes[mailbox].conveyor.push(pe, msg, dst)?;
-                if outcome.is_accepted() {
-                    break;
-                }
-                if let Some(m) = pe.metrics() {
-                    m.count(Counter::ActorYields);
-                }
-                pe.poll_yield();
-            }
-            self.timer.enter(Region::Main);
-        }
-        Ok(())
-    }
-
-    /// Whether the per-item conveyor surface must be used despite batched
-    /// mode: per-send PAPI attribution needs one counter delta per message,
-    /// which a slice submission cannot provide.
-    fn force_per_item(&self) -> bool {
-        self.exchange == ExchangeMode::PerItem || !self.papi_events.is_empty()
-    }
-
-    /// Batched send from MAIN: submit a whole slice toward one destination
-    /// with `push_slice`, interleaving progress (handlers run — the FA-BSP
-    /// interleave) whenever only a prefix is accepted.
+    /// Send from MAIN: submit the slice toward one destination with
+    /// `push_slice`, and whenever only a prefix is accepted leave MAIN for a
+    /// round of progress (handlers run — the RED interleaved into the BLUE
+    /// of Fig. 1) before resubmitting the rest. Every submission and its
+    /// modelled cost is MAIN work (T_MAIN = "time taken by the application
+    /// to generate a message and append it to the mailbox"). Only callable
+    /// through [`MainCtx`]; see [`Selector::execute`].
     fn send_slice_from_main(
         &mut self,
         pe: &Pe,
@@ -492,39 +477,31 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         dst: usize,
     ) -> Result<(), ActorError> {
         self.check_open(mailbox)?;
-        if self.force_per_item() {
-            for &msg in msgs {
-                self.send_from_main(pe, mailbox, msg, dst)?;
-            }
-            return Ok(());
-        }
-
-        let mut offset = 0;
-        let mut in_main = true;
-        while offset < msgs.len() {
-            model::SEND_PUSH.charge();
-            let report = self.mailboxes[mailbox]
-                .conveyor
-                .push_slice(pe, &msgs[offset..], dst)?;
-            note_sends::<T>(&mut self.send_buf, pe, mailbox, dst, report.accepted);
-            offset += report.accepted;
-            if offset == msgs.len() {
+        let mut rest = msgs;
+        let mut refused_before = false;
+        while !rest.is_empty() {
+            let accepted = push_run(
+                &mut self.mailboxes[mailbox].conveyor,
+                &mut self.send_buf,
+                &self.papi_events,
+                pe,
+                mailbox,
+                rest,
+                dst,
+            )?;
+            rest = &rest[accepted..];
+            if rest.is_empty() {
                 break;
             }
-            // Buffers full mid-slice: leave MAIN and alternate progress
-            // with resubmission of the unaccepted suffix.
-            if in_main {
-                self.timer.exit(Region::Main);
-                in_main = false;
-            } else {
+            self.timer.exit(Region::Main);
+            if refused_before {
                 if let Some(m) = pe.metrics() {
                     m.count(Counter::ActorYields);
                 }
                 pe.poll_yield();
             }
+            refused_before = true;
             self.progress_once(pe);
-        }
-        if !in_main {
             self.timer.enter(Region::Main);
         }
         Ok(())
@@ -534,28 +511,6 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         self.check_mailbox(mailbox)?;
         self.staging.done[mailbox].user_done = true;
         Ok(())
-    }
-
-    /// Read the configured counters into a fixed bank — no allocation on
-    /// the per-send path.
-    fn papi_snapshot(&self) -> Option<[u64; MAX_EVENTS]> {
-        if self.papi_events.is_empty() {
-            return None;
-        }
-        let mut bank = [0u64; MAX_EVENTS];
-        for (slot, e) in bank.iter_mut().zip(&self.papi_events) {
-            *slot = counters::read(*e);
-        }
-        Some(bank)
-    }
-
-    fn papi_deltas(&self, before: &Option<[u64; MAX_EVENTS]>) -> Option<[u64; MAX_EVENTS]> {
-        let before = before.as_ref()?;
-        let mut bank = [0u64; MAX_EVENTS];
-        for ((slot, e), b) in bank.iter_mut().zip(&self.papi_events).zip(before) {
-            *slot = counters::read(*e).wrapping_sub(*b);
-        }
-        Some(bank)
     }
 
     /// Hand the batched send events to the collector in one borrow.
@@ -599,28 +554,14 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         let mut handler = self.handler.take().expect("handler in use reentrantly");
         let n_pes = pe.n_pes();
         let rank = pe.rank();
-        let per_item = self.force_per_item();
         for mb in 0..self.mailboxes.len() {
-            if per_item {
-                while let Some(delivery) = self.mailboxes[mb].conveyor.pull() {
-                    model::PULL.charge();
-                    model::HANDLER_DISPATCH.charge();
-                    let mut ctx = ProcCtx {
-                        staging: &mut self.staging,
-                        rank,
-                        n_pes,
-                    };
-                    self.timer.enter(Region::Proc);
-                    handler(mb, delivery.item, delivery.src, &mut ctx);
-                    self.timer.exit(Region::Proc);
-                    self.staging.apply_done_requests();
-                }
-                continue;
-            }
-            // Batched drain: each `pull_batch` hands out one origin run as
-            // a zero-copy slice; the handler runs over it without the
-            // per-item pull round-trip.
+            // Each `pull_batch` hands out one origin run as a zero-copy
+            // slice. Pulling and dispatching it is the runtime's work
+            // (COMM); only the handler bodies are PROC.
             while let Some(batch) = self.mailboxes[mb].conveyor.pull_batch() {
+                let n = batch.items.len() as u64;
+                model::PULL.times(n).charge();
+                model::HANDLER_DISPATCH.times(n).charge();
                 let mut ctx = ProcCtx {
                     staging: &mut self.staging,
                     rank,
@@ -628,8 +569,6 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
                 };
                 self.timer.enter(Region::Proc);
                 for &msg in batch.items {
-                    model::PULL.charge();
-                    model::HANDLER_DISPATCH.charge();
                     handler(mb, msg, batch.src, &mut ctx);
                 }
                 self.timer.exit(Region::Proc);
@@ -645,42 +584,24 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
     /// the accepted prefix; a refused suffix stays queued, in order, for
     /// the next round — so a round costs O(accepted), whatever the backlog.
     fn drain_outboxes(&mut self, pe: &Pe) {
-        let per_item = self.force_per_item();
         for mb in 0..self.mailboxes.len() {
             while let Some((items, dst)) = self.staging.outboxes[mb].front_run() {
                 assert!(
                     !self.staging.done[mb].done_signaled,
                     "outbox item for mailbox {mb} after done was signalled"
                 );
-                if per_item {
-                    // One push per item, each with its own counter deltas.
-                    let papi_before = self.papi_snapshot();
-                    model::SEND_PUSH.charge();
-                    let outcome = self.mailboxes[mb]
-                        .conveyor
-                        .push(pe, items[0], dst)
-                        .expect("outbox destinations were validated at staging");
-                    if !outcome.is_accepted() {
-                        break;
-                    }
-                    let deltas = self.papi_deltas(&papi_before);
-                    self.staging.outboxes[mb].advance(1);
-                    self.send_buf
-                        .record_send(dst, std::mem::size_of::<T>() as u32, mb as u32, deltas);
-                    if let Some(m) = pe.metrics() {
-                        m.count(Counter::ActorSends);
-                    }
-                    continue;
-                }
-                model::SEND_PUSH.charge();
                 let submitted = items.len();
-                let accepted = self.mailboxes[mb]
-                    .conveyor
-                    .push_slice(pe, items, dst)
-                    .expect("outbox destinations were validated at staging")
-                    .accepted;
+                let accepted = push_run(
+                    &mut self.mailboxes[mb].conveyor,
+                    &mut self.send_buf,
+                    &self.papi_events,
+                    pe,
+                    mb,
+                    items,
+                    dst,
+                )
+                .expect("outbox destinations were validated at staging");
                 self.staging.outboxes[mb].advance(accepted);
-                note_sends::<T>(&mut self.send_buf, pe, mb, dst, accepted);
                 if accepted < submitted {
                     break; // buffers full; retry next round
                 }
@@ -741,16 +662,16 @@ impl<T: Copy + Default + Send + 'static> MainCtx<'_, '_, '_, T> {
     /// Asynchronous send: enqueue `msg` for `dst` via `mailbox`
     /// (Listing 1's `actor_ptr->send(i, dst)`). Aggregation-buffer
     /// overflow is handled internally by interleaving message processing —
-    /// the call always succeeds or reports a protocol error.
+    /// the call always succeeds or reports a protocol error. A one-item
+    /// [`send_slice`](MainCtx::send_slice).
     pub fn send(&mut self, mailbox: usize, msg: T, dst: usize) -> Result<(), ActorError> {
-        self.selector.send_from_main(self.pe, mailbox, msg, dst)
+        self.send_slice(mailbox, &[msg], dst)
     }
 
     /// Batched send: enqueue every message in `msgs` for `dst` via
-    /// `mailbox` with one slice submission. Semantically identical to
-    /// calling [`send`](MainCtx::send) per item — same per-link ordering,
-    /// same overflow interleaving — but amortizes the conveyor protocol
-    /// over the whole slice.
+    /// `mailbox` with one slice submission — same per-link ordering and
+    /// overflow interleaving as one [`send`](MainCtx::send) per item, with
+    /// the conveyor protocol amortized over the whole slice.
     pub fn send_slice(&mut self, mailbox: usize, msgs: &[T], dst: usize) -> Result<(), ActorError> {
         self.selector.send_slice_from_main(self.pe, mailbox, msgs, dst)
     }
@@ -994,19 +915,60 @@ mod tests {
 
     #[test]
     fn papi_trace_attributes_counters_to_sends() {
-        let grid = Grid::single_node(2).unwrap();
-        let trace = TraceConfig::off().with_papi(actorprof_trace::PapiConfig::case_study());
-        let results = histogram_world(grid, 30, trace);
-        for (_, collector) in &results {
+        let papi = || TraceConfig::off().with_papi(actorprof_trace::PapiConfig::case_study());
+        let check_lines = |collector: &PeCollector, lines: usize, sends: u64, thread_ins: u64| {
             let recs = collector.papi_records();
-            assert_eq!(recs.len(), 2, "one line per destination");
-            let total_sends: u64 = recs.iter().map(|r| r.num_sends).sum();
-            assert_eq!(total_sends, 30);
-            for r in recs {
-                // every send charges at least SEND_PUSH instructions
+            assert_eq!(recs.len(), lines, "one line per (destination, mailbox)");
+            assert_eq!(recs.iter().map(|r| r.num_sends).sum::<u64>(), sends);
+            for r in &recs {
+                // every accepted message charges SEND_PUSH inside its run's bracket
                 assert!(r.counters[0] >= r.num_sends * model::SEND_PUSH.ins);
                 assert!(r.counters[1] > 0, "load/store counter");
             }
+            // runs partition a part of what the thread retired: no double count
+            assert!(recs.iter().map(|r| r.counters[0]).sum::<u64>() <= thread_ins);
+        };
+
+        let grid = Grid::single_node(2).unwrap();
+        for (_, collector) in &histogram_world(grid, 30, papi()) {
+            check_lines(collector, 2, 30, u64::MAX);
+        }
+
+        // `send_slice` with slices larger than capacity (several accepted
+        // runs per slice), and a request/response whose replies leave
+        // through the handler outbox on mailbox 1.
+        let results = spmd::run(grid, move |pe| {
+            let config = SelectorConfig {
+                conveyor: ConveyorOptions {
+                    capacity: 4,
+                    ..Default::default()
+                },
+                trace: papi(),
+            };
+            let mut actor = Selector::new(pe, 2, config, |mb, msg: u64, from, ctx| {
+                if mb == 0 {
+                    ctx.send(1, msg, from as usize);
+                }
+            })
+            .unwrap();
+            actor.chain_done(1, 0).unwrap();
+            let before = counters::read(Event::TotIns);
+            actor
+                .execute(pe, |ctx| {
+                    let msgs: Vec<u64> = (0..100).collect();
+                    for dst in 0..ctx.n_pes() {
+                        ctx.send_slice(0, &msgs, dst).unwrap();
+                    }
+                    ctx.done(0).unwrap();
+                })
+                .unwrap();
+            let thread_ins = counters::read(Event::TotIns) - before;
+            (thread_ins, actor.into_collector())
+        })
+        .unwrap();
+        for (thread_ins, collector) in &results {
+            // 100 requests and 100 replies to each of the two PEs
+            check_lines(collector, 4, 400, *thread_ins);
         }
     }
 
@@ -1132,23 +1094,18 @@ mod tests {
         }
     }
 
-    /// Destination-bucketed histogram over `send_slice`; returns
-    /// per-PE delivered totals for a given exchange mode.
-    fn slice_histogram(mode: ExchangeMode, n_msgs: usize) -> Vec<u64> {
+    #[test]
+    fn send_slice_delivers_everything() {
+        // Destination-bucketed histogram over `send_slice`.
+        let n_msgs = 300;
         let grid = Grid::new(2, 2).unwrap();
-        spmd::run(grid, move |pe| {
+        let delivered = spmd::run(grid, move |pe| {
             let sum = Rc::new(RefCell::new(0u64));
             let s = Rc::clone(&sum);
             let mut actor = Selector::new(
                 pe,
                 1,
-                SelectorConfig {
-                    conveyor: ConveyorOptions {
-                        exchange: mode,
-                        ..Default::default()
-                    },
-                    trace: TraceConfig::off(),
-                },
+                SelectorConfig::default(),
                 move |_mb, v: u64, _from, _ctx| {
                     *s.borrow_mut() += v;
                 },
@@ -1170,16 +1127,9 @@ mod tests {
             let v = *sum.borrow();
             v
         })
-        .unwrap()
-    }
-
-    #[test]
-    fn send_slice_delivers_everything_in_both_modes() {
-        let batched = slice_histogram(ExchangeMode::Batched, 300);
-        let per_item = slice_histogram(ExchangeMode::PerItem, 300);
-        let expected: u64 = 4 * (0..300u64).sum::<u64>();
-        assert_eq!(batched.iter().sum::<u64>(), expected);
-        assert_eq!(batched, per_item, "modes must deliver identically");
+        .unwrap();
+        let expected: u64 = 4 * (0..n_msgs as u64).sum::<u64>();
+        assert_eq!(delivered.iter().sum::<u64>(), expected);
     }
 
     #[test]

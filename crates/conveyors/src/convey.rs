@@ -50,7 +50,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::ConveyorError;
-use crate::exchange::{BatchDelivery, Delivery, Envelope, ExchangeMode, PushOutcome, PushReport};
+use crate::exchange::{BatchDelivery, Delivery, Envelope, PushOutcome, PushReport};
 use crate::stats::ConveyorStats;
 use crate::topology::{LinkKind, Topology, TopologySpec};
 
@@ -76,10 +76,6 @@ pub struct ConveyorOptions {
     pub capacity: usize,
     /// Topology selection (default: what Conveyors picks for the grid).
     pub topology: TopologySpec,
-    /// Which exchange surface the actor runtime drives (batched
-    /// `push_slice`/`pull_batch` vs. legacy per-item `push`/`pull`). The
-    /// conveyor itself always supports both; see [`ExchangeMode`].
-    pub exchange: ExchangeMode,
     /// Enable the occupancy feedback controller: the effective slab
     /// occupancy target tracks the telemetry registry's
     /// `BufferedItems`/`PullBacklog` gauges instead of staying pinned at
@@ -92,7 +88,6 @@ impl Default for ConveyorOptions {
         ConveyorOptions {
             capacity: 64,
             topology: TopologySpec::Auto,
-            exchange: ExchangeMode::Batched,
             adaptive: false,
         }
     }

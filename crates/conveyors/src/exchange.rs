@@ -4,9 +4,8 @@
 //! One module owns every type a caller sees when items enter
 //! ([`PushOutcome`], [`PushReport`]) or leave ([`Delivery`],
 //! [`BatchDelivery`]) a [`Conveyor`](crate::Conveyor), plus the wire-level
-//! [`Envelope`] and the [`ExchangeMode`] knob that selects which surface the
-//! actor layer drives. Re-exported from the crate root so downstream code
-//! never has to reach into `convey`.
+//! [`Envelope`]. Re-exported from the crate root so downstream code never
+//! has to reach into `convey`.
 
 /// What travels in a buffer: the item plus enough routing to survive a
 /// relay hop.
@@ -88,23 +87,6 @@ pub struct BatchDelivery<'a, T> {
     pub items: &'a [T],
 }
 
-/// Which exchange surface the actor runtime drives.
-///
-/// The conveyor itself always supports both surfaces; this knob only
-/// selects how the selector moves items (batched `push_slice`/`pull_batch`
-/// vs. the legacy per-item `push`/`pull`). Application-observable behavior
-/// is identical — the equivalence suite proves bit-identical logical
-/// traces across both modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExchangeMode {
-    /// Amortize the SPSC state-word protocol over whole slices and drain
-    /// deliveries as zero-copy per-source batches.
-    #[default]
-    Batched,
-    /// One state-word round trip per item (the pre-batching surface).
-    PerItem,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,10 +102,5 @@ mod tests {
         assert!(PushReport { accepted: 3, retried: 0 }.is_complete(3));
         assert!(!PushReport { accepted: 2, retried: 1 }.is_complete(3));
         assert!(PushReport::default().is_complete(0));
-    }
-
-    #[test]
-    fn exchange_mode_defaults_to_batched() {
-        assert_eq!(ExchangeMode::default(), ExchangeMode::Batched);
     }
 }

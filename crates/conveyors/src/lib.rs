@@ -91,8 +91,6 @@ pub mod topology;
 
 pub use convey::{Conveyor, ConveyorOptions};
 pub use error::ConveyorError;
-pub use exchange::{
-    BatchDelivery, Delivery, Envelope, ExchangeMode, PushOutcome, PushReport,
-};
+pub use exchange::{BatchDelivery, Delivery, Envelope, PushOutcome, PushReport};
 pub use stats::ConveyorStats;
 pub use topology::{LinkKind, Topology, TopologySpec};

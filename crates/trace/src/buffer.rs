@@ -14,7 +14,10 @@
 //! or a drained handler outbox hands the conveyor many same-size messages
 //! for one destination at once, so the buffer holds one [`SendRun`] per
 //! accepted prefix — not one event per message — and adjacent runs with
-//! the same key coalesce.
+//! the same key coalesce. The run is also the unit of PAPI attribution: it
+//! carries the counter deltas measured around its submission, and
+//! coalescing sums them, which is what the collector's per-*(destination,
+//! mailbox)* line does with them anyway.
 //!
 //! Exactness is preserved: every event carries everything `record_send` /
 //! `record_physical` would have been told at event time, including the
@@ -44,9 +47,10 @@ pub struct SendRun {
     pub mailbox_id: u32,
     /// Messages in the run (≥ 1).
     pub count: u64,
-    /// Hardware-counter deltas around the send (configured-event order,
-    /// prefix of the bank), when PAPI tracing measured them. Only a
-    /// per-item `send` measures them, so such a run has `count == 1`.
+    /// Hardware-counter deltas (configured-event order, prefix of the
+    /// bank) measured around the submissions that made up this run, summed
+    /// — the run, not the message, is the unit of PAPI attribution. `None`
+    /// when PAPI tracing is off.
     pub papi: Option<[u64; MAX_EVENTS]>,
 }
 
@@ -130,55 +134,42 @@ impl TraceBuffer {
         self.wants_spans
     }
 
-    /// Capture one logical send — a run of 1 carrying its PAPI deltas, if
-    /// any were measured. A `Vec` push — nothing shared, no borrow.
+    /// Capture `count` consecutive sends to one destination as one event —
+    /// what an accepted `push_slice` prefix is — with the counter deltas
+    /// measured around the submission, if PAPI tracing is on. Extends the
+    /// previous run when it has the same key, summing the banks, so
+    /// resubmitted suffixes of one slice and back-to-back one-item sends
+    /// cost no extra events. A `Vec` push at most — nothing shared, no
+    /// borrow.
     #[inline]
-    pub fn record_send(
+    pub fn record_send_run(
         &mut self,
         dst_pe: usize,
         msg_size: u32,
         mailbox_id: u32,
+        count: u64,
         papi: Option<[u64; MAX_EVENTS]>,
     ) {
-        if !self.wants_sends {
-            return;
-        }
-        if papi.is_none() {
-            return self.record_send_run(dst_pe, msg_size, mailbox_id, 1);
-        }
-        self.sends.push(SendRun {
-            dst_pe: dst_pe as u32,
-            msg_size,
-            mailbox_id,
-            count: 1,
-            papi,
-        });
-    }
-
-    /// Capture `count` consecutive sends to one destination as one event —
-    /// what an accepted `push_slice` prefix is. Extends the previous run
-    /// when it has the same key, so resubmitted suffixes of one slice and
-    /// back-to-back per-item sends cost no extra events.
-    #[inline]
-    pub fn record_send_run(&mut self, dst_pe: usize, msg_size: u32, mailbox_id: u32, count: u64) {
         if !self.wants_sends || count == 0 {
             return;
         }
         let dst_pe = dst_pe as u32;
         match self.sends.last_mut() {
-            Some(last)
-                if last.papi.is_none()
-                    && (last.dst_pe, last.msg_size, last.mailbox_id)
-                        == (dst_pe, msg_size, mailbox_id) =>
-            {
+            Some(last) if (last.dst_pe, last.msg_size, last.mailbox_id) == (dst_pe, msg_size, mailbox_id) => {
                 last.count += count;
+                if let Some(deltas) = papi {
+                    let bank = last.papi.get_or_insert([0; MAX_EVENTS]);
+                    for (acc, d) in bank.iter_mut().zip(deltas) {
+                        *acc += d;
+                    }
+                }
             }
             _ => self.sends.push(SendRun {
                 dst_pe,
                 msg_size,
                 mailbox_id,
                 count,
-                papi: None,
+                papi,
             }),
         }
     }
@@ -275,7 +266,7 @@ mod tests {
     fn disabled_dimensions_record_nothing() {
         let mut b = TraceBuffer::for_config(&TraceConfig::off());
         assert!(!b.wants_sends() && !b.wants_physical());
-        b.record_send(0, 8, 0, None);
+        b.record_send_run(0, 8, 0, 1, None);
         b.record_physical(SendType::LocalSend, 64, 1);
         assert!(b.is_empty());
     }
@@ -283,8 +274,8 @@ mod tests {
     #[test]
     fn enabled_dimensions_capture_in_order() {
         let mut b = TraceBuffer::for_config(&TraceConfig::off().with_logical().with_physical());
-        b.record_send(2, 8, 0, None);
-        b.record_send(3, 16, 1, None);
+        b.record_send_run(2, 8, 0, 1, None);
+        b.record_send_run(3, 16, 1, 1, None);
         b.record_physical(SendType::NonblockSend, 128, 3);
         assert_eq!(b.pending_sends().len(), 2);
         assert_eq!(b.pending_sends()[0].dst_pe, 2);
@@ -295,18 +286,21 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_runs_with_one_key_coalesce_and_measured_sends_do_not() {
+    fn adjacent_runs_with_one_key_coalesce_and_sum_their_banks() {
         let mut b = TraceBuffer::for_config(&TraceConfig::off().with_logical());
-        b.record_send_run(1, 8, 0, 5);
-        b.record_send_run(1, 8, 0, 0); // a refused submission records nothing
-        b.record_send_run(1, 8, 0, 7);
-        b.record_send(1, 8, 0, None);
-        b.record_send_run(1, 8, 1, 2); // other mailbox: a new run
-        b.record_send(1, 8, 1, Some([3; MAX_EVENTS]));
-        b.record_send(1, 8, 1, None); // never folded into a measured run
-        let counts: Vec<u64> = b.pending_sends().iter().map(|r| r.count).collect();
-        assert_eq!(counts, [13, 2, 1, 1]);
-        assert!(b.pending_sends()[2].papi.is_some());
+        b.record_send_run(1, 8, 0, 5, None);
+        b.record_send_run(1, 8, 0, 0, None); // a refused submission records nothing
+        b.record_send_run(1, 8, 0, 7, None);
+        b.record_send_run(1, 8, 0, 1, None);
+        b.record_send_run(1, 8, 1, 2, Some([3; MAX_EVENTS])); // other mailbox: a new run
+        b.record_send_run(1, 8, 1, 0, Some([9; MAX_EVENTS])); // refused: its deltas are dropped
+        b.record_send_run(1, 8, 1, 4, Some([4; MAX_EVENTS]));
+        b.record_send_run(1, 16, 1, 1, Some([1; MAX_EVENTS])); // other size: a new run
+        let runs: Vec<_> = b.pending_sends().iter().map(|r| (r.count, r.papi)).collect();
+        assert_eq!(
+            runs,
+            [(13, None), (6, Some([7; MAX_EVENTS])), (1, Some([1; MAX_EVENTS]))]
+        );
     }
 
     #[test]

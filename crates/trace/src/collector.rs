@@ -605,13 +605,13 @@ mod tests {
         bank[1] = 40;
         for dst in [0usize, 3, 3, 2] {
             eager.record_send(dst, 16, 1, Some(&bank[..2]));
-            buf.record_send(dst, 16, 1, Some(bank));
+            buf.record_send_run(dst, 16, 1, 1, Some(bank));
         }
         // a run replays as its messages would have, one by one
         for _ in 0..5 {
             eager.record_send(2, 16, 1, None);
         }
-        buf.record_send_run(2, 16, 1, 5);
+        buf.record_send_run(2, 16, 1, 5, None);
         eager.record_physical(SendType::LocalSend, 64, 0);
         eager.record_physical(SendType::NonblockSend, 128, 2);
         buf.record_physical(SendType::LocalSend, 64, 0);
@@ -628,7 +628,7 @@ mod tests {
             batched.physical_timestamps().len()
         );
         // a second batch keeps accumulating
-        buf.record_send(1, 8, 0, Some(bank));
+        buf.record_send_run(1, 8, 0, 1, Some(bank));
         batched.drain(&mut buf);
         assert_eq!(batched.logical_matrix()[1].sends, 1);
     }

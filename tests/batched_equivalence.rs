@@ -1,73 +1,21 @@
-//! Batched-vs-per-item equivalence: the exchange surface is a pure
-//! runtime-efficiency knob.
+//! The adaptive occupancy controller is invisible to the application.
 //!
 //! Every registry app runs its workload through `send_slice`-bucketed
-//! submission; the selector drives the conveyors either with the batched
-//! surface (`push_slice`/`pull_batch`, the default) or the per-item
-//! protocol (`push`/`pull`), selected by [`ExchangeMode`]. Because the
-//! conveyor orders items per (source, destination) link identically under
-//! both surfaces, the logical trace matrix and the application result
-//! digest must be bit-identical across modes — under the OS schedule and
-//! under seeded deterministic schedules alike. A divergence means one
-//! surface dropped, duplicated, or reordered items relative to the other.
+//! submission over the selector's one exchange path (`push_slice` in,
+//! `pull_batch` out). The conveyor orders items per (source, destination)
+//! link whatever the slab occupancy target is, so the logical trace matrix
+//! and the application result digest must be bit-identical with the
+//! controller on and off. A divergence means a flush boundary dropped,
+//! duplicated, or reordered items.
 
 use actorprof_suite::fabsp_apps::registry;
-use actorprof_suite::fabsp_conveyors::{ConveyorOptions, ExchangeMode};
 use actorprof_suite::fabsp_shmem::{Grid, SchedSpec};
-use actorprof_suite::fabsp_testkit::matrix::{MatrixParams, MatrixRun};
+use actorprof_suite::fabsp_testkit::matrix::{AppSpec, MatrixParams, MatrixRun};
 
-fn params_with(mode: ExchangeMode) -> MatrixParams {
-    let mut p = MatrixParams::new(Grid::new(2, 2).unwrap());
-    p.conveyor = ConveyorOptions {
-        exchange: mode,
-        ..ConveyorOptions::default()
-    };
-    p
-}
-
-fn run_mode(app: &actorprof_suite::fabsp_testkit::matrix::AppSpec, p: &MatrixParams, ctx: &str) -> MatrixRun {
+fn run_golden(app: &AppSpec, p: &MatrixParams, ctx: &str) -> MatrixRun {
     let run = app.run(p).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     run.assert_golden(&ctx);
     run
-}
-
-#[test]
-fn batched_and_per_item_agree_under_the_os_schedule() {
-    for app in registry() {
-        let batched = run_mode(
-            &app,
-            &params_with(ExchangeMode::Batched),
-            &format!("{} batched", app.name),
-        );
-        let per_item = run_mode(
-            &app,
-            &params_with(ExchangeMode::PerItem),
-            &format!("{} per-item", app.name),
-        );
-        batched.assert_matches(&per_item, &format!("{} batched vs per-item", app.name));
-    }
-}
-
-#[test]
-fn batched_and_per_item_agree_under_seeded_schedules() {
-    for (app_idx, app) in registry().into_iter().enumerate() {
-        for seed in [0xBA7C_0000 + app_idx as u64, 0xBA7C_1000 + app_idx as u64] {
-            let batched = run_mode(
-                &app,
-                &params_with(ExchangeMode::Batched).with_sched(SchedSpec::random_walk(seed)),
-                &format!("{} batched seed {seed}", app.name),
-            );
-            let per_item = run_mode(
-                &app,
-                &params_with(ExchangeMode::PerItem).with_sched(SchedSpec::random_walk(seed)),
-                &format!("{} per-item seed {seed}", app.name),
-            );
-            batched.assert_matches(
-                &per_item,
-                &format!("{} batched vs per-item seed {seed}", app.name),
-            );
-        }
-    }
 }
 
 #[test]
@@ -76,12 +24,12 @@ fn adaptive_capacity_reproduces_the_fixed_capacity_result() {
     // flush boundaries, never ordering — so results and logical matrices
     // must match a fixed-capacity run of the same seeded schedule.
     for app in registry() {
-        let mut fixed = params_with(ExchangeMode::Batched);
-        fixed = fixed.with_sched(SchedSpec::random_walk(0xADA7));
+        let fixed = MatrixParams::new(Grid::new(2, 2).unwrap())
+            .with_sched(SchedSpec::random_walk(0xADA7));
         let mut adaptive = fixed.clone();
         adaptive.conveyor.adaptive = true;
-        let a = run_mode(&app, &fixed, &format!("{} fixed-capacity", app.name));
-        let b = run_mode(&app, &adaptive, &format!("{} adaptive-capacity", app.name));
+        let a = run_golden(&app, &fixed, &format!("{} fixed-capacity", app.name));
+        let b = run_golden(&app, &adaptive, &format!("{} adaptive-capacity", app.name));
         a.assert_matches(&b, &format!("{} fixed vs adaptive", app.name));
     }
 }

@@ -14,8 +14,9 @@ use actorprof_suite::fabsp_apps::triangle::{count_triangles, DistKind, TriangleC
 use actorprof_suite::fabsp_graph::edgelist::to_lower_triangular;
 use actorprof_suite::fabsp_graph::rmat::{generate_edges, RmatParams};
 use actorprof_suite::fabsp_graph::Csr;
+use actorprof_suite::fabsp_hwpc::cost::model;
 use actorprof_suite::fabsp_hwpc::Event;
-use actorprof_suite::fabsp_shmem::Grid;
+use actorprof_suite::fabsp_shmem::{Grid, SchedSpec};
 
 use std::sync::OnceLock;
 
@@ -220,6 +221,59 @@ fn cyclic_instruction_counts_peak_on_pe0() {
         assert!(
             range.imbalance.max_over_mean < series.imbalance.max_over_mean,
             "range must reduce the instruction imbalance"
+        );
+    }
+}
+
+/// Figs 10–11 are a property of the program, not of what else is traced
+/// or of the interleaving: the region profile of the case study is the
+/// same with and without the PAPI message trace, under the OS schedule and
+/// seeded ones — PROC (handler bodies only) exactly, MAIN at least the
+/// modelled cost of every message the PE sent — and the traces both
+/// configurations record agree.
+#[test]
+fn region_counters_do_not_depend_on_trace_config_or_schedule() {
+    let without_papi = TraceConfig {
+        papi: None,
+        ..TraceConfig::all()
+    };
+    let traced = |trace: &TraceConfig, sched: SchedSpec| {
+        let mut config = TriangleConfig::new(one_node()).with_trace(trace.clone());
+        config.sched = sched;
+        count_triangles(graph(), &config).expect("case-study run").bundle
+    };
+    let reference = run(one_node(), DistKind::Cyclic); // `all`, OS schedule
+    let matrix = reference.logical_matrix().unwrap();
+    let proc = reference.papi_proc_totals(Event::TotIns).unwrap();
+    // a PAPI line without its counters: key, num_sends, pkt_size
+    let lines = |b: &TraceBundle, pe: usize| -> Vec<(u32, u32, u64, u64)> {
+        let recs = b.papi_records(pe);
+        recs.iter().map(|r| (r.dst_pe, r.mailbox_id, r.num_sends, r.pkt_size)).collect()
+    };
+    let check = |bundle: &TraceBundle, ctx: &str| {
+        assert_eq!(bundle.papi_proc_totals(Event::TotIns).unwrap(), proc, "{ctx}: PROC");
+        assert_eq!(bundle.logical_matrix().unwrap(), matrix, "{ctx}: logical matrix");
+        let main = bundle.papi_main_totals(Event::TotIns).unwrap();
+        for (pe, sent) in matrix.row_totals().into_iter().enumerate() {
+            assert!(
+                main[pe] >= sent * model::SEND_PUSH.ins,
+                "{ctx}: PE{pe} MAIN {} < {sent} sends x SEND_PUSH",
+                main[pe]
+            );
+        }
+    };
+
+    check(reference, "all, OS schedule");
+    check(&traced(&without_papi, SchedSpec::Os), "no papi, OS schedule");
+    for seed in [0x9A91_0001, 0x9A91_0002] {
+        let all = traced(&TraceConfig::all(), SchedSpec::random_walk(seed));
+        check(&all, &format!("all, seed {seed:#x}"));
+        for pe in 0..one_node().n_pes() {
+            assert_eq!(lines(&all, pe), lines(reference, pe), "seed {seed:#x}: PE{pe} PAPI lines");
+        }
+        check(
+            &traced(&without_papi, SchedSpec::random_walk(seed)),
+            &format!("no papi, seed {seed:#x}"),
         );
     }
 }

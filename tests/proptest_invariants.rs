@@ -56,13 +56,14 @@ fn send_run_config(sample: u32, mode: u32, papi: bool, dir: &std::path::Path) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Run-length send events are invisible: whatever mix of per-item
-    /// `send`s (one event each, with PAPI deltas when measured),
-    /// `send_slice`s (one run per accepted prefix) and drained handler
-    /// runs the selector emits, drained to the collector at arbitrary
-    /// points, the collector ends up — matrix, exact records, PAPI lines,
-    /// footprint, streamed bytes — where one `record_send` per message
-    /// would have put it, under every sampling stride and record sink.
+    /// Run-length send events are invisible: whatever mix of one-item
+    /// `send`s, `send_slice`s (one run per accepted prefix) and drained
+    /// handler runs the selector emits — each run carrying the PAPI deltas
+    /// of its submission when measured, adjacent equal-key runs coalescing
+    /// to the bank sum — drained to the collector at arbitrary points, the
+    /// collector ends up — matrix, exact records, PAPI lines, footprint,
+    /// streamed bytes — where one `record_send` per message would have put
+    /// it, under every sampling stride and record sink.
     #[test]
     fn send_runs_equal_per_message_recording(
         ops in proptest::collection::vec((0u32..3, 0usize..4, 0u32..2, 1u64..70, 0u64..70, 0u32..3), 1..40),
@@ -82,27 +83,31 @@ proptest! {
         let mut runs = PeCollector::new(1, 4, 2, config);
         let mut reference = PeCollector::new(1, 4, 2, send_run_config(sample, mode, papi, &dirs[1]));
 
-        let mut sent = 0u64;
+        // the deltas of the `n`-th submission, when PAPI is measured
+        let mut submissions = 0u64;
+        let mut next_bank = || {
+            submissions += 1;
+            papi.then(|| {
+                let mut bank = [0u64; MAX_EVENTS];
+                bank[..N_EVENTS].copy_from_slice(&[submissions, 7 * submissions]);
+                bank
+            })
+        };
         for &(kind, dst, mailbox, count, split, drain) in &ops {
-            if kind == 0 {
-                // `send`: one event per message, each with its own deltas
-                for _ in 0..count {
-                    sent += 1;
-                    let bank = papi.then(|| {
-                        let mut bank = [0u64; MAX_EVENTS];
-                        bank[..N_EVENTS].copy_from_slice(&[sent, 7 * sent]);
-                        bank
-                    });
-                    buf.record_send(dst, 8, mailbox, bank);
-                    reference.record_send(dst, 8, mailbox, bank.as_ref().map(|b| &b[..N_EVENTS]));
-                }
-            } else {
-                // `send_slice` accepted in two prefixes / one drained handler run
-                let first = if kind == 1 { split.min(count) } else { count };
-                buf.record_send_run(dst, 8, mailbox, first);
-                buf.record_send_run(dst, 8, mailbox, count - first);
-                for _ in 0..count {
-                    reference.record_send(dst, 8, mailbox, None);
+            // `send`: `count` one-item runs; `send_slice` accepted in two
+            // prefixes (an empty one is a refusal: its deltas are dropped);
+            // one drained handler run
+            let parts = match kind {
+                0 => vec![1; count as usize],
+                1 => vec![split.min(count), count - split.min(count)],
+                _ => vec![count],
+            };
+            for part in parts {
+                let bank = next_bank();
+                buf.record_send_run(dst, 8, mailbox, part, bank);
+                for i in 0..part {
+                    let deltas = bank.as_ref().filter(|_| i == 0).map(|b| &b[..N_EVENTS]);
+                    reference.record_send(dst, 8, mailbox, deltas);
                 }
             }
             if drain == 0 {
