@@ -36,8 +36,6 @@ pub struct RunConfig {
     pub recovery: RecoverySpec,
     /// Capture a symmetric-state checkpoint every `n` supersteps.
     pub checkpoint_every: Option<u64>,
-    /// Continuous-profiling overhead budget, percent (`None` = off).
-    pub continuous: Option<f64>,
 }
 
 impl RunConfig {
@@ -53,7 +51,6 @@ impl RunConfig {
             faults: FaultSpec::NONE,
             recovery: RecoverySpec::Abort,
             checkpoint_every: None,
-            continuous: None,
         }
     }
 
@@ -99,12 +96,6 @@ impl RunConfig {
         self
     }
 
-    /// Run under continuous profiling with a `pct`-percent overhead budget.
-    pub fn with_continuous(mut self, pct: f64) -> RunConfig {
-        self.continuous = Some(pct);
-        self
-    }
-
     /// The SPMD harness this configuration describes.
     pub fn harness(&self) -> Harness {
         let mut h = Harness::new(self.grid)
@@ -128,9 +119,6 @@ impl RunConfig {
             .recovery(self.recovery);
         if let Some(n) = self.checkpoint_every {
             p = p.checkpoint_every(n);
-        }
-        if let Some(pct) = self.continuous {
-            p = p.continuous(actorprof::OverheadBudget::pct(pct));
         }
         p
     }

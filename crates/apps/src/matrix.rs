@@ -57,7 +57,6 @@ pub fn apply_params(run: &mut RunConfig, p: &MatrixParams) {
     run.faults = p.faults;
     run.recovery = p.recovery;
     run.checkpoint_every = p.checkpoint_every;
-    run.continuous = p.continuous;
 }
 
 /// Flatten the bundle's logical matrix row-major, when requested.

@@ -1,5 +1,5 @@
-//! Reusable figure builders — each `fig*` binary is a thin wrapper around
-//! one of these, so the paper's 1-node/2-node figure pairs share code.
+//! Reusable figure builders — the `figures` binary dispatches an id to one
+//! of these, so the paper's 1-node/2-node figure pairs share code.
 
 use actorprof::overall::OverallSummary;
 use actorprof::papi::PapiSeries;

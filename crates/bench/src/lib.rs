@@ -1,10 +1,11 @@
 //! # fabsp-bench — the ActorProf evaluation, regenerated
 //!
-//! One binary per table/figure of §IV (see `src/bin/fig*.rs`) plus
-//! Criterion microbenchmarks (see `benches/`). The shared harness here
-//! builds the case-study workload — triangle counting over a graph500
-//! R-MAT matrix under 1D Cyclic / 1D Range on the paper's 1×16 and 2×16
-//! PE grids — and renders/prints each figure's series.
+//! `figures <fig03…fig13|all>` regenerates the figures of §IV; the other
+//! bins are the scaling / topology / trace-size sweeps and the functional
+//! smokes CI runs. The shared harness here builds the case-study workload
+//! — triangle counting over a graph500 R-MAT matrix under 1D Cyclic / 1D
+//! Range on the paper's 1×16 and 2×16 PE grids — and renders/prints each
+//! figure's series. Wall-clock measurement lives in `benchmark/`, not here.
 //!
 //! ## Scaling knobs (environment)
 //!
@@ -20,11 +21,9 @@
 // Zero unsafe today; keep it that way by construction.
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod cockpit_fixture;
 pub mod experiment;
 pub mod figures;
-pub mod overhead;
 
 pub use experiment::{
     build_case_study_graph, env_pes_per_node, env_scale, figure_dir, grid_1node, grid_2node,

@@ -339,7 +339,8 @@ impl Profiler {
     }
 
     /// Disable the always-on telemetry registry. Only meant for measuring
-    /// its own overhead (the `bench_hotpath` A/B comparison).
+    /// its own overhead (the benchmark ladder's `telemetry.on_ns_per_msg`
+    /// rung).
     pub fn telemetry_off(mut self) -> Profiler {
         self.telemetry_enabled = false;
         self

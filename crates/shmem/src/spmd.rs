@@ -152,8 +152,8 @@ impl Harness {
     }
 
     /// Disable telemetry for this run. Only meant for measuring the
-    /// registry's own overhead (the `bench_hotpath` A/B comparison);
-    /// production runs leave it on.
+    /// registry's own overhead (the benchmark ladder's
+    /// `telemetry.on_ns_per_msg` rung); production runs leave it on.
     pub fn telemetry_off(mut self) -> Harness {
         self.telemetry = TelemetrySpec::Off;
         self

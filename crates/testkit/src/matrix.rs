@@ -68,9 +68,6 @@ pub struct MatrixParams {
     pub recovery: RecoverySpec,
     /// Checkpoint cadence in supersteps.
     pub checkpoint_every: Option<u64>,
-    /// Continuous-profiling overhead budget, percent (`None` = off). The
-    /// apps map it to `Profiler::continuous(OverheadBudget::pct(..))`.
-    pub continuous: Option<f64>,
 }
 
 impl MatrixParams {
@@ -86,14 +83,7 @@ impl MatrixParams {
             faults: FaultSpec::NONE,
             recovery: RecoverySpec::Abort,
             checkpoint_every: None,
-            continuous: None,
         }
-    }
-
-    /// Run under continuous profiling with a `pct`-percent overhead budget.
-    pub fn with_continuous(mut self, pct: f64) -> MatrixParams {
-        self.continuous = Some(pct);
-        self
     }
 
     /// Select the thread schedule.

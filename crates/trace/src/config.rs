@@ -9,7 +9,7 @@
 //!
 //! In the C++ original these are compile-time so the untraced build carries
 //! zero overhead; here they are runtime flags whose disabled paths are a
-//! branch on a bool (measured by the `overhead_tracing` bench).
+//! branch on a bool (measured by the benchmark's `msgs_per_s_off` column).
 
 use fabsp_hwpc::{Event, MAX_EVENTS};
 use fabsp_telemetry::SamplingKnob;

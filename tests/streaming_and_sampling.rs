@@ -70,18 +70,13 @@ fn sampled_records_are_a_constant_fraction() {
 fn comparison_reproduces_figure5_statements() {
     let l = graph(8);
     let grid = Grid::single_node(8).unwrap();
-    let run = |dist| {
-        count_triangles(
-            &l,
-            &TriangleConfig::new(grid)
-                .with_dist(dist)
-                .with_trace(TraceConfig::all()),
-        )
-        .unwrap()
-        .bundle
+    let run = |dist, trace| {
+        count_triangles(&l, &TriangleConfig::new(grid).with_dist(dist).with_trace(trace))
+            .unwrap()
+            .bundle
     };
-    let cyclic = run(DistKind::Cyclic);
-    let range = run(DistKind::RangeByNnz);
+    let cyclic = run(DistKind::Cyclic, TraceConfig::all());
+    let range = run(DistKind::RangeByNnz, TraceConfig::all());
     let c = Comparison::between("1D Cyclic", &cyclic, "1D Range", &range).unwrap();
 
     let sends = c.logical_sends.expect("logical traces collected");
@@ -99,4 +94,9 @@ fn comparison_reproduces_figure5_statements() {
     let text = c.render();
     assert!(text.contains("1D Cyclic vs 1D Range"));
     assert!(text.contains("logical sends"));
+
+    // §IV-E trace bloat: exact per-send records strictly grow the in-memory
+    // footprint over the aggregated `all` configuration.
+    let exact = run(DistKind::Cyclic, TraceConfig::all().with_logical_records());
+    assert!(exact.trace_bytes() > cyclic.trace_bytes());
 }
