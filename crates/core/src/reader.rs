@@ -4,200 +4,101 @@
 
 use std::path::Path;
 
-use actorprof_trace::{LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, SendType};
+use actorprof_trace::codec;
+use actorprof_trace::{LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord};
 
 use crate::error::ProfError;
 use crate::stats::Matrix;
 
-fn parse_err(file: &Path, line: usize, message: impl Into<String>) -> ProfError {
-    ProfError::Parse {
-        file: file.display().to_string(),
-        line,
-        message: message.into(),
-    }
+fn parse_err(file: &Path, line: usize, message: String) -> ProfError {
+    ProfError::Parse { file: file.display().to_string(), line, message }
 }
 
-fn parse_field<T: std::str::FromStr>(
-    file: &Path,
-    line_no: usize,
-    field: Option<&str>,
-    what: &str,
-) -> Result<T, ProfError> {
-    field
-        .ok_or_else(|| parse_err(file, line_no, format!("missing {what}")))?
-        .trim()
-        .parse::<T>()
-        .map_err(|_| parse_err(file, line_no, format!("bad {what}")))
+/// `codec::for_each_line` over `bytes`, which start at line `first` of `path`.
+fn scan<T>(
+    path: &Path,
+    bytes: &[u8],
+    first: usize,
+    decode: impl Fn(&[u8]) -> Result<T, String>,
+    sink: impl FnMut(&T) -> Result<(), String>,
+) -> Result<(), ProfError> {
+    codec::for_each_line(bytes, first, decode, sink)
+        .map_err(|(line, message)| parse_err(path, line, message))
+}
+
+/// The file at `path` as one record per non-blank line.
+fn read_records<T: Clone>(
+    path: &Path,
+    decode: impl Fn(&[u8]) -> Result<T, String>,
+) -> Result<Vec<T>, ProfError> {
+    let mut out = Vec::new();
+    scan(path, &std::fs::read(path)?, 1, decode, |record| {
+        out.push(record.clone());
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Read one `PE<i>_send.csv` (exact per-send records).
 pub fn read_logical_exact(path: &Path) -> Result<Vec<LogicalRecord>, ProfError> {
-    let content = std::fs::read_to_string(path)?;
-    let mut out = Vec::new();
-    for (i, line) in content.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut f = line.split(',');
-        out.push(LogicalRecord {
-            src_node: parse_field(path, i + 1, f.next(), "src_node")?,
-            src_pe: parse_field(path, i + 1, f.next(), "src_pe")?,
-            dst_node: parse_field(path, i + 1, f.next(), "dst_node")?,
-            dst_pe: parse_field(path, i + 1, f.next(), "dst_pe")?,
-            msg_size: parse_field(path, i + 1, f.next(), "msg_size")?,
-        });
-    }
-    Ok(out)
+    read_records(path, codec::decode_logical)
 }
 
 /// Read every `PE<i>_send_agg.csv` in `dir` into a send-count matrix over
 /// `n_pes` PEs (the heatmap input, mirroring `logical.py dir num_PEs`).
 pub fn read_logical_matrix(dir: &Path, n_pes: usize) -> Result<Matrix, ProfError> {
     let mut m = Matrix::zeros(n_pes);
+    // of the whole matrix: bounds every cell, row, column and grand total
+    let mut total = 0u64;
     for pe in 0..n_pes {
         let path = dir.join(format!("PE{pe}_send_agg.csv"));
-        if !path.exists() {
-            continue; // a PE that sent nothing may have an empty file
-        }
-        let content = std::fs::read_to_string(&path)?;
-        for (i, line) in content.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            // a PE that sent nothing may have no file
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e.into()),
+        };
+        scan(&path, &bytes, 1, codec::decode_agg, |&(src_pe, dst_pe, sends)| {
+            if src_pe.max(dst_pe) >= n_pes as u64 {
+                return Err("PE out of range".into());
             }
-            let mut f = line.split(',');
-            let _src_node: u32 = parse_field(&path, i + 1, f.next(), "src_node")?;
-            let src_pe: usize = parse_field(&path, i + 1, f.next(), "src_pe")?;
-            let _dst_node: u32 = parse_field(&path, i + 1, f.next(), "dst_node")?;
-            let dst_pe: usize = parse_field(&path, i + 1, f.next(), "dst_pe")?;
-            let sends: u64 = parse_field(&path, i + 1, f.next(), "num_sends")?;
-            if src_pe >= n_pes || dst_pe >= n_pes {
-                return Err(parse_err(&path, i + 1, "PE out of range"));
-            }
-            m.add(src_pe, dst_pe, sends);
-        }
+            total = total.checked_add(sends).ok_or("num_sends overflow")?;
+            m.add(src_pe as usize, dst_pe as usize, sends);
+            Ok(())
+        })?;
     }
     Ok(m)
 }
 
 /// Read one `PE<i>_PAPI.csv`: returns the counter column names and records.
 pub fn read_papi(path: &Path) -> Result<(Vec<String>, Vec<PapiRecord>), ProfError> {
-    let content = std::fs::read_to_string(path)?;
-    let mut lines = content.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
+    let bytes = std::fs::read(path)?;
+    let (header, rows) = codec::split_line(&bytes);
+    if header.is_empty() {
         return Ok((Vec::new(), Vec::new()));
-    };
-    let cols: Vec<&str> = header.split(',').collect();
-    if cols.len() < 8 || cols[6] != "NUM_SENDS" {
-        return Err(parse_err(path, 1, "unrecognized PAPI header"));
     }
-    let event_names: Vec<String> = cols[7..].iter().map(|s| s.to_string()).collect();
-    let mut out = Vec::new();
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
+    let names = codec::decode_papi_header(header).map_err(|m| parse_err(path, 1, m))?;
+    let mut records = Vec::new();
+    scan(path, rows, 2, codec::decode_papi, |record| {
+        if record.counters.len() != names.len() {
+            return Err("counter count != header".into());
         }
-        let mut f = line.split(',');
-        let src_node = parse_field(path, i + 1, f.next(), "src_node")?;
-        let src_pe = parse_field(path, i + 1, f.next(), "src_pe")?;
-        let dst_node = parse_field(path, i + 1, f.next(), "dst_node")?;
-        let dst_pe = parse_field(path, i + 1, f.next(), "dst_pe")?;
-        let pkt_size = parse_field(path, i + 1, f.next(), "pkt_size")?;
-        let mailbox_id = parse_field(path, i + 1, f.next(), "MAILBOXID")?;
-        let num_sends = parse_field(path, i + 1, f.next(), "NUM_SENDS")?;
-        let counters: Vec<u64> = f
-            .map(|s| {
-                s.trim()
-                    .parse::<u64>()
-                    .map_err(|_| parse_err(path, i + 1, "bad counter value"))
-            })
-            .collect::<Result<_, _>>()?;
-        if counters.len() != event_names.len() {
-            return Err(parse_err(path, i + 1, "counter count != header"));
-        }
-        out.push(PapiRecord {
-            src_node,
-            src_pe,
-            dst_node,
-            dst_pe,
-            pkt_size,
-            mailbox_id,
-            num_sends,
-            counters,
-        });
-    }
-    Ok((event_names, out))
+        records.push(record.clone());
+        Ok(())
+    })?;
+    Ok((names, records))
 }
 
 /// Read `physical.txt`.
 pub fn read_physical(path: &Path) -> Result<Vec<PhysicalRecord>, ProfError> {
-    let content = std::fs::read_to_string(path)?;
-    let mut out = Vec::new();
-    for (i, line) in content.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut f = line.split(',');
-        let type_label = f
-            .next()
-            .ok_or_else(|| parse_err(path, i + 1, "missing send type"))?;
-        let send_type = SendType::from_label(type_label.trim())
-            .ok_or_else(|| parse_err(path, i + 1, format!("unknown send type {type_label}")))?;
-        out.push(PhysicalRecord {
-            send_type,
-            buffer_size: parse_field(path, i + 1, f.next(), "buffer_size")?,
-            src_pe: parse_field(path, i + 1, f.next(), "src_pe")?,
-            dst_pe: parse_field(path, i + 1, f.next(), "dst_pe")?,
-        });
-    }
-    Ok(out)
+    read_records(path, codec::decode_physical)
 }
 
 /// Read `overall.txt` (the `Absolute` lines; `Relative` lines are
 /// redundant and used only for cross-checking).
 pub fn read_overall(path: &Path) -> Result<Vec<OverallRecord>, ProfError> {
-    let content = std::fs::read_to_string(path)?;
-    let mut out = Vec::new();
-    for (i, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if !line.starts_with("Absolute") {
-            continue;
-        }
-        // Absolute [PE3] TCOMM_PROFILING (main, comm, proc)
-        let pe_start = line
-            .find("[PE")
-            .ok_or_else(|| parse_err(path, i + 1, "missing [PE"))?;
-        let pe_end = line[pe_start..]
-            .find(']')
-            .ok_or_else(|| parse_err(path, i + 1, "missing ]"))?
-            + pe_start;
-        let pe: u32 = line[pe_start + 3..pe_end]
-            .parse()
-            .map_err(|_| parse_err(path, i + 1, "bad PE"))?;
-        let open = line
-            .find('(')
-            .ok_or_else(|| parse_err(path, i + 1, "missing ("))?;
-        let close = line
-            .rfind(')')
-            .ok_or_else(|| parse_err(path, i + 1, "missing )"))?;
-        let nums: Vec<u64> = line[open + 1..close]
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<u64>()
-                    .map_err(|_| parse_err(path, i + 1, "bad cycle count"))
-            })
-            .collect::<Result<_, _>>()?;
-        if nums.len() != 3 {
-            return Err(parse_err(path, i + 1, "expected three cycle counts"));
-        }
-        let (t_main, t_comm, t_proc) = (nums[0], nums[1], nums[2]);
-        out.push(OverallRecord {
-            pe,
-            t_main,
-            t_proc,
-            t_total: t_main + t_comm + t_proc,
-        });
-    }
+    let lines = read_records(path, codec::decode_overall)?;
+    let mut out: Vec<OverallRecord> = lines.into_iter().flatten().collect();
     out.sort_by_key(|r| r.pe);
     Ok(out)
 }
@@ -207,7 +108,7 @@ mod tests {
     use super::*;
     use crate::bundle::TraceBundle;
     use crate::writer;
-    use actorprof_trace::{PapiConfig, PeCollector, TraceConfig};
+    use actorprof_trace::{PapiConfig, PeCollector, SendType, TraceConfig};
 
     fn roundtrip_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("actorprof-r-{tag}-{}", std::process::id()));

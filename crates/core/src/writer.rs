@@ -12,8 +12,24 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
+use actorprof_trace::codec;
+
 use crate::bundle::TraceBundle;
 use crate::error::ProfError;
+
+/// Create `dir` and `dir/name`, let `fill` write the file through one large
+/// buffer, and flush it.
+fn write_file(
+    dir: &Path,
+    name: String,
+    fill: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<String, ProfError> {
+    std::fs::create_dir_all(dir)?;
+    let mut w = BufWriter::with_capacity(1 << 20, File::create(dir.join(&name))?);
+    fill(&mut w)?;
+    w.flush()?;
+    Ok(name)
+}
 
 /// Write every collected trace into `dir` (created if missing). Returns
 /// the list of files written.
@@ -46,25 +62,15 @@ pub fn write_all(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfEr
 
 /// Write `PE<i>_send.csv` (exact per-send records) for every PE.
 pub fn write_logical_exact(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfError> {
-    std::fs::create_dir_all(dir)?;
-    let mut files = Vec::new();
-    for c in bundle.collectors() {
+    let per_pe = bundle.collectors().iter().map(|c| {
         if !c.config().logical_records {
             return Err(ProfError::NotCollected("per-send logical records"));
         }
-        let name = format!("PE{}_send.csv", c.pe());
-        let mut w = BufWriter::new(File::create(dir.join(&name))?);
-        for r in c.logical_records() {
-            writeln!(
-                w,
-                "{},{},{},{},{}",
-                r.src_node, r.src_pe, r.dst_node, r.dst_pe, r.msg_size
-            )?;
-        }
-        w.flush()?;
-        files.push(name);
-    }
-    Ok(files)
+        write_file(dir, format!("PE{}_send.csv", c.pe()), |w| {
+            codec::encode_lines(w, c.logical_records(), codec::encode_logical)
+        })
+    });
+    per_pe.collect()
 }
 
 /// Write `PE<i>_send_agg.csv` (per-destination aggregates) for every PE.
@@ -72,69 +78,31 @@ pub fn write_logical_agg(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>
     if !bundle.has_logical() {
         return Err(ProfError::NotCollected("logical trace"));
     }
-    std::fs::create_dir_all(dir)?;
     let ppn = bundle.pes_per_node();
-    let mut files = Vec::new();
-    for c in bundle.collectors() {
-        let name = format!("PE{}_send_agg.csv", c.pe());
-        let mut w = BufWriter::new(File::create(dir.join(&name))?);
-        for (dst, cell) in c.logical_matrix().iter().enumerate() {
-            if cell.sends == 0 {
-                continue;
-            }
-            writeln!(
-                w,
-                "{},{},{},{},{},{}",
-                c.node(),
-                c.pe(),
-                dst / ppn,
-                dst,
-                cell.sends,
-                cell.bytes
-            )?;
+    let per_pe = bundle.collectors().iter().map(|c| {
+        let mut buf = Vec::new();
+        let sent_to = c.logical_matrix().iter().enumerate().filter(|(_, cell)| cell.sends > 0);
+        for (dst, cell) in sent_to {
+            codec::encode_agg(&mut buf, [c.node(), c.pe(), (dst / ppn) as u32, dst as u32], cell);
         }
-        w.flush()?;
-        files.push(name);
-    }
-    Ok(files)
+        write_file(dir, format!("PE{}_send_agg.csv", c.pe()), |w| w.write_all(&buf))
+    });
+    per_pe.collect()
 }
 
 /// Write `PE<i>_PAPI.csv` for every PE that recorded PAPI lines. The first
 /// line is a header naming the counter columns.
 pub fn write_papi(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfError> {
-    std::fs::create_dir_all(dir)?;
-    let mut files = Vec::new();
-    for c in bundle.collectors() {
-        let Some(papi) = &c.config().papi else {
-            continue;
-        };
-        let name = format!("PE{}_PAPI.csv", c.pe());
-        let mut w = BufWriter::new(File::create(dir.join(&name))?);
-        let event_names: Vec<&str> = papi.events().iter().map(|e| e.papi_name()).collect();
-        writeln!(
-            w,
-            "src_node,src_pe,dst_node,dst_pe,pkt_size,MAILBOXID,NUM_SENDS,{}",
-            event_names.join(",")
-        )?;
-        for r in c.papi_records() {
-            let counters: Vec<String> = r.counters.iter().map(|v| v.to_string()).collect();
-            writeln!(
-                w,
-                "{},{},{},{},{},{},{},{}",
-                r.src_node,
-                r.src_pe,
-                r.dst_node,
-                r.dst_pe,
-                r.pkt_size,
-                r.mailbox_id,
-                r.num_sends,
-                counters.join(",")
-            )?;
-        }
-        w.flush()?;
-        files.push(name);
-    }
-    Ok(files)
+    let per_pe = bundle.collectors().iter().filter_map(|c| {
+        let papi = c.config().papi.as_ref()?;
+        let mut header = Vec::new();
+        codec::encode_papi_header(&mut header, &papi.papi_names());
+        Some(write_file(dir, format!("PE{}_PAPI.csv", c.pe()), |w| {
+            w.write_all(&header)?;
+            codec::encode_lines(w, &c.papi_records(), codec::encode_papi)
+        }))
+    });
+    per_pe.collect()
 }
 
 /// Write `physical.txt`: one line per post-aggregation send, all PEs.
@@ -142,51 +110,17 @@ pub fn write_physical(dir: &Path, bundle: &TraceBundle) -> Result<String, ProfEr
     if !bundle.has_physical() {
         return Err(ProfError::NotCollected("physical trace"));
     }
-    std::fs::create_dir_all(dir)?;
-    let name = "physical.txt".to_string();
-    let mut w = BufWriter::new(File::create(dir.join(&name))?);
-    for c in bundle.collectors() {
-        for r in c.physical_records() {
-            writeln!(
-                w,
-                "{},{},{},{}",
-                r.send_type.label(),
-                r.buffer_size,
-                r.src_pe,
-                r.dst_pe
-            )?;
-        }
-    }
-    w.flush()?;
-    Ok(name)
+    let records = bundle.collectors().iter().flat_map(|c| c.physical_records());
+    write_file(dir, "physical.txt".into(), |w| {
+        codec::encode_lines(w, records, codec::encode_physical)
+    })
 }
 
 /// Write `overall.txt`: the paper's absolute and relative lines per PE.
 pub fn write_overall(dir: &Path, bundle: &TraceBundle) -> Result<String, ProfError> {
-    let records = bundle.overall_records()?;
-    std::fs::create_dir_all(dir)?;
-    let name = "overall.txt".to_string();
-    let mut w = BufWriter::new(File::create(dir.join(&name))?);
-    for r in &records {
-        writeln!(
-            w,
-            "Absolute [PE{}] TCOMM_PROFILING ({}, {}, {})",
-            r.pe,
-            r.t_main,
-            r.t_comm(),
-            r.t_proc
-        )?;
-    }
-    for r in &records {
-        let (m, c, p) = r.relative();
-        writeln!(
-            w,
-            "Relative [PE{}] TCOMM_PROFILING ({m:.6}, {c:.6}, {p:.6})",
-            r.pe
-        )?;
-    }
-    w.flush()?;
-    Ok(name)
+    let mut buf = Vec::new();
+    codec::encode_overall(&mut buf, &bundle.overall_records()?);
+    write_file(dir, "overall.txt".into(), |w| w.write_all(&buf))
 }
 
 #[cfg(test)]

@@ -67,6 +67,8 @@ pub struct PeCollector {
     send_counter: u64,
     /// Streaming sink for exact logical records (§VI large-trace support).
     stream: Option<std::io::BufWriter<std::fs::File>>,
+    /// The encoded line of the run being streamed (reused across runs).
+    stream_line: Vec<u8>,
 }
 
 impl PeCollector {
@@ -98,6 +100,7 @@ impl PeCollector {
             region_profile: None,
             send_counter: 0,
             stream,
+            stream_line: Vec::new(),
         }
     }
 
@@ -231,13 +234,10 @@ impl PeCollector {
             self.logical_records.resize(len, record);
             return;
         };
-        // identical line format to writer::write_logical_exact
-        let line = format!(
-            "{},{},{},{},{}\n",
-            record.src_node, record.src_pe, record.dst_node, record.dst_pe, record.msg_size
-        );
+        self.stream_line.clear();
+        crate::codec::encode_logical(&mut self.stream_line, &record);
         for _ in 0..kept {
-            w.write_all(line.as_bytes())
+            w.write_all(&self.stream_line)
                 .expect("stream write failed (disk full?)");
         }
     }

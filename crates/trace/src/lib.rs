@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 pub mod buffer;
+pub mod codec;
 pub mod collector;
 pub mod config;
 pub mod record;
