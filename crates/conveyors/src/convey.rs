@@ -6,8 +6,8 @@
 //! Each directed link owns **two landing cells** at the receiver — lock-free
 //! SPSC ring cells ([`SpscRing`]) whose state word doubles as ready signal
 //! and free-list entry (`0` = free for the sender, non-zero = published).
-//! The sender stages items in a pooled per-link buffer; a flush claims a
-//! free cell and delivers:
+//! The sender stages items in a per-link buffer; a flush claims a free cell
+//! and delivers:
 //!
 //! - **local_send** (same node): a blocking [`SpscRing::write`] (the
 //!   `shmem_ptr` memcpy) immediately followed by the *ready* publication.
@@ -17,10 +17,57 @@
 //!   **nonblock_progress** issues one [`Pe::quiet`] and then publishes each
 //!   in-flight cell — the exact `quiet`-then-signal sequence §III-C traces.
 //!
-//! Ready words carry a per-link flush sequence number; the receiver
-//! consumes cells strictly in sequence, so message order between any PE
+//! ### Slab format
+//!
+//! What crosses a link is a **slab**: the staged payloads as a bare `[T]`
+//! and, only when the receiver cannot know it otherwise, a **route table**
+//! of runs `(final_dst, origin, len)` — routing travels once per run, never
+//! per item. One `push_slice` call (or one relayed run) stages one entry,
+//! merged into the tail entry when it goes the same way. A slab whose only
+//! route is "from this link's sender, to this link's receiver" ships *no*
+//! table at all: every slab of a 1D grid and every final-hop slab that
+//! carries only its sender's own traffic. This is the split the C library
+//! makes between simple and tensor conveyors, decided per slab instead of
+//! per conveyor.
+//!
+//! The ready word a flush publishes packs three fields:
+//!
+//! ```text
+//!  63            32 31        16 15         0
+//! +----------------+------------+------------+
+//! |  flush seq     | table runs | item count |
+//! +----------------+------------+------------+
+//! ```
+//!
+//! `item count` is at least 1 (empty buffers are never flushed), so the word
+//! is never the free-cell sentinel `0`; `table runs == 0` flags the bare
+//! slab. The fields are 16 bits wide, so [`Conveyor::new`] rejects a slab
+//! capacity above 65 535. Flush thresholds count items, not
+//! bytes, so when a slab is sent does not depend on how many routes it
+//! carries; a slab is `count * size_of::<T>() + 12 * runs` bytes on the
+//! wire (worst case — destinations alternating every item on a relayed
+//! link — 12 bytes per item; the per-item envelope this replaced cost 8 on
+//! *every* item of *every* link).
+//!
+//! ### Consumption
+//!
+//! The sequence field counts flushes per link and wraps; the receiver
+//! compares it, in its own width, against the next sequence it expects and
+//! consumes cells strictly in that order, so message order between any PE
 //! pair is preserved (the "ordering guarantees... restricted for a pair of
 //! PEs" of §IV-E) even when double-buffered flushes complete out of order.
+//! A bare slab goes from the landing cell into the pull queue in **one bulk
+//! copy**. A slab with a table is walked run by run: a run addressed to this
+//! PE is appended to the pull queue the same way, a run for someone else is
+//! re-staged on its relay link — as a run, keeping its `(final_dst,
+//! origin)` — flushing the relay buffer first when it is full. If the relay
+//! link still has no room the cell is *parked*: the cursor (run index and
+//! offset inside the run) is saved and a later `advance` resumes there, so
+//! a park never re-copies and never reorders. Runs of one slab are handled
+//! in slab order and slabs of one link in sequence order, which is why
+//! run-wise relaying preserves pairwise FIFO exactly as item-wise relaying
+//! did.
+//!
 //! Consumption ends with a [`SpscRing::release`] — the ack that returns the
 //! cell to the sender — so no separate ack counters exist and the
 //! per-message path (`push`, `pull`, flush, consume) acquires **no mutex**;
@@ -50,7 +97,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::ConveyorError;
-use crate::exchange::{BatchDelivery, Delivery, Envelope, PushOutcome, PushReport};
+use crate::exchange::{BatchDelivery, Delivery, PushOutcome, PushReport};
 use crate::stats::ConveyorStats;
 use crate::topology::{LinkKind, Topology, TopologySpec};
 
@@ -72,7 +119,9 @@ pub struct ConveyorOptions {
     /// with 8–32-byte items this yields the 0.5–2 KiB network packets
     /// aggregation libraries target. With `adaptive` set this is the
     /// *initial* occupancy target; the physical slab is pre-sized to
-    /// `ADAPTIVE_SLAB_CAP` (512) so the controller has headroom.
+    /// `ADAPTIVE_SLAB_CAP` (512) so the controller has headroom. At most
+    /// 65 535 (the width of the ready word's count field);
+    /// [`Conveyor::new`] rejects more.
     pub capacity: usize,
     /// Topology selection (default: what Conveyors picks for the grid).
     pub topology: TopologySpec,
@@ -93,6 +142,61 @@ impl Default for ConveyorOptions {
     }
 }
 
+/// The ready word a flush publishes into a landing cell's state word:
+/// flush sequence, route-table length and item count (layout in the module
+/// docs).
+mod ready {
+    const FIELD_BITS: u32 = 16;
+    const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
+
+    /// Largest slab (items per landing cell) the count and route-count
+    /// fields can describe; a slab carries at most one route per item.
+    pub(super) const MAX_SLAB: usize = FIELD_MASK as usize;
+
+    pub(super) fn pack(seq: u32, runs: usize, count: usize) -> u64 {
+        debug_assert!((1..=MAX_SLAB).contains(&count) && runs <= count);
+        (u64::from(seq) << (2 * FIELD_BITS)) | ((runs as u64) << FIELD_BITS) | count as u64
+    }
+
+    pub(super) fn seq(word: u64) -> u32 {
+        (word >> (2 * FIELD_BITS)) as u32
+    }
+
+    pub(super) fn runs(word: u64) -> usize {
+        ((word >> FIELD_BITS) & FIELD_MASK) as usize
+    }
+
+    pub(super) fn count(word: u64) -> usize {
+        (word & FIELD_MASK) as usize
+    }
+}
+
+/// One entry of a slab's route table: `len` consecutive items that
+/// `origin` pushed for `final_dst`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Run {
+    final_dst: u32,
+    origin: u32,
+    len: u32,
+}
+
+/// Bytes a slab with this ready word occupies on the wire.
+fn slab_bytes<T>(word: u64) -> u64 {
+    (ready::count(word) * std::mem::size_of::<T>()
+        + ready::runs(word) * std::mem::size_of::<Run>()) as u64
+}
+
+/// Which of a link's two landing cells the receiver must consume next:
+/// the published one whose sequence field equals `expected` (compared in
+/// the field's own width, so it keeps matching across the wrap). `state`
+/// reads a slot's state word.
+fn next_ready(expected: u32, state: impl Fn(usize) -> u64) -> Option<(usize, u64)> {
+    (0..2).find_map(|slot| {
+        let word = state(slot);
+        (word != 0 && ready::seq(word) == expected).then_some((slot, word))
+    })
+}
+
 /// Shared termination ledger (the in-process stand-in for Conveyors'
 /// endgame reductions).
 struct SharedState {
@@ -106,57 +210,97 @@ struct SharedState {
     hb: fabsp_shmem::race::HbObject,
 }
 
-/// Free-list of staging/scratch buffers. All `Vec<Envelope<T>>` the
-/// conveyor ever uses come from here, so steady-state supersteps allocate
-/// nothing: buffers cycle take → use → give. [`ConveyorStats::buffer_allocs`]
-/// exposes the (construction-time) allocation count.
-struct BufferPool<T> {
-    free: Vec<Vec<Envelope<T>>>,
-    capacity: usize,
-    allocs: u64,
-}
-
-impl<T> BufferPool<T> {
-    fn new(capacity: usize) -> BufferPool<T> {
-        BufferPool {
-            free: Vec::new(),
-            capacity,
-            allocs: 0,
-        }
-    }
-
-    fn take(&mut self) -> Vec<Envelope<T>> {
-        self.free.pop().unwrap_or_else(|| {
-            self.allocs += 1;
-            Vec::with_capacity(self.capacity)
-        })
-    }
-
-    fn give(&mut self, mut buf: Vec<Envelope<T>>) {
-        buf.clear();
-        self.free.push(buf);
-    }
-}
-
 struct OutLink<T> {
     peer: usize,
     kind: LinkKind,
-    buf: Vec<Envelope<T>>,
-    /// Remote cells written but not yet published: (seq, item_count).
-    in_flight: [Option<(u64, usize)>; 2],
-    /// Per-link flush sequence (1-based).
-    flush_seq: u64,
+    /// Staged payloads of the next slab.
+    buf: Vec<T>,
+    /// Route table of the staged slab; run lengths sum to `buf.len()`.
+    runs: Vec<Run>,
+    /// Remote cells written but not yet published: the ready word to
+    /// publish after the next quiet.
+    in_flight: [Option<u64>; 2],
+    /// Per-link flush sequence (wraps; see [`next_ready`]).
+    flush_seq: u32,
 }
 
-/// One run of delivered items from a single origin, stored stripped of
-/// envelopes so [`Conveyor::pull_batch`] can hand the payloads out as a
-/// zero-copy `&[T]`. `cursor` tracks how far per-item [`Conveyor::pull`]
-/// has nibbled into the front batch; backing `Vec`s recycle through a
-/// free list like the staging buffers.
+impl<T: Copy> OutLink<T> {
+    /// Append one run to the staged slab, merging it into the tail route
+    /// when it goes the same way.
+    fn stage(&mut self, final_dst: u32, origin: u32, items: &[T]) {
+        self.buf.extend_from_slice(items);
+        let len = items.len() as u32;
+        match self.runs.last_mut() {
+            Some(tail) if tail.final_dst == final_dst && tail.origin == origin => tail.len += len,
+            _ => self.runs.push(Run {
+                final_dst,
+                origin,
+                len,
+            }),
+        }
+    }
+}
+
+/// One run of delivered items from a single origin, so
+/// [`Conveyor::pull_batch`] can hand the payloads out as a zero-copy
+/// `&[T]`. `cursor` tracks how far per-item [`Conveyor::pull`] has nibbled
+/// into the front batch; backing `Vec`s recycle through a free list.
 struct Batch<T> {
     src: u32,
     items: Vec<T>,
     cursor: usize,
+}
+
+/// Delivered-but-unpulled items, grouped into per-origin runs so
+/// `pull_batch` hands out whole slices. Arrival order is preserved: a
+/// delivery either extends the tail batch (same origin) or starts a new one.
+struct PullQueue<T> {
+    batches: VecDeque<Batch<T>>,
+    /// Total unpulled items across `batches` (the true pull backlog).
+    queued_items: usize,
+    /// Free list of batch backing `Vec`s.
+    pool: Vec<Vec<T>>,
+    allocs: u64,
+    slab_cap: usize,
+}
+
+impl<T: Copy> PullQueue<T> {
+    /// Queue one incoming run — the receive-side copy, straight out of the
+    /// landing cell.
+    fn deliver(&mut self, origin: u32, items: &[T]) {
+        self.queued_items += items.len();
+        if let Some(back) = self.batches.back_mut() {
+            if back.src == origin {
+                back.items.extend_from_slice(items);
+                return;
+            }
+        }
+        let mut buf = self.pool.pop().unwrap_or_else(|| {
+            self.allocs += 1;
+            Vec::with_capacity(self.slab_cap)
+        });
+        buf.extend_from_slice(items);
+        self.batches.push_back(Batch {
+            src: origin,
+            items: buf,
+            cursor: 0,
+        });
+    }
+
+    fn recycle(&mut self, mut batch: Batch<T>) {
+        batch.items.clear();
+        self.pool.push(batch.items);
+    }
+}
+
+/// How far consumption of a landing cell's route table got before a relay
+/// link refused: `run` is the entry being consumed, `in_run` the items of
+/// it already taken, `item` the offset of the next item in the cell.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    run: usize,
+    in_run: usize,
+    item: usize,
 }
 
 /// A fixed-item-size aggregating communication object (one per Selector
@@ -177,32 +321,24 @@ pub struct Conveyor<T> {
     /// `push_refusals` value at the controller's last decision point.
     adapt_refusal_mark: u64,
     links: Vec<OutLink<T>>,
-    /// Landing cells, one SPSC cell per (incoming link, slot); the cell
-    /// state word is ready signal and free-list entry in one.
-    cells: SpscRing<Envelope<T>>,
-    /// Receiver-side consumption cursor per (link, slot).
-    cursors: Vec<usize>,
+    /// Landing cells, one SPSC cell per (incoming link, slot), each with a
+    /// route table beside the items; the cell state word is ready signal
+    /// and free-list entry in one.
+    cells: SpscRing<T, Run>,
+    /// Receiver-side consumption cursor per (link, slot); non-zero only
+    /// while the cell is parked.
+    cursors: Vec<Cursor>,
     /// Cycle stamp of the first blocked consumption per (link, slot),
     /// cleared when the cell is finally released — measures how long a
     /// relay park actually stalled the link (telemetry only).
     park_since: Vec<Option<u64>>,
     /// Next flush sequence expected per incoming link.
-    expect_seq: Vec<u64>,
-    /// Delivered-but-unpulled items, grouped into per-origin runs so
-    /// `pull_batch` hands out whole slices. Arrival order is preserved:
-    /// a delivery either extends the tail batch (same origin) or starts a
-    /// new one.
-    batches: VecDeque<Batch<T>>,
+    expect_seq: Vec<u32>,
+    inbox: PullQueue<T>,
     /// The batch most recently lent out by `pull_batch`; its items are
     /// already counted as pulled, and its backing `Vec` is recycled on the
     /// next pull/pull_batch/advance.
     live: Option<Batch<T>>,
-    /// Total unpulled items across `batches` (the true pull backlog).
-    queued_items: usize,
-    /// Free list of batch backing `Vec`s.
-    batch_pool: Vec<Vec<T>>,
-    batch_allocs: u64,
-    pool: BufferPool<T>,
     shared: Arc<SharedState>,
     /// Pushes/pulls not yet posted to the shared termination ledger. The
     /// ledger is contended by every PE, so the hot path only bumps these
@@ -239,9 +375,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         if options.capacity == 0 {
             return Err(ConveyorError::ZeroCapacity);
         }
-        let grid = pe.grid();
-        let topology = Topology::resolve(options.topology, grid);
-        let n_links = topology.n_links(grid);
         // Adaptive mode over-provisions the physical slabs so the
         // controller can move the occupancy target without reallocating
         // landing cells mid-run.
@@ -250,7 +383,19 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         } else {
             options.capacity
         };
-        let cells = SpscRing::new(pe, n_links * 2, slab_cap)?;
+        if slab_cap > ready::MAX_SLAB {
+            return Err(ConveyorError::CapacityTooLarge {
+                capacity: slab_cap,
+                max: ready::MAX_SLAB,
+            });
+        }
+        let grid = pe.grid();
+        let topology = Topology::resolve(options.topology, grid);
+        let n_links = topology.n_links(grid);
+        // Worst case a slab carries one route per item; a 1D grid never
+        // relays, so none of its slabs carries a table at all.
+        let table_cap = if topology == Topology::OneD { 0 } else { slab_cap };
+        let cells = SpscRing::with_side(pe, n_links * 2, slab_cap, table_cap)?;
         let shared = pe.allreduce((), |_| {
             Arc::new(SharedState {
                 pushed: AtomicU64::new(0),
@@ -261,14 +406,16 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             })
         });
         let me = pe.rank();
-        let mut pool = BufferPool::new(slab_cap);
         let links = (0..n_links)
             .map(|link| OutLink {
                 peer: topology.link_peer(grid, me, link),
                 kind: topology.link_kind(grid, me, link),
-                buf: pool.take(),
+                buf: Vec::with_capacity(slab_cap),
+                // One route per item at worst; a 1D link only ever stages
+                // the one run its slabs then omit.
+                runs: Vec::with_capacity(table_cap.max(1)),
                 in_flight: [None, None],
-                flush_seq: 1,
+                flush_seq: 0,
             })
             .collect();
         Ok(Conveyor {
@@ -282,18 +429,20 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             adapt_refusal_mark: 0,
             links,
             cells,
-            cursors: vec![0; n_links * 2],
+            cursors: vec![Cursor::default(); n_links * 2],
             park_since: vec![None; n_links * 2],
-            expect_seq: vec![1; n_links],
-            batches: VecDeque::new(),
+            expect_seq: vec![0; n_links],
+            inbox: PullQueue {
+                batches: VecDeque::new(),
+                queued_items: 0,
+                pool: Vec::new(),
+                allocs: 0,
+                slab_cap,
+            },
             live: None,
-            queued_items: 0,
-            batch_pool: Vec::new(),
-            batch_allocs: 0,
             pending_pushed: 0,
             pending_pulled: 0,
             pending_batched_pulls: 0,
-            pool,
             shared,
             done_signaled: false,
             complete: false,
@@ -306,10 +455,11 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     }
 
     /// Inject relay-buffer backpressure: with probability
-    /// `park_probability`, relay re-staging in `consume_slot` pretends
+    /// `park_probability`, relay re-staging in `consume_routed` pretends
     /// the relay buffer is full even when it is not, forcing the
     /// parked-link path (saved cursor, link resumed on a later advance)
-    /// that real runs only hit under heavy congestion.
+    /// that real runs only hit under heavy congestion. The roll happens
+    /// once per attempt to re-stage (part of) a relayed run.
     ///
     /// The decision stream is seeded per PE, so a given `(seed, schedule)`
     /// pair replays exactly. Parks are refusals, not drops — every item is
@@ -354,8 +504,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     /// This PE's operation counters.
     pub fn stats(&self) -> ConveyorStats {
         ConveyorStats {
-            buffer_allocs: self.pool.allocs,
-            batch_allocs: self.batch_allocs,
+            batch_allocs: self.inbox.allocs,
             ..self.stats
         }
     }
@@ -389,7 +538,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             "reset called before the conveyor terminated"
         );
         debug_assert!(
-            self.batches.is_empty() && self.live.is_none() && self.queued_items == 0,
+            self.inbox.batches.is_empty() && self.live.is_none() && self.inbox.queued_items == 0,
             "termination implies drained"
         );
         debug_assert!(!self.has_in_flight(), "termination implies progressed");
@@ -428,9 +577,9 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     /// [`Pe::checkpoint`]: checkpointing mid-superstep would freeze
     /// half-delivered buffers into the cut.
     pub fn checkpoint_ready(&self) -> bool {
-        self.batches.is_empty()
+        self.inbox.batches.is_empty()
             && self.live.is_none()
-            && self.queued_items == 0
+            && self.inbox.queued_items == 0
             && !self.has_in_flight()
             && self.links.iter().all(|l| l.buf.is_empty())
             && self.pending_pushed == 0
@@ -493,9 +642,10 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     }
 
     /// Enqueue a slice of items for `dst`, amortizing routing and the SPSC
-    /// state-word protocol over whole-slab publishes: staging fills the
-    /// pooled link buffer in bulk `extend`s and flushes full slabs inline,
-    /// instead of paying a threshold check and branch per item.
+    /// state-word protocol over whole-slab publishes: staging appends to
+    /// the link buffer with bulk copies — one route-table entry per call,
+    /// not per item — and flushes full slabs inline, instead of paying a
+    /// threshold check and branch per item.
     ///
     /// Returns how far the slice got: [`PushReport::accepted`] is always a
     /// prefix length, so a partial push resubmits `&items[accepted..]`
@@ -569,13 +719,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             }
             let room = self.target - self.links[link].buf.len();
             let take = room.min(items.len() - accepted);
-            self.links[link].buf.extend(items[accepted..accepted + take].iter().map(
-                |&item| Envelope {
-                    final_dst: dst as u32,
-                    origin,
-                    item,
-                },
-            ));
+            self.links[link].stage(dst as u32, origin, &items[accepted..accepted + take]);
             accepted += take;
         }
         self.stats.pushed += accepted as u64;
@@ -591,21 +735,21 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         #[cfg(debug_assertions)]
         let before = fabsp_shmem::debug_lock_acquisitions();
         if let Some(prev) = self.live.take() {
-            self.recycle_batch(prev);
+            self.inbox.recycle(prev);
         }
-        let out = match self.batches.front_mut() {
+        let out = match self.inbox.batches.front_mut() {
             Some(b) => {
                 let src = b.src;
                 let item = b.items[b.cursor];
                 b.cursor += 1;
                 if b.cursor == b.items.len() {
-                    let done = self.batches.pop_front().expect("front exists");
-                    self.recycle_batch(done);
+                    let done = self.inbox.batches.pop_front().expect("front exists");
+                    self.inbox.recycle(done);
                 }
                 self.stats.pulled += 1;
                 self.stats.item_copies += 1;
                 self.pending_pulled += 1;
-                self.queued_items -= 1;
+                self.inbox.queued_items -= 1;
                 Some(Delivery { src, item })
             }
             None => None,
@@ -628,9 +772,9 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         #[cfg(debug_assertions)]
         let before = fabsp_shmem::debug_lock_acquisitions();
         if let Some(prev) = self.live.take() {
-            self.recycle_batch(prev);
+            self.inbox.recycle(prev);
         }
-        let out = self.batches.pop_front();
+        let out = self.inbox.batches.pop_front();
         #[cfg(debug_assertions)]
         assert_eq!(
             fabsp_shmem::debug_lock_acquisitions(),
@@ -644,7 +788,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         self.stats.batched_pulls += 1;
         self.pending_pulled += n as u64;
         self.pending_batched_pulls += 1;
-        self.queued_items -= n;
+        self.inbox.queued_items -= n;
         let live = self.live.insert(batch);
         Some(BatchDelivery {
             src: live.src,
@@ -654,34 +798,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
 
     /// Number of delivered-but-unpulled items.
     pub fn pending_pulls(&self) -> usize {
-        self.queued_items
-    }
-
-    /// Queue one incoming item, extending the tail batch when the origin
-    /// matches (arrival order is preserved either way).
-    fn deliver(&mut self, origin: u32, item: T) {
-        self.queued_items += 1;
-        if let Some(back) = self.batches.back_mut() {
-            if back.src == origin {
-                back.items.push(item);
-                return;
-            }
-        }
-        let mut items = self.batch_pool.pop().unwrap_or_else(|| {
-            self.batch_allocs += 1;
-            Vec::with_capacity(self.slab_cap)
-        });
-        items.push(item);
-        self.batches.push_back(Batch {
-            src: origin,
-            items,
-            cursor: 0,
-        });
-    }
-
-    fn recycle_batch(&mut self, mut batch: Batch<T>) {
-        batch.items.clear();
-        self.batch_pool.push(batch.items);
+        self.inbox.queued_items
     }
 
     /// Make communication progress. `done = true` declares that this PE
@@ -705,7 +822,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             // True occupancy: items, not slabs — pull_batch drains whole
             // batches, so counting queue entries would under-report the
             // backlog the adaptive controller steers on.
-            m.gauge_set(Gauge::ConveyorPullBacklog, self.queued_items as u64);
+            m.gauge_set(Gauge::ConveyorPullBacklog, self.inbox.queued_items as u64);
             m.flight_span(Phase::Advance, begin, end);
             if self.pending_batched_pulls != 0 {
                 m.add(Counter::BatchedPulls, self.pending_batched_pulls);
@@ -728,7 +845,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         // A batch lent out by pull_batch is dead once the caller advances;
         // reclaim its backing Vec for the free list.
         if let Some(prev) = self.live.take() {
-            self.recycle_batch(prev);
+            self.inbox.recycle(prev);
         }
         if self.adaptive && self.stats.advances.is_multiple_of(ADAPT_PERIOD) {
             self.adapt_tick(pe);
@@ -804,7 +921,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         let backlog = pe
             .metrics()
             .map(|m| m.gauge(Gauge::ConveyorPullBacklog))
-            .unwrap_or(self.queued_items as u64);
+            .unwrap_or(self.inbox.queued_items as u64);
         let refusals = self.stats.push_refusals - self.adapt_refusal_mark;
         self.adapt_refusal_mark = self.stats.push_refusals;
         // A consumer that keeps up holds the backlog near 3x the target (two
@@ -837,45 +954,62 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         link * 2 + slot
     }
 
-    /// Deliver `link`'s staged buffer into a free landing cell at the peer,
+    /// Start every link's flush sequence (both ends) at `seq` instead of 0.
+    /// Collective: call on every PE before the first push.
+    #[cfg(test)]
+    fn start_sequences_at(&mut self, seq: u32) {
+        for l in &mut self.links {
+            l.flush_seq = seq;
+        }
+        self.expect_seq.fill(seq);
+    }
+
+    /// Deliver `link`'s staged slab into a free landing cell at the peer,
     /// if one is available.
     fn flush_link(&mut self, pe: &Pe, link: usize) {
-        if self.links[link].buf.is_empty() {
+        let l = &self.links[link];
+        if l.buf.is_empty() {
             return;
         }
-        let peer = self.links[link].peer;
+        let peer = l.peer;
         let rev = self.topology.reverse_link(self.grid, peer, self.me);
         // A cell is free when its state word is 0 (the receiver released
         // it) and no unpublished delivery of ours occupies it.
-        let slot = {
-            let l = &self.links[link];
-            (0..2).find(|&s| {
-                l.in_flight[s].is_none() && self.cells.state(pe, peer, Self::slot_index(rev, s)) == 0
-            })
-        };
+        let slot = (0..2).find(|&s| {
+            l.in_flight[s].is_none() && self.cells.state(pe, peer, Self::slot_index(rev, s)) == 0
+        });
         let Some(slot) = slot else {
             // Both cells busy. If any are merely unpublished, a progress
             // call will free the pipeline — the paper's "quiet when the
             // second buffer is full for a particular destination" trigger.
-            if self.links[link].in_flight.iter().any(|s| s.is_some()) {
+            if l.in_flight.iter().any(|s| s.is_some()) {
                 self.need_progress = true;
             }
             return;
         };
 
-        let kind = self.links[link].kind;
-        let count = self.links[link].buf.len();
-        let bytes = (count * std::mem::size_of::<Envelope<T>>()) as u64;
-        let seq = self.links[link].flush_seq;
+        // The receiver of a slab whose only route is "this link's sender to
+        // this link's receiver" needs no table to place it.
+        let table: &[Run] = match l.runs[..] {
+            [only] if only.final_dst as usize == peer && only.origin as usize == self.me => &[],
+            _ => &l.runs,
+        };
+        debug_assert_eq!(
+            l.runs.iter().map(|r| r.len as usize).sum::<usize>(),
+            l.buf.len(),
+            "route table covers the staged slab"
+        );
+        let count = l.buf.len();
         let cell = Self::slot_index(rev, slot);
-        let ready_word = (seq << 32) | (count as u64 + 1);
+        let ready_word = ready::pack(l.flush_seq, table.len(), count);
+        let bytes = slab_bytes::<T>(ready_word);
 
-        match kind {
+        match l.kind {
             LinkKind::Local => {
                 // local_send: shmem_ptr + memcpy, immediately visible,
                 // then the ready publication.
                 self.cells
-                    .write(pe, peer, cell, &self.links[link].buf)
+                    .write(pe, peer, cell, &l.buf, table)
                     .expect("landing cell bounds are static");
                 self.cells
                     .publish(pe, peer, cell, ready_word)
@@ -890,17 +1024,19 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                 // count models the nbi capture + apply pair of a real
                 // shmem_putmem_nbi, though the SPSC cell needs no capture copy.
                 self.cells
-                    .write_nbi(pe, peer, cell, &self.links[link].buf)
+                    .write_nbi(pe, peer, cell, &l.buf, table)
                     .expect("landing cell bounds are static");
-                self.links[link].in_flight[slot] = Some((seq, count));
+                self.links[link].in_flight[slot] = Some(ready_word);
                 self.stats.nonblock_sends += 1;
                 self.stats.item_copies += 2 * count as u64;
                 self.trace_buf
                     .record_physical(SendType::NonblockSend, bytes, peer);
             }
         }
-        self.links[link].flush_seq += 1;
-        self.links[link].buf.clear();
+        let l = &mut self.links[link];
+        l.flush_seq = l.flush_seq.wrapping_add(1);
+        l.buf.clear();
+        l.runs.clear();
     }
 
     /// nonblock_progress: one `shmem_quiet`, then a publishing put per
@@ -920,17 +1056,18 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         self.stats.quiets += 1;
         for link in 0..self.links.len() {
             for slot in 0..2 {
-                if let Some((seq, count)) = self.links[link].in_flight[slot].take() {
+                if let Some(ready_word) = self.links[link].in_flight[slot].take() {
                     let peer = self.links[link].peer;
                     let rev = self.topology.reverse_link(self.grid, peer, self.me);
-                    let ready_word = (seq << 32) | (count as u64 + 1);
                     self.cells
                         .publish(pe, peer, Self::slot_index(rev, slot), ready_word)
                         .expect("landing cell bounds are static");
-                    let bytes = (count * std::mem::size_of::<Envelope<T>>()) as u64;
                     self.stats.nonblock_progress += 1;
-                    self.trace_buf
-                        .record_physical(SendType::NonblockProgress, bytes, peer);
+                    self.trace_buf.record_physical(
+                        SendType::NonblockProgress,
+                        slab_bytes::<T>(ready_word),
+                        peer,
+                    );
                 }
             }
         }
@@ -938,22 +1075,16 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     }
 
     /// Drain published landing cells, in per-link flush order: deliver
-    /// items addressed to this PE to the pull queue, re-stage relayed items
-    /// on their column link.
+    /// runs addressed to this PE to the pull queue, re-stage relayed runs
+    /// on their next link.
     fn consume_incoming(&mut self, pe: &Pe) {
-        let n_links = self.links.len();
-        for link in 0..n_links {
+        for link in 0..self.links.len() {
             // Consume strictly in sequence so pairwise ordering holds even
             // when double-buffered flushes are published out of order.
-            loop {
-                let expected = self.expect_seq[link];
-                let Some(slot) = (0..2).find(|&s| {
-                    let word = self.cells.state(pe, self.me, Self::slot_index(link, s));
-                    word != 0 && (word >> 32) == expected
-                }) else {
-                    break;
-                };
-                if !self.consume_slot(pe, link, slot) {
+            while let Some((slot, word)) = next_ready(self.expect_seq[link], |s| {
+                self.cells.state(pe, self.me, Self::slot_index(link, s))
+            }) {
+                if !self.consume_slot(pe, link, slot, word) {
                     // Relay buffer blocked: park THIS link (cursor saved)
                     // but keep draining the others — final-destination
                     // consumption elsewhere is what frees the relay's
@@ -961,93 +1092,38 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                     // cycle of relays.
                     break;
                 }
-                self.expect_seq[link] += 1;
+                self.expect_seq[link] = self.expect_seq[link].wrapping_add(1);
             }
         }
     }
 
-    /// Consume one published cell. Returns `false` if consumption blocked
-    /// on a full relay buffer (cursor saved for resumption).
-    fn consume_slot(&mut self, pe: &Pe, link: usize, slot: usize) -> bool {
+    /// Consume one published cell whose ready word is `word`. Returns
+    /// `false` if consumption blocked on a full relay buffer (cursor saved
+    /// for resumption).
+    fn consume_slot(&mut self, pe: &Pe, link: usize, slot: usize, word: u64) -> bool {
         let idx = Self::slot_index(link, slot);
-        let word = self.cells.state(pe, self.me, idx);
-        let count = ((word & 0xffff_ffff) - 1) as usize;
-        let start = self.cursors[idx];
-        let hop_begin = fabsp_hwpc::cycles_now();
-
-        // Copy the unconsumed remainder out of the landing cell (the
-        // receive-side memcpy), then process from a pooled scratch buffer.
-        let mut scratch = self.pool.take();
-        self.cells.read_local(pe, idx, |cell| {
-            scratch.extend_from_slice(&cell[start..count]);
-        });
-
-        let mut processed = 0;
-        let mut relayed_here = 0u64;
-        let mut blocked = false;
-        let mut forced = false;
-        for env in &scratch {
-            if env.final_dst as usize == self.me {
-                self.deliver(env.origin, env.item);
-                self.stats.item_copies += 1;
-                processed += 1;
-            } else {
-                let rl = self.topology.relay_link(self.grid, self.me, env.final_dst as usize);
-                if let Some(chaos) = &mut self.chaos {
-                    if chaos.rng.gen_bool(chaos.park_probability) {
-                        self.stats.forced_parks += 1;
-                        forced = true;
-                        blocked = true;
-                        break;
-                    }
+        let count = ready::count(word);
+        let src = self.topology.link_peer(self.grid, self.me, link);
+        match ready::runs(word) {
+            0 => {
+                // Bare slab: everything in it was pushed by the link's
+                // sender for this PE — one copy, cell to pull queue.
+                let inbox = &mut self.inbox;
+                self.cells
+                    .read_local(pe, idx, |items| inbox.deliver(src as u32, &items[..count]));
+                self.stats.item_copies += count as u64;
+            }
+            n_runs => {
+                if !self.consume_routed(pe, idx, n_runs) {
+                    return false;
                 }
-                if self.links[rl].buf.len() >= self.target {
-                    self.flush_link(pe, rl);
-                }
-                if self.links[rl].buf.len() >= self.target {
-                    blocked = true;
-                    break;
-                }
-                self.links[rl].buf.push(*env);
-                self.stats.relayed += 1;
-                self.stats.item_copies += 1;
-                processed += 1;
-                relayed_here += 1;
+                debug_assert_eq!(self.cursors[idx].item, count);
+                self.cursors[idx] = Cursor::default();
             }
-        }
-        self.pool.give(scratch);
-        self.cursors[idx] = start + processed;
-
-        if relayed_here > 0 {
-            let hop_end = fabsp_hwpc::cycles_now();
-            self.trace_buf.record_span(Phase::RelayHop, hop_begin, hop_end);
-            if let Some(m) = pe.metrics() {
-                m.flight_span(Phase::RelayHop, hop_begin, hop_end);
-            }
-        }
-
-        if blocked {
-            // A park — chaos-forced or a genuinely full relay buffer —
-            // stalls this link until a later advance resumes the cursor.
-            if let Some(m) = pe.metrics() {
-                let which = if forced {
-                    Counter::ConveyorForcedParks
-                } else {
-                    Counter::ConveyorRelayParks
-                };
-                m.count(which);
-                m.flight_note(which, 1);
-            }
-            if self.park_since[idx].is_none() {
-                self.park_since[idx] = Some(fabsp_hwpc::cycles_now());
-            }
-            return false;
         }
 
         // Fully consumed: release the cell, which is also the ack that
         // hands the buffer back to the sender's free list.
-        debug_assert_eq!(self.cursors[idx], count);
-        self.cursors[idx] = 0;
         if let Some(since) = self.park_since[idx].take() {
             if let Some(m) = pe.metrics() {
                 m.observe(
@@ -1056,11 +1132,96 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                 );
             }
         }
-        let src = self.topology.link_peer(self.grid, self.me, link);
         self.cells
             .release(pe, idx, src)
             .expect("own landing cell bounds are static");
         true
+    }
+
+    /// Walk the route table of published cell `idx` from its saved cursor:
+    /// runs for this PE go to the pull queue, runs for someone else are
+    /// re-staged on their relay link (flushing it first when full).
+    /// Returns `false` — cursor saved, possibly mid-run — when a relay link
+    /// has no room or chaos forces a park.
+    fn consume_routed(&mut self, pe: &Pe, idx: usize, n_runs: usize) -> bool {
+        let mut cur = self.cursors[idx];
+        // Stamped when the first item is relayed; `None` = nothing was.
+        let mut hop_begin = None;
+        // `Some(forced)` once consumption has to stop.
+        let mut parked = None;
+        while cur.run < n_runs {
+            let run = self.cells.read_side(pe, idx, |table| table[cur.run]);
+            let left = run.len as usize - cur.in_run;
+            let take = if run.final_dst as usize == self.me {
+                let inbox = &mut self.inbox;
+                self.cells.read_local(pe, idx, |items| {
+                    inbox.deliver(run.origin, &items[cur.item..cur.item + left])
+                });
+                left
+            } else {
+                let rl = self
+                    .topology
+                    .relay_link(self.grid, self.me, run.final_dst as usize);
+                if let Some(chaos) = &mut self.chaos {
+                    if chaos.rng.gen_bool(chaos.park_probability) {
+                        self.stats.forced_parks += 1;
+                        parked = Some(true);
+                        break;
+                    }
+                }
+                if self.links[rl].buf.len() >= self.target {
+                    self.flush_link(pe, rl);
+                }
+                let room = self.target.saturating_sub(self.links[rl].buf.len());
+                if room == 0 {
+                    parked = Some(false);
+                    break;
+                }
+                let take = room.min(left);
+                hop_begin.get_or_insert_with(fabsp_hwpc::cycles_now);
+                let out = &mut self.links[rl];
+                self.cells.read_local(pe, idx, |items| {
+                    out.stage(run.final_dst, run.origin, &items[cur.item..cur.item + take])
+                });
+                self.stats.relayed += take as u64;
+                take
+            };
+            self.stats.item_copies += take as u64;
+            cur.item += take;
+            cur.in_run += take;
+            if cur.in_run == run.len as usize {
+                cur.run += 1;
+                cur.in_run = 0;
+            }
+        }
+        self.cursors[idx] = cur;
+
+        if let Some(hop_begin) = hop_begin {
+            let hop_end = fabsp_hwpc::cycles_now();
+            self.trace_buf.record_span(Phase::RelayHop, hop_begin, hop_end);
+            if let Some(m) = pe.metrics() {
+                m.flight_span(Phase::RelayHop, hop_begin, hop_end);
+            }
+        }
+
+        let Some(forced) = parked else {
+            return true;
+        };
+        // A park — chaos-forced or a genuinely full relay buffer — stalls
+        // this link until a later advance resumes the cursor.
+        if let Some(m) = pe.metrics() {
+            let which = if forced {
+                Counter::ConveyorForcedParks
+            } else {
+                Counter::ConveyorRelayParks
+            };
+            m.count(which);
+            m.flight_note(which, 1);
+        }
+        if self.park_since[idx].is_none() {
+            self.park_since[idx] = Some(fabsp_hwpc::cycles_now());
+        }
+        false
     }
 }
 
@@ -1256,6 +1417,73 @@ mod tests {
     }
 
     #[test]
+    fn a_park_in_the_middle_of_a_run_resumes_there_without_recopying() {
+        // 2x2 mesh, capacity 4. PE 1 fills its column link to PE 3 — two
+        // unpublished slabs in flight plus two staged items — before PE 0's
+        // four-item run for PE 3 arrives on the row link. Relaying it
+        // stages two items (all the room there is), cannot flush (no free
+        // cell at PE 3), and parks with the cursor inside the run; PE 3
+        // only starts consuming after that.
+        let grid = Grid::new(2, 2).unwrap();
+        let results = spmd::run(grid, |pe| {
+            let mut c = Conveyor::<u64>::new(
+                pe,
+                ConveyorOptions {
+                    capacity: 4,
+                    ..ConveyorOptions::default()
+                },
+            )
+            .unwrap();
+            match pe.rank() {
+                0 => {
+                    let run = [100, 101, 102, 103];
+                    assert_eq!(c.push_slice(pe, &run, 3).unwrap().accepted, 4);
+                    c.advance(pe, false);
+                }
+                1 => {
+                    for item in 0..10 {
+                        assert!(c.push(pe, item, 3).unwrap().is_accepted());
+                    }
+                }
+                _ => {}
+            }
+            pe.barrier_all();
+            if pe.rank() == 1 {
+                c.advance(pe, false);
+                assert_eq!(c.stats().relayed, 2, "two of the four items fit");
+                let parked: Vec<Cursor> =
+                    c.cursors.iter().copied().filter(|cur| cur.item != 0).collect();
+                assert!(
+                    matches!(parked[..], [Cursor { run: 0, in_run: 2, item: 2 }]),
+                    "one cell parked two items into its only run: {parked:?}"
+                );
+            }
+            pe.barrier_all();
+            let mut received: Vec<(u32, u64)> = Vec::new();
+            loop {
+                let active = c.advance(pe, true);
+                while let Some(d) = c.pull() {
+                    received.push((d.src, d.item));
+                }
+                if !active {
+                    break;
+                }
+                pe.poll_yield();
+            }
+            (received, c.stats())
+        })
+        .unwrap();
+        let from = |src: u32| -> Vec<u64> {
+            results[3].0.iter().filter(|d| d.0 == src).map(|d| d.1).collect()
+        };
+        assert_eq!(from(0), vec![100, 101, 102, 103], "the parked run arrives whole, in order");
+        assert_eq!(from(1), (0..10).collect::<Vec<_>>());
+        assert_eq!(results[1].1.relayed, 4);
+        let copies: u64 = results.iter().map(|(_, s)| s.item_copies).sum();
+        assert_eq!(copies, 4 * 7 + 10 * 5, "resuming a park re-copies nothing");
+    }
+
+    #[test]
     fn push_after_done_errors() {
         let grid = Grid::single_node(1).unwrap();
         spmd::run(grid, |pe| {
@@ -1302,6 +1530,146 @@ mod tests {
             assert!(matches!(r, Err(ConveyorError::ZeroCapacity)));
         })
         .unwrap();
+    }
+
+    #[test]
+    fn capacity_must_fit_the_ready_word() {
+        // The count and route-count fields are 16 bits: the largest slab is
+        // accepted and works, one more is a typed error — for the plain
+        // capacity and for the adaptive slab cap alike.
+        let grid = Grid::single_node(1).unwrap();
+        spmd::run(grid, |pe| {
+            for adaptive in [false, true] {
+                let options = |capacity| ConveyorOptions {
+                    capacity,
+                    adaptive,
+                    ..ConveyorOptions::default()
+                };
+                let mut c = Conveyor::<u8>::new(pe, options(ready::MAX_SLAB)).unwrap();
+                let items = vec![7u8; ready::MAX_SLAB + 1];
+                assert_eq!(c.push_slice(pe, &items, 0).unwrap().accepted, items.len());
+                let mut got = 0usize;
+                while c.advance(pe, true) {
+                    while let Some(b) = c.pull_batch() {
+                        got += b.items.len();
+                    }
+                }
+                assert_eq!(got, items.len(), "a full-width slab is delivered whole");
+                assert!(matches!(
+                    Conveyor::<u8>::new(pe, options(ready::MAX_SLAB + 1)),
+                    Err(ConveyorError::CapacityTooLarge {
+                        capacity: 65_536,
+                        max: 65_535
+                    })
+                ));
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn ready_word_fields_round_trip_and_never_read_as_free() {
+        for seq in [0, 1, u32::MAX] {
+            for (runs, count) in [(0, 1), (1, 1), (0, ready::MAX_SLAB), (ready::MAX_SLAB, ready::MAX_SLAB)] {
+                let word = ready::pack(seq, runs, count);
+                assert_ne!(word, 0, "0 is the free-cell sentinel");
+                assert_eq!(
+                    (ready::seq(word), ready::runs(word), ready::count(word)),
+                    (seq, runs, count)
+                );
+            }
+        }
+        assert_eq!(slab_bytes::<u64>(ready::pack(9, 0, 64)), 512);
+        assert_eq!(slab_bytes::<u64>(ready::pack(9, 3, 64)), 512 + 3 * 12);
+    }
+
+    #[test]
+    fn next_ready_follows_the_sequence_across_the_wrap_with_cells_out_of_order() {
+        // Double-buffered flushes land in whichever cell is free, so slot
+        // order and flush order disagree half the time; the receiver must
+        // follow the sequence field, in its own width, through the wrap.
+        let word = |seq: u32| ready::pack(seq, 0, 1);
+        let cells = |a: u64, b: u64| move |slot: usize| [a, b][slot];
+        // older slab in slot 1, newer in slot 0
+        let state = cells(word(u32::MAX), word(u32::MAX - 1));
+        assert_eq!(next_ready(u32::MAX - 1, state), Some((1, word(u32::MAX - 1))));
+        assert_eq!(next_ready(u32::MAX, state), Some((0, word(u32::MAX))));
+        // the wrap itself: MAX in slot 1, its successor 0 in slot 0
+        let state = cells(word(0), word(u32::MAX));
+        assert_eq!(next_ready(u32::MAX, state), Some((1, word(u32::MAX))));
+        assert_eq!(next_ready(u32::MAX.wrapping_add(1), state), Some((0, word(0))));
+        // past it, out of order again
+        let state = cells(word(1), word(0));
+        assert_eq!(next_ready(0, state), Some((1, word(0))));
+        // a free cell, and a published cell that is not next, match nothing
+        assert_eq!(next_ready(1, cells(0, word(2))), None);
+        assert_eq!(next_ready(0, cells(0, 0)), None);
+    }
+
+    #[test]
+    fn links_started_below_the_sequence_wrap_cross_it() {
+        // `reset` keeps sequence numbers, so a long-lived conveyor reaches
+        // 2^32 flushes on a link. Start three flushes short of it, at
+        // capacity 1 (every item is a flush), on the blocking and the
+        // non-blocking path, free-running and under seeded schedules that
+        // interleave release and reuse of the two cells.
+        use fabsp_shmem::{Harness, SchedSpec};
+        let per_pair = 24u64;
+        for grid in [Grid::single_node(2).unwrap(), Grid::new(2, 1).unwrap()] {
+            for sched in std::iter::once(None).chain((0..6).map(Some)) {
+                let harness = match sched {
+                    Some(seed) => Harness::new(grid).sched(SchedSpec::random_walk(seed)),
+                    None => Harness::new(grid),
+                };
+                let results = spmd::run(harness, move |pe| {
+                    let mut c = Conveyor::<u64>::new(
+                        pe,
+                        ConveyorOptions {
+                            capacity: 1,
+                            ..ConveyorOptions::default()
+                        },
+                    )
+                    .unwrap();
+                    c.start_sequences_at(u32::MAX - 2);
+                    let n = pe.n_pes() as u64;
+                    let mut received: Vec<Vec<u64>> = vec![Vec::new(); pe.n_pes()];
+                    let mut next = 0u64;
+                    loop {
+                        while next < n * per_pair {
+                            let dst = (next % n) as usize;
+                            if !c.push(pe, next / n, dst).unwrap().is_accepted() {
+                                break;
+                            }
+                            next += 1;
+                        }
+                        let active = c.advance(pe, next == n * per_pair);
+                        while let Some(d) = c.pull() {
+                            received[d.src as usize].push(d.item);
+                        }
+                        if !active {
+                            break;
+                        }
+                        pe.poll_yield();
+                    }
+                    let wrapped = (0..pe.n_pes()).all(|dst| {
+                        let link = c.topology.route(c.grid, c.me, dst).link;
+                        c.links[link].flush_seq < u32::MAX - 2
+                    });
+                    (received, wrapped)
+                })
+                .unwrap_or_else(|e| panic!("{grid:?}, schedule {sched:?}: {e}"));
+                for (me, (received, wrapped)) in results.iter().enumerate() {
+                    assert!(wrapped, "every used link of PE {me} flushed past the wrap");
+                    for (src, items) in received.iter().enumerate() {
+                        assert_eq!(
+                            *items,
+                            (0..per_pair).collect::<Vec<_>>(),
+                            "{grid:?}, schedule {sched:?}: {src} -> {me}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1423,40 +1791,53 @@ mod tests {
     }
 
     #[test]
-    fn supersteps_reuse_pooled_buffers_without_allocating() {
-        // The free-list claim: buffer allocations settle at construction
-        // and stay flat across arbitrarily many reset supersteps.
+    fn supersteps_reuse_staging_buffers_without_allocating() {
+        // The staging side of "steady state and `reset` allocate nothing":
+        // every link's payload buffer and route table keep the capacity
+        // `new` gave them, across reset supersteps of the traffic that
+        // grows a route table fastest — destinations alternating every
+        // item, so the row link of the 2x2 mesh stages one route per item.
         let grid = Grid::new(2, 2).unwrap();
-        let allocs = spmd::run(grid, |pe| {
+        let capacities = |c: &Conveyor<u64>| -> Vec<(usize, usize)> {
+            c.links
+                .iter()
+                .map(|l| (l.buf.capacity(), l.runs.capacity()))
+                .collect()
+        };
+        let per_pe = spmd::run(grid, |pe| {
             let mut c = Conveyor::<u64>::new(pe, ConveyorOptions::default()).unwrap();
             let n = pe.n_pes();
-            let mut per_round = Vec::new();
+            let total = 5 * c.capacity() * n;
+            let mut per_round = vec![capacities(&c)];
+            let mut most_runs = 0usize;
             for round in 0..4u64 {
                 let mut sent = 0usize;
                 loop {
-                    while sent < n && c.push(pe, round, sent).unwrap().is_accepted() {
+                    while sent < total && c.push(pe, round, sent % n).unwrap().is_accepted() {
                         sent += 1;
+                        most_runs = most_runs.max(c.links.iter().map(|l| l.runs.len()).max().unwrap());
                     }
-                    let active = c.advance(pe, sent == n);
+                    let active = c.advance(pe, sent == total);
                     while c.pull().is_some() {}
                     if !active {
                         break;
                     }
                     pe.poll_yield();
                 }
-                per_round.push(c.stats().buffer_allocs);
+                per_round.push(capacities(&c));
                 pe.barrier_all();
                 c.reset(pe);
             }
-            per_round
+            (per_round, most_runs)
         })
         .unwrap();
-        for per_round in &allocs {
-            assert!(per_round[0] > 0, "construction takes buffers from the pool");
-            for later in &per_round[1..] {
+        for (me, (per_round, most_runs)) in per_pe.iter().enumerate() {
+            assert_eq!(*most_runs, 64, "PE {me}: a row slab staged one route per item");
+            for (round, caps) in per_round.iter().enumerate().skip(1) {
                 assert_eq!(
-                    *later, per_round[0],
-                    "steady-state supersteps must not allocate"
+                    *caps, per_round[0],
+                    "PE {me}: staging storage regrew by the end of superstep {}",
+                    round - 1
                 );
             }
         }
@@ -1760,7 +2141,8 @@ mod tests {
     fn batch_buffers_recycle_across_supersteps() {
         // Single-PE self-traffic yields one origin run per round, so the
         // batch free list settles after round 0 and steady-state rounds
-        // allocate nothing (mirrors the staging-pool flatness gate).
+        // allocate nothing (the pull-queue half of
+        // `supersteps_reuse_staging_buffers_without_allocating`).
         let grid = Grid::single_node(1).unwrap();
         spmd::run(grid, |pe| {
             let mut c = Conveyor::<u64>::new(pe, ConveyorOptions::default()).unwrap();

@@ -5,6 +5,9 @@
 pub enum ConveyorError {
     /// Buffer capacity must hold at least one item.
     ZeroCapacity,
+    /// The slab capacity (`capacity`, or the adaptive slab cap when that is
+    /// larger) does not fit the ready word's item-count field.
+    CapacityTooLarge { capacity: usize, max: usize },
     /// A destination PE outside the grid.
     InvalidDestination { dst: usize, n_pes: usize },
     /// `push` after this PE signalled done.
@@ -17,6 +20,9 @@ impl std::fmt::Display for ConveyorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConveyorError::ZeroCapacity => write!(f, "conveyor capacity must be at least 1 item"),
+            ConveyorError::CapacityTooLarge { capacity, max } => {
+                write!(f, "conveyor slab capacity {capacity} exceeds the maximum of {max} items")
+            }
             ConveyorError::InvalidDestination { dst, n_pes } => {
                 write!(f, "destination PE {dst} out of range ({n_pes} PEs)")
             }
@@ -43,6 +49,9 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(ConveyorError::ZeroCapacity.to_string().contains("at least 1"));
+        assert!(ConveyorError::CapacityTooLarge { capacity: 70_000, max: 65_535 }
+            .to_string()
+            .contains("70000 exceeds the maximum of 65535"));
         assert!(ConveyorError::InvalidDestination { dst: 7, n_pes: 4 }
             .to_string()
             .contains("PE 7"));

@@ -3,21 +3,10 @@
 //!
 //! One module owns every type a caller sees when items enter
 //! ([`PushOutcome`], [`PushReport`]) or leave ([`Delivery`],
-//! [`BatchDelivery`]) a [`Conveyor`](crate::Conveyor), plus the wire-level
-//! [`Envelope`]. Re-exported from the crate root so downstream code never
-//! has to reach into `convey`.
-
-/// What travels in a buffer: the item plus enough routing to survive a
-/// relay hop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Envelope<T> {
-    /// Final destination PE.
-    pub final_dst: u32,
-    /// PE that pushed the item.
-    pub origin: u32,
-    /// The payload.
-    pub item: T,
-}
+//! [`BatchDelivery`]) a [`Conveyor`](crate::Conveyor). Re-exported from the
+//! crate root so downstream code never has to reach into `convey`. (What
+//! travels between PEs — bare payload slabs plus a per-run route table — is
+//! private to `convey`.)
 
 /// Result of a single-item [`push`](crate::Conveyor::push).
 ///

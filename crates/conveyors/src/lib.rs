@@ -91,6 +91,6 @@ pub mod topology;
 
 pub use convey::{Conveyor, ConveyorOptions};
 pub use error::ConveyorError;
-pub use exchange::{BatchDelivery, Delivery, Envelope, PushOutcome, PushReport};
+pub use exchange::{BatchDelivery, Delivery, PushOutcome, PushReport};
 pub use stats::ConveyorStats;
 pub use topology::{LinkKind, Topology, TopologySpec};

@@ -25,9 +25,10 @@ pub struct ConveyorStats {
     pub nonblock_progress: u64,
     /// `shmem_quiet` fences issued.
     pub quiets: u64,
-    /// Item-granularity copies performed (push staging, buffer delivery,
-    /// relay re-staging, pull hand-off, and the capture+apply pair of a
-    /// non-blocking put). This is the §IV-D memcpy count.
+    /// Item-granularity copies performed: push staging, slab delivery (the
+    /// capture+apply pair for a non-blocking put), relay re-staging,
+    /// consume (the one copy from the landing cell into the pull queue)
+    /// and pull hand-off. This is the §IV-D memcpy count.
     pub item_copies: u64,
     /// Items the selector copied into a handler outbox — one copy per
     /// handler-originated send, ahead of the `item_copies` its push pays.
@@ -39,19 +40,15 @@ pub struct ConveyorStats {
     /// ([`Conveyor::inject_chaos`](crate::Conveyor::inject_chaos)); always
     /// zero in production.
     pub forced_parks: u64,
-    /// Staging/scratch buffers allocated from the conveyor's pool. Settles
-    /// at construction and stays flat across supersteps — the free-list
-    /// keeps routed double-buffering from allocating per superstep.
-    pub buffer_allocs: u64,
     /// Multi-item `push_slice` calls (each may stage many items and flush
     /// several slabs).
     pub batched_pushes: u64,
     /// `pull_batch` calls that handed out a zero-copy batch.
     pub batched_pulls: u64,
     /// Batch backing buffers allocated for the delivery queue. Recycled
-    /// through a free list like `buffer_allocs`, but sized by how many
-    /// origin runs are simultaneously queued, so it settles with traffic
-    /// rather than at construction.
+    /// through a free list sized by how many origin runs are
+    /// simultaneously queued, so it settles with traffic rather than at
+    /// construction.
     pub batch_allocs: u64,
     /// Adaptive-capacity controller decisions that grew the occupancy
     /// target (always zero with `adaptive` off).
@@ -81,7 +78,6 @@ impl ConveyorStats {
         self.outbox_staged += other.outbox_staged;
         self.advances += other.advances;
         self.forced_parks += other.forced_parks;
-        self.buffer_allocs += other.buffer_allocs;
         self.batched_pushes += other.batched_pushes;
         self.batched_pulls += other.batched_pulls;
         self.batch_allocs += other.batch_allocs;

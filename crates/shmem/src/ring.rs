@@ -2,8 +2,11 @@
 //!
 //! A [`SpscRing`] gives every PE a fixed set of *cells*; each cell is one
 //! landing slot of a directed communication link: a data buffer of
-//! `capacity` items plus one atomic *state word*. The state word doubles as
-//! ready signal and free-list entry:
+//! `capacity` items, an optional *side table* of `side_capacity` entries of
+//! a second type (the conveyor's per-slab route table; empty for plain
+//! rings) and one atomic *state word*. Items and side table travel in the
+//! same put and are covered by the same publication edge. The state word
+//! doubles as ready signal and free-list entry:
 //!
 //! - `0` — the cell is **free**: owned by its (single) remote producer,
 //!   which may fill the buffer and publish.
@@ -68,42 +71,46 @@ use crate::sched::SchedPoint;
 /// owner releases — without the padding, every publish/release would
 /// false-share with its neighbors' polls.
 #[repr(align(128))]
-struct RingCell<T> {
+struct RingCell<T, S> {
     state: AtomicU64,
     data: UnsafeCell<Box<[T]>>,
+    side: UnsafeCell<Box<[S]>>,
 }
 
-struct RingInner<T> {
+struct RingInner<T, S> {
     grid: Grid,
     cells_per_pe: usize,
     capacity: usize,
+    side_capacity: usize,
     /// `regions[pe][cell]`.
-    regions: Vec<Box<[RingCell<T>]>>,
+    regions: Vec<Box<[RingCell<T, S>]>>,
     /// Allocation identity for the race detector's location map.
     #[cfg(feature = "race-detect")]
     race_id: u64,
 }
 
-// SAFETY: cross-thread access to the UnsafeCell'd buffers follows the SPSC
-// protocol documented above — a producer writes only while it owns the cell
-// (state == 0, single producer per cell), a consumer reads only while the
-// cell is published, and ownership transfers through Release/Acquire on the
-// state word. `T: Send` is required because values move between threads.
-unsafe impl<T: Send> Sync for RingInner<T> {}
+// SAFETY: cross-thread access to the UnsafeCell'd buffers (items and side
+// table alike) follows the SPSC protocol documented above — a producer
+// writes only while it owns the cell (state == 0, single producer per
+// cell), a consumer reads only while the cell is published, and ownership
+// transfers through Release/Acquire on the state word. `T: Send` and
+// `S: Send` are required because values move between threads.
+unsafe impl<T: Send, S: Send> Sync for RingInner<T, S> {}
 // SAFETY: RingInner owns its buffers; moving the allocation to another
-// thread moves the `T`s with it, which `T: Send` permits. No thread
-// affinity exists anywhere in the structure (the per-PE discipline lives in
-// `Pe`, not here).
-unsafe impl<T: Send> Send for RingInner<T> {}
+// thread moves the `T`s and `S`s with it, which the `Send` bounds permit.
+// No thread affinity exists anywhere in the structure (the per-PE
+// discipline lives in `Pe`, not here).
+unsafe impl<T: Send, S: Send> Send for RingInner<T, S> {}
 
-/// Symmetric lock-free SPSC link cells; see the module docs.
+/// Symmetric lock-free SPSC link cells; see the module docs. `S` is the
+/// side-table entry type (`()` for a ring without one).
 ///
 /// Clone is shallow (all clones refer to the same allocation).
-pub struct SpscRing<T> {
-    inner: Arc<RingInner<T>>,
+pub struct SpscRing<T, S = ()> {
+    inner: Arc<RingInner<T, S>>,
 }
 
-impl<T> Clone for SpscRing<T> {
+impl<T, S> Clone for SpscRing<T, S> {
     fn clone(&self) -> Self {
         SpscRing {
             inner: Arc::clone(&self.inner),
@@ -112,13 +119,31 @@ impl<T> Clone for SpscRing<T> {
 }
 
 impl<T: Copy + Default + Send + 'static> SpscRing<T> {
-    /// Collectively allocate `cells` cells of `capacity` items on every PE.
-    /// All PEs must call with the same shape (checked).
+    /// Collectively allocate `cells` cells of `capacity` items (and no side
+    /// table) on every PE. All PEs must call with the same shape (checked).
     pub fn new(pe: &Pe, cells: usize, capacity: usize) -> Result<SpscRing<T>, ShmemError> {
+        SpscRing::with_side(pe, cells, capacity, 0)
+    }
+}
+
+impl<T, S> SpscRing<T, S>
+where
+    T: Copy + Default + Send + 'static,
+    S: Copy + Default + Send + 'static,
+{
+    /// Collectively allocate `cells` cells of `capacity` items plus a side
+    /// table of `side_capacity` entries on every PE. All PEs must call with
+    /// the same shape (checked).
+    pub fn with_side(
+        pe: &Pe,
+        cells: usize,
+        capacity: usize,
+        side_capacity: usize,
+    ) -> Result<SpscRing<T, S>, ShmemError> {
         let grid = pe.grid();
         let arc = pe.run_collective(
-            (cells, capacity),
-            move |shapes| -> Result<SpscRing<T>, ShmemError> {
+            (cells, capacity, side_capacity),
+            move |shapes| -> Result<SpscRing<T, S>, ShmemError> {
                 if shapes.iter().any(|&s| s != shapes[0]) {
                     return Err(ShmemError::CollectiveMismatch(format!(
                         "SpscRing shapes differ across PEs: {shapes:?}"
@@ -132,6 +157,9 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
                                 data: UnsafeCell::new(
                                     vec![T::default(); capacity].into_boxed_slice(),
                                 ),
+                                side: UnsafeCell::new(
+                                    vec![S::default(); side_capacity].into_boxed_slice(),
+                                ),
                             })
                             .collect()
                     })
@@ -141,6 +169,7 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
                         grid,
                         cells_per_pe: cells,
                         capacity,
+                        side_capacity,
                         regions,
                         #[cfg(feature = "race-detect")]
                         race_id: crate::race::next_alloc_id(),
@@ -163,7 +192,7 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         self.inner.capacity
     }
 
-    fn check(&self, pe: usize, cell: usize, len: usize) -> Result<(), ShmemError> {
+    fn check(&self, pe: usize, cell: usize, len: usize, side_len: usize) -> Result<(), ShmemError> {
         self.inner.grid.check_pe(pe)?;
         if cell >= self.inner.cells_per_pe || len > self.inner.capacity {
             return Err(ShmemError::OutOfBounds {
@@ -172,17 +201,36 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
                 region_len: self.inner.capacity,
             });
         }
+        if side_len > self.inner.side_capacity {
+            return Err(ShmemError::OutOfBounds {
+                offset: cell,
+                len: side_len,
+                region_len: self.inner.side_capacity,
+            });
+        }
         Ok(())
     }
 
-    /// The detector's name for `owner_pe`'s cell (state word and buffer
-    /// share it: the two live in separate sync/data maps).
+    /// The detector's name for `owner_pe`'s cell (state word and item
+    /// buffer share it: the two live in separate sync/data maps).
     #[cfg(feature = "race-detect")]
     fn loc(&self, owner_pe: usize, cell: usize) -> crate::race::Loc {
         crate::race::Loc {
             alloc: self.inner.race_id,
             owner: owner_pe,
             index: cell,
+        }
+    }
+
+    /// The detector's name for the cell's side table: a data location of
+    /// its own (indexed past the item buffers), ordered by the same state
+    /// word as the items.
+    #[cfg(feature = "race-detect")]
+    fn side_loc(&self, owner_pe: usize, cell: usize) -> crate::race::Loc {
+        crate::race::Loc {
+            alloc: self.inner.race_id,
+            owner: owner_pe,
+            index: self.inner.cells_per_pe + cell,
         }
     }
 
@@ -211,17 +259,28 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         c.state.load(Ordering::Acquire)
     }
 
-    /// Copy `src` into `dst_pe`'s cell buffer as a *blocking* put: the data
-    /// is in place on return (visible once the caller publishes). The cell
-    /// must be free and owned by this producer.
-    pub fn write(&self, pe: &Pe, dst_pe: usize, cell: usize, src: &[T]) -> Result<(), ShmemError> {
-        self.check(dst_pe, cell, src.len())?;
+    /// Copy `src` (and the side table `side`, possibly empty) into
+    /// `dst_pe`'s cell as one *blocking* put: the data is in place on return
+    /// (visible once the caller publishes). The cell must be free and owned
+    /// by this producer.
+    pub fn write(
+        &self,
+        pe: &Pe,
+        dst_pe: usize,
+        cell: usize,
+        src: &[T],
+        side: &[S],
+    ) -> Result<(), ShmemError> {
+        self.check(dst_pe, cell, src.len(), side.len())?;
         pe.sched_point(SchedPoint::Put);
-        let bytes = std::mem::size_of_val(src);
-        self.fill(dst_pe, cell, src);
+        let bytes = std::mem::size_of_val(src) + std::mem::size_of_val(side);
+        self.fill(dst_pe, cell, src, side);
         #[cfg(feature = "race-detect")]
         if let Some(d) = pe.race_detector() {
             d.write(pe.rank(), self.loc(dst_pe, cell), "SpscRing::write");
+            if !side.is_empty() {
+                d.write(pe.rank(), self.side_loc(dst_pe, cell), "SpscRing::write (side table)");
+            }
         }
         if pe.same_node_as(dst_pe) {
             model::MEMCPY_PER_BYTE.times(bytes as u64).charge();
@@ -234,35 +293,47 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         Ok(())
     }
 
-    /// Copy `src` into `dst_pe`'s cell buffer as a non-blocking put
-    /// (`shmem_putmem_nbi`): the caller must not publish the cell until
-    /// after its next [`Pe::quiet`]. Registers with the pending-put queue
-    /// (so `pending_nbi`/`quiet` byte accounting are exact) but captures no
-    /// data — the double-buffered source is stable until the slot recycles,
-    /// so, unlike the symmetric-heap path, no per-flush allocation happens.
+    /// Copy `src` (and the side table `side`, possibly empty) into
+    /// `dst_pe`'s cell as one non-blocking put (`shmem_putmem_nbi`): the
+    /// caller must not publish the cell until after its next [`Pe::quiet`].
+    /// Registers with the pending-put queue (so `pending_nbi`/`quiet` byte
+    /// accounting are exact) but captures no data — the double-buffered
+    /// source is stable until the slot recycles, so, unlike the
+    /// symmetric-heap path, no per-flush allocation happens.
     pub fn write_nbi(
         &self,
         pe: &Pe,
         dst_pe: usize,
         cell: usize,
         src: &[T],
+        side: &[S],
     ) -> Result<(), ShmemError> {
-        self.check(dst_pe, cell, src.len())?;
+        self.check(dst_pe, cell, src.len(), side.len())?;
         pe.sched_point(SchedPoint::PutNbi);
-        let bytes = std::mem::size_of_val(src);
-        self.fill(dst_pe, cell, src);
+        let bytes = std::mem::size_of_val(src) + std::mem::size_of_val(side);
+        self.fill(dst_pe, cell, src, side);
         #[cfg(feature = "race-detect")]
         if let Some(d) = pe.race_detector() {
-            // The buffer is physically filled now, but semantically the put
-            // is in flight until quiet: mark the cell nbi-pending and defer
-            // the write event to the quiet-time flush below.
+            // The buffers are physically filled now, but semantically the
+            // put is in flight until quiet: mark the cell (and its side
+            // table, when one travels) nbi-pending and defer the write
+            // events to the quiet-time flush below.
             let loc = self.loc(dst_pe, cell);
+            let side_loc = (!side.is_empty()).then(|| self.side_loc(dst_pe, cell));
             let rank = pe.rank();
             d.nbi_staged(rank, loc, "SpscRing::write_nbi");
+            if let Some(side_loc) = side_loc {
+                d.nbi_staged(rank, side_loc, "SpscRing::write_nbi (side table)");
+            }
             let d = Arc::clone(d);
             pe.push_pending(
                 bytes,
-                Box::new(move || d.nbi_delivered(rank, loc, "SpscRing::write_nbi (quiet)")),
+                Box::new(move || {
+                    d.nbi_delivered(rank, loc, "SpscRing::write_nbi (quiet)");
+                    if let Some(side_loc) = side_loc {
+                        d.nbi_delivered(rank, side_loc, "SpscRing::write_nbi (side table, quiet)");
+                    }
+                }),
             );
         } else {
             pe.push_pending(bytes, Box::new(|| {}));
@@ -275,7 +346,7 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         Ok(())
     }
 
-    fn fill(&self, dst_pe: usize, cell: usize, src: &[T]) {
+    fn fill(&self, dst_pe: usize, cell: usize, src: &[T], side: &[S]) {
         let c = &self.inner.regions[dst_pe][cell];
         debug_assert_eq!(
             c.state.load(Ordering::Acquire),
@@ -283,10 +354,17 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
             "SPSC protocol violation: write into a published cell"
         );
         // SAFETY: the cell is free (state == 0) and this PE is its single
-        // producer, so no other thread reads or writes the buffer until we
-        // publish (see RingInner's Sync justification).
+        // producer, so no other thread reads or writes the item buffer
+        // until we publish (see RingInner's Sync justification).
         let dst = unsafe { &mut *c.data.get() };
         dst[..src.len()].copy_from_slice(src);
+        if !side.is_empty() {
+            // SAFETY: as above — the side table belongs to the same free
+            // cell, so its single producer owns it exclusively until the
+            // publish.
+            let dst = unsafe { &mut *c.side.get() };
+            dst[..side.len()].copy_from_slice(side);
+        }
     }
 
     /// Publish `dst_pe`'s cell with a non-zero state `word` (`Release`) —
@@ -299,7 +377,7 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         cell: usize,
         word: u64,
     ) -> Result<(), ShmemError> {
-        self.check(dst_pe, cell, 0)?;
+        self.check(dst_pe, cell, 0, 0)?;
         debug_assert_ne!(word, 0, "0 is the free-cell sentinel");
         pe.sched_point(SchedPoint::Atomic);
         let c = &self.inner.regions[dst_pe][cell];
@@ -323,7 +401,7 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         Ok(())
     }
 
-    /// Read `range` of the calling PE's own published cell buffer.
+    /// Read the calling PE's own published cell's item buffer.
     pub fn read_local<R>(&self, pe: &Pe, cell: usize, f: impl FnOnce(&[T]) -> R) -> R {
         debug_assert!(cell < self.inner.cells_per_pe);
         let c = &self.inner.regions[pe.rank()][cell];
@@ -341,10 +419,30 @@ impl<T: Copy + Default + Send + 'static> SpscRing<T> {
         f(unsafe { &*c.data.get() })
     }
 
+    /// Read the calling PE's own published cell's side table. How many
+    /// leading entries are meaningful is the caller's business (the
+    /// conveyor packs the count into the state word).
+    pub fn read_side<R>(&self, pe: &Pe, cell: usize, f: impl FnOnce(&[S]) -> R) -> R {
+        debug_assert!(cell < self.inner.cells_per_pe);
+        let c = &self.inner.regions[pe.rank()][cell];
+        debug_assert_ne!(
+            c.state.load(Ordering::Acquire),
+            0,
+            "SPSC protocol violation: read of a free cell"
+        );
+        #[cfg(feature = "race-detect")]
+        if let Some(d) = pe.race_detector() {
+            d.read(pe.rank(), self.side_loc(pe.rank(), cell), "SpscRing::read_side");
+        }
+        // SAFETY: the cell is published, so its single producer will not
+        // touch the side table until this PE releases it.
+        f(unsafe { &*c.side.get() })
+    }
+
     /// Mark the calling PE's own cell free again (`Release` store of 0) —
     /// the ack that returns the buffer to `producer_pe`'s free list.
     pub fn release(&self, pe: &Pe, cell: usize, producer_pe: usize) -> Result<(), ShmemError> {
-        self.check(pe.rank(), cell, 0)?;
+        self.check(pe.rank(), cell, 0, 0)?;
         self.inner.grid.check_pe(producer_pe)?;
         pe.sched_point(SchedPoint::Atomic);
         let c = &self.inner.regions[pe.rank()][cell];
@@ -393,7 +491,7 @@ mod tests {
                     while ring.state(pe, 1, cell) != 0 {
                         pe.poll_yield();
                     }
-                    ring.write(pe, 1, cell, &[seq * 10, seq * 10 + 1]).unwrap();
+                    ring.write(pe, 1, cell, &[seq * 10, seq * 10 + 1], &[]).unwrap();
                     ring.publish(pe, 1, cell, (seq << 32) | 3).unwrap();
                 }
             } else {
@@ -444,9 +542,9 @@ mod tests {
         // The padding audit: each (link, slot) state word must own its own
         // 128-byte region so remote producers' polls never false-share
         // with neighboring cells.
-        assert_eq!(std::mem::align_of::<RingCell<u64>>(), 128);
-        assert_eq!(std::mem::size_of::<RingCell<u64>>(), 128);
-        assert_eq!(std::mem::size_of::<RingCell<[u8; 200]>>() % 128, 0);
+        assert_eq!(std::mem::align_of::<RingCell<u64, ()>>(), 128);
+        assert_eq!(std::mem::size_of::<RingCell<u64, [u32; 3]>>(), 128);
+        assert_eq!(std::mem::size_of::<RingCell<[u8; 200], ()>>() % 128, 0);
     }
 
     #[test]
@@ -455,17 +553,46 @@ mod tests {
         spmd::run(grid, |pe| {
             let ring = SpscRing::<u8>::new(pe, 2, 4).unwrap();
             assert!(matches!(
-                ring.write(pe, 0, 5, &[1]),
+                ring.write(pe, 0, 5, &[1], &[]),
                 Err(ShmemError::OutOfBounds { .. })
             ));
             assert!(matches!(
-                ring.write(pe, 0, 0, &[0; 9]),
+                ring.write(pe, 0, 0, &[0; 9], &[]),
                 Err(ShmemError::OutOfBounds { .. })
             ));
             assert!(matches!(
-                ring.write(pe, 3, 0, &[1]),
+                ring.write(pe, 3, 0, &[1], &[]),
                 Err(ShmemError::InvalidPe { .. })
             ));
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn side_table_travels_with_the_items_and_is_bounds_checked() {
+        // One put carries both arrays: the byte accounting is their sum and
+        // the consumer sees both after the single publish.
+        let grid = Grid::new(2, 1).unwrap();
+        spmd::run(grid, |pe| {
+            let ring = SpscRing::<u64, [u32; 3]>::with_side(pe, 1, 4, 2).unwrap();
+            if pe.rank() == 0 {
+                assert!(matches!(
+                    ring.write_nbi(pe, 1, 0, &[1], &[[0; 3]; 3]),
+                    Err(ShmemError::OutOfBounds { len: 3, region_len: 2, .. })
+                ));
+                ring.write_nbi(pe, 1, 0, &[5, 6], &[[1, 0, 2]]).unwrap();
+                assert_eq!(pe.quiet(), 2 * 8 + 12, "items and side table in one put");
+                assert_eq!(pe.net_stats().nbi_put.ops, 1);
+                ring.publish(pe, 1, 0, 1).unwrap();
+            } else {
+                while ring.state(pe, 1, 0) == 0 {
+                    pe.poll_yield();
+                }
+                ring.read_local(pe, 0, |b| assert_eq!(&b[..2], &[5, 6]));
+                ring.read_side(pe, 0, |s| assert_eq!(s[0], [1, 0, 2]));
+                ring.release(pe, 0, 0).unwrap();
+            }
+            pe.barrier_all();
         })
         .unwrap();
     }
@@ -486,7 +613,7 @@ mod tests {
         spmd::run(grid, |pe| {
             let ring = SpscRing::<u64>::new(pe, 1, 4).unwrap();
             if pe.rank() == 0 {
-                ring.write_nbi(pe, 1, 0, &[1, 2, 3]).unwrap();
+                ring.write_nbi(pe, 1, 0, &[1, 2, 3], &[]).unwrap();
                 assert_eq!(pe.pending_nbi(), 1);
                 assert_eq!(pe.quiet(), 24, "3 u64s flushed");
                 ring.publish(pe, 1, 0, 4).unwrap();
@@ -513,7 +640,7 @@ mod tests {
         spmd::run(grid, |pe| {
             let ring = SpscRing::<u8>::new(pe, 1, 16).unwrap();
             if pe.rank() == 0 {
-                ring.write(pe, 1, 0, &[7; 16]).unwrap(); // same node
+                ring.write(pe, 1, 0, &[7; 16], &[]).unwrap(); // same node
                 let s = pe.net_stats();
                 assert_eq!(s.local_copy, crate::net::ClassStats { ops: 1, bytes: 16 });
                 ring.publish(pe, 1, 0, 1).unwrap();

@@ -214,7 +214,7 @@ pub enum Phase {
     Advance,
     /// One `shmem_quiet` issued from conveyor progress.
     Quiet,
-    /// One relay hop: consuming an incoming slot that forwarded envelopes.
+    /// One relay hop: consuming an incoming slot that forwarded runs.
     RelayHop,
 }
 

@@ -190,3 +190,198 @@ proptest! {
             .unwrap_or_else(|v| panic!("seed {seed}, fault mode {fault_mode}: {v}"));
     }
 }
+
+/// One planned send of the slab-format property below.
+#[derive(Debug, Clone, Copy)]
+struct PlannedSend {
+    /// 0 = one `push` per item, 1 = one `push_slice`, 2 = `push` per item
+    /// alternating between `dst` and `other` (one route per item).
+    kind: usize,
+    dst: usize,
+    other: usize,
+    /// Index into the run-length table `[1, 2, capacity - 1, capacity + 1]`.
+    len_idx: usize,
+}
+
+#[derive(Debug, Clone)]
+struct SlabScenario {
+    nodes: usize,
+    ppn: usize,
+    topology: TopologySpec,
+    capacity: usize,
+    /// Per-PE plans, run after an all-pairs `push_slice` of `capacity + 1`.
+    plans: Vec<Vec<PlannedSend>>,
+}
+
+fn arb_slab_scenario() -> impl Strategy<Value = SlabScenario> {
+    (0usize..4, 2usize..=6).prop_flat_map(|(shape, capacity)| {
+        // 1D never relays, the meshes relay once, the 2x4 cube twice.
+        let (nodes, ppn, topology) = [
+            (1, 4, TopologySpec::OneD),
+            (2, 2, TopologySpec::Mesh2D),
+            (2, 3, TopologySpec::Mesh2D),
+            (2, 4, TopologySpec::Cube3D),
+        ][shape];
+        let n_pes = nodes * ppn;
+        let send = (0usize..3, 0..n_pes, 0..n_pes, 0usize..4).prop_map(
+            |(kind, dst, other, len_idx)| PlannedSend { kind, dst, other, len_idx },
+        );
+        proptest::collection::vec(proptest::collection::vec(send, 0..12), n_pes..=n_pes).prop_map(
+            move |plans| SlabScenario { nodes, ppn, topology, capacity, plans },
+        )
+    })
+}
+
+/// Expand one PE's plan into `(destination, payloads, sliced)` operations.
+/// A payload is `(origin << 32) | per-pair sequence number`.
+fn expand_plan(
+    rank: usize,
+    n_pes: usize,
+    capacity: usize,
+    plan: &[PlannedSend],
+) -> Vec<(usize, Vec<u64>, bool)> {
+    let mut pair_seq = vec![0u64; n_pes];
+    let mut stamp = |dst: usize| {
+        let payload = ((rank as u64) << 32) | pair_seq[dst];
+        pair_seq[dst] += 1;
+        payload
+    };
+    // Every pair gets a run that cannot fit one slab, so every route of the
+    // topology — direct, one relay hop, two — carries a straddling run.
+    let mut ops: Vec<(usize, Vec<u64>, bool)> = (0..n_pes)
+        .map(|dst| (dst, (0..=capacity).map(|_| stamp(dst)).collect(), true))
+        .collect();
+    for send in plan {
+        let len = [1, 2, capacity - 1, capacity + 1][send.len_idx];
+        match send.kind {
+            2 => {
+                for k in 0..2 * len {
+                    let dst = if k % 2 == 0 { send.dst } else { send.other };
+                    ops.push((dst, vec![stamp(dst)], false));
+                }
+            }
+            kind => ops.push((send.dst, (0..len).map(|_| stamp(send.dst)).collect(), kind == 1)),
+        }
+    }
+    ops
+}
+
+/// Run `scenario` free-running (`None`) or under a seeded random-walk
+/// schedule with chaos-forced relay parks (`Some(seed)`), and check
+/// conservation, origin tags on both pull surfaces and per-pair FIFO.
+fn check_slab_scenario(scenario: &SlabScenario, mode: Option<u64>) {
+    let grid = Grid::new(scenario.nodes, scenario.ppn).unwrap();
+    let n_pes = grid.n_pes();
+    let capacity = scenario.capacity;
+    let options = ConveyorOptions {
+        capacity,
+        topology: scenario.topology,
+        ..ConveyorOptions::default()
+    };
+    let all_ops: Arc<Vec<_>> = Arc::new(
+        (0..n_pes)
+            .map(|rank| expand_plan(rank, n_pes, capacity, &scenario.plans[rank]))
+            .collect(),
+    );
+    let harness = match mode {
+        Some(seed) => Harness::new(grid).sched(SchedSpec::random_walk(seed)),
+        None => Harness::new(grid),
+    };
+    let results = spmd::run(harness, {
+        let all_ops = Arc::clone(&all_ops);
+        move |pe| {
+            let mut c = Conveyor::<u64>::new(pe, options).unwrap();
+            if let Some(seed) = mode {
+                c.inject_chaos(seed, 0.5);
+            }
+            let ops = &all_ops[pe.rank()];
+            let (mut op, mut offset) = (0usize, 0usize);
+            let mut received: Vec<Vec<u64>> = vec![Vec::new(); pe.n_pes()];
+            let mut use_batch = false;
+            loop {
+                while op < ops.len() {
+                    let (dst, payloads, sliced) = &ops[op];
+                    let accepted = if *sliced {
+                        c.push_slice(pe, &payloads[offset..], *dst).unwrap().accepted
+                    } else {
+                        usize::from(c.push(pe, payloads[offset], *dst).unwrap().is_accepted())
+                    };
+                    offset += accepted;
+                    if offset == payloads.len() {
+                        op += 1;
+                        offset = 0;
+                    } else if accepted == 0 {
+                        break;
+                    }
+                }
+                let active = c.advance(pe, op == ops.len());
+                loop {
+                    use_batch = !use_batch;
+                    if use_batch {
+                        let Some(batch) = c.pull_batch() else { break };
+                        for &item in batch.items {
+                            assert_eq!((item >> 32) as u32, batch.src, "BatchDelivery::src is the origin");
+                            received[batch.src as usize].push(item & 0xffff_ffff);
+                        }
+                    } else {
+                        let Some(d) = c.pull() else { break };
+                        assert_eq!((d.item >> 32) as u32, d.src, "Delivery::src is the origin");
+                        received[d.src as usize].push(d.item & 0xffff_ffff);
+                    }
+                }
+                if !active {
+                    break;
+                }
+                pe.poll_yield();
+            }
+            (received, c.stats())
+        }
+    })
+    .unwrap_or_else(|e| panic!("mode {mode:?}: {e}"));
+
+    for (me, (received, _)) in results.iter().enumerate() {
+        for src in 0..n_pes {
+            let expected: usize = all_ops[src]
+                .iter()
+                .filter(|(dst, _, _)| *dst == me)
+                .map(|(_, payloads, _)| payloads.len())
+                .sum();
+            assert_eq!(
+                received[src],
+                (0..expected as u64).collect::<Vec<_>>(),
+                "mode {mode:?}: every item of {src} -> {me} exactly once, in push order"
+            );
+        }
+    }
+    let stats: Vec<_> = results.iter().map(|(_, s)| *s).collect();
+    check_conveyor_quiescent(&stats).unwrap_or_else(|v| panic!("mode {mode:?}: {v}"));
+    let relayed: u64 = stats.iter().map(|s| s.relayed).sum();
+    match scenario.topology {
+        TopologySpec::OneD => assert_eq!(relayed, 0, "1D never relays"),
+        _ => assert!(relayed > 0, "the all-pairs runs must take relayed routes"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 16,
+        .. ProptestConfig::default()
+    })]
+
+    /// The slab format under everything that splits, merges or re-stages
+    /// runs: mixed `push`/`push_slice` traffic with runs of 1, 2,
+    /// `capacity - 1` and `capacity + 1` (the last straddles a slab
+    /// boundary on every route) and destinations alternating every item
+    /// (one route per item), over 1D, both meshes (one relay hop) and the
+    /// cube (two). Free-running, then under a seeded schedule with half of
+    /// all relay re-stages refused, so parked cursors stop and resume
+    /// anywhere inside a run.
+    #[test]
+    fn slab_format_survives_relays_parks_and_mixed_runs(
+        scenario in arb_slab_scenario(),
+        seed in 0u64..(1u64 << 48),
+    ) {
+        check_slab_scenario(&scenario, None);
+        check_slab_scenario(&scenario, Some(seed));
+    }
+}

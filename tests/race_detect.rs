@@ -81,30 +81,37 @@ fn racy_put_vs_local_get_is_flagged_on_every_schedule() {
 #[test]
 fn litmus_downgraded_ring_acquire_is_flagged() {
     // The consumer's state poll is the Acquire that makes the producer's
-    // buffer fill visible; downgrade it to Relaxed and the consumption is
-    // exactly the unordered read the detector exists to catch.
-    let hooks = RaceHooks {
-        downgrade_ring_acquire: true,
-        ..Default::default()
-    };
-    let h = Harness::new(Grid::single_node(2).unwrap()).race_hooks(hooks);
-    let err = spmd::run(h, |pe| {
-        let ring = SpscRing::<u64>::new(pe, 1, 4).unwrap();
-        if pe.rank() == 0 {
-            ring.write(pe, 1, 0, &[1, 2]).unwrap();
-            ring.publish(pe, 1, 0, 3).unwrap();
-        } else {
-            while ring.state(pe, 1, 0) == 0 {
-                pe.poll_yield();
+    // fill visible — items and side table (the conveyor's route table)
+    // alike; downgrade it to Relaxed and consuming either one is exactly
+    // the unordered read the detector exists to catch.
+    for (read_side, access) in [(false, "SpscRing::read_local"), (true, "SpscRing::read_side")] {
+        let hooks = RaceHooks {
+            downgrade_ring_acquire: true,
+            ..Default::default()
+        };
+        let h = Harness::new(Grid::single_node(2).unwrap()).race_hooks(hooks);
+        let err = spmd::run(h, move |pe| {
+            let ring = SpscRing::<u64, u32>::with_side(pe, 1, 4, 2).unwrap();
+            if pe.rank() == 0 {
+                ring.write(pe, 1, 0, &[1, 2], &[7]).unwrap();
+                ring.publish(pe, 1, 0, 3).unwrap();
+            } else {
+                while ring.state(pe, 1, 0) == 0 {
+                    pe.poll_yield();
+                }
+                if read_side {
+                    ring.read_side(pe, 0, |_| ());
+                } else {
+                    ring.read_local(pe, 0, |_| ());
+                }
+                ring.release(pe, 0, 0).unwrap();
             }
-            ring.read_local(pe, 0, |_| ());
-            ring.release(pe, 0, 0).unwrap();
-        }
-        pe.barrier_all();
-    })
-    .unwrap_err();
-    let msg = expect_race(err, "downgraded ring acquire");
-    assert!(msg.contains("SpscRing"), "{msg}");
+            pe.barrier_all();
+        })
+        .unwrap_err();
+        let msg = expect_race(err, "downgraded ring acquire");
+        assert!(msg.contains(access), "{msg}");
+    }
 }
 
 #[test]
@@ -120,7 +127,7 @@ fn litmus_skipped_quiet_edge_is_flagged() {
     let err = spmd::run(h, |pe| {
         let ring = SpscRing::<u64>::new(pe, 1, 4).unwrap();
         if pe.rank() == 0 {
-            ring.write_nbi(pe, 1, 0, &[9]).unwrap();
+            ring.write_nbi(pe, 1, 0, &[9], &[]).unwrap();
             pe.quiet();
             ring.publish(pe, 1, 0, 2).unwrap();
         } else {
