@@ -25,6 +25,15 @@
 //! sees the retry (the "automatic message aggregation without any
 //! user-written error handling" of §I).
 //!
+//! ## Dispatch
+//!
+//! The conveyor delivers one origin run at a time as a borrowed slice.
+//! [`Selector::new`] wraps the user's per-message handler once in a
+//! per-batch loop compiled for that handler, so a delivered slice costs one
+//! indirect call and what stays per message is the handler body itself.
+//! Done requests made by a handler ([`ProcCtx::done`]) take effect when its
+//! batch ends.
+//!
 //! ## Handler sends and done-chains
 //!
 //! Handlers may send (request/response patterns): such sends are staged in
@@ -67,8 +76,10 @@ impl SelectorConfig {
     }
 }
 
-/// The message handler: `(mailbox, message, sender PE, ctx)`.
-type Handler<'h, T> = Box<dyn FnMut(usize, T, u32, &mut ProcCtx<'_, T>) + 'h>;
+/// The message handler as the runtime calls it: once per delivered batch,
+/// `(mailbox, messages, sender PE, ctx)`. [`Selector::new`] builds it from
+/// the user's per-message handler.
+type BatchHandler<'h, T> = Box<dyn FnMut(usize, &[T], u32, &mut ProcCtx<'_, T>) + 'h>;
 
 struct Mailbox<T: Copy + Default + Send + 'static> {
     conveyor: Conveyor<T>,
@@ -172,7 +183,7 @@ impl<T> Staging<T> {
 pub struct Selector<'h, T: Copy + Default + Send + 'static> {
     mailboxes: Vec<Mailbox<T>>,
     staging: Staging<T>,
-    handler: Option<Handler<'h, T>>,
+    handler: Option<BatchHandler<'h, T>>,
     timer: RegionTimer,
     collector: SharedCollector,
     /// Batched logical/PAPI send runs; the send fast path appends here (a
@@ -190,7 +201,7 @@ pub struct MainCtx<'a, 'h, 'p, T: Copy + Default + Send + 'static> {
 }
 
 /// Context passed to message handlers. Sends are staged in the mailbox
-/// outbox and pushed by the runtime between handler invocations.
+/// outbox and pushed by the runtime in its next progress round.
 pub struct ProcCtx<'a, T> {
     staging: &'a mut Staging<T>,
     rank: usize,
@@ -291,12 +302,14 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
     ///
     /// `handler` is invoked as `(mailbox, message, sender, ctx)` for every
     /// delivered message — the union of the per-mailbox `process` lambdas
-    /// of Listing 2.
+    /// of Listing 2. It is wrapped once, here, in a per-batch loop compiled
+    /// for this handler's type, so the runtime makes one indirect call per
+    /// delivered batch, not one per message.
     pub fn new(
         pe: &Pe,
         n_mailboxes: usize,
         config: SelectorConfig,
-        handler: impl FnMut(usize, T, u32, &mut ProcCtx<'_, T>) + 'h,
+        mut handler: impl FnMut(usize, T, u32, &mut ProcCtx<'_, T>) + 'h,
     ) -> Result<Selector<'h, T>, ActorError> {
         if n_mailboxes == 0 {
             return Err(ActorError::NoMailboxes);
@@ -330,7 +343,13 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
                 outboxes: (0..n_mailboxes).map(|_| Outbox::new()).collect(),
                 done: vec![DoneState::default(); n_mailboxes],
             },
-            handler: Some(Box::new(handler)),
+            handler: Some(Box::new(
+                move |mb, msgs: &[T], src, ctx: &mut ProcCtx<'_, T>| {
+                    for &msg in msgs {
+                        handler(mb, msg, src, ctx);
+                    }
+                },
+            )),
             timer: RegionTimer::new(),
             collector,
             send_buf: TraceBuffer::for_config(&config.trace),
@@ -556,8 +575,9 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         let rank = pe.rank();
         for mb in 0..self.mailboxes.len() {
             // Each `pull_batch` hands out one origin run as a zero-copy
-            // slice. Pulling and dispatching it is the runtime's work
-            // (COMM); only the handler bodies are PROC.
+            // slice, and the whole slice goes to the handler in one call.
+            // Pulling and dispatching it is the runtime's work (COMM); only
+            // the handler bodies are PROC.
             while let Some(batch) = self.mailboxes[mb].conveyor.pull_batch() {
                 let n = batch.items.len() as u64;
                 model::PULL.times(n).charge();
@@ -568,9 +588,7 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
                     n_pes,
                 };
                 self.timer.enter(Region::Proc);
-                for &msg in batch.items {
-                    handler(mb, msg, batch.src, &mut ctx);
-                }
+                handler(mb, batch.items, batch.src, &mut ctx);
                 self.timer.exit(Region::Proc);
                 self.staging.apply_done_requests();
             }
@@ -777,6 +795,116 @@ mod tests {
             outbox.advance(n);
         }
         assert_eq!(seen, [cap as u64 - 1, 100, 101, 102]);
+    }
+
+    /// Capacity-4 conveyors: four messages per slab, two slabs in flight per
+    /// link, so a source's traffic arrives over many progress rounds.
+    fn capacity_4() -> SelectorConfig {
+        SelectorConfig {
+            conveyor: ConveyorOptions {
+                capacity: 4,
+                ..Default::default()
+            },
+            trace: TraceConfig::off(),
+        }
+    }
+
+    #[test]
+    fn per_batch_dispatch_delivers_each_message_once_in_order() {
+        // Requests on mailbox 0 are answered on mailbox 1 from inside the
+        // handler, several batches per source in both directions.
+        const N: u64 = 64;
+        let grid = Grid::single_node(2).unwrap();
+        let results = spmd::run(grid, |pe| {
+            // log[mb][src]: messages in the order the handler saw them
+            let log = Rc::new(RefCell::new(vec![vec![Vec::new(); 2]; 2]));
+            let l = Rc::clone(&log);
+            let mut actor = Selector::new(pe, 2, capacity_4(), move |mb, msg: u64, from, ctx| {
+                l.borrow_mut()[mb][from as usize].push(msg);
+                if mb == 0 {
+                    ctx.send(1, msg, from as usize);
+                }
+            })
+            .unwrap();
+            actor.chain_done(1, 0).unwrap();
+            actor
+                .execute(pe, |ctx| {
+                    let msgs: Vec<u64> = (0..N).collect();
+                    for dst in 0..ctx.n_pes() {
+                        ctx.send_slice(0, &msgs, dst).unwrap();
+                    }
+                })
+                .unwrap();
+            let pulls = actor.mailbox_stats(0).unwrap().batched_pulls;
+            let log = log.take();
+            (log, pulls)
+        })
+        .unwrap();
+        let in_order: Vec<u64> = (0..N).collect();
+        for (me, (log, pulls)) in results.iter().enumerate() {
+            for (mb, per_src) in log.iter().enumerate() {
+                for (src, seen) in per_src.iter().enumerate() {
+                    assert_eq!(*seen, in_order, "PE {me}, mailbox {mb}, from {src}");
+                }
+            }
+            assert!(
+                *pulls > 2 * 2,
+                "PE {me}: {pulls} request batches from 2 sources"
+            );
+        }
+    }
+
+    #[test]
+    fn done_requested_mid_batch_takes_effect_at_batch_end() {
+        let grid = Grid::single_node(1).unwrap();
+        spmd::run(grid, |pe| {
+            // per message of mailbox 0: (msg, mailbox 1 done requested, done)
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let s = Rc::clone(&seen);
+            let mut actor = Selector::new(pe, 2, capacity_4(), move |mb, msg: u64, _from, ctx| {
+                if mb != 0 {
+                    return;
+                }
+                if msg == 1 {
+                    ctx.done(1);
+                }
+                let done = ctx.staging.done[1];
+                s.borrow_mut().push((msg, done.requested, done.user_done));
+                if done.requested {
+                    ctx.send(1, msg, 0); // still allowed: the batch is not over
+                }
+            })
+            .unwrap();
+            actor
+                .execute(pe, |ctx| {
+                    // one aligned slab of four, then enough to fill the ring,
+                    // so that the first batch runs while MAIN is sending
+                    ctx.send_slice(0, &[0, 1, 2, 3], 0).unwrap();
+                    let more: Vec<u64> = (4..400).collect();
+                    ctx.send_slice(0, &more, 0).unwrap();
+                    assert!(matches!(
+                        ctx.send(1, 9, 0),
+                        Err(ActorError::SendAfterDone { mailbox: 1 })
+                    ));
+                })
+                .unwrap();
+            // The first batch holds at least the first slab, and a batch
+            // ends at a slab boundary: the request stays pending for the
+            // rest of the batch, then is the mailbox's done.
+            let seen = seen.take();
+            assert_eq!(seen.len(), 400);
+            assert_eq!(seen[0], (0, false, false));
+            let batch_end = 1 + seen[1..].iter().take_while(|&&(_, req, _)| req).count();
+            assert!(
+                batch_end >= 4 && batch_end % 4 == 0,
+                "first batch ends at {batch_end}"
+            );
+            for (i, &(msg, req, done)) in seen.iter().enumerate().skip(1) {
+                assert_eq!(msg, i as u64);
+                assert_eq!((req, done), (i < batch_end, i >= batch_end), "message {i}");
+            }
+        })
+        .unwrap();
     }
 
     #[test]

@@ -151,7 +151,9 @@ pub fn run(adj: &Csr, config: &BfsConfig) -> Result<BfsOutcome, AppError> {
                     let mut expand = DestBuckets::new(n_pes);
                     for &v in &frontier {
                         for &w in adj.row(v as usize) {
-                            expand.stage(dist_map.owner(w as usize), w as u64);
+                            expand
+                                .stage(ctx, 0, dist_map.owner(w as usize), w as u64)
+                                .expect("frontier send");
                         }
                     }
                     expand.send_all(ctx, 0).expect("frontier send");

@@ -178,13 +178,24 @@ impl From<actorprof::RunError> for AppError {
     }
 }
 
-/// Per-destination staging for batched submission: an app's MAIN body
-/// generates its whole workload into buckets, then
-/// [`send_all`](DestBuckets::send_all) submits one
-/// [`send_slice`](MainCtx::send_slice) per destination. This replaces the
-/// per-item `ctx.send` loop — the conveyor orders items per
-/// (source, destination) link either way, so results are unchanged while
-/// the protocol cost is amortized over whole slices.
+/// Messages [`DestBuckets`] holds before it submits them. The buckets of one
+/// chunk stay in cache and are reused, so MAIN never touches fresh pages for
+/// staging; 1 024 to 32 768 measured flat within noise on `histo_local`.
+const CHUNK: usize = 4096;
+
+/// Per-destination staging for batched, streaming submission from an app's
+/// MAIN body: [`stage`](DestBuckets::stage) buckets each message by
+/// destination, and every `CHUNK` (4 096) messages submits the buckets with
+/// one [`send_slice`](MainCtx::send_slice) per destination;
+/// [`send_all`](DestBuckets::send_all) submits the tail. The conveyor
+/// orders items per (source, destination) link either way, so results are
+/// those of one `ctx.send` per message while the protocol cost is amortized
+/// over slices.
+///
+/// Streaming is the paper's FA-BSP shape (Listing 1 sends each message as
+/// MAIN generates it): staging holds at most one chunk, whatever the
+/// workload's size, and when a submission meets full buffers the handlers
+/// run between two stages.
 ///
 /// Buckets go out in *pairwise* order — rank `r` visits `r+1, r+2, …, r`
 /// (mod the PE count) — so at every step the PEs target a permutation of
@@ -194,6 +205,8 @@ impl From<actorprof::RunError> for AppError {
 #[derive(Debug)]
 pub struct DestBuckets<T> {
     buckets: Vec<Vec<T>>,
+    /// Messages in the buckets.
+    staged: usize,
 }
 
 impl<T: Copy + Default + Send + 'static> DestBuckets<T> {
@@ -201,17 +214,31 @@ impl<T: Copy + Default + Send + 'static> DestBuckets<T> {
     pub fn new(n_pes: usize) -> DestBuckets<T> {
         DestBuckets {
             buckets: (0..n_pes).map(|_| Vec::new()).collect(),
+            staged: 0,
         }
     }
 
-    /// Stage `msg` for destination `dst`.
-    pub fn stage(&mut self, dst: usize, msg: T) {
+    /// Stage `msg` for destination `dst` on `mailbox`; the stage that
+    /// completes a chunk submits it.
+    #[inline]
+    pub fn stage(
+        &mut self,
+        ctx: &mut MainCtx<'_, '_, '_, T>,
+        mailbox: usize,
+        dst: usize,
+        msg: T,
+    ) -> Result<(), ActorError> {
         self.buckets[dst].push(msg);
+        self.staged += 1;
+        if self.staged == CHUNK {
+            self.send_all(ctx, mailbox)?;
+        }
+        Ok(())
     }
 
-    /// Submit every bucket through `ctx.send_slice` on `mailbox` in
-    /// pairwise order, clearing the buckets for reuse (e.g. the next BFS
-    /// level).
+    /// Submit what is staged through `ctx.send_slice` on `mailbox` in
+    /// pairwise order, clearing the buckets (their capacity is kept) for
+    /// the next chunk or the next superstep.
     pub fn send_all(
         &mut self,
         ctx: &mut MainCtx<'_, '_, '_, T>,
@@ -221,17 +248,8 @@ impl<T: Copy + Default + Send + 'static> DestBuckets<T> {
             ctx.send_slice(mailbox, &self.buckets[dst], dst)?;
             self.buckets[dst].clear();
         }
+        self.staged = 0;
         Ok(())
-    }
-
-    /// Total staged items across all destinations.
-    pub fn len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
-    }
-
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(Vec::is_empty)
     }
 }
 
@@ -289,6 +307,72 @@ mod tests {
                     targets,
                     (0..n_pes).collect::<Vec<_>>(),
                     "step {step}/{n_pes}: one sender per receiver"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dest_buckets_stream_bounded_chunks_in_per_pair_fifo_order() {
+        use fabsp_actor::{Selector, SelectorConfig};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        const N_PES: usize = 3;
+        const N: usize = 10 * CHUNK + 7;
+        // every chunk carries messages to every PE, in an irregular mix
+        let dst_of = |src: usize, i: usize| (i * i / 7 + src) % N_PES;
+        let grid = Grid::single_node(N_PES).unwrap();
+        let results = fabsp_shmem::spmd::run(grid, move |pe| {
+            // received[src]: messages from `src`, in delivery order
+            let received = Rc::new(RefCell::new(vec![Vec::new(); N_PES]));
+            let r = Rc::clone(&received);
+            let config = SelectorConfig::traced(TraceConfig::off().with_logical());
+            let mut actor = Selector::new(pe, 1, config, move |_mb, i: u64, from, _ctx| {
+                r.borrow_mut()[from as usize].push(i);
+            })
+            .unwrap();
+            let handled_while_staging = actor
+                .execute(pe, |ctx| {
+                    let mut buckets = DestBuckets::new(N_PES);
+                    for i in 0..N {
+                        buckets
+                            .stage(ctx, 0, dst_of(ctx.rank(), i), i as u64)
+                            .unwrap();
+                        assert!(
+                            buckets.buckets.iter().all(|b| b.capacity() <= CHUNK),
+                            "a bucket outgrew one chunk at message {i}"
+                        );
+                    }
+                    let handled = received.borrow().iter().map(Vec::len).sum::<usize>();
+                    buckets.send_all(ctx, 0).unwrap();
+                    handled
+                })
+                .unwrap();
+            let received = received.take();
+            (handled_while_staging, received, actor.into_collector())
+        })
+        .unwrap();
+
+        for (me, (handled_while_staging, received, collector)) in results.iter().enumerate() {
+            assert!(
+                *handled_while_staging > 0,
+                "PE {me}: no handler ran before the last stage returned"
+            );
+            for (src, got) in received.iter().enumerate() {
+                let staged: Vec<u64> = (0..N)
+                    .filter(|&i| dst_of(src, i) == me)
+                    .map(|i| i as u64)
+                    .collect();
+                assert_eq!(*got, staged, "{src} -> {me}: not FIFO in staging order");
+            }
+            // the logical matrix of staging everything and sending it at once
+            for (dst, cell) in collector.logical_matrix().iter().enumerate() {
+                let sends = (0..N).filter(|&i| dst_of(me, i) == dst).count() as u64;
+                assert_eq!(
+                    (cell.sends, cell.bytes),
+                    (sends, 8 * sends),
+                    "{me} -> {dst}"
                 );
             }
         }

@@ -178,7 +178,7 @@ pub fn run(adj: &Csr, config: &ComponentsConfig) -> Result<ComponentsOutcome, Ap
                 .execute(pe, |ctx| {
                     let mut expand = DestBuckets::new(n_pes);
                     for &(owner, msg) in &sends {
-                        expand.stage(owner, msg);
+                        expand.stage(ctx, 0, owner, msg).expect("label send");
                     }
                     expand.send_all(ctx, 0).expect("label send");
                     ctx.done(0).expect("done(0)");

@@ -85,7 +85,9 @@ pub fn run(config: &HistogramConfig) -> Result<HistogramOutcome, AppError> {
                 let mut updates = DestBuckets::new(n_pes);
                 for _ in 0..config.updates_per_pe {
                     let global: usize = rng.gen_range(0..n_pes * table);
-                    updates.stage(global / table, (global % table) as u64);
+                    updates
+                        .stage(ctx, 0, global / table, (global % table) as u64)
+                        .expect("histogram send");
                 }
                 updates.send_all(ctx, 0).expect("histogram send");
                 ctx.done(0).expect("done(0)");

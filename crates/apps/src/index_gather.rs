@@ -120,7 +120,8 @@ pub fn run(config: &IndexGatherConfig) -> Result<IndexGatherOutcome, AppError> {
                 for (slot, &global) in indices.iter().enumerate() {
                     let owner = (global as usize) / table;
                     let local_idx = (global as usize) % table;
-                    requests.stage(owner, ((slot as u64) << SLOT_SHIFT) | local_idx as u64);
+                    let msg = ((slot as u64) << SLOT_SHIFT) | local_idx as u64;
+                    requests.stage(ctx, 0, owner, msg).expect("request send");
                 }
                 requests.send_all(ctx, 0).expect("request send");
                 ctx.done(0).expect("done(0)");

@@ -107,7 +107,9 @@ pub fn run(config: &IntSortConfig) -> Result<IntSortOutcome, AppError> {
             .execute(pe, |ctx| {
                 let mut scatter = DestBuckets::new(n_pes);
                 for key in keys_of_pe(config, ctx.rank(), n_pes) {
-                    scatter.stage((key / bucket_size) as usize, key);
+                    scatter
+                        .stage(ctx, 0, (key / bucket_size) as usize, key)
+                        .expect("key send");
                 }
                 scatter.send_all(ctx, 0).expect("key send");
                 ctx.done(0).expect("done(0)");

@@ -170,13 +170,17 @@ pub fn run(adj: &Csr, config: &JaccardConfig) -> Result<JaccardOutcome, AppError
                             if w == v {
                                 continue;
                             }
-                            probes.stage(
-                                dist.owner(w as usize),
-                                Probe {
-                                    wv: pack(w, v),
-                                    edge,
-                                },
-                            );
+                            probes
+                                .stage(
+                                    ctx,
+                                    0,
+                                    dist.owner(w as usize),
+                                    Probe {
+                                        wv: pack(w, v),
+                                        edge,
+                                    },
+                                )
+                                .expect("probe send");
                         }
                     }
                 }

@@ -152,7 +152,10 @@ pub fn run(adj: &Csr, config: &PageRankConfig) -> Result<PageRankOutcome, AppErr
                         }
                         let share = rank[slot] / deg as f64;
                         for &w in adj.row(v) {
-                            shares.stage(dist_map.owner(w as usize), Share { v: w, share });
+                            let owner = dist_map.owner(w as usize);
+                            shares
+                                .stage(ctx, 0, owner, Share { v: w, share })
+                                .expect("share send");
                         }
                     }
                     shares.send_all(ctx, 0).expect("share send");

@@ -107,7 +107,9 @@ pub fn run(config: &PermuteConfig) -> Result<PermuteOutcome, AppError> {
                     let target = perm[base + i] as usize;
                     let (owner, slot) = (target / slots, target % slots);
                     // the "value" scattered is the source index itself
-                    scatter.stage(owner, pack(slot, src_global));
+                    scatter
+                        .stage(ctx, 0, owner, pack(slot, src_global))
+                        .expect("scatter");
                 }
                 scatter.send_all(ctx, 0).expect("scatter");
                 ctx.done(0).expect("done(0)");

@@ -138,7 +138,9 @@ pub fn run(config: &SkewedAggConfig) -> Result<SkewedAggOutcome, AppError> {
             .execute(pe, |ctx| {
                 let mut scatter = DestBuckets::new(n_pes);
                 for u in updates_of_pe(config, ctx.rank()) {
-                    scatter.stage(u.key as usize % n_pes, u);
+                    scatter
+                        .stage(ctx, 0, u.key as usize % n_pes, u)
+                        .expect("update send");
                 }
                 scatter.send_all(ctx, 0).expect("update send");
                 ctx.done(0).expect("done(0)");

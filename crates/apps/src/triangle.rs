@@ -165,7 +165,7 @@ pub fn count_triangles(l: &Csr, config: &TriangleConfig) -> Result<TriangleOutco
                     for (a, &j) in row.iter().enumerate() {
                         let owner = dist.owner(j as usize);
                         for &k in &row[..a] {
-                            wedges.stage(owner, pack(j, k));
+                            wedges.stage(ctx, 0, owner, pack(j, k)).expect("wedge send");
                         }
                     }
                 }

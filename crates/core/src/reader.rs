@@ -26,13 +26,23 @@ fn scan<T>(
         .map_err(|(line, message)| parse_err(path, line, message))
 }
 
+/// Room for the records of `bytes`: every record line of every format is
+/// longer than 8 bytes, so this is an upper bound, reserved in one step
+/// instead of grown by doubling from empty. Reserved pages that no record
+/// reaches are never touched and cost nothing; counting the lines to size
+/// it exactly would be a second pass over the file.
+fn records_capacity(bytes: &[u8]) -> usize {
+    bytes.len() / 8
+}
+
 /// The file at `path` as one record per non-blank line.
 fn read_records<T: Clone>(
     path: &Path,
     decode: impl Fn(&[u8]) -> Result<T, String>,
 ) -> Result<Vec<T>, ProfError> {
-    let mut out = Vec::new();
-    scan(path, &std::fs::read(path)?, 1, decode, |record| {
+    let bytes = std::fs::read(path)?;
+    let mut out = Vec::with_capacity(records_capacity(&bytes));
+    scan(path, &bytes, 1, decode, |record| {
         out.push(record.clone());
         Ok(())
     })?;
@@ -78,7 +88,7 @@ pub fn read_papi(path: &Path) -> Result<(Vec<String>, Vec<PapiRecord>), ProfErro
         return Ok((Vec::new(), Vec::new()));
     }
     let names = codec::decode_papi_header(header).map_err(|m| parse_err(path, 1, m))?;
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(records_capacity(rows));
     scan(path, rows, 2, codec::decode_papi, |record| {
         if record.counters.len() != names.len() {
             return Err("counter count != header".into());

@@ -78,12 +78,15 @@ fn flight_dump_written_when_termination_budget_trips() {
 
     let grid = Grid::single_node(2).unwrap();
     let harness = Harness::new(grid)
-        // a 10-step budget is far too small for 500 messages through
-        // capacity-1 buffers: the termination checker trips mid-run,
-        // poisoning the world
+        // The PEs below never signal done, so the run cannot terminate and
+        // the termination checker trips, poisoning the world. The budget is
+        // far above what set-up takes with or without the race detector, so
+        // the trip lands in the exchange loop, after both PEs have advanced
+        // many times — never before the first `advance`, when no phase span
+        // exists yet.
         .sched(SchedSpec::RandomWalk {
             seed: 9,
-            max_steps: 10,
+            max_steps: 1_000,
         })
         .telemetry(reg.clone());
     let outcome = spmd::run(harness, move |pe| {
@@ -97,46 +100,29 @@ fn flight_dump_written_when_termination_budget_trips() {
         )
         .unwrap();
         let dst = 1 - pe.rank();
-        let mut sent = 0;
+        let mut sent = 0u64;
         loop {
-            while sent < 500 && c.push(pe, sent as u64, dst).unwrap().is_accepted() {
+            while c.push(pe, sent, dst).unwrap().is_accepted() {
                 sent += 1;
             }
-            let active = c.advance(pe, sent == 500);
+            c.advance(pe, false);
             while c.pull().is_some() {}
-            if !active {
-                break;
-            }
             pe.poll_yield();
         }
     });
     assert!(outcome.is_err(), "the step budget must trip");
 
-    // every PE that died must have dumped its flight ring; a PE the
-    // serialized scheduler never ran legitimately dumps an empty ring, but
-    // the PE that was executing when the budget tripped must have spans
-    let mut dumped = 0;
-    let mut with_spans = 0;
+    // every PE dies — one at the budget, the other at the poison — and
+    // dumps a flight ring holding its advance spans
     for rank in 0..2 {
         let path = dir.join(format!("flightrec-pe{rank}.json"));
-        if !path.exists() {
-            continue;
-        }
-        dumped += 1;
-        let body = std::fs::read_to_string(&path).unwrap();
+        let body = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("PE {rank} wrote no flight dump: {e}"));
         assert!(body.contains(&format!("\"pe\":{rank}")), "dump names its PE");
         assert!(
-            body.contains("\"events\":["),
-            "dump carries the event ring:\n{body}"
+            body.contains("\"phase\":\"advance\""),
+            "PE {rank}'s advance spans reached its flight ring:\n{body}"
         );
-        if body.contains("\"phase\":\"advance\"") {
-            with_spans += 1;
-        }
     }
-    assert!(dumped >= 1, "at least the tripping PE dumps its ring");
-    assert!(
-        with_spans >= 1,
-        "the running PE's advance spans reached its flight ring"
-    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
