@@ -1,7 +1,8 @@
 //! Trace-size growth (§IV-E / §VI): how the recorded trace volume scales
 //! with message count under each recording strategy — exact per-send
-//! records (the paper's 100 GB problem), sampling, aggregation, and
-//! streaming to disk.
+//! records (the paper's 100 GB problem; held as runs of equal records, so
+//! their memory grows with runs while their files grow with messages),
+//! sampling, aggregation, and streaming to disk.
 
 use actorprof_trace::TraceConfig;
 use fabsp_apps::histogram::{self, HistogramConfig};

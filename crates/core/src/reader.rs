@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use actorprof_trace::codec;
-use actorprof_trace::{LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord};
+use actorprof_trace::{LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, Runs};
 
 use crate::error::ProfError;
 use crate::stats::Matrix;
@@ -49,9 +49,18 @@ fn read_records<T: Clone>(
     Ok(out)
 }
 
-/// Read one `PE<i>_send.csv` (exact per-send records).
-pub fn read_logical_exact(path: &Path) -> Result<Vec<LogicalRecord>, ProfError> {
-    read_records(path, codec::decode_logical)
+/// Read one `PE<i>_send.csv` (exact per-send records), a run of equal
+/// lines decoded once and held as one run. Room for as many runs as the
+/// file could have lines is reserved up front, as for the other files.
+pub fn read_logical_exact(path: &Path) -> Result<Runs<LogicalRecord>, ProfError> {
+    let bytes = std::fs::read(path)?;
+    let mut runs = Runs::with_capacity(records_capacity(&bytes));
+    codec::for_each_run(&bytes, 1, codec::decode_logical, |&record, n| {
+        runs.push(record, n as u64);
+        Ok(())
+    })
+    .map_err(|(line, message)| parse_err(path, line, message))?;
+    Ok(runs)
 }
 
 /// Read every `PE<i>_send_agg.csv` in `dir` into a send-count matrix over
@@ -157,8 +166,9 @@ mod tests {
         assert_eq!(m.get(1, 0), 6);
         let recs = read_logical_exact(&dir.join("PE1_send.csv")).unwrap();
         assert_eq!(recs.len(), 6);
-        assert_eq!(recs[0].dst_pe, 0);
-        assert_eq!(recs[0].msg_size, 16);
+        let runs: Vec<_> = recs.runs().collect();
+        assert_eq!(runs.len(), 1, "six equal lines are one run");
+        assert_eq!((runs[0].0.dst_pe, runs[0].0.msg_size, runs[0].1), (0, 16, 6));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -48,7 +48,7 @@ pub fn write_all(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfEr
             written.extend(write_logical_exact(dir, bundle)?);
         }
     }
-    if bundle.collectors().iter().any(|c| !c.papi_records().is_empty()) {
+    if bundle.collectors().iter().any(|c| c.has_papi_records()) {
         written.extend(write_papi(dir, bundle)?);
     }
     if bundle.has_physical() {
@@ -60,14 +60,18 @@ pub fn write_all(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfEr
     Ok(written)
 }
 
-/// Write `PE<i>_send.csv` (exact per-send records) for every PE.
+/// Write `PE<i>_send.csv` (exact per-send records) for every PE, one run
+/// of equal lines at a time.
 pub fn write_logical_exact(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfError> {
+    let mut block = Vec::new();
     let per_pe = bundle.collectors().iter().map(|c| {
         if !c.config().logical_records {
             return Err(ProfError::NotCollected("per-send logical records"));
         }
         write_file(dir, format!("PE{}_send.csv", c.pe()), |w| {
-            codec::encode_lines(w, c.logical_records(), codec::encode_logical)
+            c.logical_records().runs().try_for_each(|(record, n)| {
+                codec::write_run(w, &mut block, &record, n, codec::encode_logical)
+            })
         })
     });
     per_pe.collect()

@@ -22,33 +22,111 @@ fn chomp(raw: &[u8]) -> &[u8] {
     raw.strip_suffix(b"\n").map_or(raw, |line| line.strip_suffix(b"\r").unwrap_or(line))
 }
 
-/// Decode each line of `bytes` — line `first` of its file onwards, blank
-/// ones skipped — and pass the record to `sink`; an error of either comes
-/// back with the line number. Run-aware: while the next raw line is
-/// byte-equal to the previous one (terminator included, so it is a whole
-/// line) the previous record is reused instead of decoded again.
-pub fn for_each_line<T>(
+/// Runs shorter than this are read and written line by line.
+const SHORT_RUN: usize = 8;
+
+/// How many copies of its first line, `line` bytes long and ending in its
+/// only `\n`, `bytes` starts with. The first few lines are compared one by
+/// one; past them, the copies found so far are compared with what follows
+/// them in steps that double while they match and halve when not, so a
+/// run of `n` lines costs `O(log n)` comparisons of `O(n)` bytes in total.
+fn run_length(bytes: &[u8], line: usize) -> usize {
+    // with scattered destinations most runs are short: one comparison a line
+    let mut count = 1;
+    while count < SHORT_RUN {
+        if bytes.get(count * line..(count + 1) * line) != Some(&bytes[..line]) {
+            return count;
+        }
+        count += 1;
+    }
+    let mut step = count;
+    loop {
+        // `done` is `count` copies of the line, so its first `step ≤ count`
+        // of them are what the next `step` lines must be
+        let (done, rest) = bytes.split_at(count * line);
+        let span = step * line;
+        if rest.len() >= span && rest[..span] == done[..span] {
+            count += step;
+            step *= 2;
+        } else if step > 1 {
+            step /= 2;
+        } else {
+            return count;
+        }
+    }
+}
+
+/// Decode `bytes` — line `first` of its file onwards, blank lines skipped
+/// — one run of byte-equal lines at a time: each run is decoded once and
+/// reaches `sink` once, with its number of lines. Equal bytes include the
+/// terminator, so each is a whole line. A decode error comes back with its
+/// line number; a sink error `(i, message)` with the number of the run's
+/// line `i` (0-based), so a sink that fails in the middle of a run still
+/// names the exact line.
+pub fn for_each_run<T>(
     mut rest: &[u8],
+    mut number: usize,
+    decode: impl Fn(&[u8]) -> Result<T, String>,
+    mut sink: impl FnMut(&T, usize) -> Result<(), (usize, String)>,
+) -> Result<(), (usize, String)> {
+    while !rest.is_empty() {
+        let raw = split_line(rest).0;
+        let count = run_length(rest, raw.len());
+        let line = chomp(raw);
+        if !line.trim_ascii().is_empty() {
+            let record = decode(line).map_err(|m| (number, m))?;
+            sink(&record, count).map_err(|(i, m)| (number + i, m))?;
+        }
+        rest = &rest[raw.len() * count..];
+        number += count;
+    }
+    Ok(())
+}
+
+/// [`for_each_run`] with `sink` called once per line: decode each line of
+/// `bytes` — line `first` of its file onwards, blank ones skipped — and
+/// pass the record to `sink`; an error of either comes back with the line
+/// number.
+pub fn for_each_line<T>(
+    bytes: &[u8],
     first: usize,
     decode: impl Fn(&[u8]) -> Result<T, String>,
     mut sink: impl FnMut(&T) -> Result<(), String>,
 ) -> Result<(), (usize, String)> {
-    // the previous raw line and its record, `None` for a blank line
-    let mut prev: (&[u8], Option<T>) = (b"", None);
-    for number in first.. {
-        if rest.is_empty() {
-            break;
-        }
-        if prev.0.is_empty() || !rest.starts_with(prev.0) {
-            let raw = split_line(rest).0;
-            let line = chomp(raw);
-            let blank = line.trim_ascii().is_empty();
-            prev = (raw, if blank { None } else { Some(decode(line).map_err(|m| (number, m))?) });
-        }
-        if let Some(record) = &prev.1 {
-            sink(record).map_err(|m| (number, m))?;
-        }
-        rest = &rest[prev.0.len()..];
+    for_each_run(bytes, first, decode, |record, count| {
+        (0..count).try_for_each(|i| sink(record).map_err(|m| (i, m)))
+    })
+}
+
+/// Bytes of whole lines [`write_run`] hands the writer at a time.
+const RUN_BLOCK: usize = 64 << 10;
+
+/// Write `count` copies of the line `encode` makes of `record`. The line is
+/// encoded once into `block` (the caller's, reused from run to run); a
+/// short run writes it once per line, a longer one doubles it there while
+/// the run and 64 KiB allow and writes the block as often as the run
+/// needs, then the rest of the run.
+pub fn write_run<T>(
+    w: &mut impl Write,
+    block: &mut Vec<u8>,
+    record: &T,
+    count: u64,
+    encode: impl Fn(&mut Vec<u8>, &T),
+) -> std::io::Result<()> {
+    block.clear();
+    encode(block, record);
+    let line = block.len();
+    // a short run goes out line by line, a longer one in doubled blocks
+    let mut lines = 1;
+    while count >= SHORT_RUN as u64 && lines * 2 <= count && block.len() * 2 <= RUN_BLOCK {
+        block.extend_from_within(..);
+        lines *= 2;
+    }
+    let mut left = count;
+    while left > 0 {
+        let n = left.min(lines);
+        w.write_all(&block[..n as usize * line])?;
+        left -= n;
     }
     Ok(())
 }
@@ -308,6 +386,78 @@ mod tests {
         })
         .unwrap();
         assert_eq!((decodes.get(), out), (3, records));
+    }
+
+    #[test]
+    fn runs_either_side_of_the_short_run_bound_round_trip() {
+        let b = LogicalRecord { src_node: 1, src_pe: 3, dst_node: 0, dst_pe: 1, msg_size: 8 };
+        let mut block = Vec::new();
+        for count in 0..3 * SHORT_RUN as u64 {
+            let mut file = Vec::new();
+            write_run(&mut file, &mut block, &A, count, encode_logical).unwrap();
+            write_run(&mut file, &mut block, &b, 1, encode_logical).unwrap();
+            let want = format!("{}1,3,0,1,8\n", "0,1,0,0,8\n".repeat(count as usize));
+            assert_eq!(file, want.as_bytes(), "count {count}");
+            let mut runs = Vec::new();
+            for_each_run(&file, 1, decode_logical, |&r, n| {
+                runs.push((r, n as u64));
+                Ok(())
+            })
+            .unwrap();
+            let want = [(A, count), (b, 1)].into_iter().filter(|&(_, n)| n > 0);
+            assert_eq!(runs, want.collect::<Vec<_>>(), "count {count}");
+        }
+    }
+
+    #[test]
+    fn a_million_line_run_is_written_and_read_as_one_run() {
+        const N: u64 = 1_000_000;
+        let (encodes, mut file) = (Cell::new(0), Vec::new());
+        let mut block = Vec::new();
+        let encode = |buf: &mut Vec<u8>, r: &LogicalRecord| {
+            encodes.set(encodes.get() + 1);
+            encode_logical(buf, r);
+        };
+        for count in [N, 0, 1] {
+            write_run(&mut file, &mut block, &A, count, encode).unwrap();
+        }
+        assert_eq!(encodes.get(), 3, "once per run");
+        assert_eq!(file, "0,1,0,0,8\n".repeat(N as usize + 1).as_bytes());
+        assert!(block.len() <= RUN_BLOCK, "{} bytes staged", block.len());
+
+        let (decodes, mut runs) = (Cell::new(0), crate::record::Runs::default());
+        let decode = |line: &[u8]| {
+            decodes.set(decodes.get() + 1);
+            decode_logical(line)
+        };
+        for_each_run(&file[..N as usize * 10], 1, decode, |&r, n| {
+            runs.push(r, n as u64);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((decodes.get(), runs.runs().collect::<Vec<_>>(), runs.len()), (1, vec![(A, N)], N as usize));
+    }
+
+    #[test]
+    fn errors_inside_a_run_carry_their_exact_line() {
+        let run = "0,1,0,0,8\n".repeat(1000);
+        let file = format!("\n{run}0,1,0,0\n");
+        let sink = |_: &LogicalRecord, _| Ok(());
+        let bad = for_each_run(file.as_bytes(), 5, decode_logical, sink);
+        assert_eq!(bad, Err((1006, "missing msg_size".to_string())));
+
+        // the 700th line of the run refused, per run and per line
+        let refuse = |_: &LogicalRecord, n: usize| Err((699.min(n), "no".to_string()));
+        assert_eq!(for_each_run(file.as_bytes(), 5, decode_logical, refuse), Err((705, "no".into())));
+        let mut calls = 0;
+        let refuse_700th = |_: &LogicalRecord| {
+            calls += 1;
+            if calls == 700 {
+                return Err("no".to_string());
+            }
+            Ok(())
+        };
+        assert_eq!(for_each_line(file.as_bytes(), 5, decode_logical, refuse_700th), Err((705, "no".into())));
     }
 
     #[test]

@@ -9,7 +9,13 @@
 //! To keep the memory of billion-message runs bounded (the trace-size
 //! problem of §IV-E/§VI), logical sends are always folded into a dense
 //! per-destination matrix; exact per-send records are kept only when
-//! [`TraceConfig::logical_records`] is set.
+//! [`TraceConfig::logical_records`] is set, and then as maximal runs of
+//! equal records. The source node and PE of every record are the
+//! collector's own and the destination node follows from the destination
+//! PE, so a run is a destination PE and a message size (8 bytes), plus its
+//! length when longer than one (16 more) — never more per message than
+//! the 20 bytes one expanded record took. Memory grows with the number of
+//! runs, not of messages.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -22,10 +28,49 @@ use fabsp_hwpc::RegionProfile;
 use fabsp_telemetry::Phase;
 
 use crate::config::TraceConfig;
-use crate::record::{LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, SendType, SpanRecord};
+use crate::record::{
+    LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, Runs, SendType, SpanRecord,
+};
 
 /// Thread-local shared handle to a PE's collector (runtime ↔ conveyor).
 pub type SharedCollector = Rc<RefCell<PeCollector>>;
+
+/// What varies between the exact logical records of one collector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SendKey {
+    dst_pe: u32,
+    msg_size: u32,
+}
+
+/// The exact logical records of one collector, as the runs it holds them
+/// in; each run becomes full [`LogicalRecord`]s only when read.
+#[derive(Clone, Copy)]
+pub struct LogicalRecords<'a> {
+    collector: &'a PeCollector,
+}
+
+impl<'a> LogicalRecords<'a> {
+    /// The maximal runs of equal records, in send order.
+    pub fn runs(&self) -> impl Iterator<Item = (LogicalRecord, u64)> + 'a {
+        let record = self.collector.record_of();
+        self.collector.logical_runs.runs().map(move |(key, n)| (record(key), n))
+    }
+
+    /// Every record, each run expanded.
+    pub fn iter(&self) -> impl Iterator<Item = LogicalRecord> + 'a {
+        self.runs().flat_map(|(record, n)| std::iter::repeat_n(record, n as usize))
+    }
+
+    /// Number of records (the sum of the run lengths).
+    pub fn len(&self) -> usize {
+        self.collector.logical_runs.len()
+    }
+
+    /// Whether no record is held.
+    pub fn is_empty(&self) -> bool {
+        self.collector.logical_runs.is_empty()
+    }
+}
 
 /// Aggregate of all logical sends from one PE to one destination.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,7 +96,7 @@ pub struct PeCollector {
     pes_per_node: usize,
     config: TraceConfig,
     logical_matrix: Vec<LogicalCell>,
-    logical_records: Vec<LogicalRecord>,
+    logical_runs: Runs<SendKey>,
     papi_agg: HashMap<(u32, u32), PapiAgg>,
     physical_records: Vec<PhysicalRecord>,
     /// Cycle timestamp of each physical record, relative to collector
@@ -67,8 +112,8 @@ pub struct PeCollector {
     send_counter: u64,
     /// Streaming sink for exact logical records (§VI large-trace support).
     stream: Option<std::io::BufWriter<std::fs::File>>,
-    /// The encoded line of the run being streamed (reused across runs).
-    stream_line: Vec<u8>,
+    /// The lines of the run being streamed (reused across runs).
+    stream_block: Vec<u8>,
 }
 
 impl PeCollector {
@@ -90,7 +135,7 @@ impl PeCollector {
             pes_per_node,
             config,
             logical_matrix: vec![LogicalCell::default(); matrix_len],
-            logical_records: Vec::new(),
+            logical_runs: Runs::default(),
             papi_agg: HashMap::new(),
             physical_records: Vec::new(),
             physical_timestamps: Vec::new(),
@@ -100,7 +145,7 @@ impl PeCollector {
             region_profile: None,
             send_counter: 0,
             stream,
-            stream_line: Vec::new(),
+            stream_block: Vec::new(),
         }
     }
 
@@ -172,9 +217,9 @@ impl PeCollector {
     /// `dst_pe` via `mailbox_id` — identical in every observable (matrix,
     /// exact records, stream bytes, PAPI lines) to `count` calls of
     /// [`record_send`](PeCollector::record_send), the first of which
-    /// carries `papi_deltas`. The aggregates are bumped by `count`; the run
-    /// is expanded to per-message records only when exact records or
-    /// streaming ask for them.
+    /// carries `papi_deltas`. The aggregates are bumped by `count`; when
+    /// exact records or streaming ask for them, what the `logical_sample`
+    /// stride keeps of the run is kept as one run.
     pub fn record_send_run(
         &mut self,
         dst_pe: usize,
@@ -191,7 +236,7 @@ impl PeCollector {
             let first = self.send_counter;
             self.send_counter += count;
             if self.config.logical_records || self.stream.is_some() {
-                self.expand_run(dst_pe, msg_size, first, count);
+                self.keep_run(dst_pe, msg_size, first, count);
             }
         }
         if let Some(papi) = &self.config.papi {
@@ -210,10 +255,10 @@ impl PeCollector {
         }
     }
 
-    /// Emit the per-message records of sends `first..first + count`: those
-    /// whose index the `logical_sample` stride keeps, to the stream if one
-    /// is open and to memory otherwise.
-    fn expand_run(&mut self, dst_pe: usize, msg_size: u32, first: u64, count: u64) {
+    /// Keep the records of sends `first..first + count` whose index the
+    /// `logical_sample` stride keeps — all equal, so one run — as that
+    /// many lines on the stream if one is open, and in memory otherwise.
+    fn keep_run(&mut self, dst_pe: usize, msg_size: u32, first: u64, count: u64) {
         // multiples of the stride in [first, first + count)
         let kept = match self.config.logical_sample.max(1) as u64 {
             1 => count,
@@ -222,23 +267,27 @@ impl PeCollector {
         if kept == 0 {
             return;
         }
-        let record = LogicalRecord {
-            src_node: self.node(),
-            src_pe: self.pe,
-            dst_node: (dst_pe / self.pes_per_node) as u32,
-            dst_pe: dst_pe as u32,
-            msg_size,
-        };
-        let Some(w) = &mut self.stream else {
-            let len = self.logical_records.len() + kept as usize;
-            self.logical_records.resize(len, record);
-            return;
-        };
-        self.stream_line.clear();
-        crate::codec::encode_logical(&mut self.stream_line, &record);
-        for _ in 0..kept {
-            w.write_all(&self.stream_line)
-                .expect("stream write failed (disk full?)");
+        let (key, record) = (SendKey { dst_pe: dst_pe as u32, msg_size }, self.record_of());
+        match &mut self.stream {
+            None => self.logical_runs.push(key, kept),
+            Some(w) => {
+                let encode = crate::codec::encode_logical;
+                crate::codec::write_run(w, &mut self.stream_block, &record(key), kept, encode)
+                    .expect("stream write failed (disk full?)")
+            }
+        }
+    }
+
+    /// Builds the full record of one of this collector's sends from its
+    /// key, with the source node worked out once.
+    fn record_of(&self) -> impl Fn(SendKey) -> LogicalRecord {
+        let (src_node, src_pe, pes_per_node) = (self.node(), self.pe, self.pes_per_node as u32);
+        move |key| LogicalRecord {
+            src_node,
+            src_pe,
+            dst_node: key.dst_pe / pes_per_node,
+            dst_pe: key.dst_pe,
+            msg_size: key.msg_size,
         }
     }
 
@@ -351,10 +400,16 @@ impl PeCollector {
         &self.logical_matrix
     }
 
-    /// Exact per-send records (only populated with
-    /// [`TraceConfig::logical_records`]).
-    pub fn logical_records(&self) -> &[LogicalRecord] {
-        &self.logical_records
+    /// Exact per-send records, as runs (only populated with
+    /// [`TraceConfig::logical_records`] and no stream).
+    pub fn logical_records(&self) -> LogicalRecords<'_> {
+        LogicalRecords { collector: self }
+    }
+
+    /// Whether any PAPI line would be written — without building them, as
+    /// [`papi_records`](PeCollector::papi_records) does.
+    pub fn has_papi_records(&self) -> bool {
+        !self.papi_agg.is_empty()
     }
 
     /// The PAPI message trace lines for this PE, ordered by
@@ -417,14 +472,15 @@ impl PeCollector {
     }
 
     /// Rough heap footprint of the recorded traces, in bytes — the
-    /// quantity §IV-E worries about.
+    /// quantity §IV-E worries about: every element the collector holds,
+    /// exact-record runs included.
     pub fn trace_bytes(&self) -> usize {
-        self.logical_matrix.len() * std::mem::size_of::<LogicalCell>()
-            + self.logical_records.len() * std::mem::size_of::<LogicalRecord>()
-            + self.papi_agg.len()
-                * (std::mem::size_of::<PapiAgg>() + std::mem::size_of::<(u32, u32)>())
-            + self.physical_records.len() * std::mem::size_of::<PhysicalRecord>()
-            + self.span_records.len() * std::mem::size_of::<SpanRecord>()
+        use std::mem::size_of;
+        self.logical_matrix.len() * size_of::<LogicalCell>()
+            + self.logical_runs.held_bytes()
+            + self.papi_agg.len() * (size_of::<PapiAgg>() + size_of::<(u32, u32)>())
+            + self.physical_records.len() * (size_of::<PhysicalRecord>() + size_of::<u64>())
+            + self.span_records.len() * size_of::<SpanRecord>()
     }
 }
 
@@ -473,7 +529,7 @@ mod tests {
     fn exact_records_when_enabled() {
         let mut c = collector(TraceConfig::off().with_logical_records());
         c.record_send(3, 24, 1, None);
-        let recs = c.logical_records();
+        let recs: Vec<_> = c.logical_records().iter().collect();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].src_pe, 1);
         assert_eq!(recs[0].src_node, 0);
@@ -620,7 +676,10 @@ mod tests {
 
         assert!(buf.is_empty(), "drain leaves the buffer reusable");
         assert_eq!(eager.logical_matrix(), batched.logical_matrix());
-        assert_eq!(eager.logical_records(), batched.logical_records());
+        assert_eq!(
+            eager.logical_records().runs().collect::<Vec<_>>(),
+            batched.logical_records().runs().collect::<Vec<_>>()
+        );
         assert_eq!(eager.papi_records(), batched.papi_records());
         assert_eq!(eager.physical_records(), batched.physical_records());
         assert_eq!(
@@ -678,12 +737,101 @@ mod tests {
     }
 
     #[test]
-    fn trace_bytes_grows_with_records() {
+    fn trace_bytes_counts_every_held_element() {
+        use std::mem::size_of;
         let mut c = collector(TraceConfig::all().with_logical_records());
-        let before = c.trace_bytes();
-        for _ in 0..100 {
-            c.record_send(0, 16, 0, Some(&[1, 1]));
+        c.record_send_run(0, 16, 0, 1000, Some(&[1, 1]));
+        c.record_send(3, 16, 1, Some(&[1, 1]));
+        c.record_physical(SendType::LocalSend, 64, 0);
+        c.record_physical(SendType::NonblockSend, 64, 2);
+        c.record_span_at(Phase::Superstep, c.t0_cycles, c.t0_cycles + 1);
+        assert_eq!(size_of::<SendKey>(), 8, "a run of one is smaller than one expanded record (20 B)");
+        assert_eq!(size_of::<PhysicalRecord>(), 24);
+        assert_eq!(size_of::<SpanRecord>(), 24);
+        let papi_line = size_of::<PapiAgg>() + size_of::<(u32, u32)>();
+        // 4 matrix cells, 2 runs (one of them with its length), 2 PAPI
+        // lines, 2 physical records and their timestamps, 1 span
+        assert_eq!(c.trace_bytes(), 4 * 16 + (2 * 8 + 16) + 2 * papi_line + 2 * (24 + 8) + 24);
+    }
+
+    /// `n` sends to PE `dst(i)`, one by one, as exact records.
+    fn exact_cost(n: u64, dst: impl Fn(u64) -> usize) -> usize {
+        let mut c = collector(TraceConfig::off().with_logical_records());
+        for i in 0..n {
+            c.record_send(dst(i), 8, 0, None);
         }
-        assert!(c.trace_bytes() > before);
+        assert_eq!(c.logical_records().len() as u64, n);
+        c.trace_bytes()
+    }
+
+    #[test]
+    fn exact_records_cost_runs_not_messages() {
+        let empty = exact_cost(0, |_| 0);
+        assert_eq!(exact_cost(1_000_000, |_| 2), exact_cost(1_000, |_| 2), "one run either way");
+        let n = 10_000;
+        let alternating = exact_cost(n, |i| i as usize % 2) - empty;
+        assert!(alternating <= 20 * n as usize, "{alternating} B for {n} runs of one");
+    }
+
+    #[test]
+    fn a_run_near_the_counter_maximum_keeps_its_length() {
+        let mut c = collector(TraceConfig::off().with_logical_records());
+        c.record_send_run(1, 0, 0, u64::MAX - 2, None);
+        c.record_send(1, 0, 1, None);
+        c.record_send(3, 0, 0, None);
+        let records = c.logical_records();
+        assert_eq!(records.len(), u64::MAX as usize);
+        let counts: Vec<u64> = records.runs().map(|(_, n)| n).collect();
+        assert_eq!(counts, [u64::MAX - 1, 1]);
+        assert_eq!(c.logical_matrix()[1].sends, u64::MAX - 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// One random send sequence — `(dst, size, mailbox, count, split,
+        /// drain)` per step — recorded per message, as runs split at random
+        /// and through `TraceBuffer` drains at random points ends up as the
+        /// same maximal runs, whose expansion is exactly the records the
+        /// `logical_sample` stride keeps.
+        #[test]
+        fn runs_do_not_depend_on_how_sends_arrive(
+            ops in proptest::collection::vec((0usize..4, 0u32..2, 0u32..2, 1u64..40, 0u64..40, 0u32..3), 0..40),
+            sample in 0usize..2,
+        ) {
+            let config = TraceConfig::off().with_logical_sampling([1, 3][sample]);
+            let [mut per_message, mut runs, mut drained] = [(); 3].map(|_| collector(config.clone()));
+            let mut buf = crate::TraceBuffer::for_config(&config);
+            let (mut expected, mut sent) = (Vec::new(), 0u64);
+            for &(dst, size, mailbox, count, split, drain) in &ops {
+                let size = 8 << size;
+                // PE 1 of 4, two to a node
+                let record = LogicalRecord { src_node: 0, src_pe: 1, dst_node: dst as u32 / 2, dst_pe: dst as u32, msg_size: size };
+                for _ in 0..count {
+                    if sent % config.logical_sample as u64 == 0 {
+                        expected.push(record);
+                    }
+                    sent += 1;
+                    per_message.record_send(dst, size, mailbox, None);
+                }
+                let split = split.min(count);
+                runs.record_send_run(dst, size, mailbox, split, None);
+                runs.record_send_run(dst, size, mailbox, count - split, None);
+                buf.record_send_run(dst, size, mailbox, count, None);
+                if drain == 0 {
+                    drained.drain(&mut buf);
+                }
+            }
+            drained.drain(&mut buf);
+
+            let held: Vec<_> = per_message.logical_records().runs().collect();
+            proptest::prop_assert_eq!(&held, &runs.logical_records().runs().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(&held, &drained.logical_records().runs().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(per_message.trace_bytes(), runs.trace_bytes());
+            proptest::prop_assert_eq!(per_message.trace_bytes(), drained.trace_bytes());
+            let maximal = held.windows(2).all(|w| w[0].0 != w[1].0);
+            proptest::prop_assert!(maximal && held.iter().all(|&(_, n)| n > 0), "{:?}", held);
+            proptest::prop_assert_eq!(per_message.logical_records().iter().collect::<Vec<_>>(), expected);
+        }
     }
 }

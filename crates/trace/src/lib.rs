@@ -23,8 +23,10 @@
 //! [`PeCollector`] is the per-PE accumulation buffer the runtime layers
 //! write into. Because the FA-BSP model sends *billions* of fine-grained
 //! messages (§IV-E / §VI discuss trace bloat), the collector always keeps a
-//! dense per-destination *aggregate matrix* and keeps exact per-send record
-//! lists only when explicitly enabled.
+//! dense per-destination *aggregate matrix* and keeps exact per-send
+//! records only when explicitly enabled — and then as [`Runs`] of equal
+//! records, from the collector through the file writer and back out of the
+//! reader, so their memory grows with the runs and not with the messages.
 
 // Zero unsafe today; keep it that way by construction.
 #![forbid(unsafe_code)]
@@ -36,7 +38,9 @@ pub mod config;
 pub mod record;
 
 pub use buffer::{PhysicalEvent, SendRun, SpanEvent, TraceBuffer};
-pub use collector::{PeCollector, SharedCollector};
+pub use collector::{LogicalRecords, PeCollector, SharedCollector};
 pub use config::{PapiConfig, TraceConfig, TraceConfigError};
 pub use fabsp_telemetry::{Phase, SamplingKnob};
-pub use record::{LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, SendType, SpanRecord};
+pub use record::{
+    LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, Runs, SendType, SpanRecord,
+};

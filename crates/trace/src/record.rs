@@ -20,6 +20,84 @@ pub struct LogicalRecord {
     pub msg_size: u32,
 }
 
+/// A sequence held as maximal runs of equal values: one value per run, and
+/// a length only for the runs longer than one, so a run of one costs no
+/// more than the value itself. Adjacent equal values always merge, so the
+/// runs are canonical — two sequences are equal exactly when their runs
+/// are — and memory grows with the number of runs, not with the length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Runs<T> {
+    /// The value of each run.
+    values: Vec<T>,
+    /// `(index into values, length)` of each run longer than one, in order.
+    long: Vec<(usize, u64)>,
+}
+
+impl<T> Default for Runs<T> {
+    fn default() -> Runs<T> {
+        Runs { values: Vec::new(), long: Vec::new() }
+    }
+}
+
+impl<T: Copy + PartialEq> Runs<T> {
+    /// An empty sequence with room for `runs` runs.
+    pub fn with_capacity(runs: usize) -> Runs<T> {
+        Runs { values: Vec::with_capacity(runs), long: Vec::new() }
+    }
+
+    /// Append `count` copies of `value`, extending the last run when it
+    /// holds an equal value.
+    #[inline]
+    pub fn push(&mut self, value: T, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let last = self.values.len().wrapping_sub(1);
+        if self.values.last() != Some(&value) {
+            self.values.push(value);
+            if count > 1 {
+                self.long.push((last.wrapping_add(1), count));
+            }
+            return;
+        }
+        match self.long.last_mut() {
+            Some((at, n)) if *at == last => *n += count,
+            _ => self.long.push((last, 1 + count)),
+        }
+    }
+
+    /// The runs as `(value, length)`, in order; no length is zero and no
+    /// two neighbours are equal.
+    pub fn runs(&self) -> impl Iterator<Item = (T, u64)> + '_ {
+        let mut long = self.long.iter().peekable();
+        self.values.iter().enumerate().map(move |(i, &value)| {
+            (value, long.next_if(|&&(at, _)| at == i).map_or(1, |&(_, n)| n))
+        })
+    }
+
+    /// Number of elements (the sum of the run lengths).
+    pub fn len(&self) -> usize {
+        let extra: u64 = self.long.iter().map(|&(_, n)| n - 1).sum();
+        (self.values.len() as u64 + extra) as usize
+    }
+
+    /// Whether the sequence has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The elements, each run expanded.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.runs().flat_map(|(value, n)| std::iter::repeat_n(value, n as usize))
+    }
+
+    /// Bytes of the values and lengths held: `size_of::<T>()` per run, 16
+    /// more per run longer than one.
+    pub fn held_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.values[..]) + std::mem::size_of_val(&self.long[..])
+    }
+}
+
 /// One line of the PAPI-based message trace `PEi_PAPI.csv`:
 /// `source node, source PE, dst node, dst PE, pkt size, MAILBOXID,
 /// NUM_SENDS, <counter values...>`.
@@ -156,6 +234,24 @@ impl OverallRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runs_merge_equal_neighbours_and_skip_empty_ones() {
+        let mut a = Runs::default();
+        for (value, count) in [(7u8, 2), (7, 0), (7, 1), (3, 1), (5, 1), (5, 1), (7, 4), (2, 1)] {
+            a.push(value, count);
+        }
+        assert_eq!(a.runs().collect::<Vec<_>>(), [(7, 3), (3, 1), (5, 2), (7, 4), (2, 1)]);
+        assert_eq!((a.len(), a.is_empty()), (11, false));
+        assert_eq!(a.iter().collect::<Vec<_>>(), [7, 7, 7, 3, 5, 5, 7, 7, 7, 7, 2]);
+        // a run of one is its value alone; a longer one adds its length
+        assert_eq!(a.held_bytes(), 5 + 3 * 16);
+        // the same sequence pushed one by one has the same runs
+        let mut b = Runs::default();
+        a.iter().for_each(|v| b.push(v, 1));
+        assert_eq!(a, b);
+        assert!(Runs::<u8>::default().is_empty());
+    }
 
     #[test]
     fn send_type_label_roundtrip() {

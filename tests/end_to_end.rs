@@ -47,7 +47,7 @@ fn traced_case_study_roundtrips_through_files() {
     assert_eq!(mem.total(), outcome.wedges, "one message per wedge");
     let mut from_records = Matrix::zeros(grid.n_pes());
     for pe in 0..grid.n_pes() {
-        for r in reader::read_logical_exact(&dir.join(format!("PE{pe}_send.csv"))).unwrap() {
+        for r in reader::read_logical_exact(&dir.join(format!("PE{pe}_send.csv"))).unwrap().iter() {
             assert_eq!(r.src_pe as usize, pe);
             assert_eq!(r.msg_size, 8, "wedge messages are 8 bytes");
             from_records.add(r.src_pe as usize, r.dst_pe as usize, 1);

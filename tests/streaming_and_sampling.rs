@@ -35,7 +35,7 @@ fn streamed_records_match_in_memory_aggregate() {
     let mut from_disk = actorprof_suite::actorprof::Matrix::zeros(grid.n_pes());
     for pe in 0..grid.n_pes() {
         let records = reader::read_logical_exact(&dir.join(format!("PE{pe}_send.csv"))).unwrap();
-        for r in records {
+        for r in records.iter() {
             assert_eq!(r.src_pe as usize, pe);
             from_disk.add(r.src_pe as usize, r.dst_pe as usize, 1);
         }
@@ -96,7 +96,13 @@ fn comparison_reproduces_figure5_statements() {
     assert!(text.contains("logical sends"));
 
     // §IV-E trace bloat: exact per-send records strictly grow the in-memory
-    // footprint over the aggregated `all` configuration.
-    let exact = run(DistKind::Cyclic, TraceConfig::all().with_logical_records());
-    assert!(exact.trace_bytes() > cyclic.trace_bytes());
+    // footprint over the aggregated configuration — by no more than the
+    // 20 bytes per message an expanded record takes. Compared without the
+    // physical records and phase spans of `all`, whose number follows the
+    // polls of each run's schedule.
+    let aggregated = run(DistKind::Cyclic, TraceConfig::off().with_logical());
+    let exact = run(DistKind::Cyclic, TraceConfig::off().with_logical_records());
+    assert!(exact.trace_bytes() > aggregated.trace_bytes());
+    let records: usize = exact.collectors().iter().map(|c| c.logical_records().len()).sum();
+    assert!(exact.trace_bytes() - aggregated.trace_bytes() <= 20 * records);
 }
