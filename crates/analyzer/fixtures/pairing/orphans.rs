@@ -1,10 +1,5 @@
-//! Seeded violations: dangling happens-before edges. `seq` publishes with
-//! Release but nothing ever Acquires it; `gate` Acquires what nothing
-//! publishes. `ready` is properly paired and must stay silent.
-
-pub fn publish_only(cell: &Slot) {
-    cell.seq.store(1, Ordering::Release);
-}
+//! Seeded violation: a dangling happens-before edge. `gate` Acquires what
+//! nothing publishes. `ready` is properly paired and must stay silent.
 
 pub fn consume_only(cell: &Slot) -> u64 {
     cell.gate.load(Ordering::Acquire)

@@ -1,17 +1,23 @@
-//! Waiver mechanics: a justified waiver silences its finding; a bare
-//! waiver is itself a violation (and suppresses nothing).
+//! Waiver mechanics: a justified waiver (`//` or `////`) silences its
+//! finding; a bare waiver, or one naming a rule the analyzer does not
+//! have, is itself a violation (and suppresses nothing).
 
-fn justified(pe: &Pe) {
-    let mut c = Conveyor::<u64>::new(pe, opts).unwrap();
-    c.push(pe, 1, 0).unwrap();
-    while c.advance(pe, true) {}
-    // analyzer: allow(push-without-rearm): deliberate litmus — the runtime must reject this push
-    c.push(pe, 2, 0).unwrap();
+pub fn justified(x: &AtomicU64) -> u64 {
+    // analyzer: allow(unlisted-ordering): deliberate — the waiver under test
+    x.load(Ordering::Relaxed)
 }
 
-fn unjustified(pe: &Pe) {
-    let mut c = Conveyor::<u64>::new(pe, opts).unwrap();
-    while c.advance(pe, true) {}
-    // analyzer: allow(pull-outside-drain)
-    let _ = c.pull();
+pub fn unjustified(x: &AtomicU64) -> u64 {
+    // analyzer: allow(unlisted-ordering)
+    x.load(Ordering::Relaxed)
+}
+
+pub fn unknown_rule(x: &AtomicU64) -> u64 {
+    // analyzer: allow(unlisted-orderng): a typo in the rule id
+    x.load(Ordering::Relaxed)
+}
+
+pub fn four_slashes(x: &AtomicU64) -> u64 {
+    //// analyzer: allow(unlisted-ordering): a plain comment still waives
+    x.load(Ordering::Relaxed)
 }

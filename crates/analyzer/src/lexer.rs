@@ -10,7 +10,11 @@
 //!   quote characters kept), so byte offsets and line numbers still line up
 //!   with the original. All token searches run over this text and can never
 //!   match inside a comment, a `"string"`, or a `'c'` literal.
-//! - `comments` — each comment's line span and text, for the SAFETY lint.
+//! - `comments` — each comment's line span and text, for the SAFETY lint
+//!   and the waivers.
+//!
+//! [`tokens`] splits that code text into words and punctuation for the
+//! rules that follow call structure (the pairing audit, handler calls).
 //!
 //! Handled: `//` line comments, nested `/* */` block comments, `"…"`
 //! strings with escapes, `r"…"`/`r#"…"#` raw strings, byte/char literals,
@@ -281,6 +285,43 @@ pub fn idents(code: &str) -> Vec<(usize, usize, &str)> {
                     out.push((lineno + 1, s, word));
                 }
             }
+        }
+    }
+    out
+}
+
+/// One token of blanked code: an identifier/number word or a single
+/// punctuation character.
+pub struct Tok<'a> {
+    pub text: &'a str,
+    pub line: usize,
+    pub is_ident: bool,
+}
+
+/// Tokenize blanked code text. The quote characters the lexer leaves
+/// around blanked literals (and the `'` of lifetimes) are dropped.
+pub fn tokens(code: &str) -> Vec<Tok<'_>> {
+    let mut out = Vec::new();
+    for (n, text) in code.lines().enumerate() {
+        let mut chars = text.char_indices().peekable();
+        while let Some((start, c)) = chars.next() {
+            if c.is_whitespace() || c == '"' || c == '\'' {
+                continue;
+            }
+            let is_ident = is_ident_char(c);
+            let mut end = start + c.len_utf8();
+            while let Some(&(i, c)) = chars.peek().filter(|_| is_ident) {
+                if !is_ident_char(c) {
+                    break;
+                }
+                end = i + c.len_utf8();
+                chars.next();
+            }
+            out.push(Tok {
+                text: &text[start..end],
+                line: n + 1,
+                is_ident,
+            });
         }
     }
     out

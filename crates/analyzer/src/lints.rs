@@ -10,6 +10,9 @@
 //! | `static-mut`           | no `static mut` anywhere |
 //! | `ptr-cast`             | `as *mut` / `as *const` only under `[ptr-cast-allowlist]` path prefixes |
 //! | `missing-forbid`       | crate roots must pin their unsafe posture: `#![forbid(unsafe_code)]`, or for the unsafe-bearing crates (shmem, hwpc) `#![deny(unsafe_op_in_unsafe_fn)]` |
+//! | `blocking-in-handler`  | no blocking method call (`.barrier_all()`, `.lock()`, `.recv()`, …) inside the arguments of a `selector(..)` / `Selector::new(..)` call, i.e. in a mailbox handler — directly, or through a same-file fn it calls by name |
+//! | `orphaned-acquire`     | an `Acquire` consume of a symbol no site in the tree publishes with `Release` (the cross-file [`pairing`](crate::pairing) audit) |
+//! | `bad-waiver`           | an inline waiver must name a rule of this table and carry a justification |
 //! | `stale-policy-entry`   | every file a policy entry names (`[lock-allowlist]`, `[[ordering]]`, file-restricted `[[pairing]]`) must exist — a deleted file takes its waivers with it |
 
 use std::path::Path;
@@ -45,10 +48,27 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Inline waiver comments: `// analyzer: allow(rule-id): why`. Deliberate
-/// negative tests (litmus code that *must* violate the protocol) carry one
-/// on the offending line or directly above it. A waiver without a why is
-/// itself a finding, so the justification cannot silently rot away.
+/// Every rule the analyzer can emit, in the order of the table above. A
+/// waiver must name one of these, and the fixture corpus seeds each.
+pub const RULES: [&str; 11] = [
+    "undocumented-unsafe",
+    "lock-outside-allowlist",
+    "unlisted-ordering",
+    "ordering-use-import",
+    "static-mut",
+    "ptr-cast",
+    "missing-forbid",
+    "blocking-in-handler",
+    "orphaned-acquire",
+    "bad-waiver",
+    "stale-policy-entry",
+];
+
+/// Inline waiver comments: `// analyzer: allow(rule-id): why`, on the
+/// offending line or directly above it. A waiver without a why, or for a
+/// rule not in [`RULES`], is itself a finding: the justification cannot
+/// silently rot away, and a typo or a deleted rule cannot hide as a
+/// waiver that suppresses nothing.
 #[derive(Debug, Clone)]
 pub struct Waiver {
     pub lint: String,
@@ -58,10 +78,25 @@ pub struct Waiver {
     pub has_why: bool,
 }
 
-/// Extract waivers from a file's comments.
+impl Waiver {
+    /// Whether this waiver silences `f`: well-formed, same rule, in span.
+    pub fn covers(&self, f: &Finding) -> bool {
+        self.has_why && self.lint == f.lint && self.start_line <= f.line && f.line <= self.end_line
+    }
+}
+
+/// Extract waivers from a file's comments. Doc comments describe the
+/// syntax; only plain comments waive. Rust's rule decides which is which:
+/// `////…` and `/***…`/`/**/` are plain comments, not docs.
 pub fn waivers(scanned: &ScannedFile) -> Vec<Waiver> {
     let mut out = Vec::new();
-    for c in &scanned.comments {
+    let is_doc = |t: &str| {
+        (t.starts_with("///") && !t.starts_with("////"))
+            || t.starts_with("//!")
+            || (t.starts_with("/**") && !t.starts_with("/***") && !t.starts_with("/**/"))
+            || t.starts_with("/*!")
+    };
+    for c in scanned.comments.iter().filter(|c| !is_doc(&c.text)) {
         let mut rest = c.text.as_str();
         while let Some(pos) = rest.find("analyzer: allow(") {
             rest = &rest[pos + "analyzer: allow(".len()..];
@@ -100,17 +135,18 @@ pub fn apply_waivers(
 ) -> Vec<Finding> {
     let mut out: Vec<Finding> = findings
         .into_iter()
-        .filter(|f| {
-            !waivers.iter().any(|w| {
-                w.has_why
-                    && w.lint == f.lint
-                    && w.start_line <= f.line
-                    && f.line <= w.end_line
-            })
-        })
+        .filter(|f| !waivers.iter().any(|w| w.covers(f)))
         .collect();
     for w in waivers {
-        if !w.has_why {
+        if !RULES.contains(&w.lint.as_str()) {
+            out.push(finding(
+                rel_path,
+                w.start_line,
+                "bad-waiver",
+                format!("waiver names `{}`, which is not an analyzer rule", w.lint),
+                "fix the rule id, or delete the waiver if its rule is gone",
+            ));
+        } else if !w.has_why {
             out.push(finding(
                 rel_path,
                 w.start_line,
@@ -137,6 +173,21 @@ const LOCK_IDENTS: [&str; 7] = [
     "parking_lot",
 ];
 
+/// Methods that block the calling PE until another PE or thread acts. In
+/// a mailbox handler — run from the progress loop, while other PEs may be
+/// inside theirs — a collective like `barrier_all` deadlocks the world.
+const BLOCKING: [&str; 9] = [
+    "barrier_all",
+    "lock",
+    "wait",
+    "wait_timeout",
+    "wait_with_idle",
+    "recv",
+    "recv_timeout",
+    "join",
+    "park",
+];
+
 /// Crates that legitimately contain `unsafe` and therefore pin
 /// `#![deny(unsafe_op_in_unsafe_fn)]` instead of `#![forbid(unsafe_code)]`.
 const UNSAFE_CRATES: [&str; 2] = ["shmem", "hwpc"];
@@ -151,7 +202,7 @@ pub fn lint_source(rel_path: &str, src: &str, policy: &Policy) -> Vec<Finding> {
     lint_orderings(rel_path, &scanned, policy, &mut findings);
     lint_static_mut_and_casts(rel_path, &scanned, policy, &mut findings);
     lint_crate_root_attrs(rel_path, &scanned, &mut findings);
-    findings.extend(crate::protocol::check_file(rel_path, &scanned, policy));
+    lint_handlers(rel_path, &scanned, &mut findings);
     let mut findings = apply_waivers(rel_path, findings, &waivers(&scanned));
     findings.sort_by_key(|f| f.line);
     findings
@@ -376,6 +427,183 @@ fn lint_static_mut_and_casts(
     }
 }
 
+/// A `.m(` call, `m` in [`BLOCKING`], inside the parentheses of a
+/// handler registration — `selector(..)` or `Selector::new(..)`, turbofish
+/// or not, whose closure argument is the handler — or a plain call there
+/// to a same-file fn that reaches one (see [`blocking_fns`]).
+fn lint_handlers(rel_path: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
+    let toks = lexer::tokens(&scanned.code);
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text);
+    // The name of the path segment ending at `i`, stepping back over a
+    // turbofish: `selector::<u64>` → `selector`.
+    let segment = |i: usize| -> Option<usize> {
+        if text(i) != ">" {
+            return Some(i);
+        }
+        let mut depth = 0usize;
+        for j in (0..=i).rev() {
+            match text(j) {
+                ">" => depth += 1,
+                "<" => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                return (j >= 3 && text(j - 1) == ":" && text(j - 2) == ":").then(|| j - 3);
+            }
+        }
+        None
+    };
+    let registers = |i: usize| match segment(i).map(text) {
+        Some("selector") => true,
+        Some("new") => {
+            let n = segment(i).unwrap_or(0);
+            n >= 3
+                && text(n - 1) == ":"
+                && text(n - 2) == ":"
+                && segment(n - 3).map(text) == Some("Selector")
+        }
+        _ => false,
+    };
+    let reach = blocking_fns(&toks);
+    // Paren depth at which the innermost open registration began.
+    let mut handler_depth: Option<usize> = None;
+    let mut depth = 0usize;
+    for (i, tok) in toks.iter().enumerate() {
+        match tok.text {
+            "(" => {
+                depth += 1;
+                if handler_depth.is_none() && i > 0 && registers(i - 1) {
+                    handler_depth = Some(depth);
+                }
+            }
+            ")" => {
+                if handler_depth == Some(depth) {
+                    handler_depth = None;
+                }
+                depth = depth.saturating_sub(1);
+            }
+            name if handler_depth.is_some()
+                && BLOCKING.contains(&name)
+                && i > 0
+                && text(i - 1) == "."
+                && text(i + 1) == "(" =>
+            {
+                findings.push(finding(
+                    rel_path,
+                    tok.line,
+                    "blocking-in-handler",
+                    format!(
+                        "`.{name}()` inside a mailbox handler — handlers run \
+                         on the scheduler's poll loop and must never block"
+                    ),
+                    "buffer the work and do it in superstep code \
+                     (`execute`'s closure), or use the non-blocking primitives",
+                ));
+            }
+            name if handler_depth.is_some() && plain_call(&toks, i) => {
+                if let Some((line, method)) = reach.iter().find(|(f, _)| f == name).map(|r| &r.1) {
+                    findings.push(finding(
+                        rel_path,
+                        tok.line,
+                        "blocking-in-handler",
+                        format!(
+                            "handler calls `{name}`, which reaches blocking \
+                             `.{method}()` (line {line})"
+                        ),
+                        "mailbox handlers must stay non-blocking all the way \
+                         down; move the blocking call out of the handler's \
+                         call graph",
+                    ));
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// `name(` not after `.`, `::` or `fn`: a call to a free fn by its bare
+/// name.
+fn plain_call(toks: &[lexer::Tok<'_>], i: usize) -> bool {
+    let before = if i > 0 { toks[i - 1].text } else { "" };
+    toks[i].is_ident
+        && toks.get(i + 1).is_some_and(|t| t.text == "(")
+        && !matches!(before, "." | ":" | "fn")
+}
+
+/// The same-file fns that reach a blocking call: each `fn name(..) {..}`
+/// body (found by brace matching) holding a `.m(` call with `m` in
+/// [`BLOCKING`], closed to a fixpoint over plain calls between those
+/// bodies. Each entry is (fn, (line, method)) of one blocking call the fn
+/// reaches.
+fn blocking_fns(toks: &[lexer::Tok<'_>]) -> Vec<(String, (usize, String))> {
+    // (name, body token range) per fn with a body.
+    let mut bodies = Vec::new();
+    for i in 0..toks.len().saturating_sub(1) {
+        if toks[i].text != "fn" || !toks[i + 1].is_ident {
+            continue;
+        }
+        let mut j = i + 2;
+        let mut nest = 0usize;
+        while j < toks.len() && !(nest == 0 && matches!(toks[j].text, "{" | ";")) {
+            match toks[j].text {
+                "(" | "[" => nest += 1,
+                ")" | "]" => nest = nest.saturating_sub(1),
+                _ => {}
+            }
+            j += 1;
+        }
+        if toks.get(j).is_none_or(|t| t.text != "{") {
+            continue;
+        }
+        let (open, mut braces) = (j, 0usize);
+        while j < toks.len() {
+            match toks[j].text {
+                "{" => braces += 1,
+                "}" => braces -= 1,
+                _ => {}
+            }
+            if braces == 0 {
+                break;
+            }
+            j += 1;
+        }
+        bodies.push((toks[i + 1].text, open..j));
+    }
+    let mut reach: Vec<(String, (usize, String))> = Vec::new();
+    for (name, body) in &bodies {
+        let hit = body.clone().find(|&k| {
+            BLOCKING.contains(&toks[k].text)
+                && toks[k - 1].text == "."
+                && toks.get(k + 1).is_some_and(|t| t.text == "(")
+        });
+        if let Some(k) = hit {
+            reach.push((name.to_string(), (toks[k].line, toks[k].text.to_string())));
+        }
+    }
+    // Fixpoint: a fn that calls a blocking fn is blocking.
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (name, body) in &bodies {
+            if reach.iter().any(|(f, _)| f == name) {
+                continue;
+            }
+            let via = body.clone().filter(|&k| plain_call(toks, k)).find_map(|k| {
+                let callee = toks[k].text;
+                reach
+                    .iter()
+                    .find(|(f, _)| f == callee)
+                    .map(|(_, hit)| hit.clone())
+            });
+            if let Some(hit) = via {
+                reach.push((name.to_string(), hit));
+                changed = true;
+            }
+        }
+    }
+    reach
+}
+
 fn squash_spaces(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut prev_space = false;
@@ -538,6 +766,65 @@ unsafe impl<T: Send> Sync for Inner<T> {}
         .unwrap();
         let f = lint_source("crates/shmem/src/a.rs", src, &policy);
         assert_eq!(lints_of(&f), vec!["static-mut"], "cast allowed, static mut never");
+    }
+
+    #[test]
+    fn blocking_calls_flagged_only_inside_handler_registrations() {
+        let src = "\
+let a = prof.selector(1, move |_mb, m: u64, _from, _ctx| {
+    pe.barrier_all();
+    sink(m, |x| x.lock());
+});
+pe.barrier_all();
+let b = Selector::new(pe, 1, cfg, |_mb, m: u64, _from, _ctx| h(m));
+let c = thread.join();
+let d = Selector::<u64>::new(pe, 1, cfg, |_mb, m: u64, _from, _ctx| x.recv());
+let e = prof.selector::<u64>(1, |_mb, m: u64, _from, _ctx| x.recv());
+let f = Other::<u64>::new(|| pe.barrier_all());
+";
+        let f = lint_source("a.rs", src, &empty_policy());
+        assert_eq!(lints_of(&f), vec!["blocking-in-handler"; 4]);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 3, 8, 9]);
+    }
+
+    #[test]
+    fn blocking_reached_through_local_fn_is_flagged() {
+        let src = "\
+fn slow_path() {
+    bus.lock();
+}
+fn via() {
+    slow_path();
+}
+fn f(pe: &Pe) {
+    let a = Selector::new(pe, 1, cfg, move |_mb, m: u64, _from, _ctx| {
+        via();
+        Self::slow_path();
+    });
+}
+";
+        let f = lint_source("a.rs", src, &empty_policy());
+        assert_eq!(lints_of(&f), vec!["blocking-in-handler"]);
+        assert_eq!(f[0].line, 9);
+        assert!(f[0].message.contains("`via`") && f[0].message.contains("line 2"));
+    }
+
+    #[test]
+    fn four_slash_and_empty_block_comments_still_waive() {
+        let src = "\
+fn f() {
+    //// analyzer: allow(unlisted-ordering): plain comment, not a doc
+    x.load(Ordering::Relaxed);
+    /**/ // analyzer: allow(unlisted-ordering): after an empty block comment
+    x.load(Ordering::Relaxed);
+    /// analyzer: allow(unlisted-ordering): a doc comment, not a waiver
+    x.load(Ordering::Relaxed);
+}
+";
+        let f = lint_source("a.rs", src, &empty_policy());
+        assert_eq!(lints_of(&f), vec!["unlisted-ordering"]);
+        assert_eq!(f[0].line, 7);
     }
 
     #[test]

@@ -1,30 +1,30 @@
 //! Release/Acquire pairing audit.
 //!
 //! The `[[ordering]]` policy table justifies each site in isolation; it
-//! cannot see that a `Release` publish lost its `Acquire` partner in a
-//! refactor. This pass can: it collects every atomic call site that names
-//! an `Ordering`, groups them by the atomic's *symbol* (the last
-//! identifier of the receiver chain — `self.state.store(..)` → `state`)
-//! across the whole tree, and classifies each site as publish-side,
-//! consume-side, or both:
+//! cannot see that an `Acquire` consume lost its `Release` partner — a
+//! publish weakened to `Relaxed` in a function whose entry already allows
+//! `Relaxed` passes the table. This pass can: it collects every atomic
+//! call site that names an `Ordering`, groups them by the atomic's
+//! *symbol* (the last identifier of the receiver chain —
+//! `self.state.store(..)` → `state`) across the whole tree, and classifies
+//! each site as publish-side, consume-side, or both:
 //!
-//! - publish: `store`/RMW with `Release`, RMW with `AcqRel`, anything
-//!   `SeqCst`-writing;
-//! - consume: `load` with `Acquire`, RMW with `Acquire`/`AcqRel`,
-//!   `SeqCst` loads;
-//! - `compare_exchange*` success orderings count for both of its sides;
+//! - publish: `store`/RMW with `Release`, `AcqRel` or `SeqCst`;
+//! - consume: `load`/RMW with `Acquire`, `AcqRel` or `SeqCst`;
+//! - every method but `load`/`store` (`fetch_*`, `swap`,
+//!   `compare_exchange*`) is a read-modify-write, so it can be both;
 //! - `Relaxed` is neither and never flags.
 //!
-//! A symbol with publishes but no consumes anywhere in the tree is an
-//! `orphaned-release` (flagged at every publish site); consumes with no
-//! publishes are `orphaned-acquire`. `[[pairing]]` policy entries waive a
-//! symbol (optionally per file) with a justification — e.g. a flag whose
-//! Acquire partner lives behind a pointer the textual audit cannot trace.
+//! A consume site whose symbol is published nowhere in the tree is an
+//! `orphaned-acquire`: there is nothing for it to synchronize with.
+//! `[[pairing]]` policy entries waive a symbol (optionally per file) with
+//! a justification — e.g. a cell whose `Release` partner is spelled under
+//! another receiver name the textual audit cannot trace.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
+use crate::lexer::tokens;
 use crate::lints::Finding;
-use crate::parser::tokenize;
 use crate::policy::Policy;
 
 /// One atomic call site naming an `Ordering::*` variant.
@@ -41,54 +41,41 @@ pub struct AtomicSite {
 }
 
 /// Collect the atomic sites of one file's blanked code. A token-stream
-/// walk keeps a stack of open calls; each `Ordering::Variant` is
-/// attributed to the innermost open call, so multi-line calls and nested
-/// argument expressions attribute correctly.
+/// walk keeps a stack of open parentheses; each `Ordering::Variant` is
+/// attributed to the innermost open `receiver.method(` call, so
+/// multi-line calls and nested argument expressions attribute correctly.
 pub fn collect(rel_path: &str, code: &str) -> Vec<AtomicSite> {
-    let toks = tokenize(code);
+    const VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+    let toks = tokens(code);
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text);
     let mut out: Vec<AtomicSite> = Vec::new();
-    // (method, symbol, line, site-index-or-none)
+    // Per open `(`: the index of the site its call opened, if any.
     let mut stack: Vec<Option<usize>> = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
-        let t = &toks[i];
-        if t.is_ident
-            && t.text == "Ordering"
-            && toks.get(i + 1).is_some_and(|n| n.text == "::")
-            && toks.get(i + 2).is_some_and(|n| n.is_ident)
-        {
-            const VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-            let variant = toks[i + 2].text.clone();
-            if VARIANTS.contains(&variant.as_str()) {
-                if let Some(Some(site)) = stack.iter().rev().find(|s| s.is_some()) {
-                    out[*site].orderings.push(variant);
+        match text(i) {
+            "Ordering" if text(i + 1) == ":" && text(i + 2) == ":" => {
+                if VARIANTS.contains(&text(i + 3)) {
+                    if let Some(site) = stack.iter().rev().find_map(|s| *s) {
+                        out[site].orderings.push(text(i + 3).to_string());
+                    }
                 }
+                i += 3;
             }
-            i += 3;
-            continue;
-        }
-        if t.is_ident && toks.get(i + 1).is_some_and(|n| n.text == "(") {
-            // A call opens: record it if it has a dotted receiver.
-            let mut symbol = None;
-            if i >= 2 && toks[i - 1].text == "." && toks[i - 2].is_ident {
-                symbol = Some(toks[i - 2].text.clone());
+            "(" => {
+                let call =
+                    i >= 3 && toks[i - 1].is_ident && text(i - 2) == "." && toks[i - 3].is_ident;
+                stack.push(call.then(|| {
+                    out.push(AtomicSite {
+                        file: rel_path.to_string(),
+                        line: toks[i - 1].line,
+                        symbol: toks[i - 3].text.to_string(),
+                        method: toks[i - 1].text.to_string(),
+                        orderings: Vec::new(),
+                    });
+                    out.len() - 1
+                }));
             }
-            let site = symbol.map(|sym| {
-                out.push(AtomicSite {
-                    file: rel_path.to_string(),
-                    line: t.line,
-                    symbol: sym,
-                    method: t.text.clone(),
-                    orderings: Vec::new(),
-                });
-                out.len() - 1
-            });
-            stack.push(site);
-            i += 2;
-            continue;
-        }
-        match t.text.as_str() {
-            "(" => stack.push(None),
             ")" => {
                 stack.pop();
             }
@@ -100,101 +87,50 @@ pub fn collect(rel_path: &str, code: &str) -> Vec<AtomicSite> {
     out
 }
 
-#[derive(Default, Clone, Copy)]
-struct Sides {
-    publish: bool,
-    consume: bool,
+/// Whether a site publishes (a Release-or-stronger write) and whether it
+/// consumes (an Acquire-or-stronger read).
+fn sides(site: &AtomicSite) -> (bool, bool) {
+    let has = |vs: [&str; 3]| site.orderings.iter().any(|o| vs.contains(&o.as_str()));
+    let publish = site.method != "load" && has(["Release", "AcqRel", "SeqCst"]);
+    let consume = site.method != "store" && has(["Acquire", "AcqRel", "SeqCst"]);
+    (publish, consume)
 }
 
-/// Classify which pairing sides a site participates in.
-fn sides(site: &AtomicSite) -> Sides {
-    let is_load = site.method == "load";
-    let is_store = site.method == "store";
-    // Everything else that takes an ordering is a read-modify-write
-    // (fetch_*, swap, compare_exchange*): both a read and a write.
-    let is_rmw = !is_load && !is_store;
-    let mut s = Sides::default();
-    for o in &site.orderings {
-        match o.as_str() {
-            "Release" => s.publish |= is_store || is_rmw,
-            "Acquire" => s.consume |= is_load || is_rmw,
-            "AcqRel" => {
-                s.publish |= is_store || is_rmw;
-                s.consume |= is_load || is_rmw;
-            }
-            "SeqCst" => {
-                s.publish |= is_store || is_rmw;
-                s.consume |= is_load || is_rmw;
-            }
-            _ => {} // Relaxed
-        }
-    }
-    s
-}
-
-/// Cross-file audit: flag publish sites whose symbol is never consumed
-/// with Acquire anywhere, and vice versa.
+/// Cross-file audit: flag consume sites whose symbol is never published
+/// with Release anywhere in the tree.
 pub fn audit(sites: &[AtomicSite], policy: &Policy) -> Vec<Finding> {
-    let mut per_symbol: BTreeMap<&str, Sides> = BTreeMap::new();
-    for site in sites {
-        let s = sides(site);
-        let e = per_symbol.entry(site.symbol.as_str()).or_default();
-        e.publish |= s.publish;
-        e.consume |= s.consume;
-    }
-    let waived = |symbol: &str, file: &str| {
+    let published: BTreeSet<&str> = sites
+        .iter()
+        .filter(|s| sides(s).0)
+        .map(|s| s.symbol.as_str())
+        .collect();
+    let waived = |site: &AtomicSite| {
         policy
             .pairing
             .iter()
-            .any(|r| r.symbol == symbol && (r.file == "*" || r.file == file))
+            .any(|r| r.symbol == site.symbol && (r.file == "*" || r.file == site.file))
     };
-    let mut findings = Vec::new();
-    for site in sites {
-        let s = sides(site);
-        let total = per_symbol[site.symbol.as_str()];
-        if waived(&site.symbol, &site.file) {
-            continue;
-        }
-        if s.publish && !total.consume {
-            findings.push(Finding {
-                file: site.file.clone(),
-                line: site.line,
-                lint: "orphaned-release",
-                message: format!(
-                    "`{}.{}(.., Release)` publishes, but no `Acquire`/`AcqRel` \
-                     consume of `{}` exists anywhere in the tree — the \
-                     happens-before edge dangles",
-                    site.symbol, site.method, site.symbol
-                ),
-                hint: format!(
-                    "add the matching `{}.load(Ordering::Acquire)` on the \
-                     consumer side, or waive the symbol with a [[pairing]] \
-                     entry in policy.toml explaining how it synchronizes",
-                    site.symbol
-                ),
-            });
-        }
-        if s.consume && !total.publish {
-            findings.push(Finding {
-                file: site.file.clone(),
-                line: site.line,
-                lint: "orphaned-acquire",
-                message: format!(
-                    "`{}.{}(Acquire, ..)` consumes, but no `Release`/`AcqRel` \
-                     publish of `{}` exists anywhere in the tree — there is \
-                     nothing to synchronize with",
-                    site.symbol, site.method, site.symbol
-                ),
-                hint: format!(
-                    "publish `{}` with `Ordering::Release` on the writer \
-                     side, or waive the symbol with a [[pairing]] entry in \
-                     policy.toml",
-                    site.symbol
-                ),
-            });
-        }
-    }
-    findings
+    sites
+        .iter()
+        .filter(|s| sides(s).1 && !published.contains(s.symbol.as_str()) && !waived(s))
+        .map(|site| Finding {
+            file: site.file.clone(),
+            line: site.line,
+            lint: "orphaned-acquire",
+            message: format!(
+                "`{}.{}(Acquire, ..)` consumes, but no `Release`/`AcqRel` \
+                 publish of `{}` exists anywhere in the tree — there is \
+                 nothing to synchronize with",
+                site.symbol, site.method, site.symbol
+            ),
+            hint: format!(
+                "publish `{}` with `Ordering::Release` on the writer \
+                 side, or waive the symbol with a [[pairing]] entry in \
+                 policy.toml",
+                site.symbol
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -217,9 +153,15 @@ fn f() {
 ";
         let s = sites_of("a.rs", src);
         assert_eq!(s.len(), 3);
-        assert_eq!((s[0].symbol.as_str(), s[0].method.as_str()), ("state", "store"));
+        assert_eq!(
+            (s[0].symbol.as_str(), s[0].method.as_str()),
+            ("state", "store")
+        );
         assert_eq!(s[0].orderings, vec!["Release"]);
-        assert_eq!((s[1].symbol.as_str(), s[1].method.as_str()), ("state", "load"));
+        assert_eq!(
+            (s[1].symbol.as_str(), s[1].method.as_str()),
+            ("state", "load")
+        );
         assert_eq!(s[2].orderings, vec!["AcqRel", "Acquire"]);
     }
 
@@ -244,19 +186,25 @@ fn f() {
     #[test]
     fn paired_symbols_are_clean_orphans_flag() {
         let a = sites_of("a.rs", "fn f() { self.seq.store(1, Ordering::Release); }");
-        let b = sites_of("b.rs", "fn g() { let v = self.seq.load(Ordering::Acquire); }");
+        let b = sites_of(
+            "b.rs",
+            "fn g() { let v = self.seq.load(Ordering::Acquire); }",
+        );
         let all: Vec<AtomicSite> = a.into_iter().chain(b).collect();
         assert!(audit(&all, &Policy::default()).is_empty());
 
-        let lone = sites_of("a.rs", "fn f() { self.seq.store(1, Ordering::Release); }");
+        let lone = sites_of(
+            "a.rs",
+            "fn f() { let v = self.seq.load(Ordering::Acquire); }",
+        );
         let f = audit(&lone, &Policy::default());
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].lint, "orphaned-release");
+        assert_eq!(f[0].lint, "orphaned-acquire");
         assert_eq!(f[0].line, 1);
 
-        let lone = sites_of("a.rs", "fn f() { let v = self.seq.load(Ordering::Acquire); }");
-        let f = audit(&lone, &Policy::default());
-        assert_eq!(f[0].lint, "orphaned-acquire");
+        // A publish nobody consumes is the ordering table's business.
+        let lone = sites_of("a.rs", "fn f() { self.seq.store(1, Ordering::Release); }");
+        assert!(audit(&lone, &Policy::default()).is_empty());
     }
 
     #[test]
@@ -270,7 +218,7 @@ fn f() {
 
     #[test]
     fn seqcst_counts_as_both_sides_for_pairing() {
-        // A SeqCst store paired with an Acquire load: no orphan either way.
+        // A SeqCst store paired with an Acquire load: no orphan.
         let s = sites_of(
             "a.rs",
             "fn f() { a.flag.store(1, Ordering::SeqCst); let v = b.flag.load(Ordering::Acquire); }",
@@ -279,17 +227,23 @@ fn f() {
     }
 
     #[test]
-    fn rmw_release_needs_an_acquire_somewhere() {
-        let s = sites_of("a.rs", "fn f() { q.head.fetch_add(1, Ordering::Release); }");
+    fn rmw_acquire_needs_a_release_somewhere() {
+        let s = sites_of("a.rs", "fn f() { q.head.fetch_add(1, Ordering::Acquire); }");
         let f = audit(&s, &Policy::default());
-        assert_eq!(f[0].lint, "orphaned-release");
+        assert_eq!(f[0].lint, "orphaned-acquire");
+        // An AcqRel RMW publishes what it consumes.
+        let s = sites_of("a.rs", "fn f() { q.head.fetch_add(1, Ordering::AcqRel); }");
+        assert!(audit(&s, &Policy::default()).is_empty());
     }
 
     #[test]
     fn pairing_waiver_suppresses() {
-        let s = sites_of("a.rs", "fn f() { self.seq.store(1, Ordering::Release); }");
+        let s = sites_of(
+            "a.rs",
+            "fn f() { let v = self.seq.load(Ordering::Acquire); }",
+        );
         let policy = Policy::parse(
-            "[[pairing]]\nsymbol = \"seq\"\nwhy = \"consumed through the fence in flush()\"\n",
+            "[[pairing]]\nsymbol = \"seq\"\nwhy = \"published through the fence in flush()\"\n",
         )
         .unwrap();
         assert!(audit(&s, &policy).is_empty());

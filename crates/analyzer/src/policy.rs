@@ -179,84 +179,6 @@ pub struct OrderingRule {
     pub why: String,
 }
 
-/// The `[protocol]` section: the API surface of the FA-BSP phase state
-/// machine the dataflow checker tracks. Every key is a method-name set;
-/// `handlers` entries may be qualified (`Selector::new`) to match path
-/// calls. Defaults cover the workspace's real surface so unit tests with
-/// `Policy::default()` exercise the checker.
-#[derive(Debug, Clone)]
-pub struct ProtocolPolicy {
-    /// Type names whose constructor calls (`Conveyor::new(..)`, any
-    /// method) mark the bound local as a fresh conveyor.
-    pub conveyor_types: Vec<String>,
-    /// Methods that progress the exchange (`advance`).
-    pub advance: Vec<String>,
-    /// Producer-side methods (`push`, `push_slice`).
-    pub push: Vec<String>,
-    /// Consumer-side methods (`pull`, `pull_batch`).
-    pub pull: Vec<String>,
-    /// Collective re-arm methods (`reset`).
-    pub rearm: Vec<String>,
-    /// Methods that drive the exchange to termination (`drain_and_park`).
-    pub terminate: Vec<String>,
-    /// Non-blocking put methods on symmetric arrays (`put_nbi`).
-    pub nbi_put: Vec<String>,
-    /// Methods that read a symmetric array and would observe stale data
-    /// while an nbi put to it is pending.
-    pub nbi_consume: Vec<String>,
-    /// Methods that complete pending nbi puts (`quiet`, barriers and
-    /// barrier-synchronized collectives).
-    pub quiet: Vec<String>,
-    /// Checkpoint methods that require a quiescent cut.
-    pub checkpoint: Vec<String>,
-    /// Calls whose closure argument is a mailbox handler.
-    pub handlers: Vec<String>,
-    /// Methods a mailbox handler must never (transitively) call.
-    pub blocking: Vec<String>,
-}
-
-impl Default for ProtocolPolicy {
-    fn default() -> Self {
-        fn v(items: &[&str]) -> Vec<String> {
-            items.iter().map(|s| s.to_string()).collect()
-        }
-        ProtocolPolicy {
-            conveyor_types: v(&["Conveyor"]),
-            advance: v(&["advance"]),
-            push: v(&["push", "push_slice"]),
-            pull: v(&["pull", "pull_batch"]),
-            rearm: v(&["reset"]),
-            terminate: v(&["drain_and_park"]),
-            nbi_put: v(&["put_nbi"]),
-            nbi_consume: v(&["get", "local_get", "read_local", "read_local_range"]),
-            quiet: v(&[
-                "quiet",
-                "barrier_all",
-                "allreduce",
-                "allreduce_sum_u64",
-                "allreduce_sum_i64",
-                "allreduce_sum_f64",
-                "allreduce_max_u64",
-                "allreduce_min_u64",
-            ]),
-            checkpoint: v(&["checkpoint"]),
-            handlers: v(&["selector", "Selector::new"]),
-            blocking: v(&[
-                "lock",
-                "wait",
-                "wait_timeout",
-                "wait_with_idle",
-                "recv",
-                "recv_timeout",
-                "join",
-                "sleep",
-                "park",
-                "barrier_all",
-            ]),
-        }
-    }
-}
-
 /// One `[[pairing]]` waiver: a symbol whose Release/Acquire sides are
 /// deliberately unpaired (or paired through a mechanism the cross-file
 /// audit cannot see), with a justification.
@@ -282,7 +204,6 @@ pub struct Policy {
     /// Path prefixes under which `as *mut`/`as *const` casts are allowed.
     pub ptr_cast_prefixes: Vec<String>,
     pub ordering: Vec<OrderingRule>,
-    pub protocol: ProtocolPolicy,
     pub pairing: Vec<PairingRule>,
     /// Every file the policy names, as `(1-based line of the entry, path)`:
     /// `[lock-allowlist]` items, `[[ordering]]` files and file-restricted
@@ -325,49 +246,6 @@ impl Policy {
                         allow: take_list(&section, "allow")?,
                         why: take_str(&section, "why")?,
                     });
-                }
-                "protocol" => {
-                    let p = &mut policy.protocol;
-                    for (key, slot) in [
-                        ("conveyor-types", &mut p.conveyor_types),
-                        ("advance", &mut p.advance),
-                        ("push", &mut p.push),
-                        ("pull", &mut p.pull),
-                        ("rearm", &mut p.rearm),
-                        ("terminate", &mut p.terminate),
-                        ("nbi-put", &mut p.nbi_put),
-                        ("nbi-consume", &mut p.nbi_consume),
-                        ("quiet", &mut p.quiet),
-                        ("checkpoint", &mut p.checkpoint),
-                        ("handlers", &mut p.handlers),
-                        ("blocking", &mut p.blocking),
-                    ] {
-                        if section.entries.contains_key(key) {
-                            *slot = take_list(&section, key)?;
-                        }
-                    }
-                    for key in section.entries.keys() {
-                        const KNOWN: [&str; 12] = [
-                            "conveyor-types",
-                            "advance",
-                            "push",
-                            "pull",
-                            "rearm",
-                            "terminate",
-                            "nbi-put",
-                            "nbi-consume",
-                            "quiet",
-                            "checkpoint",
-                            "handlers",
-                            "blocking",
-                        ];
-                        if !KNOWN.contains(&key.as_str()) {
-                            return Err(err(
-                                section.line,
-                                format!("unknown [protocol] key `{key}`"),
-                            ));
-                        }
-                    }
                 }
                 "pairing" => {
                     policy.pairing.push(PairingRule {
@@ -521,17 +399,6 @@ why = "debug asserts only"
                 (18, "crates/shmem/src/ring.rs".to_string()),
             ]
         );
-    }
-
-    #[test]
-    fn protocol_section_overrides_defaults() {
-        let src = "[protocol]\npush = [\"shove\"]\nblocking = [\"lock\"]\n";
-        let p = Policy::parse(src).unwrap();
-        assert_eq!(p.protocol.push, vec!["shove"]);
-        assert_eq!(p.protocol.blocking, vec!["lock"]);
-        // Unlisted keys keep their defaults.
-        assert!(p.protocol.pull.contains(&"pull_batch".to_string()));
-        assert!(Policy::parse("[protocol]\nmystery = [\"x\"]\n").is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use actorprof::{ProfError, TraceBundle};
 use actorprof_trace::{PeCollector, TraceConfig};
 use fabsp_actor::{ActorError, MainCtx};
 use fabsp_conveyors::ConveyorOptions;
-use fabsp_shmem::{FaultSpec, Grid, Harness, RecoverySpec, SchedSpec, ShmemError};
+use fabsp_shmem::{FaultSpec, Grid, RecoverySpec, SchedSpec, ShmemError};
 
 /// Run configuration shared by every bundled application: layout, tracing,
 /// aggregation, randomness, and testkit controls in one place.
@@ -94,18 +94,6 @@ impl RunConfig {
     pub fn with_checkpoint_every(mut self, n: u64) -> RunConfig {
         self.checkpoint_every = Some(n);
         self
-    }
-
-    /// The SPMD harness this configuration describes.
-    pub fn harness(&self) -> Harness {
-        let mut h = Harness::new(self.grid)
-            .sched(self.sched)
-            .faults(self.faults)
-            .recovery(self.recovery);
-        if let Some(n) = self.checkpoint_every {
-            h = h.checkpoint_every(n);
-        }
-        h
     }
 
     /// An [`actorprof::Profiler`] carrying this configuration — the apps

@@ -1493,7 +1493,6 @@ mod tests {
                 while c.pull().is_some() {}
             }
             assert!(matches!(
-                // analyzer: allow(push-without-rearm): deliberate negative litmus — asserts the runtime rejects exactly this
                 c.push(pe, 2, 0),
                 Err(ConveyorError::PushAfterDone)
             ));
@@ -1849,7 +1848,6 @@ mod tests {
         let err = spmd::run(grid, |pe| {
             let mut c = Conveyor::<u64>::new(pe, ConveyorOptions::default()).unwrap();
             let _ = c.push(pe, 1, 0).unwrap();
-            // analyzer: allow(rearm-before-terminate): deliberate negative litmus — the world must panic here
             c.reset(pe); // not terminated: must panic
         })
         .unwrap_err();

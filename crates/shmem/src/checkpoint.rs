@@ -179,7 +179,6 @@ mod tests {
                 sym.put_nbi(pe, 1, 0, &[5]).unwrap();
             }
             // One PE's pending nbi poisons the cut for everyone.
-            // analyzer: allow(checkpoint-not-quiesced): deliberate negative litmus — asserts the runtime rejects this cut
             let err = pe.checkpoint().unwrap_err();
             assert_eq!(err, ShmemError::CheckpointNotQuiescent { pending_nbi: 1 });
             assert!(pe.latest_checkpoint().is_none(), "nothing was captured");

@@ -390,7 +390,6 @@ fn checkpoint_at_a_non_quiescent_cut_is_rejected() {
         if pe.rank() == 0 {
             sym.put_nbi(pe, 1, 0, &[41]).unwrap();
         }
-        // analyzer: allow(checkpoint-not-quiesced): deliberate negative litmus — asserts the runtime rejects this cut
         let err = pe.checkpoint().expect_err("non-quiescent cut");
         assert_eq!(err, ShmemError::CheckpointNotQuiescent { pending_nbi: 1 });
         assert!(pe.latest_checkpoint().is_none(), "nothing was captured");
