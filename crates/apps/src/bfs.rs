@@ -8,50 +8,27 @@
 
 use actorprof::TraceBundle;
 use fabsp_graph::{Csr, Distribution};
-use fabsp_shmem::Grid;
 use std::cell::{Cell, RefCell};
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use crate::common::{AppError, DestBuckets, RunConfig};
+use crate::common::{AppError, AppParams, DestBuckets, RunConfig};
 
 /// Unreached marker.
 pub const UNREACHED: u32 = u32::MAX;
 
-/// Configuration for a BFS run: the shared [`RunConfig`] plus the BFS
-/// source vertex. Derefs to [`RunConfig`].
-#[derive(Debug, Clone)]
-pub struct BfsConfig {
-    /// Shared run configuration (layout, tracing, schedule, faults,
-    /// recovery). One selector spans the whole traversal, so the trace
-    /// bundle covers every level.
-    pub run: RunConfig,
+/// BFS parameters: the source vertex. One selector spans the whole
+/// traversal, so the trace bundle covers every level.
+#[derive(Debug, Clone, Default)]
+pub struct BfsParams {
     /// Source vertex.
     pub source: u32,
 }
 
-impl BfsConfig {
-    /// BFS from vertex 0 with tracing off.
-    pub fn new(grid: Grid) -> BfsConfig {
-        BfsConfig {
-            run: RunConfig::new(grid),
-            source: 0,
-        }
-    }
-}
+impl AppParams for BfsParams {}
 
-impl Deref for BfsConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
-}
-
-impl DerefMut for BfsConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// Configuration for a BFS run: the shared [`RunConfig`] plus
+/// [`BfsParams`] (BFS from vertex 0 by default).
+pub type BfsConfig = RunConfig<BfsParams>;
 
 /// Result of a distributed BFS.
 #[derive(Debug)]
@@ -213,6 +190,7 @@ mod tests {
     use actorprof_trace::TraceConfig;
     use fabsp_graph::edgelist::to_lower_triangular;
     use fabsp_graph::rmat::{generate_edges, RmatParams};
+    use fabsp_shmem::Grid;
 
     fn rmat_adj(scale: u32) -> Csr {
         let p = RmatParams::graph500(scale);
@@ -290,12 +268,9 @@ mod tests {
         let mut cfg = BfsConfig::new(Grid::single_node(2).unwrap());
         let base = run(&adj, &cfg).unwrap();
         assert!(base.recovery.is_clean(), "{}", base.recovery);
-        cfg.run = cfg
-            .run
-            .clone()
-            .with_faults(FaultSpec::kill_pe(1, 0))
-            .with_recovery(RecoverySpec::restart(2))
-            .with_checkpoint_every(1);
+        cfg.faults = FaultSpec::kill_pe(1, 0);
+        cfg.recovery = RecoverySpec::restart(2);
+        cfg.checkpoint_every = Some(1);
         let out = run(&adj, &cfg).unwrap();
         assert_eq!(out.distances, base.distances);
         assert_eq!(out.recovery.restarts, 1, "{}", out.recovery);

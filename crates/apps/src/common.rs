@@ -1,21 +1,24 @@
 //! Shared application plumbing.
 
-use actorprof::{ProfError, TraceBundle};
-use actorprof_trace::{PeCollector, TraceConfig};
+use std::ops::{Deref, DerefMut};
+
+use actorprof::ProfError;
+use actorprof_trace::TraceConfig;
 use fabsp_actor::{ActorError, MainCtx};
 use fabsp_conveyors::ConveyorOptions;
 use fabsp_shmem::{FaultSpec, Grid, RecoverySpec, SchedSpec, ShmemError};
 
-/// Run configuration shared by every bundled application: layout, tracing,
-/// aggregation, randomness, and testkit controls in one place.
+/// Run configuration shared by every bundled application — layout,
+/// tracing, aggregation, randomness and testkit controls — plus the app's
+/// own parameters `W`.
 ///
-/// Per-app configs ([`HistogramConfig`](crate::histogram::HistogramConfig),
-/// [`IndexGatherConfig`](crate::index_gather::IndexGatherConfig),
-/// [`TriangleConfig`](crate::triangle::TriangleConfig)) are thin typed
-/// wrappers that `Deref` to this, so `cfg.trace = …` / `cfg.sched = …`
-/// keep working at every call site while the wiring lives here once.
+/// Each app names its instance with an alias
+/// ([`HistogramConfig`](crate::histogram::HistogramConfig) is
+/// `RunConfig<HistogramParams>`, and so on). `RunConfig` derefs to `W`, so
+/// `cfg.trace = …` sets a shared field and `cfg.updates_per_pe = …` an
+/// app parameter on the same value, while the run wiring lives here once.
 #[derive(Debug, Clone)]
-pub struct RunConfig {
+pub struct RunConfig<W = ()> {
     /// PE/node layout.
     pub grid: Grid,
     /// What to trace.
@@ -36,63 +39,42 @@ pub struct RunConfig {
     pub recovery: RecoverySpec,
     /// Capture a symmetric-state checkpoint every `n` supersteps.
     pub checkpoint_every: Option<u64>,
+    /// The app's own parameters, reached as `cfg.<param>` through `Deref`.
+    pub app: W,
 }
 
-impl RunConfig {
-    /// Defaults on the given grid: no tracing, default conveyor options,
-    /// seed 0, OS scheduling, no faults.
-    pub fn new(grid: Grid) -> RunConfig {
+/// An app's own parameters: their defaults and the workload seed a fresh
+/// [`RunConfig`] starts from.
+pub trait AppParams: Default {
+    /// The seed [`RunConfig::new`] sets.
+    const SEED: u64 = 0;
+}
+
+/// Apps whose only parameter is the input they are handed.
+impl AppParams for () {}
+
+impl<W: AppParams> RunConfig<W> {
+    /// Defaults on the given grid: the app's default parameters and seed,
+    /// no tracing, default conveyor options, OS scheduling, no faults.
+    pub fn new(grid: Grid) -> RunConfig<W> {
         RunConfig {
             grid,
             trace: TraceConfig::off(),
             conveyor: ConveyorOptions::default(),
-            seed: 0,
+            seed: W::SEED,
             sched: SchedSpec::Os,
             faults: FaultSpec::NONE,
             recovery: RecoverySpec::Abort,
             checkpoint_every: None,
+            app: W::default(),
         }
     }
+}
 
+impl<W> RunConfig<W> {
     /// Select what to trace.
-    pub fn with_trace(mut self, trace: TraceConfig) -> RunConfig {
+    pub fn with_trace(mut self, trace: TraceConfig) -> RunConfig<W> {
         self.trace = trace;
-        self
-    }
-
-    /// Override conveyor aggregation options.
-    pub fn with_conveyor(mut self, conveyor: ConveyorOptions) -> RunConfig {
-        self.conveyor = conveyor;
-        self
-    }
-
-    /// Set the workload RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> RunConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Select the thread schedule.
-    pub fn with_sched(mut self, sched: SchedSpec) -> RunConfig {
-        self.sched = sched;
-        self
-    }
-
-    /// Inject substrate faults.
-    pub fn with_faults(mut self, faults: FaultSpec) -> RunConfig {
-        self.faults = faults;
-        self
-    }
-
-    /// Select the recovery policy for PE failures.
-    pub fn with_recovery(mut self, recovery: RecoverySpec) -> RunConfig {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Checkpoint the symmetric state every `n` supersteps.
-    pub fn with_checkpoint_every(mut self, n: u64) -> RunConfig {
-        self.checkpoint_every = Some(n);
         self
     }
 
@@ -109,6 +91,19 @@ impl RunConfig {
             p = p.checkpoint_every(n);
         }
         p
+    }
+}
+
+impl<W> Deref for RunConfig<W> {
+    type Target = W;
+    fn deref(&self) -> &W {
+        &self.app
+    }
+}
+
+impl<W> DerefMut for RunConfig<W> {
+    fn deref_mut(&mut self) -> &mut W {
+        &mut self.app
     }
 }
 
@@ -248,33 +243,11 @@ fn scatter_order(rank: usize, n_pes: usize) -> impl Iterator<Item = usize> {
     (1..=n_pes).map(move |step| (rank + step) % n_pes)
 }
 
-/// Assemble per-PE `(result, collector)` pairs into results + bundle.
-pub fn split_outcomes<R>(outcomes: Vec<(R, PeCollector)>) -> Result<(Vec<R>, TraceBundle), AppError> {
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut collectors = Vec::with_capacity(outcomes.len());
-    for (r, c) in outcomes {
-        results.push(r);
-        collectors.push(c);
-    }
-    let bundle = TraceBundle::from_collectors(collectors)?;
-    Ok((results, bundle))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use actorprof_trace::TraceConfig;
     use fabsp_shmem::SchedSpec;
-
-    #[test]
-    fn split_outcomes_orders_by_rank() {
-        let outcomes = (0..3)
-            .map(|pe| (pe * 10, PeCollector::new(pe, 3, 3, TraceConfig::off())))
-            .collect();
-        let (results, bundle) = split_outcomes::<usize>(outcomes).unwrap();
-        assert_eq!(results, vec![0, 10, 20]);
-        assert_eq!(bundle.n_pes(), 3);
-    }
 
     #[test]
     fn scatter_steps_are_permutations_and_cover_every_bucket_once() {
@@ -440,23 +413,6 @@ mod tests {
         };
         let [os, a, b] = schedules().map(run);
         assert!(os == a && os == b, "PE<i>_send.csv lines depend on the schedule");
-    }
-
-    #[test]
-    fn run_config_builder_sets_fields() {
-        let grid = Grid::single_node(2).unwrap();
-        let cfg = RunConfig::new(grid)
-            .with_trace(TraceConfig::off().with_logical())
-            .with_seed(7)
-            .with_sched(fabsp_shmem::SchedSpec::random_walk(3))
-            .with_faults(FaultSpec::NONE)
-            .with_conveyor(ConveyorOptions::default());
-        assert_eq!(cfg.seed, 7);
-        assert!(cfg.trace.logical);
-        assert!(matches!(
-            cfg.sched,
-            fabsp_shmem::SchedSpec::RandomWalk { seed: 3, .. }
-        ));
     }
 
     #[test]

@@ -17,42 +17,14 @@
 
 use actorprof::TraceBundle;
 use fabsp_graph::{Csr, Distribution};
-use fabsp_shmem::Grid;
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use crate::common::{AppError, DestBuckets, RunConfig};
 
-/// Configuration for a components run. Derefs to [`RunConfig`].
-#[derive(Debug, Clone)]
-pub struct ComponentsConfig {
-    /// Shared run configuration (layout, tracing, schedule, faults,
-    /// recovery). One selector spans every propagation round.
-    pub run: RunConfig,
-}
-
-impl ComponentsConfig {
-    /// Components with tracing off.
-    pub fn new(grid: Grid) -> ComponentsConfig {
-        ComponentsConfig {
-            run: RunConfig::new(grid),
-        }
-    }
-}
-
-impl Deref for ComponentsConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
-}
-
-impl DerefMut for ComponentsConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// Configuration for a components run: just the shared [`RunConfig`].
+/// One selector spans every propagation round.
+pub type ComponentsConfig = RunConfig;
 
 /// Result of a distributed components run.
 #[derive(Debug)]
@@ -231,10 +203,11 @@ pub fn run(adj: &Csr, config: &ComponentsConfig) -> Result<ComponentsOutcome, Ap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::symmetric_adjacency;
     use actorprof_trace::TraceConfig;
+    use crate::bfs::symmetric_adjacency;
     use fabsp_graph::edgelist::to_lower_triangular;
     use fabsp_graph::rmat::{generate_edges, RmatParams};
+    use fabsp_shmem::Grid;
 
     fn rmat_adj(scale: u32) -> Csr {
         let p = RmatParams::graph500(scale);
@@ -300,12 +273,9 @@ mod tests {
         let mut cfg = ComponentsConfig::new(Grid::single_node(2).unwrap());
         let base = run(&adj, &cfg).unwrap();
         assert!(base.recovery.is_clean(), "{}", base.recovery);
-        cfg.run = cfg
-            .run
-            .clone()
-            .with_faults(FaultSpec::kill_pe(1, 0))
-            .with_recovery(RecoverySpec::restart(2))
-            .with_checkpoint_every(1);
+        cfg.faults = FaultSpec::kill_pe(1, 0);
+        cfg.recovery = RecoverySpec::restart(2);
+        cfg.checkpoint_every = Some(1);
         let out = run(&adj, &cfg).unwrap();
         assert_eq!(out.labels, base.labels);
         assert_eq!(out.recovery.restarts, 1, "{}", out.recovery);

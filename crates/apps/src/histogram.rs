@@ -5,51 +5,39 @@
 //! *without atomics* (single-threaded PEs process one message at a time).
 
 use actorprof::TraceBundle;
-use fabsp_shmem::Grid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use crate::common::{AppError, DestBuckets, RunConfig};
+use crate::common::{AppError, AppParams, DestBuckets, RunConfig};
 
-/// Configuration for a histogram run: the shared [`RunConfig`] plus the
-/// histogram-specific workload knobs. Derefs to [`RunConfig`], so
-/// `cfg.trace = …` / `cfg.sched = …` work as before.
+/// Histogram workload parameters.
 #[derive(Debug, Clone)]
-pub struct HistogramConfig {
-    /// Shared run configuration (layout, tracing, schedule, faults).
-    pub run: RunConfig,
+pub struct HistogramParams {
     /// Table slots owned by each PE.
     pub table_size_per_pe: usize,
     /// Increment messages issued by each PE.
     pub updates_per_pe: usize,
 }
 
-impl HistogramConfig {
-    /// A small default on the given grid.
-    pub fn new(grid: Grid) -> HistogramConfig {
-        HistogramConfig {
-            run: RunConfig::new(grid).with_seed(0x4157_0001),
+impl Default for HistogramParams {
+    /// A small default.
+    fn default() -> Self {
+        HistogramParams {
             table_size_per_pe: 1024,
             updates_per_pe: 4096,
         }
     }
 }
 
-impl Deref for HistogramConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
+impl AppParams for HistogramParams {
+    const SEED: u64 = 0x4157_0001;
 }
 
-impl DerefMut for HistogramConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// Configuration for a histogram run: the shared [`RunConfig`] plus
+/// [`HistogramParams`].
+pub type HistogramConfig = RunConfig<HistogramParams>;
 
 /// Result of a histogram run.
 #[derive(Debug)]
@@ -117,6 +105,7 @@ pub fn run(config: &HistogramConfig) -> Result<HistogramOutcome, AppError> {
 mod tests {
     use super::*;
     use actorprof_trace::TraceConfig;
+    use fabsp_shmem::Grid;
 
     #[test]
     fn histogram_conserves_updates_one_node() {

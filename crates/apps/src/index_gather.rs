@@ -8,50 +8,39 @@
 //! pattern of HClib-Actor selectors.
 
 use actorprof::TraceBundle;
-use fabsp_shmem::Grid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use crate::common::{AppError, DestBuckets, RunConfig};
+use crate::common::{AppError, AppParams, DestBuckets, RunConfig};
 
-/// Configuration for an index-gather run: the shared [`RunConfig`] plus
-/// the index-gather workload knobs. Derefs to [`RunConfig`].
+/// Index-gather workload parameters.
 #[derive(Debug, Clone)]
-pub struct IndexGatherConfig {
-    /// Shared run configuration (layout, tracing, schedule, faults).
-    pub run: RunConfig,
+pub struct IndexGatherParams {
     /// Table entries owned by each PE.
     pub table_size_per_pe: usize,
     /// Reads issued by each PE.
     pub reads_per_pe: usize,
 }
 
-impl IndexGatherConfig {
-    /// A small default on the given grid.
-    pub fn new(grid: Grid) -> IndexGatherConfig {
-        IndexGatherConfig {
-            run: RunConfig::new(grid).with_seed(0x16A7),
+impl Default for IndexGatherParams {
+    /// A small default.
+    fn default() -> Self {
+        IndexGatherParams {
             table_size_per_pe: 512,
             reads_per_pe: 2048,
         }
     }
 }
 
-impl Deref for IndexGatherConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
+impl AppParams for IndexGatherParams {
+    const SEED: u64 = 0x16A7;
 }
 
-impl DerefMut for IndexGatherConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// Configuration for an index-gather run: the shared [`RunConfig`] plus
+/// [`IndexGatherParams`].
+pub type IndexGatherConfig = RunConfig<IndexGatherParams>;
 
 /// Result of an index-gather run.
 #[derive(Debug)]
@@ -155,6 +144,7 @@ pub fn run(config: &IndexGatherConfig) -> Result<IndexGatherOutcome, AppError> {
 mod tests {
     use super::*;
     use actorprof_trace::TraceConfig;
+    use fabsp_shmem::Grid;
 
     #[test]
     fn gathers_correct_values_one_node() {

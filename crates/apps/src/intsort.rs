@@ -11,21 +11,16 @@
 //! asserts bit-for-bit.
 
 use actorprof::TraceBundle;
-use fabsp_shmem::Grid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use crate::common::{AppError, DestBuckets, RunConfig};
+use crate::common::{AppError, AppParams, DestBuckets, RunConfig};
 
-/// Configuration for an integer-sort run: the shared [`RunConfig`] plus
-/// the sort-specific workload knobs. Derefs to [`RunConfig`].
+/// Integer-sort workload parameters; `cfg.seed` seeds the key streams.
 #[derive(Debug, Clone)]
-pub struct IntSortConfig {
-    /// Shared run configuration. `run.seed` seeds the key streams.
-    pub run: RunConfig,
+pub struct IntSortParams {
     /// Keys drawn by each PE.
     pub keys_per_pe: usize,
     /// Key range owned by each PE: PE `p` owns `[p*bucket_size,
@@ -33,29 +28,23 @@ pub struct IntSortConfig {
     pub bucket_size: u64,
 }
 
-impl IntSortConfig {
-    /// A small default on the given grid.
-    pub fn new(grid: Grid) -> IntSortConfig {
-        IntSortConfig {
-            run: RunConfig::new(grid).with_seed(0x1507),
+impl Default for IntSortParams {
+    /// A small default.
+    fn default() -> Self {
+        IntSortParams {
             keys_per_pe: 2048,
             bucket_size: 512,
         }
     }
 }
 
-impl Deref for IntSortConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
+impl AppParams for IntSortParams {
+    const SEED: u64 = 0x1507;
 }
 
-impl DerefMut for IntSortConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// Configuration for an integer-sort run: the shared [`RunConfig`] plus
+/// [`IntSortParams`].
+pub type IntSortConfig = RunConfig<IntSortParams>;
 
 /// Result of an integer-sort run.
 #[derive(Debug)]
@@ -151,6 +140,7 @@ pub fn run(config: &IntSortConfig) -> Result<IntSortOutcome, AppError> {
 mod tests {
     use super::*;
     use actorprof_trace::TraceConfig;
+    use fabsp_shmem::Grid;
 
     #[test]
     fn sorts_globally_one_node() {
@@ -199,12 +189,9 @@ mod tests {
         cfg.bucket_size = 32;
         let base = run(&cfg).unwrap();
         assert!(base.recovery.is_clean(), "{}", base.recovery);
-        cfg.run = cfg
-            .run
-            .clone()
-            .with_faults(FaultSpec::kill_pe(1, 0))
-            .with_recovery(RecoverySpec::restart(2))
-            .with_checkpoint_every(1);
+        cfg.faults = FaultSpec::kill_pe(1, 0);
+        cfg.recovery = RecoverySpec::restart(2);
+        cfg.checkpoint_every = Some(1);
         let out = run(&cfg).unwrap();
         assert_eq!(out.sorted, base.sorted);
         assert_eq!(out.recovery.restarts, 1, "{}", out.recovery);

@@ -12,43 +12,15 @@
 
 use actorprof::TraceBundle;
 use fabsp_graph::{Csr, Distribution};
-use fabsp_shmem::Grid;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use crate::common::{AppError, DestBuckets, RunConfig};
 
 /// Configuration for a Jaccard run: just the shared [`RunConfig`] (the
-/// graph is the workload knob). Derefs to [`RunConfig`].
-#[derive(Debug, Clone)]
-pub struct JaccardConfig {
-    /// Shared run configuration.
-    pub run: RunConfig,
-}
-
-impl JaccardConfig {
-    /// Defaults with tracing off.
-    pub fn new(grid: Grid) -> JaccardConfig {
-        JaccardConfig {
-            run: RunConfig::new(grid),
-        }
-    }
-}
-
-impl Deref for JaccardConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
-}
-
-impl DerefMut for JaccardConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// graph is the workload knob).
+pub type JaccardConfig = RunConfig;
 
 /// Result of a Jaccard run.
 #[derive(Debug)]
@@ -251,6 +223,7 @@ mod tests {
     use crate::bfs::symmetric_adjacency;
     use fabsp_graph::edgelist::to_lower_triangular;
     use fabsp_graph::rmat::{generate_edges, RmatParams};
+    use fabsp_shmem::Grid;
 
     #[test]
     fn triangle_edges_share_one_neighbour() {
@@ -307,12 +280,9 @@ mod tests {
         let mut cfg = JaccardConfig::new(Grid::single_node(2).unwrap());
         let base = run(&adj, &cfg).unwrap();
         assert!(base.recovery.is_clean(), "{}", base.recovery);
-        cfg.run = cfg
-            .run
-            .clone()
-            .with_faults(FaultSpec::kill_pe(1, 0))
-            .with_recovery(RecoverySpec::restart(2))
-            .with_checkpoint_every(1);
+        cfg.faults = FaultSpec::kill_pe(1, 0);
+        cfg.recovery = RecoverySpec::restart(2);
+        cfg.checkpoint_every = Some(1);
         let out = run(&adj, &cfg).unwrap();
         assert_eq!(out.total.to_bits(), base.total.to_bits());
         assert_eq!(out.recovery.restarts, 1, "{}", out.recovery);

@@ -34,9 +34,6 @@
 //! the [`actorprof::TraceBundle`], and the [`actorprof::RecoveryLog`].
 //! The [`matrix`] module registers all ten as [`fabsp_testkit::matrix`]
 //! entries so the conformance suites iterate over one registry.
-//!
-//! [`profile::profile_run`] is the one-call driver: handler + MAIN body in,
-//! per-PE results + [`actorprof::TraceBundle`] out.
 
 // Zero unsafe today; keep it that way by construction.
 #![forbid(unsafe_code)]
@@ -49,12 +46,11 @@ pub mod intsort;
 pub mod jaccard;
 pub mod matrix;
 pub mod pagerank;
-pub mod profile;
 pub mod index_gather;
 pub mod permute;
 pub mod skewed_agg;
 pub mod triangle;
 
-pub use common::{AppError, RunConfig};
+pub use common::{AppError, AppParams, RunConfig};
 pub use matrix::registry;
 pub use triangle::{count_triangles, DistKind, TriangleConfig, TriangleOutcome};

@@ -46,7 +46,7 @@ use crate::skewed_agg::{self, SkewedAggConfig};
 use crate::triangle::{count_triangles, DistKind, TriangleConfig};
 
 /// Copy the substrate knobs of [`MatrixParams`] onto a [`RunConfig`].
-pub fn apply_params(run: &mut RunConfig, p: &MatrixParams) {
+pub fn apply_params<W>(run: &mut RunConfig<W>, p: &MatrixParams) {
     run.trace = if p.logical {
         TraceConfig::off().with_logical()
     } else {
@@ -90,7 +90,7 @@ fn adjacency(p: &MatrixParams) -> Csr {
 
 fn run_histogram(p: &MatrixParams) -> Result<MatrixRun, String> {
     let mut cfg = HistogramConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
+    apply_params(&mut cfg, p);
     cfg.table_size_per_pe = 4 * p.scale as usize;
     cfg.updates_per_pe = 8 * p.scale as usize;
     let out = histogram::run(&cfg).map_err(|e| format!("histogram: {e}"))?;
@@ -119,7 +119,7 @@ fn run_histogram(p: &MatrixParams) -> Result<MatrixRun, String> {
 
 fn run_index_gather(p: &MatrixParams) -> Result<MatrixRun, String> {
     let mut cfg = IndexGatherConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
+    apply_params(&mut cfg, p);
     cfg.table_size_per_pe = 4 * p.scale as usize;
     cfg.reads_per_pe = 8 * p.scale as usize;
     let out = index_gather::run(&cfg).map_err(|e| format!("index_gather: {e}"))?;
@@ -141,7 +141,7 @@ fn run_triangle(p: &MatrixParams) -> Result<MatrixRun, String> {
     let (n, lower) = lower_csr(p);
     let l = Csr::from_edges(n, &lower);
     let mut cfg = TriangleConfig::new(p.grid).with_dist(DistKind::Cyclic);
-    apply_params(&mut cfg.run, p);
+    apply_params(&mut cfg, p);
     let out = count_triangles(&l, &cfg).map_err(|e| format!("triangle: {e}"))?;
 
     // oracle: replay Algorithm 1's wedge checks sequentially, crediting
@@ -176,7 +176,7 @@ fn run_triangle(p: &MatrixParams) -> Result<MatrixRun, String> {
 fn run_bfs(p: &MatrixParams) -> Result<MatrixRun, String> {
     let adj = adjacency(p);
     let mut cfg = BfsConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
+    apply_params(&mut cfg, p);
     let out = bfs::run(&adj, &cfg).map_err(|e| format!("bfs: {e}"))?;
     let golden = bfs::sequential_bfs(&adj, cfg.source);
     Ok(MatrixRun {
@@ -193,7 +193,7 @@ fn run_bfs(p: &MatrixParams) -> Result<MatrixRun, String> {
 fn run_components(p: &MatrixParams) -> Result<MatrixRun, String> {
     let adj = adjacency(p);
     let mut cfg = ComponentsConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
+    apply_params(&mut cfg, p);
     let out = components::run(&adj, &cfg).map_err(|e| format!("components: {e}"))?;
     let golden = components::sequential_components(&adj);
     Ok(MatrixRun {
@@ -217,7 +217,7 @@ fn quantize(r: f64) -> u64 {
 fn run_pagerank(p: &MatrixParams) -> Result<MatrixRun, String> {
     let adj = adjacency(p);
     let mut cfg = PageRankConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
+    apply_params(&mut cfg, p);
     cfg.iterations = 4;
     let out = pagerank::run(&adj, &cfg).map_err(|e| format!("pagerank: {e}"))?;
     let golden = pagerank::sequential_pagerank(&adj, cfg.damping, cfg.iterations);
@@ -234,8 +234,7 @@ fn run_pagerank(p: &MatrixParams) -> Result<MatrixRun, String> {
 
 fn run_permute(p: &MatrixParams) -> Result<MatrixRun, String> {
     let mut cfg = PermuteConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
-    cfg.run = cfg.run.with_seed(0x9E12); // workload seed, post-apply
+    apply_params(&mut cfg, p);
     cfg.slots_per_pe = 8 * p.scale as usize;
     let out = permute::run(&cfg).map_err(|e| format!("permute: {e}"))?;
     // oracle: apply the named permutation directly
@@ -259,7 +258,7 @@ fn run_permute(p: &MatrixParams) -> Result<MatrixRun, String> {
 fn run_jaccard(p: &MatrixParams) -> Result<MatrixRun, String> {
     let adj = adjacency(p);
     let mut cfg = JaccardConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
+    apply_params(&mut cfg, p);
     let out = jaccard::run(&adj, &cfg).map_err(|e| format!("jaccard: {e}"))?;
     // both sides divide the same exact integers, so coefficients match
     // bit-for-bit; digest sorted (edge, bits) streams
@@ -285,8 +284,7 @@ fn run_jaccard(p: &MatrixParams) -> Result<MatrixRun, String> {
 
 fn run_intsort(p: &MatrixParams) -> Result<MatrixRun, String> {
     let mut cfg = IntSortConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
-    cfg.run = cfg.run.with_seed(0x1507);
+    apply_params(&mut cfg, p);
     cfg.keys_per_pe = 8 * p.scale as usize;
     cfg.bucket_size = 8 * p.scale as u64;
     let out = intsort::run(&cfg).map_err(|e| format!("intsort: {e}"))?;
@@ -303,8 +301,7 @@ fn run_intsort(p: &MatrixParams) -> Result<MatrixRun, String> {
 
 fn run_skewed_agg(p: &MatrixParams) -> Result<MatrixRun, String> {
     let mut cfg = SkewedAggConfig::new(p.grid);
-    apply_params(&mut cfg.run, p);
-    cfg.run = cfg.run.with_seed(0x51CE);
+    apply_params(&mut cfg, p);
     cfg.updates_per_pe = 16 * p.scale as usize;
     cfg.n_keys = 8 * p.scale as usize;
     let out = skewed_agg::run(&cfg).map_err(|e| format!("skewed_agg: {e}"))?;

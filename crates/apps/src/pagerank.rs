@@ -18,12 +18,10 @@
 
 use actorprof::TraceBundle;
 use fabsp_graph::{Csr, Distribution};
-use fabsp_shmem::Grid;
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use crate::common::{AppError, DestBuckets, RunConfig};
+use crate::common::{AppError, AppParams, DestBuckets, RunConfig};
 
 /// The rank-share message: `(destination vertex, share)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -34,13 +32,10 @@ pub struct Share {
     pub share: f64,
 }
 
-/// Configuration for a PageRank run: the shared [`RunConfig`] plus the
-/// PageRank knobs. Derefs to [`RunConfig`].
+/// PageRank parameters. One selector spans all iterations, so the
+/// returned bundle covers every one of them.
 #[derive(Debug, Clone)]
-pub struct PageRankConfig {
-    /// Shared run configuration. One selector spans all iterations, so
-    /// the returned bundle covers every one of them.
-    pub run: RunConfig,
+pub struct PageRankParams {
     /// Damping factor (0.85 is the classic choice).
     pub damping: f64,
     /// Number of synchronous iterations.
@@ -51,11 +46,10 @@ pub struct PageRankConfig {
     pub tolerance: f64,
 }
 
-impl PageRankConfig {
+impl Default for PageRankParams {
     /// Classic parameters: damping 0.85, 10 iterations.
-    pub fn new(grid: Grid) -> PageRankConfig {
-        PageRankConfig {
-            run: RunConfig::new(grid),
+    fn default() -> Self {
+        PageRankParams {
             damping: 0.85,
             iterations: 10,
             tolerance: 1e-9,
@@ -63,18 +57,11 @@ impl PageRankConfig {
     }
 }
 
-impl Deref for PageRankConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
-}
+impl AppParams for PageRankParams {}
 
-impl DerefMut for PageRankConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// Configuration for a PageRank run: the shared [`RunConfig`] plus
+/// [`PageRankParams`].
+pub type PageRankConfig = RunConfig<PageRankParams>;
 
 /// Result of a PageRank run.
 #[derive(Debug)]
@@ -222,6 +209,7 @@ mod tests {
     use crate::bfs::symmetric_adjacency;
     use fabsp_graph::edgelist::to_lower_triangular;
     use fabsp_graph::rmat::{generate_edges, RmatParams};
+    use fabsp_shmem::Grid;
 
     #[test]
     fn ranks_sum_to_one_on_a_cycle() {
@@ -307,12 +295,9 @@ mod tests {
         cfg.iterations = 4;
         let base = run(&adj, &cfg).unwrap();
         assert!(base.recovery.is_clean(), "{}", base.recovery);
-        cfg.run = cfg
-            .run
-            .clone()
-            .with_faults(FaultSpec::kill_pe(1, 0))
-            .with_recovery(RecoverySpec::restart(2))
-            .with_checkpoint_every(1);
+        cfg.faults = FaultSpec::kill_pe(1, 0);
+        cfg.recovery = RecoverySpec::restart(2);
+        cfg.checkpoint_every = Some(1);
         let out = run(&adj, &cfg).unwrap();
         assert_eq!(out.ranks, base.ranks, "bit-identical after recovery");
         assert_eq!(out.recovery.restarts, 1, "{}", out.recovery);

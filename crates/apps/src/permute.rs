@@ -5,51 +5,36 @@
 //! Validation checks that the permuted array is exactly a rearrangement.
 
 use actorprof::TraceBundle;
-use fabsp_shmem::Grid;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use crate::common::{AppError, DestBuckets, RunConfig};
+use crate::common::{AppError, AppParams, DestBuckets, RunConfig};
 
-/// Configuration for a permutation run: the shared [`RunConfig`] plus the
-/// permute-specific workload knob. Derefs to [`RunConfig`], so
-/// `cfg.trace = …` / `cfg.sched = …` work like every other app. The
-/// permutation itself is seeded by `cfg.seed`.
+/// Permutation workload parameters; `cfg.seed` seeds the global
+/// permutation.
 #[derive(Debug, Clone)]
-pub struct PermuteConfig {
-    /// Shared run configuration (layout, tracing, schedule, faults,
-    /// recovery). `run.seed` seeds the global permutation.
-    pub run: RunConfig,
+pub struct PermuteParams {
     /// Array slots owned by each PE.
     pub slots_per_pe: usize,
 }
 
-impl PermuteConfig {
-    /// A small default on the given grid.
-    pub fn new(grid: Grid) -> PermuteConfig {
-        PermuteConfig {
-            run: RunConfig::new(grid).with_seed(0x9E12),
-            slots_per_pe: 1024,
-        }
+impl Default for PermuteParams {
+    /// A small default.
+    fn default() -> Self {
+        PermuteParams { slots_per_pe: 1024 }
     }
 }
 
-impl Deref for PermuteConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
+impl AppParams for PermuteParams {
+    const SEED: u64 = 0x9E12;
 }
 
-impl DerefMut for PermuteConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// Configuration for a permutation run: the shared [`RunConfig`] plus
+/// [`PermuteParams`].
+pub type PermuteConfig = RunConfig<PermuteParams>;
 
 /// Result of a permutation run.
 #[derive(Debug)]
@@ -144,6 +129,7 @@ pub fn run(config: &PermuteConfig) -> Result<PermuteOutcome, AppError> {
 mod tests {
     use super::*;
     use actorprof_trace::TraceConfig;
+    use fabsp_shmem::Grid;
 
     #[test]
     fn permutation_rearranges_exactly_one_node() {
@@ -194,12 +180,9 @@ mod tests {
         cfg.slots_per_pe = 32;
         let base = run(&cfg).unwrap();
         assert!(base.recovery.is_clean(), "{}", base.recovery);
-        cfg.run = cfg
-            .run
-            .clone()
-            .with_faults(FaultSpec::kill_pe(1, 0))
-            .with_recovery(RecoverySpec::restart(2))
-            .with_checkpoint_every(1);
+        cfg.faults = FaultSpec::kill_pe(1, 0);
+        cfg.recovery = RecoverySpec::restart(2);
+        cfg.checkpoint_every = Some(1);
         let out = run(&cfg).unwrap();
         assert_eq!(out.permuted, base.permuted);
         assert_eq!(out.recovery.restarts, 1, "{}", out.recovery);

@@ -14,14 +14,12 @@
 
 use actorprof::TraceBundle;
 use fabsp_graph::ZipfSampler;
-use fabsp_shmem::Grid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use crate::common::{AppError, DestBuckets, RunConfig};
+use crate::common::{AppError, AppParams, DestBuckets, RunConfig};
 
 /// The aggregation update message.
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,12 +30,9 @@ pub struct Update {
     pub val: u64,
 }
 
-/// Configuration for a skewed-aggregation run: the shared [`RunConfig`]
-/// plus the skew knobs. Derefs to [`RunConfig`].
+/// Skewed-aggregation parameters; `cfg.seed` seeds the key/value streams.
 #[derive(Debug, Clone)]
-pub struct SkewedAggConfig {
-    /// Shared run configuration. `run.seed` seeds the key/value streams.
-    pub run: RunConfig,
+pub struct SkewedAggParams {
     /// Updates issued by each PE.
     pub updates_per_pe: usize,
     /// Size of the key space.
@@ -46,11 +41,10 @@ pub struct SkewedAggConfig {
     pub exponent: f64,
 }
 
-impl SkewedAggConfig {
-    /// A small, strongly skewed default on the given grid.
-    pub fn new(grid: Grid) -> SkewedAggConfig {
-        SkewedAggConfig {
-            run: RunConfig::new(grid).with_seed(0x51CE),
+impl Default for SkewedAggParams {
+    /// A small, strongly skewed default.
+    fn default() -> Self {
+        SkewedAggParams {
             updates_per_pe: 2048,
             n_keys: 64,
             exponent: 1.5,
@@ -58,18 +52,13 @@ impl SkewedAggConfig {
     }
 }
 
-impl Deref for SkewedAggConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
+impl AppParams for SkewedAggParams {
+    const SEED: u64 = 0x51CE;
 }
 
-impl DerefMut for SkewedAggConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
-    }
-}
+/// Configuration for a skewed-aggregation run: the shared [`RunConfig`]
+/// plus [`SkewedAggParams`].
+pub type SkewedAggConfig = RunConfig<SkewedAggParams>;
 
 /// Result of a skewed-aggregation run.
 #[derive(Debug)]
@@ -187,6 +176,7 @@ pub fn run(config: &SkewedAggConfig) -> Result<SkewedAggOutcome, AppError> {
 mod tests {
     use super::*;
     use actorprof_trace::TraceConfig;
+    use fabsp_shmem::Grid;
 
     #[test]
     fn conserves_updates_and_matches_oracle() {
@@ -253,12 +243,9 @@ mod tests {
         cfg.updates_per_pe = 200;
         let base = run(&cfg).unwrap();
         assert!(base.recovery.is_clean(), "{}", base.recovery);
-        cfg.run = cfg
-            .run
-            .clone()
-            .with_faults(FaultSpec::kill_pe(1, 0))
-            .with_recovery(RecoverySpec::restart(2))
-            .with_checkpoint_every(1);
+        cfg.faults = FaultSpec::kill_pe(1, 0);
+        cfg.recovery = RecoverySpec::restart(2);
+        cfg.checkpoint_every = Some(1);
         let out = run(&cfg).unwrap();
         assert_eq!(out.per_key, base.per_key);
         assert_eq!(out.recovery.restarts, 1, "{}", out.recovery);

@@ -18,15 +18,12 @@
 //! owns, so the communication pattern is exactly the distributed one.
 
 use actorprof::TraceBundle;
-use actorprof_trace::TraceConfig;
 use fabsp_graph::{triangle_ref, Csr, Distribution};
 use fabsp_hwpc::Cost;
-use fabsp_shmem::Grid;
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use crate::common::{AppError, DestBuckets, RunConfig};
+use crate::common::{AppError, AppParams, DestBuckets, RunConfig};
 
 /// Which row distribution to run under (§IV-B2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,16 +52,11 @@ impl DistKind {
     }
 }
 
-/// Configuration for a triangle-counting run: the shared [`RunConfig`]
-/// plus the case-study knobs. Derefs to [`RunConfig`], so `cfg.trace`,
-/// `cfg.conveyor`, `cfg.sched`, … keep working at every call site.
+/// Triangle-counting parameters. The paper uses 1×16 and 2×16 grids and
+/// profiles only the counting kernel; graph construction and validation
+/// are outside the trace window, as here.
 #[derive(Debug, Clone)]
-pub struct TriangleConfig {
-    /// Shared run configuration (layout, tracing, aggregation, schedule,
-    /// faults). The paper uses 1×16 and 2×16 grids and profiles only the
-    /// counting kernel; graph construction and validation are outside the
-    /// trace window, as here.
-    pub run: RunConfig,
+pub struct TriangleParams {
     /// Row distribution.
     pub dist: DistKind,
     /// Validate against the sequential reference count (§IV-C's
@@ -72,39 +64,27 @@ pub struct TriangleConfig {
     pub validate: bool,
 }
 
-impl TriangleConfig {
-    /// Defaults: cyclic distribution, no tracing, validation on.
-    pub fn new(grid: Grid) -> TriangleConfig {
-        TriangleConfig {
-            run: RunConfig::new(grid),
+impl Default for TriangleParams {
+    /// Cyclic distribution, validation on.
+    fn default() -> Self {
+        TriangleParams {
             dist: DistKind::Cyclic,
             validate: true,
         }
     }
+}
 
+impl AppParams for TriangleParams {}
+
+/// Configuration for a triangle-counting run: the shared [`RunConfig`]
+/// plus [`TriangleParams`].
+pub type TriangleConfig = RunConfig<TriangleParams>;
+
+impl TriangleConfig {
     /// Select the distribution.
     pub fn with_dist(mut self, dist: DistKind) -> TriangleConfig {
         self.dist = dist;
         self
-    }
-
-    /// Enable tracing.
-    pub fn with_trace(mut self, trace: TraceConfig) -> TriangleConfig {
-        self.run.trace = trace;
-        self
-    }
-}
-
-impl Deref for TriangleConfig {
-    type Target = RunConfig;
-    fn deref(&self) -> &RunConfig {
-        &self.run
-    }
-}
-
-impl DerefMut for TriangleConfig {
-    fn deref_mut(&mut self) -> &mut RunConfig {
-        &mut self.run
     }
 }
 
@@ -203,8 +183,10 @@ pub fn count_triangles(l: &Csr, config: &TriangleConfig) -> Result<TriangleOutco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use actorprof_trace::TraceConfig;
     use fabsp_graph::edgelist::to_lower_triangular;
     use fabsp_graph::rmat::{generate_edges, RmatParams};
+    use fabsp_shmem::Grid;
 
     fn rmat_csr(scale: u32) -> Csr {
         let p = RmatParams::graph500(scale);

@@ -81,7 +81,6 @@ fn main() {
             ConveyorOptions {
                 capacity: 1,
                 topology: TopologySpec::Auto,
-                ..ConveyorOptions::default()
             },
         )
         .expect("conveyor");

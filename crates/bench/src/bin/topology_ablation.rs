@@ -36,7 +36,6 @@ fn main() {
         config.conveyor = ConveyorOptions {
             capacity: 64,
             topology: spec,
-            ..ConveyorOptions::default()
         };
         let start = std::time::Instant::now();
         let outcome = count_triangles(l, &config).expect("run");

@@ -101,35 +101,17 @@ use crate::exchange::{BatchDelivery, Delivery, PushOutcome, PushReport};
 use crate::stats::ConveyorStats;
 use crate::topology::{LinkKind, Topology, TopologySpec};
 
-/// Physical slab capacity when the adaptive controller is on: the
-/// controller moves the *effective* occupancy target inside this envelope,
-/// so landing cells never need reallocation.
-const ADAPTIVE_SLAB_CAP: usize = 512;
-
-/// Floor the adaptive controller never shrinks the occupancy target below.
-const ADAPTIVE_MIN_TARGET: usize = 8;
-
-/// Advances between adaptive controller decisions.
-const ADAPT_PERIOD: u64 = 32;
-
 /// Construction options for a [`Conveyor`].
 #[derive(Debug, Clone, Copy)]
 pub struct ConveyorOptions {
     /// Items per aggregation buffer (and per landing cell). Default 64 —
     /// with 8–32-byte items this yields the 0.5–2 KiB network packets
-    /// aggregation libraries target. With `adaptive` set this is the
-    /// *initial* occupancy target; the physical slab is pre-sized to
-    /// `ADAPTIVE_SLAB_CAP` (512) so the controller has headroom. At most
+    /// aggregation libraries target. At most
     /// 65 535 (the width of the ready word's count field);
     /// [`Conveyor::new`] rejects more.
     pub capacity: usize,
     /// Topology selection (default: what Conveyors picks for the grid).
     pub topology: TopologySpec,
-    /// Enable the occupancy feedback controller: the effective slab
-    /// occupancy target tracks the telemetry registry's
-    /// `BufferedItems`/`PullBacklog` gauges instead of staying pinned at
-    /// `capacity`. Off by default (fixed capacity, bit-stable behavior).
-    pub adaptive: bool,
 }
 
 impl Default for ConveyorOptions {
@@ -137,7 +119,6 @@ impl Default for ConveyorOptions {
         ConveyorOptions {
             capacity: 64,
             topology: TopologySpec::Auto,
-            adaptive: false,
         }
     }
 }
@@ -309,17 +290,9 @@ pub struct Conveyor<T> {
     me: usize,
     grid: fabsp_shmem::Grid,
     topology: Topology,
-    /// Configured capacity (what [`capacity`](Conveyor::capacity) reports).
+    /// Items per slab: the flush/refusal threshold and the size of every
+    /// landing cell and staging buffer.
     capacity: usize,
-    /// Effective occupancy target: flush/refusal threshold. Equals
-    /// `capacity` unless the adaptive controller moves it.
-    target: usize,
-    /// Physical items per landing cell / staging buffer (`>= target`).
-    slab_cap: usize,
-    /// Occupancy feedback controller enabled?
-    adaptive: bool,
-    /// `push_refusals` value at the controller's last decision point.
-    adapt_refusal_mark: u64,
     links: Vec<OutLink<T>>,
     /// Landing cells, one SPSC cell per (incoming link, slot), each with a
     /// route table beside the items; the cell state word is ready signal
@@ -372,20 +345,13 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     /// Collectively create a conveyor across all PEs. Every PE must call
     /// this with identical options.
     pub fn new(pe: &Pe, options: ConveyorOptions) -> Result<Conveyor<T>, ConveyorError> {
-        if options.capacity == 0 {
+        let capacity = options.capacity;
+        if capacity == 0 {
             return Err(ConveyorError::ZeroCapacity);
         }
-        // Adaptive mode over-provisions the physical slabs so the
-        // controller can move the occupancy target without reallocating
-        // landing cells mid-run.
-        let slab_cap = if options.adaptive {
-            options.capacity.max(ADAPTIVE_SLAB_CAP)
-        } else {
-            options.capacity
-        };
-        if slab_cap > ready::MAX_SLAB {
+        if capacity > ready::MAX_SLAB {
             return Err(ConveyorError::CapacityTooLarge {
-                capacity: slab_cap,
+                capacity,
                 max: ready::MAX_SLAB,
             });
         }
@@ -394,8 +360,8 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         let n_links = topology.n_links(grid);
         // Worst case a slab carries one route per item; a 1D grid never
         // relays, so none of its slabs carries a table at all.
-        let table_cap = if topology == Topology::OneD { 0 } else { slab_cap };
-        let cells = SpscRing::with_side(pe, n_links * 2, slab_cap, table_cap)?;
+        let table_cap = if topology == Topology::OneD { 0 } else { capacity };
+        let cells = SpscRing::with_side(pe, n_links * 2, capacity, table_cap)?;
         let shared = pe.allreduce((), |_| {
             Arc::new(SharedState {
                 pushed: AtomicU64::new(0),
@@ -410,7 +376,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             .map(|link| OutLink {
                 peer: topology.link_peer(grid, me, link),
                 kind: topology.link_kind(grid, me, link),
-                buf: Vec::with_capacity(slab_cap),
+                buf: Vec::with_capacity(capacity),
                 // One route per item at worst; a 1D link only ever stages
                 // the one run its slabs then omit.
                 runs: Vec::with_capacity(table_cap.max(1)),
@@ -422,11 +388,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             me,
             grid,
             topology,
-            capacity: options.capacity,
-            target: options.capacity,
-            slab_cap,
-            adaptive: options.adaptive,
-            adapt_refusal_mark: 0,
+            capacity,
             links,
             cells,
             cursors: vec![Cursor::default(); n_links * 2],
@@ -437,7 +399,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                 queued_items: 0,
                 pool: Vec::new(),
                 allocs: 0,
-                slab_cap,
+                slab_cap: capacity,
             },
             live: None,
             pending_pushed: 0,
@@ -492,13 +454,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     /// Items per aggregation buffer, as configured.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The effective occupancy target the flush/refusal thresholds use
-    /// right now. Equals [`capacity`](Conveyor::capacity) unless the
-    /// adaptive controller has moved it.
-    pub fn effective_capacity(&self) -> usize {
-        self.target
     }
 
     /// This PE's operation counters.
@@ -706,9 +661,9 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         let mut accepted = 0usize;
         let mut retried = 0u64;
         while accepted < items.len() {
-            if self.links[link].buf.len() >= self.target {
+            if self.links[link].buf.len() >= self.capacity {
                 self.flush_link(pe, link);
-                if self.links[link].buf.len() >= self.target {
+                if self.links[link].buf.len() >= self.capacity {
                     self.stats.push_refusals += 1;
                     retried += 1;
                     if let Some(m) = pe.metrics() {
@@ -717,7 +672,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                     break;
                 }
             }
-            let room = self.target - self.links[link].buf.len();
+            let room = self.capacity - self.links[link].buf.len();
             let take = room.min(items.len() - accepted);
             self.links[link].stage(dst as u32, origin, &items[accepted..accepted + take]);
             accepted += take;
@@ -821,7 +776,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             m.gauge_set(Gauge::ConveyorBufferedItems, buffered as u64);
             // True occupancy: items, not slabs — pull_batch drains whole
             // batches, so counting queue entries would under-report the
-            // backlog the adaptive controller steers on.
+            // backlog.
             m.gauge_set(Gauge::ConveyorPullBacklog, self.inbox.queued_items as u64);
             m.flight_span(Phase::Advance, begin, end);
             if self.pending_batched_pulls != 0 {
@@ -846,9 +801,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         // reclaim its backing Vec for the free list.
         if let Some(prev) = self.live.take() {
             self.inbox.recycle(prev);
-        }
-        if self.adaptive && self.stats.advances.is_multiple_of(ADAPT_PERIOD) {
-            self.adapt_tick(pe);
         }
         // Post the hot path's batched ledger deltas before anything that
         // could observe termination, `done` signalling included.
@@ -878,7 +830,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         // Flush full buffers; in the endgame flush anything non-empty.
         for link in 0..self.links.len() {
             let len = self.links[link].buf.len();
-            if len >= self.target || (self.done_signaled && len > 0) {
+            if len >= self.capacity || (self.done_signaled && len > 0) {
                 self.flush_link(pe, link);
             }
         }
@@ -906,42 +858,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             }
         }
         true
-    }
-
-    /// The occupancy feedback controller: every [`ADAPT_PERIOD`] advances,
-    /// steer the effective slab occupancy target from this PE's telemetry
-    /// gauges. Refusals with a manageable pull backlog mean the fixed
-    /// target is the bottleneck — grow it (bigger slabs amortize the
-    /// state-word protocol further); a backlog far above the target means
-    /// the consumer is the bottleneck — shrink, so flushes deliver smaller,
-    /// smoother slabs instead of piling onto the queue. Inputs are this
-    /// PE's own single-writer gauge slab (set by the previous `advance`),
-    /// so the decision stream is deterministic per schedule.
-    fn adapt_tick(&mut self, pe: &Pe) {
-        let backlog = pe
-            .metrics()
-            .map(|m| m.gauge(Gauge::ConveyorPullBacklog))
-            .unwrap_or(self.inbox.queued_items as u64);
-        let refusals = self.stats.push_refusals - self.adapt_refusal_mark;
-        self.adapt_refusal_mark = self.stats.push_refusals;
-        // A consumer that keeps up holds the backlog near 3x the target (two
-        // drained cells plus an inline flush per advance), so the stable
-        // band is [0, 4x]: refusals inside it grow, a backlog beyond 8x —
-        // the consumer genuinely falling behind — shrinks.
-        let target = self.target as u64;
-        if refusals > 0 && backlog <= 4 * target {
-            let grown = (self.target * 2).min(self.slab_cap);
-            if grown != self.target {
-                self.target = grown;
-                self.stats.capacity_grows += 1;
-            }
-        } else if backlog > 8 * target {
-            let shrunk = (self.target / 2).max(ADAPTIVE_MIN_TARGET.min(self.slab_cap));
-            if shrunk != self.target {
-                self.target = shrunk;
-                self.stats.capacity_shrinks += 1;
-            }
-        }
     }
 
     fn has_in_flight(&self) -> bool {
@@ -1169,10 +1085,10 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                         break;
                     }
                 }
-                if self.links[rl].buf.len() >= self.target {
+                if self.links[rl].buf.len() >= self.capacity {
                     self.flush_link(pe, rl);
                 }
-                let room = self.target.saturating_sub(self.links[rl].buf.len());
+                let room = self.capacity.saturating_sub(self.links[rl].buf.len());
                 if room == 0 {
                     parked = Some(false);
                     break;
@@ -1332,7 +1248,6 @@ mod tests {
             ConveyorOptions {
                 capacity: 8,
                 topology: TopologySpec::Cube3D,
-                ..ConveyorOptions::default()
             },
             12,
         );
@@ -1344,7 +1259,6 @@ mod tests {
         let options = ConveyorOptions {
             capacity: 8,
             topology: TopologySpec::Cube3D,
-            ..ConveyorOptions::default()
         };
         let results = all_to_all(grid, options, 6);
         let total_relayed: u64 = results.iter().map(|(_, s)| s.relayed).sum();
@@ -1364,7 +1278,6 @@ mod tests {
         let options = ConveyorOptions {
             capacity: 4,
             topology: TopologySpec::Cube3D,
-            ..ConveyorOptions::default()
         };
         let results = all_to_all(grid, options, 5);
         for (_, s) in &results {
@@ -1380,7 +1293,6 @@ mod tests {
         let options = ConveyorOptions {
             capacity: 2,
             topology: TopologySpec::Auto,
-            ..ConveyorOptions::default()
         };
         let results = all_to_all(grid, options, 30);
         assert!(
@@ -1397,7 +1309,6 @@ mod tests {
         let options = ConveyorOptions {
             capacity: 8,
             topology: TopologySpec::OneD,
-            ..ConveyorOptions::default()
         };
         let results = all_to_all(grid, options, 10);
         for (_, stats) in &results {
@@ -1523,7 +1434,6 @@ mod tests {
                 ConveyorOptions {
                     capacity: 0,
                     topology: TopologySpec::Auto,
-                    ..ConveyorOptions::default()
                 },
             );
             assert!(matches!(r, Err(ConveyorError::ZeroCapacity)));
@@ -1534,34 +1444,30 @@ mod tests {
     #[test]
     fn capacity_must_fit_the_ready_word() {
         // The count and route-count fields are 16 bits: the largest slab is
-        // accepted and works, one more is a typed error — for the plain
-        // capacity and for the adaptive slab cap alike.
+        // accepted and works, one more is a typed error.
         let grid = Grid::single_node(1).unwrap();
         spmd::run(grid, |pe| {
-            for adaptive in [false, true] {
-                let options = |capacity| ConveyorOptions {
-                    capacity,
-                    adaptive,
-                    ..ConveyorOptions::default()
-                };
-                let mut c = Conveyor::<u8>::new(pe, options(ready::MAX_SLAB)).unwrap();
-                let items = vec![7u8; ready::MAX_SLAB + 1];
-                assert_eq!(c.push_slice(pe, &items, 0).unwrap().accepted, items.len());
-                let mut got = 0usize;
-                while c.advance(pe, true) {
-                    while let Some(b) = c.pull_batch() {
-                        got += b.items.len();
-                    }
+            let options = |capacity| ConveyorOptions {
+                capacity,
+                ..ConveyorOptions::default()
+            };
+            let mut c = Conveyor::<u8>::new(pe, options(ready::MAX_SLAB)).unwrap();
+            let items = vec![7u8; ready::MAX_SLAB + 1];
+            assert_eq!(c.push_slice(pe, &items, 0).unwrap().accepted, items.len());
+            let mut got = 0usize;
+            while c.advance(pe, true) {
+                while let Some(b) = c.pull_batch() {
+                    got += b.items.len();
                 }
-                assert_eq!(got, items.len(), "a full-width slab is delivered whole");
-                assert!(matches!(
-                    Conveyor::<u8>::new(pe, options(ready::MAX_SLAB + 1)),
-                    Err(ConveyorError::CapacityTooLarge {
-                        capacity: 65_536,
-                        max: 65_535
-                    })
-                ));
             }
+            assert_eq!(got, items.len(), "a full-width slab is delivered whole");
+            assert!(matches!(
+                Conveyor::<u8>::new(pe, options(ready::MAX_SLAB + 1)),
+                Err(ConveyorError::CapacityTooLarge {
+                    capacity: 65_536,
+                    max: 65_535
+                })
+            ));
         })
         .unwrap();
     }
@@ -1910,7 +1816,6 @@ mod tests {
                 ConveyorOptions {
                     capacity: 1,
                     topology: TopologySpec::OneD,
-                    ..ConveyorOptions::default()
                 },
             )
             .unwrap();
@@ -2038,99 +1943,6 @@ mod tests {
                 pe.poll_yield();
             }
             assert_eq!(got, items, "batched delivery preserves push order");
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn adaptive_capacity_grows_under_refusals() {
-        // Sustained oversized pushes refuse at the initial target; the
-        // controller must raise the effective target (toward the physical
-        // slab cap) while delivery stays complete and correct.
-        let grid = Grid::single_node(1).unwrap();
-        spmd::run(grid, |pe| {
-            let mut c = Conveyor::<u64>::new(
-                pe,
-                ConveyorOptions {
-                    capacity: 16,
-                    adaptive: true,
-                    ..ConveyorOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(c.capacity(), 16, "configured capacity is reported as-is");
-            assert_eq!(c.effective_capacity(), 16);
-            let total = 20_000usize;
-            let items: Vec<u64> = (0..total as u64).collect();
-            let mut sent = 0usize;
-            let mut got = 0usize;
-            loop {
-                if sent < total {
-                    sent += c.push_slice(pe, &items[sent..], 0).unwrap().accepted;
-                }
-                let active = c.advance(pe, sent == total);
-                while let Some(b) = c.pull_batch() {
-                    got += b.items.len();
-                }
-                if !active {
-                    break;
-                }
-            }
-            assert_eq!(got, total);
-            let s = c.stats();
-            assert!(s.capacity_grows > 0, "refusals must grow the target: {s:?}");
-            assert!(
-                c.effective_capacity() > 16,
-                "target stuck at {}",
-                c.effective_capacity()
-            );
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn adaptive_capacity_shrinks_when_the_backlog_piles_up() {
-        // Deliver without pulling: the pull backlog blows past 4x the
-        // target and the controller backs off toward the floor.
-        let grid = Grid::single_node(1).unwrap();
-        spmd::run(grid, |pe| {
-            let mut c = Conveyor::<u64>::new(
-                pe,
-                ConveyorOptions {
-                    capacity: 64,
-                    adaptive: true,
-                    ..ConveyorOptions::default()
-                },
-            )
-            .unwrap();
-            let items: Vec<u64> = (0..4096).collect();
-            let mut sent = 0usize;
-            for _ in 0..320 {
-                if sent < items.len() {
-                    sent += c.push_slice(pe, &items[sent..], 0).unwrap().accepted;
-                }
-                c.advance(pe, false);
-                if c.stats().capacity_shrinks > 0 {
-                    break;
-                }
-            }
-            let s = c.stats();
-            assert!(s.capacity_shrinks > 0, "backlog must shrink the target: {s:?}");
-            assert!(c.effective_capacity() < 64);
-            let mut got = 0usize;
-            loop {
-                let active = c.advance(pe, sent == items.len());
-                while let Some(b) = c.pull_batch() {
-                    got += b.items.len();
-                }
-                if !active {
-                    break;
-                }
-                if sent < items.len() {
-                    sent += c.push_slice(pe, &items[sent..], 0).unwrap().accepted;
-                }
-            }
-            assert_eq!(got, items.len(), "shrinking must not lose deliveries");
         })
         .unwrap();
     }

@@ -5,8 +5,7 @@
 pub enum ConveyorError {
     /// Buffer capacity must hold at least one item.
     ZeroCapacity,
-    /// The slab capacity (`capacity`, or the adaptive slab cap when that is
-    /// larger) does not fit the ready word's item-count field.
+    /// The slab capacity does not fit the ready word's item-count field.
     CapacityTooLarge { capacity: usize, max: usize },
     /// A destination PE outside the grid.
     InvalidDestination { dst: usize, n_pes: usize },

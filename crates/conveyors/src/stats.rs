@@ -50,12 +50,6 @@ pub struct ConveyorStats {
     /// simultaneously queued, so it settles with traffic rather than at
     /// construction.
     pub batch_allocs: u64,
-    /// Adaptive-capacity controller decisions that grew the occupancy
-    /// target (always zero with `adaptive` off).
-    pub capacity_grows: u64,
-    /// Adaptive-capacity controller decisions that shrank the occupancy
-    /// target (always zero with `adaptive` off).
-    pub capacity_shrinks: u64,
 }
 
 impl ConveyorStats {
@@ -81,8 +75,6 @@ impl ConveyorStats {
         self.batched_pushes += other.batched_pushes;
         self.batched_pulls += other.batched_pulls;
         self.batch_allocs += other.batch_allocs;
-        self.capacity_grows += other.capacity_grows;
-        self.capacity_shrinks += other.capacity_shrinks;
     }
 }
 

@@ -113,16 +113,10 @@ impl From<ProfError> for RunError {
 /// once per PE and assembles everything into a [`Report`].
 #[derive(Clone)]
 pub struct Profiler {
-    grid: Grid,
+    /// The SPMD world: grid, schedule, faults, recovery, checkpoint period.
+    harness: Harness,
     trace: TraceConfig,
     conveyor: ConveyorOptions,
-    sched: SchedSpec,
-    faults: FaultSpec,
-    /// What to do when a PE dies mid-run ([`RecoverySpec::Abort`] by
-    /// default).
-    recovery: RecoverySpec,
-    /// Capture a symmetric-state checkpoint every `n` supersteps.
-    checkpoint_every: Option<u64>,
     /// Always-on metrics registry (counters, gauges, histograms, flight
     /// recorder); off only for A/B overhead measurement.
     telemetry_enabled: bool,
@@ -135,26 +129,23 @@ pub struct Profiler {
     trace_events: Option<PathBuf>,
     /// Where flight-recorder dumps land when a PE dies.
     flightrec_dir: Option<PathBuf>,
-    /// Pin PE threads to CPUs (rank round-robin); off by default.
-    pin_pes: bool,
 }
 
 impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Profiler")
-            .field("grid", &self.grid)
+            .field("grid", &self.harness.grid)
             .field("trace", &self.trace)
             .field("conveyor", &self.conveyor)
-            .field("sched", &self.sched)
-            .field("faults", &self.faults)
-            .field("recovery", &self.recovery)
-            .field("checkpoint_every", &self.checkpoint_every)
+            .field("sched", &self.harness.sched)
+            .field("faults", &self.harness.faults)
+            .field("recovery", &self.harness.recovery)
+            .field("checkpoint_every", &self.harness.checkpoint_every)
             .field("telemetry_enabled", &self.telemetry_enabled)
             .field("observe_interval", &self.observe.as_ref().map(|(i, _)| *i))
             .field("continuous", &self.continuous)
             .field("trace_events", &self.trace_events)
             .field("flightrec_dir", &self.flightrec_dir)
-            .field("pin_pes", &self.pin_pes)
             .finish()
     }
 }
@@ -164,19 +155,14 @@ impl Profiler {
     /// always-on metrics registry — stays on).
     pub fn new(grid: Grid) -> Profiler {
         Profiler {
-            grid,
+            harness: Harness::new(grid),
             trace: TraceConfig::off(),
             conveyor: ConveyorOptions::default(),
-            sched: SchedSpec::Os,
-            faults: FaultSpec::NONE,
-            recovery: RecoverySpec::Abort,
-            checkpoint_every: None,
             telemetry_enabled: true,
             observe: None,
             continuous: None,
             trace_events: None,
             flightrec_dir: None,
-            pin_pes: false,
         }
     }
 
@@ -232,30 +218,15 @@ impl Profiler {
         self
     }
 
-    /// Let each conveyor adapt its effective slab occupancy target at run
-    /// time, growing under push refusals and shrinking when the pull
-    /// backlog piles up, instead of using the fixed configured capacity.
-    pub fn adaptive_capacity(mut self, adaptive: bool) -> Profiler {
-        self.conveyor.adaptive = adaptive;
-        self
-    }
-
-    /// Pin each PE thread to one CPU (rank round-robin). Off by default;
-    /// a performance hint for hot-path measurement, Linux-only.
-    pub fn pin_pes(mut self, pin: bool) -> Profiler {
-        self.pin_pes = pin;
-        self
-    }
-
     /// Select the thread schedule (deterministic random walk for tests).
     pub fn sched(mut self, sched: SchedSpec) -> Profiler {
-        self.sched = sched;
+        self.harness = self.harness.sched(sched);
         self
     }
 
     /// Inject substrate faults (testkit).
     pub fn faults(mut self, faults: FaultSpec) -> Profiler {
-        self.faults = faults;
+        self.harness = self.harness.faults(faults);
         self
     }
 
@@ -263,14 +234,14 @@ impl Profiler {
     /// (default) fails the run; [`RecoverySpec::RestartFromCheckpoint`]
     /// re-executes the whole SPMD body, up to `max_retries` times.
     pub fn recovery(mut self, recovery: RecoverySpec) -> Profiler {
-        self.recovery = recovery;
+        self.harness = self.harness.recovery(recovery);
         self
     }
 
     /// Capture a checkpoint of the symmetric state every `n` supersteps
     /// (at the superstep boundary, where conveyors are quiescent).
     pub fn checkpoint_every(mut self, n: u64) -> Profiler {
-        self.checkpoint_every = Some(n);
+        self.harness = self.harness.checkpoint_every(n);
         self
     }
 
@@ -278,13 +249,6 @@ impl Profiler {
     /// span kept; they appear as duration events in the Perfetto export.
     pub fn spans(mut self) -> Profiler {
         self.trace = self.trace.with_spans();
-        self
-    }
-
-    /// Record phase spans, keeping every `k`-th hot span (supersteps are
-    /// always kept).
-    pub fn span_sampling(mut self, k: u32) -> Profiler {
-        self.trace = self.trace.with_span_sampling(k);
         self
     }
 
@@ -357,24 +321,17 @@ impl Profiler {
         R: Send,
         F: Fn(&Pe, &mut ProfilerCtx<'_>) -> R + Sync,
     {
+        let n_pes = self.harness.grid.n_pes();
         let registry = self.telemetry_enabled.then(|| {
-            let mut reg = TelemetryRegistry::new(self.grid.n_pes());
+            let mut reg = TelemetryRegistry::new(n_pes);
             if let Some(dir) = &self.flightrec_dir {
                 reg = reg.flight_dump_dir(dir);
             }
             Arc::new(reg)
         });
-        let mut harness = Harness::new(self.grid)
-            .sched(self.sched)
-            .faults(self.faults)
-            .recovery(self.recovery)
-            .pin_pes(self.pin_pes);
-        if let Some(n) = self.checkpoint_every {
-            harness = harness.checkpoint_every(n);
-        }
-        harness = match &registry {
-            Some(reg) => harness.telemetry(reg.clone()),
-            None => harness.telemetry_off(),
+        let harness = match &registry {
+            Some(reg) => self.harness.telemetry(reg.clone()),
+            None => self.harness.telemetry_off(),
         };
 
         // Continuous mode shares one SamplingKnob between the governor (on
@@ -393,7 +350,6 @@ impl Profiler {
         // In continuous mode the same thread runs the overhead governor:
         // each tick it charges its own snapshot+diff cost plus the PEs'
         // metered self-cost against the window and ratchets the knob.
-        let n_pes = self.grid.n_pes() as u64;
         let spawn_observer = self.observe.is_some() || continuous.is_some();
         let observer = match &registry {
             Some(reg) if spawn_observer => {
@@ -445,7 +401,7 @@ impl Profiler {
                         let sample = match governor.as_mut() {
                             Some(g) if !stopped || g.decisions().is_empty() => {
                                 let window_cycles =
-                                    now.saturating_sub(prev_cycles).saturating_mul(n_pes);
+                                    now.saturating_sub(prev_cycles).saturating_mul(n_pes as u64);
                                 let instr = delta.counter_total(Counter::TelemetrySelfCycles);
                                 Some(g.observe_window(
                                     window_cycles,
@@ -803,18 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_capacity_and_pinning_run_clean() {
-        let report = run_histogram(
-            Profiler::new(Grid::new(2, 2).unwrap())
-                .logical()
-                .adaptive_capacity(true)
-                .pin_pes(true),
-        );
-        assert_eq!(report.results.iter().sum::<u64>(), 200);
-        assert_eq!(report.bundle.logical_matrix().unwrap().total(), 200);
-    }
-
-    #[test]
     fn undisturbed_run_has_a_clean_recovery_log() {
         let report = run_histogram(Profiler::new(Grid::single_node(2).unwrap()));
         assert!(report.recovery.is_clean(), "{}", report.recovery);
@@ -837,6 +781,34 @@ mod tests {
         assert_eq!(report.recovery.restarts, 1);
         assert!(report.recovery.checkpoints_taken >= 1);
         assert_eq!(report.recovery.wasted_supersteps, 1);
+    }
+
+    #[test]
+    fn panicking_body_fails_the_run_under_abort() {
+        let err = Profiler::new(Grid::new(1, 2).unwrap())
+            .logical()
+            .recovery(RecoverySpec::Abort)
+            .run(|pe, ctx| {
+                let mut actor = ctx
+                    .selector(1, |_mb, _msg: u64, _from, _ctx| {})
+                    .expect("selector");
+                actor
+                    .execute(pe, |main| {
+                        if main.rank() == 1 {
+                            panic!("kernel bug");
+                        }
+                        main.done(0).expect("done");
+                    })
+                    .expect("execute");
+            })
+            .unwrap_err();
+        match err {
+            RunError::Shmem(ShmemError::PePanicked { pe, message }) => {
+                assert_eq!(pe, 1, "the panicking PE is reported, not a poisoned peer");
+                assert!(message.contains("kernel bug"), "unexpected: {message}");
+            }
+            other => panic!("expected PePanicked, got {other:?}"),
+        }
     }
 
     #[test]

@@ -238,25 +238,52 @@ where
     /// models spinning on an in-memory delivery flag). Producers poll for
     /// `0` (free), consumers for non-zero (published).
     #[inline]
-    #[cfg_attr(not(feature = "race-detect"), allow(unused_variables))]
     pub fn state(&self, pe: &Pe, owner_pe: usize, cell: usize) -> u64 {
         debug_assert!(owner_pe < self.inner.grid.n_pes());
         debug_assert!(cell < self.inner.cells_per_pe);
+        #[cfg(feature = "race-detect")]
+        if pe
+            .race_detector()
+            .is_some_and(|d| d.hooks().downgrade_ring_acquire)
+        {
+            // LITMUS HOOK: a Relaxed poll observes the word without the
+            // publication edge — the detector must flag the consumer's
+            // subsequent buffer read as unordered with the producer's fill.
+            return self.load_state(pe, owner_pe, cell, Ordering::Relaxed);
+        }
+        self.load_state(pe, owner_pe, cell, Ordering::Acquire)
+    }
+
+    /// Load `owner_pe`'s cell state word with `order`. The one load both
+    /// builds run: under race-detect an Acquire-class `order` is also the
+    /// detector's acquire edge, and a `Relaxed` one is not — so weakening
+    /// a caller's ordering is what the detector sees.
+    #[inline(always)]
+    #[cfg_attr(not(feature = "race-detect"), allow(unused_variables))]
+    fn load_state(&self, pe: &Pe, owner_pe: usize, cell: usize, order: Ordering) -> u64 {
         let c = &self.inner.regions[owner_pe][cell];
         #[cfg(feature = "race-detect")]
-        if let Some(d) = pe.race_detector() {
-            if d.hooks().downgrade_ring_acquire {
-                // LITMUS HOOK: a Relaxed poll observes the word without the
-                // publication edge — the detector must flag the consumer's
-                // subsequent buffer read as unordered with the producer's
-                // fill.
-                return c.state.load(Ordering::Relaxed);
-            }
-            return d.sync_acquire(pe.rank(), self.loc(owner_pe, cell), || {
-                c.state.load(Ordering::Acquire)
+        if let Some(d) = pe.race_detector().filter(|_| order != Ordering::Relaxed) {
+            return d.sync_acquire(pe.rank(), self.loc(owner_pe, cell), || c.state.load(order));
+        }
+        c.state.load(order)
+    }
+
+    /// Store `word` into `owner_pe`'s cell state word with `order`. The
+    /// one store both builds run: under race-detect a Release-class
+    /// `order` is also the detector's release edge, and a `Relaxed` one is
+    /// not.
+    #[inline(always)]
+    #[cfg_attr(not(feature = "race-detect"), allow(unused_variables))]
+    fn store_state(&self, pe: &Pe, owner_pe: usize, cell: usize, word: u64, order: Ordering) {
+        let c = &self.inner.regions[owner_pe][cell];
+        #[cfg(feature = "race-detect")]
+        if let Some(d) = pe.race_detector().filter(|_| order != Ordering::Relaxed) {
+            return d.sync_release(pe.rank(), self.loc(owner_pe, cell), || {
+                c.state.store(word, order)
             });
         }
-        c.state.load(Ordering::Acquire)
+        c.state.store(word, order)
     }
 
     /// Copy `src` (and the side table `side`, possibly empty) into
@@ -380,21 +407,14 @@ where
         self.check(dst_pe, cell, 0, 0)?;
         debug_assert_ne!(word, 0, "0 is the free-cell sentinel");
         pe.sched_point(SchedPoint::Atomic);
-        let c = &self.inner.regions[dst_pe][cell];
         debug_assert_eq!(
-            c.state.load(Ordering::Relaxed),
+            self.inner.regions[dst_pe][cell]
+                .state
+                .load(Ordering::Relaxed),
             0,
             "SPSC protocol violation: double publish"
         );
-        #[cfg(feature = "race-detect")]
-        match pe.race_detector() {
-            Some(d) => d.sync_release(pe.rank(), self.loc(dst_pe, cell), || {
-                c.state.store(word, Ordering::Release)
-            }),
-            None => c.state.store(word, Ordering::Release),
-        }
-        #[cfg(not(feature = "race-detect"))]
-        c.state.store(word, Ordering::Release);
+        self.store_state(pe, dst_pe, cell, word, Ordering::Release);
         if dst_pe != pe.rank() {
             pe.record_net(TransferClass::Atomic, std::mem::size_of::<u64>());
         }
@@ -445,21 +465,14 @@ where
         self.check(pe.rank(), cell, 0, 0)?;
         self.inner.grid.check_pe(producer_pe)?;
         pe.sched_point(SchedPoint::Atomic);
-        let c = &self.inner.regions[pe.rank()][cell];
         debug_assert_ne!(
-            c.state.load(Ordering::Relaxed),
+            self.inner.regions[pe.rank()][cell]
+                .state
+                .load(Ordering::Relaxed),
             0,
             "SPSC protocol violation: release of a free cell"
         );
-        #[cfg(feature = "race-detect")]
-        match pe.race_detector() {
-            Some(d) => d.sync_release(pe.rank(), self.loc(pe.rank(), cell), || {
-                c.state.store(0, Ordering::Release)
-            }),
-            None => c.state.store(0, Ordering::Release),
-        }
-        #[cfg(not(feature = "race-detect"))]
-        c.state.store(0, Ordering::Release);
+        self.store_state(pe, pe.rank(), cell, 0, Ordering::Release);
         if producer_pe != pe.rank() {
             pe.record_net(TransferClass::Atomic, std::mem::size_of::<u64>());
         }

@@ -54,10 +54,6 @@ pub struct Harness {
     pub grid: Grid,
     pub sched: SchedSpec,
     pub faults: FaultSpec,
-    /// A caller-supplied scheduler, overriding `sched` when set. This is
-    /// the pluggable hook: anything implementing [`Scheduler`] can drive
-    /// the interleaving.
-    custom_sched: Option<Arc<dyn Scheduler>>,
     /// Telemetry wiring: always-on by default, shareable, or disabled.
     telemetry: TelemetrySpec,
     /// What to do when a PE fails (default: abort the run).
@@ -65,11 +61,6 @@ pub struct Harness {
     /// Auto-checkpoint period in supersteps, surfaced to the actor layer's
     /// superstep hooks via [`Pe::checkpoint_due`].
     pub checkpoint_every: Option<u64>,
-    /// Pin each PE thread to one CPU (rank round-robin). Opt-in: helps
-    /// hot-path benchmarks by keeping a PE's landing cells and staging
-    /// buffers warm in one core's cache, but steals scheduling freedom the
-    /// OS usually spends well, so it is off by default.
-    pub pin_pes: bool,
     /// Whether to attach the happens-before race detector (on by default
     /// when the `race-detect` feature is compiled in, so the whole test
     /// suite runs checked).
@@ -86,11 +77,9 @@ impl Harness {
             grid,
             sched: SchedSpec::Os,
             faults: FaultSpec::NONE,
-            custom_sched: None,
             telemetry: TelemetrySpec::Fresh,
             recovery: RecoverySpec::Abort,
             checkpoint_every: None,
-            pin_pes: false,
             #[cfg(feature = "race-detect")]
             race_detect: true,
             #[cfg(feature = "race-detect")]
@@ -107,25 +96,6 @@ impl Harness {
     /// Enable fault injection.
     pub fn faults(mut self, faults: FaultSpec) -> Harness {
         self.faults = faults;
-        self
-    }
-
-    /// Install a custom [`Scheduler`] implementation (overrides `sched`).
-    ///
-    /// Note: a custom scheduler cannot be rebuilt after a failed attempt,
-    /// so it is incompatible with
-    /// [`RecoverySpec::RestartFromCheckpoint`] (checked at run time).
-    pub fn scheduler(mut self, scheduler: Arc<dyn Scheduler>) -> Harness {
-        self.custom_sched = Some(scheduler);
-        self
-    }
-
-    /// Pin each PE thread to one CPU, rank round-robin over the cores
-    /// available to the process. Linux only (a no-op elsewhere); failures
-    /// to pin are silently ignored — pinning is a performance hint, never
-    /// a correctness requirement.
-    pub fn pin_pes(mut self, pin: bool) -> Harness {
-        self.pin_pes = pin;
         self
     }
 
@@ -176,20 +146,13 @@ impl Harness {
         self
     }
 
-    fn build_scheduler(&self) -> Option<Arc<dyn Scheduler>> {
-        self.custom_sched
-            .clone()
-            .or_else(|| self.sched.build(self.grid.n_pes()))
-    }
-
     /// Schedule identity for violation reports: names the seed that
     /// replays the flagged interleaving.
     #[cfg(feature = "race-detect")]
     fn schedule_name(&self) -> String {
-        match (&self.custom_sched, self.sched) {
-            (Some(_), _) => "custom scheduler".to_string(),
-            (None, SchedSpec::Os) => "OS threads, free-running".to_string(),
-            (None, SchedSpec::RandomWalk { seed, .. }) => format!("RandomWalk seed {seed}"),
+        match self.sched {
+            SchedSpec::Os => "OS threads, free-running".to_string(),
+            SchedSpec::RandomWalk { seed, .. } => format!("RandomWalk seed {seed}"),
         }
     }
 }
@@ -238,10 +201,6 @@ where
     let harness = harness.into();
     let grid = harness.grid;
     let max_retries = harness.recovery.max_retries();
-    assert!(
-        max_retries == 0 || harness.custom_sched.is_none(),
-        "RestartFromCheckpoint cannot rebuild a custom scheduler; use a SchedSpec"
-    );
     let backoff = match harness.recovery {
         RecoverySpec::RestartFromCheckpoint { backoff, .. } => backoff,
         RecoverySpec::Abort => std::time::Duration::ZERO,
@@ -258,7 +217,7 @@ where
     loop {
         // The scheduler is rebuilt per attempt — a failed attempt poisons
         // it — and, being spec-seeded, replays the same schedule.
-        let sched = harness.build_scheduler();
+        let sched = harness.sched.build(grid.n_pes());
         #[cfg_attr(not(feature = "race-detect"), allow(unused_mut))]
         let mut world = World::with_harness(
             grid,
@@ -279,7 +238,7 @@ where
                 .expect("world is not yet shared at detector installation")
                 .race = Some(Arc::new(detector));
         }
-        let outcome = run_attempt(&world, sched, harness.pin_pes, &f);
+        let outcome = run_attempt(&world, sched, &f);
         // Relaxed loads: every PE thread has been joined inside
         // `run_attempt`; the joins are the synchronizing edges.
         log.net_retries += world.net_retries.load(Ordering::Relaxed);
@@ -327,7 +286,6 @@ where
 fn run_attempt<R, F>(
     world: &Arc<World>,
     sched: Option<Arc<dyn Scheduler>>,
-    pin_pes: bool,
     f: &F,
 ) -> Result<Vec<R>, (usize, String)>
 where
@@ -343,9 +301,6 @@ where
                 let world = world.clone();
                 let sched = sched.clone();
                 scope.spawn(move || {
-                    if pin_pes {
-                        pin_current_thread(rank);
-                    }
                     let pe = Pe::new(rank, world.clone());
                     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         if let Some(sched) = &sched {
@@ -400,34 +355,6 @@ where
     }
 }
 
-/// Pin the calling thread to one CPU, chosen rank round-robin over the
-/// cores available to the process. Declared directly rather than through a
-/// libc crate — std already links libc, and one syscall does not justify a
-/// dependency.
-#[cfg(target_os = "linux")]
-fn pin_current_thread(rank: usize) {
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let cpu = rank % cpus;
-    // Same shape as libc's cpu_set_t: 1024 bits.
-    let mut mask = [0u64; 16];
-    mask[cpu / 64] |= 1u64 << (cpu % 64);
-    // SAFETY: `mask` is a live, properly sized buffer and pid 0 targets the
-    // calling thread. A failing call (e.g. a restricted cpuset) leaves the
-    // thread unpinned, which is benign — pinning is a performance hint —
-    // so the return value is deliberately ignored.
-    unsafe {
-        sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_current_thread(_rank: usize) {}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -457,17 +384,6 @@ mod tests {
                 (5, 1, 2)
             ]
         );
-    }
-
-    #[test]
-    fn pinned_run_completes_with_correct_results() {
-        let grid = Grid::single_node(4).unwrap();
-        let results = run(Harness::new(grid).pin_pes(true), |pe| {
-            pe.barrier_all();
-            pe.rank() * 10
-        })
-        .unwrap();
-        assert_eq!(results, vec![0, 10, 20, 30]);
     }
 
     #[test]

@@ -88,12 +88,11 @@ pub struct TraceBuffer {
     wants_sends: bool,
     wants_physical: bool,
     wants_spans: bool,
-    /// Keep every k-th hot span (superstep spans always kept).
-    span_sample: u32,
-    /// Live stride override, ratcheted by the continuous-profiling
-    /// governor; read fresh on every hot span.
+    /// Keep every k-th hot span (superstep spans always kept), the stride
+    /// ratcheted by the continuous-profiling governor and read fresh on
+    /// every hot span; every span is kept without a knob.
     span_knob: Option<fabsp_telemetry::SamplingKnob>,
-    /// Hot spans seen so far, sampled or not.
+    /// Hot spans seen so far under the knob, sampled or not.
     span_seen: u64,
     sends: Vec<SendRun>,
     physical: Vec<PhysicalEvent>,
@@ -107,7 +106,6 @@ impl TraceBuffer {
             wants_sends: config.logical || config.papi.is_some(),
             wants_physical: config.physical,
             wants_spans: config.spans,
-            span_sample: config.span_sample.max(1),
             span_knob: config.span_knob.clone(),
             span_seen: 0,
             sends: Vec::new(),
@@ -189,22 +187,21 @@ impl TraceBuffer {
     }
 
     /// Capture one completed phase span. Superstep spans are always kept;
-    /// the hot per-advance phases honor the configured sampling stride so
-    /// long runs stay bounded.
+    /// the hot per-advance phases honor the live sampling stride, when a
+    /// knob is set, so long runs stay bounded.
     #[inline]
     pub fn record_span(&mut self, phase: Phase, begin_cycles: u64, end_cycles: u64) {
         if !self.wants_spans {
             return;
         }
         if phase != Phase::Superstep {
-            let seen = self.span_seen;
-            self.span_seen += 1;
-            let stride = match &self.span_knob {
-                Some(knob) => knob.get(),
-                None => self.span_sample,
-            };
-            if stride > 1 && !seen.is_multiple_of(stride as u64) {
-                return;
+            if let Some(knob) = &self.span_knob {
+                let seen = self.span_seen;
+                self.span_seen += 1;
+                let stride = knob.get();
+                if stride > 1 && !seen.is_multiple_of(stride as u64) {
+                    return;
+                }
             }
         }
         self.spans.push(SpanEvent {

@@ -711,7 +711,7 @@ mod tests {
 
     #[test]
     fn drained_spans_sample_hot_phases_keep_supersteps() {
-        let cfg = TraceConfig::off().with_span_sampling(4);
+        let cfg = TraceConfig::off().with_span_knob(fabsp_telemetry::SamplingKnob::new(4));
         let mut c = collector(cfg.clone());
         let mut buf = crate::TraceBuffer::for_config(&cfg);
         let t = fabsp_hwpc::cycles_now();

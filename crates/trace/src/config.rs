@@ -129,15 +129,11 @@ pub struct TraceConfig {
     /// Record phase spans (superstep / advance / quiet / relay-hop
     /// begin+end pairs), exported as Perfetto duration events.
     pub spans: bool,
-    /// Keep only every k-th hot phase span (1 = all). Superstep spans are
-    /// always kept; `advance`/`quiet`/relay spans are sampled, bounding the
-    /// span volume of long runs the same way `logical_sample` bounds the
-    /// logical records.
-    pub span_sample: u32,
     /// Live span-sampling stride, shared with an
-    /// [`OverheadGovernor`](fabsp_telemetry::OverheadGovernor). When set it
-    /// overrides [`span_sample`](TraceConfig::span_sample) on every span, so
-    /// the continuous-profiling governor can ratchet fidelity mid-run.
+    /// [`OverheadGovernor`](fabsp_telemetry::OverheadGovernor): keep only
+    /// every k-th hot phase span (`advance`/`quiet`/relay; superstep spans
+    /// are always kept), so the continuous-profiling governor can ratchet
+    /// fidelity mid-run. Without a knob every span is kept.
     pub span_knob: Option<SamplingKnob>,
 }
 
@@ -158,7 +154,6 @@ impl TraceConfig {
             logical_sample: 0,
             stream_dir: None,
             spans: true,
-            span_sample: 1,
             span_knob: None,
         }
     }
@@ -214,17 +209,6 @@ impl TraceConfig {
     /// Enable phase spans (every span kept).
     pub fn with_spans(mut self) -> TraceConfig {
         self.spans = true;
-        if self.span_sample == 0 {
-            self.span_sample = 1;
-        }
-        self
-    }
-
-    /// Enable phase spans, keeping every `k`-th hot span (supersteps are
-    /// always kept; `0` clamps to keep-all).
-    pub fn with_span_sampling(mut self, k: u32) -> TraceConfig {
-        self.spans = true;
-        self.span_sample = k.max(1);
         self
     }
 
@@ -233,9 +217,6 @@ impl TraceConfig {
     /// still always kept.
     pub fn with_span_knob(mut self, knob: SamplingKnob) -> TraceConfig {
         self.spans = true;
-        if self.span_sample == 0 {
-            self.span_sample = 1;
-        }
         self.span_knob = Some(knob);
         self
     }
@@ -330,20 +311,7 @@ mod tests {
     fn all_enables_everything() {
         let c = TraceConfig::all();
         assert!(c.logical && c.overall && c.physical && c.papi.is_some());
-        assert!(c.spans && c.span_sample == 1);
-    }
-
-    #[test]
-    fn span_sampling_clamps_and_implies_spans() {
-        let c = TraceConfig::off().with_spans();
-        assert!(c.spans);
-        assert_eq!(c.span_sample, 1);
-        let c = TraceConfig::off().with_span_sampling(0);
-        assert_eq!(c.span_sample, 1, "0 clamps to keep-all");
-        let c = TraceConfig::off().with_span_sampling(8);
-        assert!(c.spans);
-        assert_eq!(c.span_sample, 8);
-        assert!(c.any_enabled());
+        assert!(c.spans && c.span_knob.is_none());
     }
 
     #[test]
@@ -351,7 +319,6 @@ mod tests {
         let knob = SamplingKnob::new(4);
         let c = TraceConfig::off().with_span_knob(knob.clone());
         assert!(c.spans);
-        assert_eq!(c.span_sample, 1, "static stride stays keep-all");
         assert_eq!(c.clone(), c, "clone shares the same knob");
         let other = TraceConfig::off().with_span_knob(SamplingKnob::new(4));
         assert_ne!(c, other, "distinct knobs are distinct configs");

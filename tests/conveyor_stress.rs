@@ -17,7 +17,6 @@ fn hotspot_pattern(grid: Grid, capacity: usize) {
             ConveyorOptions {
                 capacity,
                 topology: TopologySpec::Auto,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();
@@ -68,7 +67,6 @@ fn capacity_one_mesh_with_relays_makes_progress() {
             ConveyorOptions {
                 capacity: 1,
                 topology: TopologySpec::Mesh2D,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();

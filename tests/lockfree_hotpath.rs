@@ -29,7 +29,6 @@ fn hotpath_lock_delta(grid: Grid, items: usize, capacity: usize) -> Vec<(u64, u6
             ConveyorOptions {
                 capacity,
                 topology: TopologySpec::Auto,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();
@@ -104,7 +103,6 @@ fn batched_hotpath_lock_delta(grid: Grid, items: usize, capacity: usize) -> Vec<
             ConveyorOptions {
                 capacity,
                 topology: TopologySpec::Auto,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();

@@ -41,7 +41,6 @@ fn copies_for_single_message(grid: Grid, src: usize, dst: usize) -> u64 {
             ConveyorOptions {
                 capacity: 4,
                 topology: TopologySpec::Auto,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();

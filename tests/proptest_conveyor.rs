@@ -56,7 +56,6 @@ proptest! {
         let options = ConveyorOptions {
             capacity: scenario.capacity,
             topology: scenario.topology,
-            ..ConveyorOptions::default()
         };
         let results = spmd::run(grid, {
             let traffic = std::sync::Arc::clone(&traffic);
@@ -132,7 +131,6 @@ proptest! {
         let options = ConveyorOptions {
             capacity: scenario.capacity,
             topology: scenario.topology,
-            ..ConveyorOptions::default()
         };
         let faults = if fault_mode & 1 == 1 {
             FaultSpec::nbi_shuffle(seed ^ 0xF0)
@@ -276,7 +274,6 @@ fn check_slab_scenario(scenario: &SlabScenario, mode: Option<u64>) {
     let options = ConveyorOptions {
         capacity,
         topology: scenario.topology,
-        ..ConveyorOptions::default()
     };
     let all_ops: Arc<Vec<_>> = Arc::new(
         (0..n_pes)

@@ -35,7 +35,6 @@ fn routed_exchange(
             ConveyorOptions {
                 capacity: 1,
                 topology: TopologySpec::Mesh2D,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();
@@ -140,7 +139,6 @@ fn forced_parks_surface_through_telemetry_registry() {
             ConveyorOptions {
                 capacity: 1,
                 topology: TopologySpec::Mesh2D,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();
@@ -196,7 +194,6 @@ fn capacity_one_preserves_memcpy_accounting() {
                 ConveyorOptions {
                     capacity: 1,
                     topology: TopologySpec::Auto,
-                    ..ConveyorOptions::default()
                 },
             )
             .unwrap();

@@ -22,7 +22,6 @@ fn exchange(reg: Arc<TelemetryRegistry>, msgs: usize) -> Vec<ConveyorStats> {
             ConveyorOptions {
                 capacity: 4,
                 topology: TopologySpec::Auto,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();
@@ -95,7 +94,6 @@ fn flight_dump_written_when_termination_budget_trips() {
             ConveyorOptions {
                 capacity: 1,
                 topology: TopologySpec::Auto,
-                ..ConveyorOptions::default()
             },
         )
         .unwrap();
