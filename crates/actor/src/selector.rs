@@ -668,11 +668,9 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
         } = self;
         drop(mailboxes); // conveyors hold collector clones
         drop(handler);
-        let mut collector = std::rc::Rc::try_unwrap(collector)
+        std::rc::Rc::try_unwrap(collector)
             .expect("collector still shared; drop other handles first")
-            .into_inner();
-        collector.flush_stream();
-        collector
+            .into_inner()
     }
 }
 

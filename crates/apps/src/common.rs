@@ -246,6 +246,7 @@ fn scatter_order(rank: usize, n_pes: usize) -> impl Iterator<Item = usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use actorprof::TraceBundle;
     use actorprof_trace::TraceConfig;
     use fabsp_shmem::SchedSpec;
 
@@ -339,12 +340,12 @@ mod tests {
         }
     }
 
-    /// The `PE<i>_send.csv` files an app on a 2x2 grid streams when `run`
-    /// with the given tracing.
-    fn streamed_csvs(
+    /// The `PE<i>_send.csv` files `actorprof::writer` writes for an app
+    /// on a 2x2 grid `run` with the given tracing.
+    fn send_csvs(
         tag: &str,
         sched: SchedSpec,
-        run: impl FnOnce(Grid, TraceConfig) -> Result<(), AppError>,
+        run: impl FnOnce(Grid, TraceConfig) -> Result<TraceBundle, AppError>,
     ) -> Vec<Vec<u8>> {
         let grid = Grid::new(2, 2).unwrap();
         let dir = std::env::temp_dir().join(format!(
@@ -352,8 +353,9 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        run(grid, TraceConfig::off().with_streaming(&dir))
+        let bundle = run(grid, TraceConfig::off().with_logical_records())
             .unwrap_or_else(|e| panic!("{tag} under {sched:?}: {e}"));
+        actorprof::writer::write_logical_exact(&dir, &bundle).unwrap();
         let files = (0..grid.n_pes())
             .map(|pe| std::fs::read(dir.join(format!("PE{pe}_send.csv"))).unwrap())
             .collect();
@@ -376,12 +378,12 @@ mod tests {
         // order — a function of (rank, n_pes) and the seed alone, even with
         // buffers small enough that handlers interleave every slice.
         let run = |sched| {
-            streamed_csvs("histogram", sched, |grid, trace| {
+            send_csvs("histogram", sched, |grid, trace| {
                 let mut cfg = crate::histogram::HistogramConfig::new(grid);
                 cfg.trace = trace;
                 cfg.sched = sched;
                 cfg.conveyor.capacity = 8;
-                crate::histogram::run(&cfg).map(drop)
+                crate::histogram::run(&cfg).map(|o| o.bundle)
             })
         };
         let [os, a, b] = schedules().map(run);
@@ -396,11 +398,11 @@ mod tests {
         // is the schedule's choice — as it was before the scatter order —
         // so only the multiset of lines is a function of the input.
         let run = |sched| {
-            let files = streamed_csvs("index-gather", sched, |grid, trace| {
+            let files = send_csvs("index-gather", sched, |grid, trace| {
                 let mut cfg = crate::index_gather::IndexGatherConfig::new(grid);
                 cfg.trace = trace;
                 cfg.sched = sched;
-                crate::index_gather::run(&cfg).map(drop)
+                crate::index_gather::run(&cfg).map(|o| o.bundle)
             });
             files
                 .into_iter()

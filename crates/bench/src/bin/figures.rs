@@ -1,15 +1,17 @@
-//! Regenerate the evaluation's figures: `figures <fig03…fig13|all>`.
+//! Regenerate the evaluation: `figures <id|all>`.
 //!
-//! One id regenerates that figure under `ACTORPROF_OUT/<id>/`; `all` runs
-//! the eleven in paper order on one shared input (the sequence
-//! EXPERIMENTS.md records).
+//! One id regenerates that figure or sweep under `ACTORPROF_OUT/<id>/`;
+//! `all` runs the paper's eleven figures, fig03…fig13, in paper order on
+//! one shared input (the sequence EXPERIMENTS.md records). The sweeps
+//! beyond the paper (`scaling_strong`, `scaling_weak`,
+//! `topology_ablation`, `trace_size_growth`) run only by id.
 
 use std::process::ExitCode;
 
 use fabsp_bench::{figures, FigureCtx};
 
-/// One figure of §IV: its id (also its output directory), the header it
-/// prints, and the `figures.rs` builder that renders it.
+/// One figure of §IV or one sweep: its id (also its output directory),
+/// the header it prints, and the `figures.rs` builder that renders it.
 struct Figure {
     id: &'static str,
     title: &'static str,
@@ -18,7 +20,7 @@ struct Figure {
 }
 
 #[rustfmt::skip]
-static FIGURES: [Figure; 11] = [
+static FIGURES: [Figure; 15] = [
     Figure { id: "fig03", title: "Figure 3", paper_ref: "logical trace heatmap, 1 node x PEs",
         run: |c, id| figures::logical_heatmap_figure(c, id, c.one_node, "1 node") },
     Figure { id: "fig04", title: "Figure 4", paper_ref: "logical trace heatmap, 2 nodes",
@@ -41,13 +43,25 @@ static FIGURES: [Figure; 11] = [
         run: |c, id| figures::overall_figure(c, id, c.one_node, "1node") },
     Figure { id: "fig13", title: "Figure 13", paper_ref: "overall profiling, 2 nodes",
         run: |c, id| figures::overall_figure(c, id, c.two_node, "2node") },
+    Figure { id: "scaling_strong", title: "Strong scaling", paper_ref: "§I motivation, fixed graph",
+        run: figures::strong_scaling_figure },
+    Figure { id: "scaling_weak", title: "Weak scaling", paper_ref: "§I motivation, +1 scale per PE doubling",
+        run: figures::weak_scaling_figure },
+    Figure { id: "topology_ablation", title: "Topology ablation", paper_ref: "§III-C 1D / 2D mesh / 3D cube",
+        run: figures::topology_figure },
+    Figure { id: "trace_size_growth", title: "Trace-size growth", paper_ref: "§IV-E / §VI trace bloat",
+        run: figures::trace_size_figure },
 ];
 
-/// The figures `arg` names: all eleven for `all`, one for a known id.
-/// Anything else is the caller's mistake — the error lists what is valid.
+/// How many of `FIGURES`, from the first, are the paper's — what `all` runs.
+const PAPER_FIGURES: usize = 11;
+
+/// The figures `arg` names: the paper's eleven for `all`, one for a known
+/// id. Anything else is the caller's mistake — the error lists what is
+/// valid.
 fn select(arg: Option<&str>) -> Result<&'static [Figure], String> {
     if arg == Some("all") {
-        return Ok(&FIGURES);
+        return Ok(&FIGURES[..PAPER_FIGURES]);
     }
     match FIGURES.iter().position(|f| Some(f.id) == arg) {
         Some(i) => Ok(&FIGURES[i..=i]),
@@ -88,16 +102,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dispatch_resolves_eleven_unique_ids_and_rejects_the_rest() {
-        let expected: Vec<String> = (3..=13).map(|n| format!("fig{n:02}")).collect();
+    fn dispatch_resolves_fifteen_unique_ids_and_rejects_the_rest() {
+        let mut expected: Vec<String> = (3..=13).map(|n| format!("fig{n:02}")).collect();
+        let sweeps = ["scaling_strong", "scaling_weak", "topology_ablation", "trace_size_growth"];
+        expected.extend(sweeps.map(String::from));
         let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
-        assert_eq!(ids, expected, "fig03..fig13, once each, in paper order");
+        assert_eq!(ids, expected, "fig03..fig13 in paper order, then the sweeps, once each");
         for id in &ids {
             let selected = select(Some(id)).expect("known id resolves");
             assert_eq!(selected.len(), 1);
             assert_eq!(selected[0].id, *id);
         }
-        assert_eq!(select(Some("all")).unwrap().len(), FIGURES.len());
+        let all: Vec<&str> = select(Some("all")).unwrap().iter().map(|f| f.id).collect();
+        assert_eq!(all, ids[..PAPER_FIGURES], "all runs exactly fig03..fig13");
 
         for bad in [Some("nope"), Some("fig14"), Some(""), None] {
             let err = select(bad).err().expect("rejected, not run");

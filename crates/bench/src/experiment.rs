@@ -37,16 +37,19 @@ pub fn grid_2node() -> Grid {
     Grid::new(2, env_pes_per_node()).expect("non-empty grid")
 }
 
-/// Build the case-study input: the lower-triangular adjacency matrix of a
-/// graph500 R-MAT graph at `scale` (§IV-C). Cached per process since every
-/// figure uses the same input.
+/// The lower-triangular adjacency matrix of a graph500 R-MAT graph at
+/// `scale` (§IV-C).
+pub fn lower_rmat_graph(scale: u32) -> Csr {
+    let params = RmatParams::graph500(scale);
+    let edges = to_lower_triangular(&generate_edges(&params));
+    Csr::from_edges(params.n_vertices(), &edges)
+}
+
+/// Build the case-study input, [`lower_rmat_graph`] at `scale`. Cached per
+/// process since every figure uses the same input.
 pub fn build_case_study_graph(scale: u32) -> &'static Csr {
     static GRAPH: OnceLock<(u32, Csr)> = OnceLock::new();
-    let (cached_scale, csr) = GRAPH.get_or_init(|| {
-        let params = RmatParams::graph500(scale);
-        let edges = to_lower_triangular(&generate_edges(&params));
-        (scale, Csr::from_edges(params.n_vertices(), &edges))
-    });
+    let (cached_scale, csr) = GRAPH.get_or_init(|| (scale, lower_rmat_graph(scale)));
     assert_eq!(
         *cached_scale, scale,
         "mixed scales within one process are not supported"
@@ -74,7 +77,7 @@ pub fn figure_dir(figure: &str) -> PathBuf {
     dir
 }
 
-/// Everything a figure binary needs: the input graph and both grids.
+/// Everything a figure needs: the input graph and both grids.
 pub struct FigureCtx {
     /// R-MAT scale in use.
     pub scale: u32,

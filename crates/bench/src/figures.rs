@@ -1,16 +1,23 @@
 //! Reusable figure builders — the `figures` binary dispatches an id to one
-//! of these, so the paper's 1-node/2-node figure pairs share code.
+//! of these, so the paper's 1-node/2-node figure pairs share code. The
+//! scaling, topology and trace-size sweeps after them go beyond the
+//! paper's figures.
+
+use std::time::Instant;
 
 use actorprof::overall::OverallSummary;
 use actorprof::papi::PapiSeries;
 use actorprof::stats::Imbalance;
 use actorprof::{Matrix, Quartiles};
-use actorprof_trace::SendType;
-use actorprof_viz::{ascii, bar, heatmap, stacked, violin};
-use fabsp_apps::triangle::DistKind;
+use actorprof_trace::{PapiConfig, SendType, TraceConfig};
+use actorprof_viz::{ascii, bar, heatmap, line, stacked, violin};
+use fabsp_apps::histogram::{self, HistogramConfig};
+use fabsp_apps::triangle::{count_triangles, DistKind, TriangleConfig};
+use fabsp_conveyors::{ConveyorOptions, Topology, TopologySpec};
+use fabsp_graph::Csr;
 use fabsp_shmem::Grid;
 
-use crate::experiment::{figure_dir, run_traced_tc, FigureCtx};
+use crate::experiment::{figure_dir, lower_rmat_graph, run_traced_tc, FigureCtx};
 
 /// Figs 3–4: logical-trace heatmaps, Cyclic vs Range, for one grid.
 pub fn logical_heatmap_figure(ctx: &FigureCtx, figure: &str, grid: Grid, node_label: &str) {
@@ -330,4 +337,175 @@ pub fn overall_figure(ctx: &FigureCtx, figure: &str, grid: Grid, node_label: &st
 
 fn format_ratio(r: f64) -> String {
     format!("{r:.2}")
+}
+
+/// §I motivation, strong scaling: the figures' graph on growing PE counts,
+/// both distributions. Reports how the modeled parallel critical path (max
+/// per-PE user-region instructions) shrinks with PEs — and how load
+/// imbalance throttles it for 1D Cyclic.
+pub fn strong_scaling_figure(ctx: &FigureCtx, figure: &str) {
+    println!(
+        "{:<18} {:>9} {:>14} {:>14} {:>10} {:>9}",
+        "configuration", "wall[ms]", "sum user ins", "max user ins", "imbalance", "speedup"
+    );
+    let mut chart = Vec::new();
+    for dist in [DistKind::Cyclic, DistKind::RangeByNnz] {
+        let mut base_critical: Option<u64> = None;
+        let mut curve = Vec::new();
+        for (nodes, ppn) in [(1, 2), (1, 4), (1, 8), (2, 8), (2, 16)] {
+            let grid = Grid::new(nodes, ppn).expect("grid");
+            let (wall, _, series) = timed_papi_run(ctx.l, grid, dist);
+            let sum: u64 = series.per_pe.iter().sum();
+            let max = series.per_pe.iter().copied().max().unwrap_or(0);
+            let base = *base_critical.get_or_insert(max);
+            println!(
+                "{:<18} {:>9.1} {:>14} {:>14} {:>9.2}x {:>8.2}x",
+                sweep_label(nodes, ppn, dist),
+                wall,
+                sum,
+                max,
+                series.imbalance.max_over_mean,
+                base as f64 / max.max(1) as f64,
+            );
+            curve.push((grid.n_pes() as f64, base as f64 / max.max(1) as f64));
+        }
+        chart.push(line::LineSeries::new(dist.label(), curve));
+        println!();
+    }
+    let spec = line::LineSpec {
+        title: format!("Strong scaling, R-MAT scale {}", ctx.scale),
+        x_label: "PEs".into(),
+        y_label: "critical-path speedup".into(),
+        log_y: false,
+    };
+    let file = figure_dir(figure).join("strong_scaling.svg");
+    line::render(&chart, &spec).save(&file).expect("write svg");
+    println!("svg: {}", file.display());
+    println!(
+        "speedup = modeled critical path vs the 2-PE run of the same \
+         distribution; wall-clock is core-limited on this host."
+    );
+}
+
+/// §I motivation, weak scaling: the graph grows with the PE count, one
+/// R-MAT scale step per PE doubling (wedges per PE roughly constant), up
+/// to the figures' graph on 16 PEs; both distributions.
+pub fn weak_scaling_figure(ctx: &FigureCtx, _figure: &str) {
+    println!(
+        "{:<18} {:>9} {:>10} {:>14} {:>16} {:>10}",
+        "configuration", "scale", "wedges", "wall[ms]", "max user ins", "imbalance"
+    );
+    let steps = [(1, 2), (1, 4), (1, 8), (2, 8)];
+    for dist in [DistKind::Cyclic, DistKind::RangeByNnz] {
+        for (step, &(nodes, ppn)) in steps.iter().enumerate() {
+            let scale = ctx.scale.saturating_sub((steps.len() - 1 - step) as u32);
+            let smaller;
+            let l = if scale == ctx.scale {
+                ctx.l
+            } else {
+                smaller = lower_rmat_graph(scale);
+                &smaller
+            };
+            let grid = Grid::new(nodes, ppn).expect("grid");
+            let (wall, wedges, series) = timed_papi_run(l, grid, dist);
+            println!(
+                "{:<18} {:>9} {:>10} {:>14.1} {:>16} {:>9.2}x",
+                sweep_label(nodes, ppn, dist),
+                scale,
+                wedges,
+                wall,
+                series.per_pe.iter().copied().max().unwrap_or(0),
+                series.imbalance.max_over_mean,
+            );
+        }
+        println!();
+    }
+    println!(
+        "ideal weak scaling keeps max-user-instructions flat as PEs and \
+         problem size grow together; cyclic's imbalance breaks that."
+    );
+}
+
+/// Topology ablation: the figures' graph routed over Conveyors' three
+/// topologies (§III-C's 1D Linear / 2D Mesh / 3D Cube family) on a 2×8
+/// grid. Direct 1D links move every buffer exactly once but need O(PEs)
+/// buffers per PE; the mesh and cube cut the per-PE link count (memory
+/// frugality) at the price of relayed traffic.
+pub fn topology_figure(ctx: &FigureCtx, _figure: &str) {
+    let grid = Grid::new(2, 8).expect("grid");
+    println!("grid: {grid}");
+    println!(
+        "{:<10} {:>7} {:>11} {:>13} {:>10} {:>10} {:>10}",
+        "topology", "links", "buffers", "local_send", "nonblock", "progress", "wall[ms]"
+    );
+    for (label, topology) in [
+        ("1D", TopologySpec::OneD),
+        ("2D mesh", TopologySpec::Mesh2D),
+        ("3D cube", TopologySpec::Cube3D),
+    ] {
+        let mut config = TriangleConfig::new(grid)
+            .with_dist(DistKind::Cyclic)
+            .with_trace(TraceConfig::off().with_physical());
+        config.conveyor = ConveyorOptions { capacity: 64, topology };
+        let start = Instant::now();
+        let outcome = count_triangles(ctx.l, &config).expect("run");
+        let wall = start.elapsed().as_secs_f64() * 1e3;
+        let count = |t| outcome.bundle.physical_matrix(Some(t)).map_or(0, |m| m.total());
+        let local = count(SendType::LocalSend);
+        let nonblock = count(SendType::NonblockSend);
+        let progress = count(SendType::NonblockProgress);
+        let links = Topology::resolve(topology, grid).n_links(grid);
+        println!(
+            "{label:<10} {links:>7} {:>11} {local:>13} {nonblock:>10} {progress:>10} {wall:>10.1}",
+            local + nonblock,
+        );
+    }
+    println!(
+        "\nlinks = aggregation buffers held per PE (the memory knob);\n\
+         relayed topologies move more buffers overall but hold far fewer."
+    );
+}
+
+/// §IV-E / §VI trace size: how the in-memory trace of an 8-PE histogram
+/// scales with message count under each recording strategy — exact
+/// per-send records (the paper's 100 GB problem; held as runs of equal
+/// records, so their memory grows with runs while their files grow with
+/// messages), sampling, and aggregation.
+pub fn trace_size_figure(_ctx: &FigureCtx, _figure: &str) {
+    let footprint = |trace, updates| {
+        let mut cfg = HistogramConfig::new(Grid::new(2, 4).expect("grid"));
+        cfg.updates_per_pe = updates;
+        cfg.table_size_per_pe = 256;
+        cfg.trace = trace;
+        let out = histogram::run(&cfg).expect("histogram");
+        (out.bundle.trace_bytes(), out.total_updates)
+    };
+    println!("trace footprint vs message volume (histogram, 8 PEs)");
+    println!(
+        "{:>10} {:>16} {:>16} {:>16}",
+        "messages", "aggregated [B]", "exact [B]", "sampled/16 [B]"
+    );
+    for updates in [1_000usize, 4_000, 16_000] {
+        let (agg, total) = footprint(TraceConfig::off().with_logical(), updates);
+        let (exact, _) = footprint(TraceConfig::off().with_logical_records(), updates);
+        let (sampled, _) = footprint(TraceConfig::off().with_logical_sampling(16), updates);
+        println!("{total:>10} {agg:>16} {exact:>16} {sampled:>16}");
+    }
+}
+
+/// One untraced-but-for-PAPI case-study run: wall milliseconds, wedges and
+/// the per-PE `PAPI_TOT_INS` series.
+fn timed_papi_run(l: &Csr, grid: Grid, dist: DistKind) -> (f64, u64, PapiSeries) {
+    let trace = TraceConfig::off().with_logical().with_papi(PapiConfig::case_study());
+    let config = TriangleConfig::new(grid).with_dist(dist).with_trace(trace);
+    let start = Instant::now();
+    let outcome = count_triangles(l, &config).expect("run");
+    let wall = start.elapsed().as_secs_f64() * 1e3;
+    let series = PapiSeries::from_bundle(&outcome.bundle, fabsp_hwpc::Event::TotIns).expect("papi");
+    (wall, outcome.wedges, series)
+}
+
+fn sweep_label(nodes: usize, ppn: usize, dist: DistKind) -> String {
+    let tag = if dist == DistKind::Cyclic { "cyclic" } else { "range" };
+    format!("{nodes}n x {ppn:<2} {tag}")
 }

@@ -1,9 +1,9 @@
 //! # fabsp-bench — the ActorProf evaluation, regenerated
 //!
-//! `figures <fig03…fig13|all>` regenerates the figures of §IV; the other
-//! bins are the scaling / topology / trace-size sweeps and the functional
-//! smokes CI runs. The shared harness here builds the case-study workload
-//! — triangle counting over a graph500 R-MAT matrix under 1D Cyclic / 1D
+//! `figures <id|all>` regenerates the figures of §IV (`fig03`…`fig13`,
+//! which `all` runs) and the scaling / topology / trace-size sweeps; the
+//! other bins are the functional smokes CI runs. The shared harness here
+//! builds the case-study workload — triangle counting over a graph500 R-MAT matrix under 1D Cyclic / 1D
 //! Range on the paper's 1×16 and 2×16 PE grids — and renders/prints each
 //! figure's series. Wall-clock measurement lives in `benchmark/`, not here.
 //!

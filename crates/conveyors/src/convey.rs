@@ -320,10 +320,6 @@ pub struct Conveyor<T> {
     /// it will call `advance` again).
     pending_pushed: u64,
     pending_pulled: u64,
-    /// `pull_batch` calls not yet posted to the telemetry registry
-    /// (`pull_batch` takes no `Pe`, so the counter is batched like the
-    /// ledger deltas and flushed once per `advance`).
-    pending_batched_pulls: u64,
     done_signaled: bool,
     complete: bool,
     need_progress: bool,
@@ -404,7 +400,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             live: None,
             pending_pushed: 0,
             pending_pulled: 0,
-            pending_batched_pulls: 0,
             shared,
             done_signaled: false,
             complete: false,
@@ -652,7 +647,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         if batched {
             self.stats.batched_pushes += 1;
             if let Some(m) = pe.metrics() {
-                m.count(Counter::BatchedPushes);
                 m.observe(Hist::BatchLen, items.len() as u64);
             }
         }
@@ -742,7 +736,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         self.stats.pulled += n as u64;
         self.stats.batched_pulls += 1;
         self.pending_pulled += n as u64;
-        self.pending_batched_pulls += 1;
         self.inbox.queued_items -= n;
         let live = self.live.insert(batch);
         Some(BatchDelivery {
@@ -779,11 +772,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             // backlog.
             m.gauge_set(Gauge::ConveyorPullBacklog, self.inbox.queued_items as u64);
             m.flight_span(Phase::Advance, begin, end);
-            if self.pending_batched_pulls != 0 {
-                m.add(Counter::BatchedPulls, self.pending_batched_pulls);
-            }
         }
-        self.pending_batched_pulls = 0;
         // Drain boundary: hand the batched physical events to the
         // collector in one borrow, covering push-triggered flushes since
         // the previous advance as well.

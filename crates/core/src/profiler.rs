@@ -206,7 +206,7 @@ impl Profiler {
     }
 
     /// Replace the trace configuration wholesale (escape hatch for
-    /// sampling/streaming options the named methods don't cover).
+    /// record sampling, which no named method covers).
     pub fn trace_config(mut self, trace: TraceConfig) -> Profiler {
         self.trace = trace;
         self
@@ -448,13 +448,9 @@ impl Profiler {
             let n = ctx.collectors.len();
             let collector = (n == 1).then(|| {
                 let rc = ctx.collectors.pop().expect("len checked");
-                let mut collector = Rc::try_unwrap(rc)
+                Rc::try_unwrap(rc)
                     .map(std::cell::RefCell::into_inner)
-                    .expect("drop the selector before the profiler body returns");
-                // Streamed per-send files must be complete on disk before
-                // the report hands them to a reader.
-                collector.flush_stream();
-                collector
+                    .expect("drop the selector before the profiler body returns")
             });
             (result, collector, n)
         });

@@ -38,13 +38,7 @@ pub fn write_all(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfEr
     let mut written = Vec::new();
     if bundle.has_logical() {
         written.extend(write_logical_agg(dir, bundle)?);
-        // Exact records live in memory only when not streamed to disk
-        // already (TraceConfig::stream_dir wrote them during the run).
-        if bundle
-            .collectors()
-            .iter()
-            .all(|c| c.config().logical_records && c.config().stream_dir.is_none())
-        {
+        if bundle.collectors().iter().all(|c| c.config().logical_sample != 0) {
             written.extend(write_logical_exact(dir, bundle)?);
         }
     }
@@ -65,7 +59,7 @@ pub fn write_all(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfEr
 pub fn write_logical_exact(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfError> {
     let mut block = Vec::new();
     let per_pe = bundle.collectors().iter().map(|c| {
-        if !c.config().logical_records {
+        if c.config().logical_sample == 0 {
             return Err(ProfError::NotCollected("per-send logical records"));
         }
         write_file(dir, format!("PE{}_send.csv", c.pe()), |w| {

@@ -294,11 +294,13 @@ impl FlightDump {
 
     /// Load every `flightrec-pe*.json` under `dir`, sorted by PE rank.
     /// Returns an empty list when the directory does not exist (no PE
-    /// died), an error only on unreadable/corrupt dumps.
+    /// died), an error when `dir` cannot be listed for any other reason or
+    /// a dump is unreadable or corrupt.
     pub fn load_dir(dir: &std::path::Path) -> Result<Vec<FlightDump>, String> {
         let entries = match std::fs::read_dir(dir) {
             Ok(e) => e,
-            Err(_) => return Ok(Vec::new()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(format!("read {}: {e}", dir.display())),
         };
         let mut dumps = Vec::new();
         for entry in entries.flatten() {
@@ -516,5 +518,14 @@ mod tests {
             FlightDump::load_dir(&dir).expect("missing dir ok").is_empty(),
             "no directory → no dumps, not an error"
         );
+    }
+
+    #[test]
+    fn load_dir_on_a_regular_file_is_an_error() {
+        let file = std::env::temp_dir().join(format!("fabsp-flightfile-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let err = FlightDump::load_dir(&file).expect_err("a file is not a clean run");
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.contains(&file.display().to_string()), "{err:?} names the path");
     }
 }

@@ -37,10 +37,6 @@ pub enum Counter {
     NetRetries,
     /// SPMD attempts restarted by the recovery policy after a PE failure.
     Restarts,
-    /// Multi-item `Conveyor::push_slice` calls (batched staging).
-    BatchedPushes,
-    /// `Conveyor::pull_batch` deliveries handed out as zero-copy slices.
-    BatchedPulls,
     /// Phase spans recorded through [`crate::PeMetrics::flight_span`].
     TelemetrySpans,
     /// Cycles the runtime spent inside its own instrumentation (span
@@ -52,7 +48,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 14] = [
+    pub const ALL: [Counter; 12] = [
         Counter::ShmemPuts,
         Counter::ShmemQuiets,
         Counter::ShmemBarrierWaits,
@@ -63,8 +59,6 @@ impl Counter {
         Counter::ActorYields,
         Counter::NetRetries,
         Counter::Restarts,
-        Counter::BatchedPushes,
-        Counter::BatchedPulls,
         Counter::TelemetrySpans,
         Counter::TelemetrySelfCycles,
     ];
@@ -85,8 +79,6 @@ impl Counter {
             Counter::ActorYields => "actor.yields",
             Counter::NetRetries => "shmem.net_retries",
             Counter::Restarts => "spmd.restarts",
-            Counter::BatchedPushes => "conveyor.batched_pushes",
-            Counter::BatchedPulls => "conveyor.batched_pulls",
             Counter::TelemetrySpans => "telemetry.spans",
             Counter::TelemetrySelfCycles => "telemetry.self_cycles",
         }

@@ -9,8 +9,8 @@
 //! To keep the memory of billion-message runs bounded (the trace-size
 //! problem of §IV-E/§VI), logical sends are always folded into a dense
 //! per-destination matrix; exact per-send records are kept only when
-//! [`TraceConfig::logical_records`] is set, and then as maximal runs of
-//! equal records. The source node and PE of every record are the
+//! [`TraceConfig::logical_sample`] asks for them, and then as maximal
+//! runs of equal records. The source node and PE of every record are the
 //! collector's own and the destination node follows from the destination
 //! PE, so a run is a destination PE and a message size (8 bytes), plus its
 //! length when longer than one (16 more) — never more per message than
@@ -19,7 +19,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::rc::Rc;
 
 use fabsp_hwpc::event::NUM_EVENTS;
@@ -110,10 +109,6 @@ pub struct PeCollector {
     region_profile: Option<RegionProfile>,
     /// Sends seen so far (drives record sampling).
     send_counter: u64,
-    /// Streaming sink for exact logical records (§VI large-trace support).
-    stream: Option<std::io::BufWriter<std::fs::File>>,
-    /// The lines of the run being streamed (reused across runs).
-    stream_block: Vec<u8>,
 }
 
 impl PeCollector {
@@ -123,12 +118,6 @@ impl PeCollector {
         assert!(pe < n_pes, "PE {pe} out of range ({n_pes} PEs)");
         assert!(pes_per_node > 0, "pes_per_node must be positive");
         let matrix_len = if config.logical { n_pes } else { 0 };
-        let stream = config.stream_dir.as_ref().map(|dir| {
-            std::fs::create_dir_all(dir).expect("create stream directory");
-            let file = std::fs::File::create(dir.join(format!("PE{pe}_send.csv")))
-                .expect("create stream file");
-            std::io::BufWriter::new(file)
-        });
         PeCollector {
             pe: pe as u32,
             n_pes,
@@ -144,8 +133,6 @@ impl PeCollector {
             overall: None,
             region_profile: None,
             send_counter: 0,
-            stream,
-            stream_block: Vec::new(),
         }
     }
 
@@ -215,11 +202,10 @@ impl PeCollector {
 
     /// Record `count` consecutive logical sends of `msg_size` bytes each to
     /// `dst_pe` via `mailbox_id` — identical in every observable (matrix,
-    /// exact records, stream bytes, PAPI lines) to `count` calls of
+    /// exact records, PAPI lines) to `count` calls of
     /// [`record_send`](PeCollector::record_send), the first of which
-    /// carries `papi_deltas`. The aggregates are bumped by `count`; when
-    /// exact records or streaming ask for them, what the `logical_sample`
-    /// stride keeps of the run is kept as one run.
+    /// carries `papi_deltas`. The aggregates are bumped by `count`; what
+    /// the `logical_sample` stride keeps of the run is kept as one run.
     pub fn record_send_run(
         &mut self,
         dst_pe: usize,
@@ -235,7 +221,7 @@ impl PeCollector {
             cell.bytes += count * msg_size as u64;
             let first = self.send_counter;
             self.send_counter += count;
-            if self.config.logical_records || self.stream.is_some() {
+            if self.config.logical_sample != 0 {
                 self.keep_run(dst_pe, msg_size, first, count);
             }
         }
@@ -256,25 +242,15 @@ impl PeCollector {
     }
 
     /// Keep the records of sends `first..first + count` whose index the
-    /// `logical_sample` stride keeps — all equal, so one run — as that
-    /// many lines on the stream if one is open, and in memory otherwise.
+    /// (non-zero) `logical_sample` stride keeps — all equal, so one run.
     fn keep_run(&mut self, dst_pe: usize, msg_size: u32, first: u64, count: u64) {
         // multiples of the stride in [first, first + count)
-        let kept = match self.config.logical_sample.max(1) as u64 {
+        let kept = match self.config.logical_sample as u64 {
             1 => count,
             stride => (first + count).div_ceil(stride) - first.div_ceil(stride),
         };
-        if kept == 0 {
-            return;
-        }
-        let (key, record) = (SendKey { dst_pe: dst_pe as u32, msg_size }, self.record_of());
-        match &mut self.stream {
-            None => self.logical_runs.push(key, kept),
-            Some(w) => {
-                let encode = crate::codec::encode_logical;
-                crate::codec::write_run(w, &mut self.stream_block, &record(key), kept, encode)
-                    .expect("stream write failed (disk full?)")
-            }
+        if kept != 0 {
+            self.logical_runs.push(SendKey { dst_pe: dst_pe as u32, msg_size }, kept);
         }
     }
 
@@ -386,22 +362,14 @@ impl PeCollector {
         self.region_profile = Some(profile);
     }
 
-    /// Flush the streaming sink, if any. Called automatically on drop;
-    /// call explicitly to surface flush timing deterministically.
-    pub fn flush_stream(&mut self) {
-        if let Some(w) = &mut self.stream {
-            w.flush().expect("stream flush failed");
-        }
-    }
-
     /// The per-destination aggregate of logical sends (empty when logical
     /// tracing is off). Index = destination PE.
     pub fn logical_matrix(&self) -> &[LogicalCell] {
         &self.logical_matrix
     }
 
-    /// Exact per-send records, as runs (only populated with
-    /// [`TraceConfig::logical_records`] and no stream).
+    /// Exact per-send records, as runs (only populated when
+    /// [`TraceConfig::logical_sample`] is non-zero).
     pub fn logical_records(&self) -> LogicalRecords<'_> {
         LogicalRecords { collector: self }
     }
@@ -481,15 +449,6 @@ impl PeCollector {
             + self.papi_agg.len() * (size_of::<PapiAgg>() + size_of::<(u32, u32)>())
             + self.physical_records.len() * (size_of::<PhysicalRecord>() + size_of::<u64>())
             + self.span_records.len() * size_of::<SpanRecord>()
-    }
-}
-
-impl Drop for PeCollector {
-    fn drop(&mut self) {
-        // Best-effort flush; explicit flush_stream() reports failures.
-        if let Some(w) = &mut self.stream {
-            let _ = w.flush();
-        }
     }
 }
 
@@ -600,43 +559,6 @@ mod tests {
         assert_eq!(c.logical_records().len(), 4);
         // the aggregate matrix stays exact
         assert_eq!(c.logical_matrix()[0].sends, 10);
-    }
-
-    #[test]
-    fn streaming_writes_records_to_disk_not_memory() {
-        let dir = std::env::temp_dir().join(format!("actorprof-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = TraceConfig::off().with_streaming(&dir);
-        let mut c = PeCollector::new(1, 4, 2, cfg);
-        for dst in [0usize, 3, 3] {
-            c.record_send(dst, 16, 0, None);
-        }
-        c.flush_stream();
-        assert!(c.logical_records().is_empty(), "records go to disk");
-        assert_eq!(c.logical_matrix()[3].sends, 2, "matrix still exact");
-        let content = std::fs::read_to_string(dir.join("PE1_send.csv")).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "0,1,0,0,16");
-        assert_eq!(lines[1], "0,1,1,3,16");
-        drop(c);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn streaming_with_sampling_composes() {
-        let dir = std::env::temp_dir().join(format!("actorprof-ss-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = TraceConfig::off().with_logical_sampling(2).with_streaming(&dir);
-        let mut c = PeCollector::new(0, 2, 2, cfg);
-        for _ in 0..6 {
-            c.record_send(1, 8, 0, None);
-        }
-        c.flush_stream();
-        let content = std::fs::read_to_string(dir.join("PE0_send.csv")).unwrap();
-        assert_eq!(content.lines().count(), 3, "every 2nd of 6 sends");
-        drop(c);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -103,10 +103,6 @@ impl PapiConfig {
 pub struct TraceConfig {
     /// Record the pre-aggregation logical trace (`-DENABLE_TRACE`).
     pub logical: bool,
-    /// Additionally keep the exact per-send `PEi_send.csv` record list.
-    /// Off by default: the aggregate matrix alone reproduces the heatmaps
-    /// and avoids the trace bloat the paper warns about (§IV-E).
-    pub logical_records: bool,
     /// Record the PAPI message trace for these events (part of
     /// `-DENABLE_TRACE` + `PAPI_start`/`PAPI_stop` placement).
     pub papi: Option<PapiConfig>,
@@ -116,16 +112,13 @@ pub struct TraceConfig {
     /// Record the post-aggregation physical trace inside Conveyors
     /// (`-DENABLE_TRACE_PHYSICAL`).
     pub physical: bool,
-    /// Keep only every k-th exact logical record (1 = all). The aggregate
-    /// matrix is always exact; sampling bounds the per-send record volume —
-    /// the "intelligent sampling of traces" direction of §VI.
+    /// Keep every k-th exact per-send `PEi_send.csv` record of the
+    /// logical trace: 1 keeps them all, 0 (the default) none. The
+    /// aggregate matrix is always exact and alone reproduces the heatmaps,
+    /// avoiding the trace bloat the paper warns about (§IV-E); a stride
+    /// above 1 bounds the per-send record volume — the "intelligent
+    /// sampling of traces" direction of §VI.
     pub logical_sample: u32,
-    /// Stream exact logical records to `dir/PE<i>_send.csv` as they happen
-    /// instead of holding them in memory — the §VI answer to traces "of
-    /// orders of 100GB" that cannot live in RAM. Implies
-    /// [`logical_records`](TraceConfig::logical_records) semantics on disk
-    /// while keeping memory O(PE²).
-    pub stream_dir: Option<std::path::PathBuf>,
     /// Record phase spans (superstep / advance / quiet / relay-hop
     /// begin+end pairs), exported as Perfetto duration events.
     pub spans: bool,
@@ -147,12 +140,10 @@ impl TraceConfig {
     pub fn all() -> TraceConfig {
         TraceConfig {
             logical: true,
-            logical_records: false,
             papi: Some(PapiConfig::case_study()),
             overall: true,
             physical: true,
             logical_sample: 0,
-            stream_dir: None,
             spans: true,
             span_knob: None,
         }
@@ -165,26 +156,16 @@ impl TraceConfig {
     }
 
     /// Keep exact per-send records too (implies logical).
-    pub fn with_logical_records(mut self) -> TraceConfig {
-        self.logical = true;
-        self.logical_records = true;
-        self
+    pub fn with_logical_records(self) -> TraceConfig {
+        self.with_logical_sampling(1)
     }
 
     /// Keep only every `k`-th exact logical record (implies
-    /// [`with_logical_records`](TraceConfig::with_logical_records)).
+    /// [`with_logical_records`](TraceConfig::with_logical_records); 0
+    /// keeps every record, as 1 does).
     pub fn with_logical_sampling(mut self, k: u32) -> TraceConfig {
         self.logical = true;
-        self.logical_records = true;
         self.logical_sample = k.max(1);
-        self
-    }
-
-    /// Stream exact logical records to files under `dir` instead of RAM
-    /// (implies logical tracing).
-    pub fn with_streaming(mut self, dir: impl Into<std::path::PathBuf>) -> TraceConfig {
-        self.logical = true;
-        self.stream_dir = Some(dir.into());
         self
     }
 
@@ -265,8 +246,7 @@ mod tests {
             .with_overall()
             .with_physical();
         assert!(c.logical && c.overall && c.physical);
-        assert!(!c.logical_records);
-        assert!(c.stream_dir.is_none());
+        assert_eq!(c.logical_sample, 0, "no exact records");
         assert!(c.papi.is_none());
         assert!(c.any_enabled());
         assert!(!TraceConfig::off().any_enabled());
@@ -276,23 +256,17 @@ mod tests {
     fn logical_records_implies_logical() {
         let c = TraceConfig::off().with_logical_records();
         assert!(c.logical);
-        assert!(c.logical_records);
+        assert_eq!(c.logical_sample, 1);
     }
 
     #[test]
     fn sampling_clamps_and_implies_records() {
         let c = TraceConfig::off().with_logical_sampling(0);
         assert_eq!(c.logical_sample, 1, "0 clamps to keep-all");
-        assert!(c.logical_records);
+        assert!(c.logical);
         let c = TraceConfig::off().with_logical_sampling(10);
         assert_eq!(c.logical_sample, 10);
-    }
-
-    #[test]
-    fn streaming_implies_logical() {
-        let c = TraceConfig::off().with_streaming("/tmp/x");
         assert!(c.logical);
-        assert_eq!(c.stream_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
     }
 
     #[test]
