@@ -10,17 +10,21 @@
 //! recorded phase spans (superstep / advance / quiet / relay hop), per-PE
 //! region summaries as counter events, and — for continuous-mode runs — a
 //! synthetic `governor` process whose lane renders every overhead-governor
-//! window and ratchet decision.
+//! window and ratchet decision. The file is built in one byte buffer from
+//! static pieces, integers and timestamps through [`codec::put`].
 
-use std::fmt::Write as _;
 use std::path::Path;
 
-use actorprof_trace::{PhysicalRecord, SpanRecord};
-use fabsp_hwpc::rdtsc::cycles_to_us;
-use fabsp_telemetry::ContinuousReport;
+use actorprof_trace::{codec, OverallRecord, PeCollector, PhysicalRecord, SendType, SpanRecord};
+use fabsp_hwpc::NOMINAL_HZ;
+use fabsp_telemetry::{ContinuousReport, Phase};
 
 use crate::bundle::TraceBundle;
 use crate::error::ProfError;
+
+const HEADER: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+/// The `ph` of an instant event, with its thread scope.
+const INSTANT: &str = "i\",\"s\":\"t";
 
 /// One per-thread timeline entry awaiting emission. Sorted so each PE's
 /// stream is monotone in `ts` and `B`/`E` pairs nest: at equal timestamps
@@ -44,6 +48,93 @@ impl TimelineEv<'_> {
     }
 }
 
+/// What the exporter reads of one PE's collector.
+struct Lane<'a> {
+    node: u32,
+    pe: u32,
+    spans: &'a [SpanRecord],
+    physical: &'a [PhysicalRecord],
+    stamps: &'a [u64],
+    overall: Option<OverallRecord>,
+}
+
+impl<'a> From<&'a PeCollector> for Lane<'a> {
+    fn from(c: &'a PeCollector) -> Lane<'a> {
+        Lane {
+            node: c.node(),
+            pe: c.pe(),
+            spans: c.span_records(),
+            physical: c.physical_records(),
+            stamps: c.physical_timestamps(),
+            overall: c.overall(),
+        }
+    }
+}
+
+/// Append `cycles` as microseconds with three decimals: the whole
+/// nanoseconds `cycles·10⁹ / NOMINAL_HZ`, rounded to nearest in `u128`,
+/// split at the decimal point. This prints exactly what
+/// `format!("{:.3}", cycles_to_us(cycles))` prints wherever that float path
+/// is itself exactly rounded. At 2.45 GHz one cycle is 20/49 ns, so the
+/// exact value's fraction of a ns is `k/49` and never lies on a half-ns
+/// tie; the nearest one is 1/98 ns away. The float path's two roundings
+/// (÷ `NOMINAL_HZ`, × 10⁶) err by at most 2⁻⁵² relative, which stays under
+/// that gap below 2⁵²/98 000 ≈ 4.6·10¹⁰ µs (12.7 h of cycles). Relative
+/// PE timestamps are far below it; the governor lane stamps absolute TSC
+/// readings, and on a host whose counter is past it this prints the
+/// correctly rounded value where the float path could be one ns off.
+fn put_us(buf: &mut Vec<u8>, cycles: u64) {
+    let hz = u128::from(NOMINAL_HZ);
+    let ns = (u128::from(cycles) * 1_000_000_000 + hz / 2) / hz;
+    codec::put(buf, &[(ns / 1000) as u64], "");
+    // `1ddd` keeps the fraction's leading zeros; its `1` becomes the point
+    let point = buf.len();
+    codec::put(buf, &[1000 + (ns % 1000) as u64], "");
+    buf[point] = b'.';
+}
+
+/// The JSON under construction: one byte buffer.
+struct Json(Vec<u8>);
+
+impl Json {
+    /// Open the next event, `{"name":…,"ph":…,"pid":…,"tid":…`, after a
+    /// `,\n` unless it is the first since [`HEADER`] (or in a fresh buffer).
+    fn event(&mut self, name: &str, ph: &str, at: (u32, u32)) -> &mut Json {
+        if self.0.len() > HEADER.len() {
+            self.s(",\n");
+        }
+        self.s("{\"name\":\"").s(name).s("\",\"ph\":\"").s(ph);
+        self.s("\",\"pid\":").n(at.0).s(",\"tid\":").n(at.1)
+    }
+
+    /// A metadata event naming a process or thread `name` (then `rank`).
+    fn meta(&mut self, kind: &str, at: (u32, u32), name: &str, rank: Option<u32>) {
+        self.event(kind, "M", at);
+        self.s(",\"args\":{\"name\":\"").s(name);
+        if let Some(rank) = rank {
+            self.n(rank);
+        }
+        self.s("\"}}");
+    }
+
+    fn s(&mut self, piece: impl AsRef<[u8]>) -> &mut Json {
+        self.0.extend_from_slice(piece.as_ref());
+        self
+    }
+
+    fn n(&mut self, value: impl Into<u64>) -> &mut Json {
+        codec::put(&mut self.0, &[value.into()], "");
+        self
+    }
+
+    /// `,"ts":` and the timestamp of `cycles` (see [`put_us`]).
+    fn ts(&mut self, cycles: u64) -> &mut Json {
+        self.s(",\"ts\":");
+        put_us(&mut self.0, cycles);
+        self
+    }
+}
+
 /// Serialize the bundle's physical trace and phase spans (and overall
 /// summaries, when collected) as Google Trace Events JSON. Returns the
 /// JSON string. Requires at least one of the timeline dimensions
@@ -63,111 +154,60 @@ pub fn trace_events_json_with_governor(
     if !bundle.has_physical() && !bundle.has_spans() {
         return Err(ProfError::NotCollected("physical trace"));
     }
-    let ppn = bundle.pes_per_node();
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |out: &mut String, event: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&event);
-    };
+    let nodes = bundle.n_pes().div_ceil(bundle.pes_per_node()) as u32;
+    let lanes: Vec<Lane<'_>> = bundle.collectors().iter().map(Lane::from).collect();
+    Ok(render(nodes, &lanes, governor))
+}
+
+/// The whole file: `nodes` processes, a thread per lane, and the governor
+/// process (pid `nodes`) when given.
+fn render(nodes: u32, lanes: &[Lane<'_>], governor: Option<&ContinuousReport>) -> String {
+    use TimelineEv::{Begin, End, Instant};
+    let mut j = Json(Vec::new());
+    j.s(HEADER);
 
     // metadata: processes = nodes, threads = PEs
-    let nodes = bundle.n_pes().div_ceil(ppn);
     for node in 0..nodes {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{node},\"tid\":0,\
-                 \"args\":{{\"name\":\"node{node}\"}}}}"
-            ),
-        );
+        j.meta("process_name", (node, 0), "node", Some(node));
     }
-    for c in bundle.collectors() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"name\":\"pe{}\"}}}}",
-                c.node(),
-                c.pe(),
-                c.pe()
-            ),
-        );
+    for l in lanes {
+        j.meta("thread_name", (l.node, l.pe), "pe", Some(l.pe));
     }
 
     // Per-PE timeline: duration pairs for phase spans merged with an
     // instant event per physical send, in timestamp order per thread.
-    for c in bundle.collectors() {
-        let mut events: Vec<TimelineEv<'_>> = Vec::with_capacity(
-            c.span_records().len() * 2 + c.physical_records().len(),
-        );
-        for s in c.span_records() {
-            events.push(TimelineEv::Begin(s));
-            events.push(TimelineEv::End(s));
-        }
-        for (r, &ts) in c.physical_records().iter().zip(c.physical_timestamps()) {
-            events.push(TimelineEv::Instant(r, ts));
-        }
-        events.sort_by_key(TimelineEv::sort_key);
-        for event in &events {
-            let mut ev = String::new();
+    // Never the first event, so each opens with `,\n`.
+    for l in lanes {
+        let spans = l.spans.iter().flat_map(|s| [Begin(s), End(s)]);
+        let sends = l.physical.iter().zip(l.stamps);
+        let mut timeline: Vec<_> = spans.chain(sends.map(|(r, &ts)| Instant(r, ts))).collect();
+        timeline.sort_by_key(TimelineEv::sort_key);
+        // each event head (`{"name":…,"tid":…`) of this thread, built once
+        let head =
+            |name, ph| std::mem::take(&mut Json(Vec::new()).event(name, ph, (l.node, l.pe)).0);
+        let [begins, ends] = ["B", "E"].map(|ph| Phase::ALL.map(|p| head(p.label(), ph)));
+        let instants = SendType::ALL.map(|t| head(t.label(), INSTANT));
+        for event in timeline {
+            j.s(",\n");
             match event {
-                TimelineEv::Begin(s) => {
-                    let _ = write!(
-                        ev,
-                        "{{\"name\":\"{}\",\"ph\":\"B\",\"pid\":{},\"tid\":{},\"ts\":{:.3}}}",
-                        s.phase.label(),
-                        c.node(),
-                        c.pe(),
-                        cycles_to_us(s.begin)
-                    );
+                Begin(s) => j.s(&begins[s.phase as usize]).ts(s.begin).s("}"),
+                End(s) => j.s(&ends[s.phase as usize]).ts(s.end).s("}"),
+                Instant(r, ts) => {
+                    j.s(&instants[r.send_type as usize]).ts(ts);
+                    j.s(",\"args\":{\"bytes\":").n(r.buffer_size);
+                    j.s(",\"dst_pe\":").n(r.dst_pe).s("}}")
                 }
-                TimelineEv::End(s) => {
-                    let _ = write!(
-                        ev,
-                        "{{\"name\":\"{}\",\"ph\":\"E\",\"pid\":{},\"tid\":{},\"ts\":{:.3}}}",
-                        s.phase.label(),
-                        c.node(),
-                        c.pe(),
-                        cycles_to_us(s.end)
-                    );
-                }
-                TimelineEv::Instant(r, ts) => {
-                    let _ = write!(
-                        ev,
-                        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{},\
-                         \"ts\":{:.3},\"args\":{{\"bytes\":{},\"dst_pe\":{}}}}}",
-                        r.send_type.label(),
-                        c.node(),
-                        c.pe(),
-                        cycles_to_us(*ts),
-                        r.buffer_size,
-                        r.dst_pe
-                    );
-                }
-            }
-            push(&mut out, ev);
+            };
         }
     }
 
     // counter events: the per-PE overall breakdown (if collected)
-    if bundle.has_overall() {
-        for r in bundle.overall_records()? {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"region_cycles\",\"ph\":\"C\",\"pid\":{},\"tid\":{},\
-                     \"ts\":0,\"args\":{{\"T_MAIN\":{},\"T_COMM\":{},\"T_PROC\":{}}}}}",
-                    r.pe as usize / ppn,
-                    r.pe,
-                    r.t_main,
-                    r.t_comm(),
-                    r.t_proc
-                ),
-            );
+    if lanes.iter().all(|l| l.overall.is_some()) {
+        for (l, r) in lanes.iter().filter_map(|l| Some((l, l.overall?))) {
+            j.event("region_cycles", "C", (l.node, r.pe));
+            j.s(",\"ts\":0,\"args\":{\"T_MAIN\":").n(r.t_main);
+            j.s(",\"T_COMM\":").n(r.t_comm());
+            j.s(",\"T_PROC\":").n(r.t_proc).s("}}");
         }
     }
 
@@ -175,78 +215,34 @@ pub fn trace_events_json_with_governor(
     // node/PE lanes. Window i spans the interval between consecutive
     // decision stamps; the first window (no known start) is an instant.
     if let Some(report) = governor {
-        let pid = nodes;
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"governor\"}}}}"
-            ),
-        );
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"overhead governor\"}}}}"
-            ),
-        );
+        let at = (nodes, 0);
+        j.meta("process_name", at, "governor", None);
+        j.meta("thread_name", at, "overhead governor", None);
         let mut prev_at: Option<u64> = None;
         for d in &report.decisions {
             let args = format!(
-                "{{\"overhead_pct\":{:.4},\"stride\":{},\"cadence_us\":{}}}",
+                ",\"args\":{{\"overhead_pct\":{:.4},\"stride\":{},\"cadence_us\":{}}}}}",
                 d.overhead_pct,
                 d.stride_after,
                 d.cadence_after.as_micros()
             );
-            match prev_at {
-                Some(prev) if d.at_cycles > prev => {
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"name\":\"window\",\"ph\":\"B\",\"pid\":{pid},\"tid\":0,\
-                             \"ts\":{:.3}}}",
-                            cycles_to_us(prev)
-                        ),
-                    );
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"name\":\"window\",\"ph\":\"E\",\"pid\":{pid},\"tid\":0,\
-                             \"ts\":{:.3},\"args\":{args}}}",
-                            cycles_to_us(d.at_cycles)
-                        ),
-                    );
-                }
-                _ => {
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"name\":\"window\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\
-                             \"tid\":0,\"ts\":{:.3},\"args\":{args}}}",
-                            cycles_to_us(d.at_cycles)
-                        ),
-                    );
-                }
+            let opened = prev_at.filter(|&prev| d.at_cycles > prev);
+            if let Some(prev) = opened {
+                j.event("window", "B", at).ts(prev).s("}");
             }
+            let ph = if opened.is_some() { "E" } else { INSTANT };
+            j.event("window", ph, at).ts(d.at_cycles).s(&args);
             if d.ratcheted() {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"ratchet\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\
-                         \"tid\":0,\"ts\":{:.3},\"args\":{{\"stride_from\":{},\
-                         \"stride_to\":{}}}}}",
-                        cycles_to_us(d.at_cycles),
-                        d.stride_before,
-                        d.stride_after
-                    ),
-                );
+                j.event("ratchet", INSTANT, at).ts(d.at_cycles);
+                j.s(",\"args\":{\"stride_from\":").n(d.stride_before);
+                j.s(",\"stride_to\":").n(d.stride_after).s("}}");
             }
             prev_at = Some(d.at_cycles);
         }
     }
 
-    out.push_str("\n]}\n");
-    Ok(out)
+    j.s("\n]}\n");
+    String::from_utf8(j.0).expect("every piece is a str")
 }
 
 /// Write the trace-events JSON to `path`.
@@ -309,18 +305,163 @@ mod tests {
         );
     }
 
+    /// One golden PE: its spans, physical records and their stamps.
+    type Records = (Vec<SpanRecord>, Vec<PhysicalRecord>, Vec<u64>);
+
+    /// Three PEs on two nodes: nested spans, equal-timestamp ties (begins,
+    /// ends and instants), instants on both sides of the timestamp
+    /// formatter's `49·k` cycle boundaries, and overall counters.
+    fn golden_records() -> Vec<Records> {
+        use actorprof_trace::Phase::{Advance, Quiet, RelayHop, Superstep};
+        use SendType::{LocalSend, NonblockProgress, NonblockSend};
+        let span = |phase, begin, end| SpanRecord { phase, begin, end };
+        let lane = |spans, src_pe, sends: &[(SendType, u64, u32, u64)]| {
+            let records = sends
+                .iter()
+                .map(|&(send_type, buffer_size, dst_pe, _)| PhysicalRecord {
+                    send_type,
+                    buffer_size,
+                    src_pe,
+                    dst_pe,
+                });
+            (
+                spans,
+                records.collect(),
+                sends.iter().map(|s| s.3).collect(),
+            )
+        };
+        vec![
+            lane(
+                vec![
+                    span(Superstep, 0, 2_450_000),
+                    span(Advance, 49, 1_000_000),
+                    span(Quiet, 49, 500),
+                    span(RelayHop, 500, 1_000_000),
+                ],
+                0,
+                &[
+                    (LocalSend, 4096, 1, 49),
+                    (NonblockSend, 512, 2, 500),
+                    (NonblockProgress, 512, 2, 1_000_000),
+                    (LocalSend, 64, 1, 1_000_000),
+                ],
+            ),
+            lane(
+                vec![span(Superstep, 24, (49 << 30) + 1)],
+                1,
+                &[
+                    (LocalSend, 8, 0, 25),
+                    (LocalSend, 8, 0, (49 << 20) - 1),
+                    (NonblockSend, 1 << 20, 2, (49 << 30) - 1),
+                ],
+            ),
+            lane(
+                vec![span(Quiet, 2_450_000_000, 2_450_000_001)],
+                2,
+                &[(NonblockProgress, 1024, 0, (49 << 40) + 1)],
+            ),
+        ]
+    }
+
+    fn golden_lanes(records: &[Records]) -> Vec<Lane<'_>> {
+        let overall = [(10, 20, 100), (0, 0, 0), (1 << 40, 5, 1 << 41)];
+        let lanes = records.iter().zip(overall).zip(0u32..);
+        lanes
+            .map(
+                |(((spans, physical, stamps), (t_main, t_proc, t_total)), pe)| Lane {
+                    node: pe / 2,
+                    pe,
+                    spans,
+                    physical,
+                    stamps,
+                    overall: Some(OverallRecord {
+                        pe,
+                        t_main,
+                        t_proc,
+                        t_total,
+                    }),
+                },
+            )
+            .collect()
+    }
+
+    /// Four windows: a finer ratchet (instant), a hold (B/E), a coarser
+    /// ratchet at the same stamp (instant again), and a finer one (B/E).
+    fn golden_governor() -> ContinuousReport {
+        use fabsp_telemetry::{OverheadBudget, OverheadGovernor, SamplingKnob};
+        let budget = OverheadBudget {
+            initial_stride: 8,
+            ..OverheadBudget::pct(5.0)
+        };
+        let cadence = std::time::Duration::from_millis(4);
+        let mut g = OverheadGovernor::new(budget, SamplingKnob::new(1), cadence);
+        g.observe_window(1_000_000, 10, 10, 2_450_000);
+        g.observe_window(1_000_000, 40_000, 0, 4_900_000);
+        g.observe_window(1_000_000, 100_000, 0, 4_900_000);
+        g.observe_window(1_000_000, 0, 0, 7_350_049);
+        g.into_report()
+    }
+
+    /// The fixture was written by the `format!`/`{:.3}` exporter this one
+    /// replaced, from a bundle holding exactly these lanes; every byte must
+    /// survive the rewrite.
     #[test]
-    fn timestamps_are_monotone_per_pe() {
-        let json = trace_events_json(&bundle()).unwrap();
-        // crude check: ts fields parse as non-negative numbers
-        for piece in json.split("\"ts\":").skip(1) {
-            let num: f64 = piece
-                .split([',', '}'])
-                .next()
-                .unwrap()
-                .parse()
-                .expect("ts parses");
-            assert!(num >= 0.0);
+    fn golden_file_is_reproduced_byte_for_byte() {
+        let records = golden_records();
+        let json = render(2, &golden_lanes(&records), Some(&golden_governor()));
+        assert_eq!(json, include_str!("../testdata/trace_events_golden.json"));
+    }
+
+    #[test]
+    fn timestamps_match_the_float_formatter() {
+        let check = |c: u64| {
+            let mut buf = Vec::new();
+            put_us(&mut buf, c);
+            let want = format!("{:.3}", fabsp_hwpc::cycles_to_us(c));
+            assert_eq!(String::from_utf8(buf).unwrap(), want, "cycles {c}");
+        };
+        (0..=1_200_000).for_each(check);
+        for k in [1u64 << 20, 1 << 30, 1 << 40] {
+            for k in k - 2..=k + 2 {
+                [49 * k - 1, 49 * k, 49 * k + 1].into_iter().for_each(check);
+            }
+        }
+        // xorshift64, fixed seed: 100 k stamps below 2⁴⁵ (~4 h of cycles)
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            check(x >> 19);
+        }
+    }
+
+    /// Every timeline event (all but metadata and counters) of a thread —
+    /// keyed by `(pid, tid)`, so the governor lane is its own — carries a
+    /// `ts` no smaller than the one before it; ties are allowed.
+    #[test]
+    fn timestamps_are_monotone_per_thread() {
+        fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+            line.split(key).nth(1)?.split([',', '}']).next()
+        }
+        let records = golden_records();
+        let golden = render(2, &golden_lanes(&records), Some(&golden_governor()));
+        for json in [trace_events_json(&bundle()).unwrap(), golden] {
+            let mut last = std::collections::HashMap::new();
+            let timeline = json.lines().filter(|l| !l.contains("\"ph\":\"M\""));
+            for line in timeline.filter(|l| !l.contains("\"ph\":\"C\"")) {
+                let Some(ts) = field(line, "\"ts\":") else {
+                    continue;
+                };
+                let thread = (field(line, "\"pid\":"), field(line, "\"tid\":"));
+                let ts: f64 = ts.parse().expect("ts parses");
+                let prev = last.insert(thread, ts).unwrap_or(0.0);
+                assert!(
+                    ts >= prev,
+                    "{thread:?} goes back from {prev} to {ts}:\n{line}"
+                );
+            }
+            assert!(last.len() >= 2, "at least two timelines checked");
         }
     }
 

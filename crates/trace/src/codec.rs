@@ -178,8 +178,9 @@ fn num<'a, T: TryFrom<u64>>(
     parse(field.trim_ascii()).ok_or_else(|| format!("bad {what}"))
 }
 
-/// Append `values` in decimal with `separator` between them.
-fn put(buf: &mut Vec<u8>, values: &[u64], separator: &str) {
+/// Append `values` in decimal with `separator` between them: the one
+/// decimal integer writer of the trace files and the Perfetto export.
+pub fn put(buf: &mut Vec<u8>, values: &[u64], separator: &str) {
     for (i, &value) in values.iter().enumerate() {
         if i > 0 {
             buf.extend_from_slice(separator.as_bytes());

@@ -139,6 +139,13 @@ pub enum SendType {
 }
 
 impl SendType {
+    /// Every send type, in declaration order (so `t as usize` indexes it).
+    pub const ALL: [SendType; 3] = [
+        SendType::LocalSend,
+        SendType::NonblockSend,
+        SendType::NonblockProgress,
+    ];
+
     /// Name as written in `physical.txt`.
     pub const fn label(self) -> &'static str {
         match self {
@@ -255,11 +262,7 @@ mod tests {
 
     #[test]
     fn send_type_label_roundtrip() {
-        for t in [
-            SendType::LocalSend,
-            SendType::NonblockSend,
-            SendType::NonblockProgress,
-        ] {
+        for t in SendType::ALL {
             assert_eq!(SendType::from_label(t.label()), Some(t));
         }
         assert_eq!(SendType::from_label("bogus"), None);
