@@ -1,7 +1,7 @@
 //! CI telemetry smoke: produce the observability artifacts a workflow run
-//! uploads — a Perfetto-loadable trace-events JSON from a healthy profiled
-//! run, and a flight-recorder dump from a run that dies (the deterministic
-//! scheduler's termination budget trips).
+//! uploads — a Perfetto-loadable trace-events JSON from a healthy
+//! continuous-mode run, and a flight-recorder dump from a run that dies
+//! (the deterministic scheduler's termination budget trips).
 //!
 //! ```text
 //! cargo run --release -p fabsp-bench --bin telemetry_smoke
@@ -9,28 +9,40 @@
 //!
 //! Writes under `target/ci-artifacts/`: `trace_events.json` and
 //! `flightrec/flightrec-pe*.json`. Exits non-zero if either artifact is
-//! missing or empty.
+//! missing or empty, or if the healthy run meters fewer than three windows
+//! or ends over the default overhead budget.
 
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Duration;
 
-use actorprof::Profiler;
+use actorprof::{OverheadBudget, Profiler};
 use fabsp_conveyors::{Conveyor, ConveyorOptions, TopologySpec};
 use fabsp_shmem::{spmd, Grid, Harness, SchedSpec};
 use fabsp_telemetry::TelemetryRegistry;
+
+/// Messages each of the 4 PEs sends in the healthy run.
+const N_PER_PE: usize = 150_000;
+/// Observation window of the healthy run.
+const WINDOW: Duration = Duration::from_millis(2);
+/// Metered windows the healthy run must span.
+const MIN_WINDOWS: u64 = 3;
 
 fn main() {
     let dir = Path::new("target/ci-artifacts");
     std::fs::create_dir_all(dir).expect("create artifact dir");
 
-    // --- healthy run: Perfetto trace with spans + instants ---------------
+    // --- healthy run: continuous mode, Perfetto trace with spans + instants
+    // Sized to outlast several observation windows: a run shorter than one
+    // window meters only the stub flush window, which is no measurement.
     let trace_path = dir.join("trace_events.json");
     let grid = Grid::new(2, 2).expect("grid");
     let report = Profiler::new(grid)
         .physical()
-        .spans()
+        .continuous(OverheadBudget::default())
+        .observe_every(WINDOW, |_| {})
         .trace_events_path(&trace_path)
         .run(|pe, ctx| {
             let table = Rc::new(RefCell::new(vec![0u64; 64]));
@@ -42,7 +54,7 @@ fn main() {
                 .expect("selector");
             actor
                 .execute(pe, |main| {
-                    for i in 0..2000usize {
+                    for i in 0..N_PER_PE {
                         let dst = (i + main.rank()) % main.n_pes();
                         main.send(0, i as u64, dst).expect("send");
                     }
@@ -54,8 +66,23 @@ fn main() {
         })
         .expect("profiled run");
     let total: u64 = report.results.iter().sum();
-    assert_eq!(total, 8000, "every message handled");
+    assert_eq!(total, 4 * N_PER_PE as u64, "every message handled");
     let snap = report.telemetry.expect("telemetry snapshot");
+    let overhead = report.continuous.expect("continuous report");
+    println!(
+        "continuous: {} windows, final measured overhead {:.2}% of a {:.1}% budget",
+        overhead.windows(),
+        overhead.final_overhead_pct(),
+        overhead.budget.pct
+    );
+    assert!(
+        overhead.windows() >= MIN_WINDOWS,
+        "the run outlasts several windows"
+    );
+    assert!(
+        overhead.within_budget(),
+        "final window over the overhead budget"
+    );
     let json = std::fs::read_to_string(&trace_path).expect("trace written");
     assert!(json.contains("\"ph\":\"B\""), "trace has duration spans");
     println!(

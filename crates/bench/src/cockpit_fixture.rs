@@ -3,17 +3,17 @@
 //! (`bin/cockpit_smoke.rs`) so both gate on the *same* bytes.
 //!
 //! Everything here is hand-stamped: counter values, span cycle ranges,
-//! frame `at_cycles`, and governor samples are fixed constants, and phase
+//! frame `at_cycles`, and overhead windows are fixed constants, and phase
 //! attribution goes through [`fixture_site`] instead of the runtime's
 //! first-caller-wins registry. The renders are therefore pure functions —
 //! byte-stable across machines, thread schedules, and test orderings.
 
-use std::time::Duration;
-
-use actorprof::{Counter, Frame, Gauge, Hist, Phase, Snapshot, TelemetryRegistry};
+use actorprof::{
+    Counter, Frame, Gauge, Hist, OverheadBudget, OverheadWindow, Phase, Snapshot, TelemetryRegistry,
+};
 use actorprof_viz::ascii;
 use actorprof_viz::cockpit::{Cockpit, CockpitConfig};
-use fabsp_telemetry::{FlightDump, FlightRing, GovernorSample, PhaseSite};
+use fabsp_telemetry::{FlightDump, FlightRing, PhaseSite};
 
 /// Pinned phase → `file:line` attribution for golden renders.
 pub fn fixture_site(phase: Phase) -> Option<PhaseSite> {
@@ -31,7 +31,7 @@ fn tick(
     seq: u64,
     at_cycles: u64,
     prev: &mut Snapshot,
-    governor: Option<GovernorSample>,
+    overhead_pct: f64,
 ) -> String {
     let total = reg.snapshot();
     let frame = Frame {
@@ -39,14 +39,20 @@ fn tick(
         at_cycles,
         delta: total.diff(prev),
         total: total.clone(),
-        governor,
+        overhead: Some(OverheadWindow {
+            window: seq,
+            at_cycles,
+            overhead_pct,
+            within_budget: overhead_pct <= OverheadBudget::default().pct,
+            ..OverheadWindow::default()
+        }),
     };
     *prev = total;
     cockpit.render(&frame)
 }
 
 /// Three cockpit ticks of a synthetic 4-PE run: ramp-up, steady state,
-/// and a tick where the governor has ratcheted back toward full fidelity.
+/// and a tick with a net retry, against the default 5% overhead budget.
 pub fn cockpit_live() -> String {
     let reg = TelemetryRegistry::new(4);
     let mut cockpit = Cockpit::new(CockpitConfig::plain(fixture_site));
@@ -54,8 +60,7 @@ pub fn cockpit_live() -> String {
     let mut prev = Snapshot::default();
     let mut out = String::new();
 
-    // tick 0: uneven ramp-up, first superstep under way, over budget at
-    // the conservative initial stride.
+    // tick 0: uneven ramp-up, first superstep under way, over budget.
     for pe in 0..4 {
         reg.pe(pe).add(Counter::ActorSends, 120 * (pe as u64 + 1));
     }
@@ -64,22 +69,10 @@ pub fn cockpit_live() -> String {
     reg.pe(0).flight_span(Phase::Superstep, 1_000, 50_000); // 20.0us
     reg.pe(1).flight_span(Phase::Advance, 2_000, 26_500); // 10.0us
     reg.pe(2).flight_span(Phase::Quiet, 3_000, 10_350); // 3.0us
-    out.push_str(&tick(
-        &mut cockpit,
-        &reg,
-        0,
-        2 * half,
-        &mut prev,
-        Some(GovernorSample {
-            overhead_pct: 7.50,
-            stride: 128,
-            cadence: Duration::from_millis(4),
-            within_budget: false,
-        }),
-    ));
+    out.push_str(&tick(&mut cockpit, &reg, 0, 2 * half, &mut prev, 7.50));
 
-    // tick 1: half a nominal second later — true rates kick in, the
-    // governor has backed under budget.
+    // tick 1: half a nominal second later — true rates kick in, back
+    // under budget.
     reg.pe(0).add(Counter::ActorSends, 600);
     reg.pe(1).add(Counter::ActorSends, 300);
     reg.pe(2).add(Counter::ActorSends, 200);
@@ -87,40 +80,15 @@ pub fn cockpit_live() -> String {
     reg.pe(3).gauge_set(Gauge::ConveyorBufferedItems, 4);
     reg.pe(1).flight_span(Phase::Superstep, 60_000, 109_000); // 20.0us
     reg.pe(0).flight_span(Phase::Advance, 60_000, 84_500); // 10.0us
-    out.push_str(&tick(
-        &mut cockpit,
-        &reg,
-        1,
-        3 * half,
-        &mut prev,
-        Some(GovernorSample {
-            overhead_pct: 4.10,
-            stride: 64,
-            cadence: Duration::from_millis(2),
-            within_budget: true,
-        }),
-    ));
+    out.push_str(&tick(&mut cockpit, &reg, 1, 3 * half, &mut prev, 4.10));
 
-    // tick 2: second superstep reached, a net retry shows up, fidelity
-    // ratcheted finer again.
+    // tick 2: second superstep reached, a net retry shows up.
     reg.pe(0).add(Counter::ActorSends, 150);
     reg.pe(1).add(Counter::ActorSends, 450);
     reg.pe(1).add(Counter::NetRetries, 2);
     reg.pe(0).flight_span(Phase::Superstep, 200_000, 249_000); // 20.0us
     reg.pe(3).flight_span(Phase::RelayHop, 210_000, 212_450); // 1.0us
-    out.push_str(&tick(
-        &mut cockpit,
-        &reg,
-        2,
-        4 * half,
-        &mut prev,
-        Some(GovernorSample {
-            overhead_pct: 2.30,
-            stride: 32,
-            cadence: Duration::from_millis(1),
-            within_budget: true,
-        }),
-    ));
+    out.push_str(&tick(&mut cockpit, &reg, 2, 4 * half, &mut prev, 2.30));
     out
 }
 
@@ -159,7 +127,7 @@ pub fn dashboard_frames() -> String {
         at_cycles: fabsp_hwpc::NOMINAL_HZ,
         delta: first.diff(&Snapshot::default()),
         total: first.clone(),
-        governor: None,
+        overhead: None,
     };
     let mut out = ascii::dashboard_since(&f0, None);
 
@@ -175,7 +143,7 @@ pub fn dashboard_frames() -> String {
         at_cycles: fabsp_hwpc::NOMINAL_HZ + fabsp_hwpc::NOMINAL_HZ / 2,
         delta: total.diff(&first),
         total,
-        governor: None,
+        overhead: None,
     };
     out.push_str(&ascii::dashboard_since(&f1, Some(f0.at_cycles)));
     out

@@ -9,8 +9,8 @@
 //! to microseconds at the nominal clock), `B`/`E` duration pairs for the
 //! recorded phase spans (superstep / advance / quiet / relay hop), per-PE
 //! region summaries as counter events, and — for continuous-mode runs — a
-//! synthetic `governor` process whose lane renders every overhead-governor
-//! window and ratchet decision. The file is built in one byte buffer from
+//! synthetic `overhead` process whose lane renders every metered window
+//! with its measured overhead. The file is built in one byte buffer from
 //! static pieces, integers and timestamps through [`codec::put`].
 
 use std::path::Path;
@@ -29,7 +29,8 @@ const INSTANT: &str = "i\",\"s\":\"t";
 /// One per-thread timeline entry awaiting emission. Sorted so each PE's
 /// stream is monotone in `ts` and `B`/`E` pairs nest: at equal timestamps
 /// ends come first (innermost end before an adjacent sibling begins),
-/// then begins (outermost first), then instants.
+/// then begins (outermost first), then instants. A zero-length span ends
+/// among the begins, right after its own begin.
 enum TimelineEv<'a> {
     Begin(&'a SpanRecord),
     End(&'a SpanRecord),
@@ -39,6 +40,9 @@ enum TimelineEv<'a> {
 impl TimelineEv<'_> {
     fn sort_key(&self) -> (u64, u8, u64) {
         match self {
+            // zero length: its begin's key; the sort is stable and the begin
+            // precedes the end in the input, so the end follows right after
+            TimelineEv::End(s) if s.begin == s.end => (s.end, 1, u64::MAX - s.end),
             // ties: the span that began later ends first (inner before outer)
             TimelineEv::End(s) => (s.end, 0, u64::MAX - s.begin),
             // ties: the span that ends later begins first (outer before inner)
@@ -80,7 +84,7 @@ impl<'a> From<&'a PeCollector> for Lane<'a> {
 /// tie; the nearest one is 1/98 ns away. The float path's two roundings
 /// (÷ `NOMINAL_HZ`, × 10⁶) err by at most 2⁻⁵² relative, which stays under
 /// that gap below 2⁵²/98 000 ≈ 4.6·10¹⁰ µs (12.7 h of cycles). Relative
-/// PE timestamps are far below it; the governor lane stamps absolute TSC
+/// PE timestamps are far below it; the overhead lane stamps absolute TSC
 /// readings, and on a host whose counter is past it this prints the
 /// correctly rounded value where the float path could be one ns off.
 fn put_us(buf: &mut Vec<u8>, cycles: u64) {
@@ -140,28 +144,27 @@ impl Json {
 /// JSON string. Requires at least one of the timeline dimensions
 /// (physical trace or phase spans) to have been collected.
 pub fn trace_events_json(bundle: &TraceBundle) -> Result<String, ProfError> {
-    trace_events_json_with_governor(bundle, None)
+    trace_events_json_with_overhead(bundle, None)
 }
 
 /// Like [`trace_events_json`], additionally rendering a continuous-mode
-/// run's [`ContinuousReport`] as a synthetic `governor` process: one
-/// duration event per observation window (with the measured overhead and
-/// the stride/cadence in effect as args) and an instant event per ratchet.
-pub fn trace_events_json_with_governor(
+/// run's [`ContinuousReport`] as a synthetic `overhead` process: one
+/// duration event per metered window, with the measured overhead as args.
+pub fn trace_events_json_with_overhead(
     bundle: &TraceBundle,
-    governor: Option<&ContinuousReport>,
+    continuous: Option<&ContinuousReport>,
 ) -> Result<String, ProfError> {
     if !bundle.has_physical() && !bundle.has_spans() {
         return Err(ProfError::NotCollected("physical trace"));
     }
     let nodes = bundle.n_pes().div_ceil(bundle.pes_per_node()) as u32;
     let lanes: Vec<Lane<'_>> = bundle.collectors().iter().map(Lane::from).collect();
-    Ok(render(nodes, &lanes, governor))
+    Ok(render(nodes, &lanes, continuous))
 }
 
-/// The whole file: `nodes` processes, a thread per lane, and the governor
+/// The whole file: `nodes` processes, a thread per lane, and the overhead
 /// process (pid `nodes`) when given.
-fn render(nodes: u32, lanes: &[Lane<'_>], governor: Option<&ContinuousReport>) -> String {
+fn render(nodes: u32, lanes: &[Lane<'_>], continuous: Option<&ContinuousReport>) -> String {
     use TimelineEv::{Begin, End, Instant};
     let mut j = Json(Vec::new());
     j.s(HEADER);
@@ -211,33 +214,23 @@ fn render(nodes: u32, lanes: &[Lane<'_>], governor: Option<&ContinuousReport>) -
         }
     }
 
-    // The governor lane: its own process so Perfetto draws it under the
+    // The overhead lane: its own process so Perfetto draws it under the
     // node/PE lanes. Window i spans the interval between consecutive
-    // decision stamps; the first window (no known start) is an instant.
-    if let Some(report) = governor {
+    // window stamps; the first window (no known start) is an instant.
+    if let Some(report) = continuous {
         let at = (nodes, 0);
-        j.meta("process_name", at, "governor", None);
-        j.meta("thread_name", at, "overhead governor", None);
+        j.meta("process_name", at, "overhead", None);
+        j.meta("thread_name", at, "overhead meter", None);
         let mut prev_at: Option<u64> = None;
-        for d in &report.decisions {
-            let args = format!(
-                ",\"args\":{{\"overhead_pct\":{:.4},\"stride\":{},\"cadence_us\":{}}}}}",
-                d.overhead_pct,
-                d.stride_after,
-                d.cadence_after.as_micros()
-            );
-            let opened = prev_at.filter(|&prev| d.at_cycles > prev);
+        for w in &report.metered {
+            let args = format!(",\"args\":{{\"overhead_pct\":{:.4}}}}}", w.overhead_pct);
+            let opened = prev_at.filter(|&prev| w.at_cycles > prev);
             if let Some(prev) = opened {
                 j.event("window", "B", at).ts(prev).s("}");
             }
             let ph = if opened.is_some() { "E" } else { INSTANT };
-            j.event("window", ph, at).ts(d.at_cycles).s(&args);
-            if d.ratcheted() {
-                j.event("ratchet", INSTANT, at).ts(d.at_cycles);
-                j.s(",\"args\":{\"stride_from\":").n(d.stride_before);
-                j.s(",\"stride_to\":").n(d.stride_after).s("}}");
-            }
-            prev_at = Some(d.at_cycles);
+            j.event("window", ph, at).ts(w.at_cycles).s(&args);
+            prev_at = Some(w.at_cycles);
         }
     }
 
@@ -247,20 +240,20 @@ fn render(nodes: u32, lanes: &[Lane<'_>], governor: Option<&ContinuousReport>) -
 
 /// Write the trace-events JSON to `path`.
 pub fn write_trace_events(path: &Path, bundle: &TraceBundle) -> Result<(), ProfError> {
-    write_trace_events_with_governor(path, bundle, None)
+    write_trace_events_with_overhead(path, bundle, None)
 }
 
-/// Write the trace-events JSON, including the governor lane when the run
+/// Write the trace-events JSON, including the overhead lane when the run
 /// executed in continuous mode.
-pub fn write_trace_events_with_governor(
+pub fn write_trace_events_with_overhead(
     path: &Path,
     bundle: &TraceBundle,
-    governor: Option<&ContinuousReport>,
+    continuous: Option<&ContinuousReport>,
 ) -> Result<(), ProfError> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(path, trace_events_json_with_governor(bundle, governor)?)?;
+    std::fs::write(path, trace_events_json_with_overhead(bundle, continuous)?)?;
     Ok(())
 }
 
@@ -308,9 +301,10 @@ mod tests {
     /// One golden PE: its spans, physical records and their stamps.
     type Records = (Vec<SpanRecord>, Vec<PhysicalRecord>, Vec<u64>);
 
-    /// Three PEs on two nodes: nested spans, equal-timestamp ties (begins,
-    /// ends and instants), instants on both sides of the timestamp
-    /// formatter's `49·k` cycle boundaries, and overall counters.
+    /// Three PEs on two nodes: nested spans, a zero-length span,
+    /// equal-timestamp ties (begins, ends and instants), instants on both
+    /// sides of the timestamp formatter's `49·k` cycle boundaries, and
+    /// overall counters.
     fn golden_records() -> Vec<Records> {
         use actorprof_trace::Phase::{Advance, Quiet, RelayHop, Superstep};
         use SendType::{LocalSend, NonblockProgress, NonblockSend};
@@ -337,6 +331,7 @@ mod tests {
                     span(Advance, 49, 1_000_000),
                     span(Quiet, 49, 500),
                     span(RelayHop, 500, 1_000_000),
+                    span(Advance, 500, 500),
                 ],
                 0,
                 &[
@@ -385,30 +380,22 @@ mod tests {
             .collect()
     }
 
-    /// Four windows: a finer ratchet (instant), a hold (B/E), a coarser
-    /// ratchet at the same stamp (instant again), and a finer one (B/E).
-    fn golden_governor() -> ContinuousReport {
-        use fabsp_telemetry::{OverheadBudget, OverheadGovernor, SamplingKnob};
-        let budget = OverheadBudget {
-            initial_stride: 8,
-            ..OverheadBudget::pct(5.0)
-        };
-        let cadence = std::time::Duration::from_millis(4);
-        let mut g = OverheadGovernor::new(budget, SamplingKnob::new(1), cadence);
-        g.observe_window(1_000_000, 10, 10, 2_450_000);
-        g.observe_window(1_000_000, 40_000, 0, 4_900_000);
-        g.observe_window(1_000_000, 100_000, 0, 4_900_000);
-        g.observe_window(1_000_000, 0, 0, 7_350_049);
-        g.into_report()
+    /// Four windows: the first (an instant), a B/E pair, one at the same
+    /// stamp (an instant again), and a B/E pair.
+    fn golden_overhead() -> ContinuousReport {
+        let mut r = ContinuousReport::new(fabsp_telemetry::OverheadBudget::pct(5.0));
+        r.meter(1_000_000, 10, 10, 2_450_000);
+        r.meter(1_000_000, 40_000, 0, 4_900_000);
+        r.meter(1_000_000, 100_000, 0, 4_900_000);
+        r.meter(1_000_000, 0, 0, 7_350_049);
+        r
     }
 
-    /// The fixture was written by the `format!`/`{:.3}` exporter this one
-    /// replaced, from a bundle holding exactly these lanes; every byte must
-    /// survive the rewrite.
+    /// The fixture pins every byte of the file for exactly these lanes.
     #[test]
     fn golden_file_is_reproduced_byte_for_byte() {
         let records = golden_records();
-        let json = render(2, &golden_lanes(&records), Some(&golden_governor()));
+        let json = render(2, &golden_lanes(&records), Some(&golden_overhead()));
         assert_eq!(json, include_str!("../testdata/trace_events_golden.json"));
     }
 
@@ -437,17 +424,19 @@ mod tests {
     }
 
     /// Every timeline event (all but metadata and counters) of a thread —
-    /// keyed by `(pid, tid)`, so the governor lane is its own — carries a
-    /// `ts` no smaller than the one before it; ties are allowed.
+    /// keyed by `(pid, tid)`, so the overhead lane is its own — carries a
+    /// `ts` no smaller than the one before it; ties are allowed. Every `E`
+    /// closes the innermost open `B` of its thread, by name.
     #[test]
     fn timestamps_are_monotone_per_thread() {
         fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
             line.split(key).nth(1)?.split([',', '}']).next()
         }
         let records = golden_records();
-        let golden = render(2, &golden_lanes(&records), Some(&golden_governor()));
+        let golden = render(2, &golden_lanes(&records), Some(&golden_overhead()));
         for json in [trace_events_json(&bundle()).unwrap(), golden] {
             let mut last = std::collections::HashMap::new();
+            let mut open = std::collections::HashMap::new();
             let timeline = json.lines().filter(|l| !l.contains("\"ph\":\"M\""));
             for line in timeline.filter(|l| !l.contains("\"ph\":\"C\"")) {
                 let Some(ts) = field(line, "\"ts\":") else {
@@ -460,7 +449,15 @@ mod tests {
                     ts >= prev,
                     "{thread:?} goes back from {prev} to {ts}:\n{line}"
                 );
+                let stack: &mut Vec<_> = open.entry(thread).or_default();
+                let name = field(line, "\"name\":");
+                match field(line, "\"ph\":") {
+                    Some("\"B\"") => stack.push(name),
+                    Some("\"E\"") => assert_eq!(stack.pop(), Some(name), "{thread:?}:\n{line}"),
+                    _ => {}
+                }
             }
+            assert!(open.values().all(Vec::is_empty), "every B is closed");
             assert!(last.len() >= 2, "at least two timelines checked");
         }
     }
@@ -494,34 +491,22 @@ mod tests {
     }
 
     #[test]
-    fn governor_lane_renders_windows_and_ratchets() {
-        use fabsp_telemetry::{OverheadBudget, OverheadGovernor, SamplingKnob};
-        use std::time::Duration;
-        let budget = OverheadBudget {
-            initial_stride: 8,
-            ..OverheadBudget::pct(5.0)
-        };
-        let mut g = OverheadGovernor::new(budget, SamplingKnob::new(1), Duration::from_millis(4));
-        g.observe_window(1_000_000, 10, 10, 2_450_000); // finer: 8 -> 4
-        g.observe_window(1_000_000, 40_000, 0, 4_900_000); // hold: 4% dead band
-        let report = g.into_report();
-        let json = trace_events_json_with_governor(&bundle(), Some(&report)).unwrap();
-        assert!(json.contains("\"args\":{\"name\":\"governor\"}"));
-        assert!(json.contains("\"name\":\"window\""));
+    fn overhead_lane_renders_windows() {
+        let mut report = ContinuousReport::new(fabsp_telemetry::OverheadBudget::pct(5.0));
+        report.meter(1_000_000, 10, 10, 2_450_000);
+        report.meter(1_000_000, 40_000, 0, 4_900_000);
+        let json = trace_events_json_with_overhead(&bundle(), Some(&report)).unwrap();
+        assert!(json.contains("\"args\":{\"name\":\"overhead\"}"));
         // first window is an instant, second a B/E pair spanning the gap
         assert!(json.contains("\"name\":\"window\",\"ph\":\"i\""));
         assert!(json.contains("\"name\":\"window\",\"ph\":\"B\""));
-        assert!(json.contains("\"overhead_pct\":4.0000"));
-        assert!(
-            json.contains("\"stride_from\":8,\"stride_to\":4"),
-            "ratchet instants carry the transition:\n{json}"
-        );
-        // the governor process sits after the node processes
+        assert!(json.contains("\"args\":{\"overhead_pct\":4.0000}}"));
+        // the overhead process sits after the node processes
         let nodes = bundle().n_pes().div_ceil(bundle().pes_per_node());
         assert!(json.contains(&format!("\"pid\":{nodes},\"tid\":0")));
-        // no governor → no lane
+        // no continuous report → no lane
         let plain = trace_events_json(&bundle()).unwrap();
-        assert!(!plain.contains("governor"));
+        assert!(!plain.contains("window"));
     }
 
     #[test]

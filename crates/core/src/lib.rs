@@ -54,9 +54,8 @@ pub use bundle::TraceBundle;
 pub use error::ProfError;
 pub use fabsp_shmem::{Checkpoint, KillRecord, RecoveryLog, RecoverySpec};
 pub use fabsp_telemetry::{
-    phase_site, ContinuousReport, Counter, FlightDump, Frame, Gauge, GovernorDecision,
-    GovernorSample, Hist, OverheadBudget, OverheadGovernor, Phase, PhaseSite, SamplingKnob,
-    Snapshot, TelemetryRegistry,
+    phase_site, ContinuousReport, Counter, FlightDump, Frame, Gauge, Hist, OverheadBudget,
+    OverheadWindow, Phase, PhaseSite, Snapshot, TelemetryRegistry,
 };
 pub use profiler::{ObserveSink, Profiler, ProfilerCtx, Report, RunError};
 pub use stats::{Matrix, Quartiles};

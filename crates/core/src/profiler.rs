@@ -49,8 +49,7 @@ use fabsp_shmem::{
     spmd, FaultSpec, Grid, Harness, Pe, RecoveryLog, RecoverySpec, SchedSpec, ShmemError,
 };
 use fabsp_telemetry::{
-    ContinuousReport, Counter, Frame, OverheadBudget, OverheadGovernor, SamplingKnob, Snapshot,
-    TelemetryRegistry,
+    ContinuousReport, Counter, Frame, OverheadBudget, Snapshot, TelemetryRegistry,
 };
 
 use crate::bundle::TraceBundle;
@@ -123,7 +122,7 @@ pub struct Profiler {
     /// Live subscriber: (frame interval, sink).
     observe: Option<(Duration, ObserveSink)>,
     /// Continuous-profiling mode: meter instrumentation self-cost online
-    /// and ratchet span sampling + observer cadence to stay in budget.
+    /// against this budget, every observation window.
     continuous: Option<OverheadBudget>,
     /// Write the Perfetto trace-events JSON here after the run.
     trace_events: Option<PathBuf>,
@@ -286,17 +285,13 @@ impl Profiler {
         self
     }
 
-    /// Continuous-profiling mode: phase spans are recorded through a live
-    /// [`SamplingKnob`] and an [`OverheadGovernor`] on the observer thread
-    /// meters the measured instrumentation cost each window, ratcheting the
-    /// sampling stride and observer cadence to keep overhead inside
-    /// `budget`. The run starts at the budget's conservative
-    /// `initial_stride` and *earns* fidelity while it stays cheap. Every
-    /// control decision comes back as [`Report::continuous`].
+    /// Continuous-profiling mode: the observer thread meters the measured
+    /// instrumentation cost of each window against `budget`. Every
+    /// metered window comes back as [`Report::continuous`].
     ///
     /// Implies span tracing; composes with [`observe`](Profiler::observe)
-    /// (the sink then sees [`Frame::governor`] populated) but works
-    /// without a sink too.
+    /// (the sink then sees [`Frame::overhead`] populated, at the sink's
+    /// interval) but works without a sink too.
     pub fn continuous(mut self, budget: OverheadBudget) -> Profiler {
         self.continuous = Some(budget);
         self
@@ -334,23 +329,17 @@ impl Profiler {
             None => self.harness.telemetry_off(),
         };
 
-        // Continuous mode shares one SamplingKnob between the governor (on
-        // the observer thread, sole writer) and every PE's trace buffer.
+        // Continuous mode records every phase span.
         let mut trace = self.trace.clone();
-        let continuous = self
-            .continuous
-            .map(|budget| (budget, SamplingKnob::new(budget.initial_stride)));
-        if let Some((_, knob)) = &continuous {
-            trace = trace.with_span_knob(knob.clone());
-        }
+        trace.spans |= self.continuous.is_some();
 
         // The observer thread pulls snapshot diffs at the configured
         // interval while PEs run; the stop flag is Relaxed — thread join
         // orders the final accesses, the flag itself is a plain signal.
-        // In continuous mode the same thread runs the overhead governor:
-        // each tick it charges its own snapshot+diff cost plus the PEs'
-        // metered self-cost against the window and ratchets the knob.
-        let spawn_observer = self.observe.is_some() || continuous.is_some();
+        // In continuous mode the same thread meters the overhead: each
+        // tick it charges its own snapshot+diff cost plus the PEs'
+        // metered self-cost against the window.
+        let spawn_observer = self.observe.is_some() || self.continuous.is_some();
         let observer = match &registry {
             Some(reg) if spawn_observer => {
                 let reg = reg.clone();
@@ -359,9 +348,7 @@ impl Profiler {
                     .observe
                     .as_ref()
                     .map_or(DEFAULT_OBSERVE_INTERVAL, |(i, _)| *i);
-                let mut governor = continuous
-                    .as_ref()
-                    .map(|(budget, knob)| OverheadGovernor::new(*budget, knob.clone(), interval));
+                let mut continuous = self.continuous.map(ContinuousReport::new);
                 let stop = Arc::new(AtomicBool::new(false));
                 let stop_flag = stop.clone();
                 let handle = std::thread::spawn(move || {
@@ -373,12 +360,10 @@ impl Profiler {
                         // last tick, so short runs still deliver one frame.
                         // Parked, not slept: the runner unparks right after
                         // raising the stop flag, so a finishing run never
-                        // waits out a whole cadence (up to 500ms after
-                        // governor back-off) to get its final frame.
+                        // waits out a whole interval to get its final frame.
                         let mut stopped = stop_flag.load(Ordering::Relaxed);
                         if !stopped {
-                            let cadence = governor.as_ref().map_or(interval, |g| g.cadence());
-                            let deadline = std::time::Instant::now() + cadence;
+                            let deadline = std::time::Instant::now() + interval;
                             loop {
                                 let left = deadline.saturating_duration_since(std::time::Instant::now());
                                 if left.is_zero() || stop_flag.load(Ordering::Relaxed) {
@@ -394,16 +379,16 @@ impl Profiler {
                         let now = fabsp_hwpc::cycles_now();
                         // The post-stop flush frame is a fractional stub
                         // window — fixed snapshot cost over however little
-                        // wall time is left — so steering on it would end
-                        // every run with a quantization spike. Feed it only
+                        // wall time is left — so metering it would end
+                        // every run with a quantization spike. Meter it only
                         // when it is the run's sole window (a run shorter
-                        // than one cadence, where the stub IS the run).
-                        let sample = match governor.as_mut() {
-                            Some(g) if !stopped || g.decisions().is_empty() => {
+                        // than one interval, where the stub IS the run).
+                        let overhead = match continuous.as_mut() {
+                            Some(c) if !stopped || c.metered.is_empty() => {
                                 let window_cycles =
                                     now.saturating_sub(prev_cycles).saturating_mul(n_pes as u64);
                                 let instr = delta.counter_total(Counter::TelemetrySelfCycles);
-                                Some(g.observe_window(
+                                Some(c.meter(
                                     window_cycles,
                                     instr,
                                     now.saturating_sub(obs_begin),
@@ -418,7 +403,7 @@ impl Profiler {
                                 at_cycles: now,
                                 total: total.clone(),
                                 delta,
-                                governor: sample,
+                                overhead,
                             });
                         }
                         prev = total;
@@ -428,7 +413,7 @@ impl Profiler {
                             break;
                         }
                     }
-                    governor.map(OverheadGovernor::into_report)
+                    continuous
                 });
                 Some((stop, handle))
             }
@@ -482,7 +467,7 @@ impl Profiler {
         }
         let bundle = TraceBundle::from_collectors(collectors)?;
         if let Some(path) = &self.trace_events {
-            crate::export::write_trace_events_with_governor(
+            crate::export::write_trace_events_with_overhead(
                 path,
                 &bundle,
                 continuous_report.as_ref(),
@@ -570,7 +555,7 @@ pub struct Report<R = ()> {
     /// kills observed, restarts, net retries, wasted supersteps. All-zero
     /// ([`RecoveryLog::is_clean`]) on an undisturbed run.
     pub recovery: RecoveryLog,
-    /// What the overhead governor did, window by window; `Some` only when
+    /// The overhead measured window by window; `Some` only when
     /// the run was built with [`Profiler::continuous`].
     pub continuous: Option<ContinuousReport>,
 }
@@ -591,6 +576,7 @@ impl<R> Report<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabsp_telemetry::Phase;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -710,7 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn continuous_mode_reports_governor_decisions() {
+    fn continuous_mode_reports_metered_windows() {
         let report = run_histogram(
             Profiler::new(Grid::single_node(2).unwrap())
                 .continuous(OverheadBudget::pct(50.0))
@@ -719,15 +705,45 @@ mod tests {
         assert_eq!(report.results.iter().sum::<u64>(), 100);
         let cont = report.continuous.expect("continuous report present");
         assert!(cont.windows() >= 1, "at least the final window observed");
-        assert!(cont.final_stride() >= 1);
-        for d in &cont.decisions {
-            assert!(d.window_cycles > 0, "windows span real cycles");
-            assert!(d.cadence_after >= cont.budget.min_cadence);
-            assert!(d.cadence_after <= cont.budget.max_cadence);
+        for (i, w) in cont.metered.iter().enumerate() {
+            assert_eq!(w.window, i as u64, "windows numbered in order");
+            assert!(w.window_cycles > 0, "windows span real cycles");
+            assert!(w.overhead_pct >= 0.0);
+            assert_eq!(w.within_budget, w.overhead_pct <= cont.budget.pct);
         }
+        assert_eq!(
+            cont.final_overhead_pct(),
+            cont.metered.last().unwrap().overhead_pct
+        );
         // Spans were enabled implicitly by continuous mode, so the bundle
         // carries phase spans even though .spans() was never called.
-        assert!(report.bundle.has_spans(), "knob implies span tracing");
+        assert!(
+            report.bundle.has_spans(),
+            "continuous mode implies span tracing"
+        );
+    }
+
+    #[test]
+    fn continuous_mode_keeps_every_span() {
+        let report = run_histogram(
+            Profiler::new(Grid::new(2, 2).unwrap()).continuous(OverheadBudget::default()),
+        );
+        let snap = report.telemetry.expect("telemetry on by default");
+        for (pe, c) in report.bundle.collectors().iter().enumerate() {
+            for phase in Phase::ALL {
+                let recorded = c.span_records().iter().filter(|s| s.phase == phase).count();
+                assert_eq!(
+                    recorded as u64,
+                    snap.pes[pe].span_counts[phase as usize],
+                    "pe{pe} {}: one record per metered span",
+                    phase.label()
+                );
+            }
+        }
+        assert!(
+            snap.span_count_total(Phase::Advance) > 1,
+            "hot spans were recorded"
+        );
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //!   begin/end pairs for supersteps, `advance`, `quiet`, and relay hops
 //!   flow through the existing `TraceBuffer` batching path and export as
 //!   Perfetto duration events.
-//! - [`overhead`] — the continuous-profiling governor: instrumentation
-//!   self-cost is metered into the registry, an [`OverheadGovernor`]
-//!   compares it against an [`OverheadBudget`] per observation window, and a
-//!   shared [`SamplingKnob`] ratchets the span-sampling stride so measured
-//!   overhead stays inside the budget while the trace records why.
+//! - [`overhead`] — the continuous-profiling meter: instrumentation
+//!   self-cost is metered into the registry and checked against an
+//!   [`OverheadBudget`] per observation window; every window is kept as an
+//!   [`OverheadWindow`] in the run's [`ContinuousReport`].
 //!
 //! The registry is deliberately *fixed-vocabulary*: metric identity is an
 //! enum, not a string, so the hot path never hashes or allocates.
@@ -38,8 +37,5 @@ pub mod registry;
 
 pub use flight::{FlightDump, FlightEvent, FlightRing};
 pub use metric::{phase_site, Counter, Gauge, Hist, HistBuckets, Phase, PhaseSite, HIST_BUCKETS};
-pub use overhead::{
-    ContinuousReport, GovernorDecision, GovernorSample, OverheadBudget, OverheadGovernor,
-    SamplingKnob,
-};
+pub use overhead::{ContinuousReport, OverheadBudget, OverheadWindow};
 pub use registry::{Frame, PeMetrics, PeSnapshot, Snapshot, TelemetryRegistry};

@@ -41,8 +41,8 @@ pub enum Counter {
     TelemetrySpans,
     /// Cycles the runtime spent inside its own instrumentation (span
     /// capture, gauge/histogram updates, flight-ring writes). The
-    /// continuous-profiling governor divides this by total PE cycles to
-    /// keep measured overhead inside its budget.
+    /// continuous-profiling meter divides this by total PE cycles and
+    /// checks the result against its budget.
     TelemetrySelfCycles,
 }
 

@@ -1,130 +1,48 @@
-//! Continuous-profiling overhead governor.
+//! Continuous-profiling overhead meter.
 //!
-//! Always-on telemetry is only trustworthy if its cost is *measured and
-//! bounded online*, not asserted once on a quiet machine. This module
-//! closes that loop: the runtime charges every instrumentation burst to
+//! Always-on telemetry is only trustworthy if its cost is *measured
+//! online*, not asserted once on a quiet machine. The runtime charges
+//! every instrumentation burst to
 //! [`Counter::TelemetrySelfCycles`](crate::Counter::TelemetrySelfCycles)
 //! (span capture, gauge/histogram updates, flight-ring writes), the
-//! observer thread adds its own snapshot-diff cost, and an
-//! [`OverheadGovernor`] compares the sum against total PE cycles per
-//! observation window. When the measured fraction exceeds the
-//! [`OverheadBudget`] it ratchets the span-sampling stride up (keep fewer
-//! hot spans) and the observer cadence down (diff less often); when it
-//! falls below half the budget it ratchets both back toward full fidelity.
-//! The half-budget dead band is the hysteresis that keeps the controller
-//! from oscillating on noise.
+//! observer thread adds its own snapshot-diff cost, and each observation
+//! window the sum is divided by total PE cycles and checked against an
+//! [`OverheadBudget`].
 //!
-//! The stride itself travels through a [`SamplingKnob`] — a shared
-//! `AtomicU32` the trace layer's `TraceBuffer` reads on every hot span.
-//! Single-writer discipline is preserved: only the governor (one observer
-//! thread) ever stores the knob; PE threads only load it, and a stale
-//! stride for one window is harmless by construction.
-//!
-//! Every adjustment is kept as a [`GovernorDecision`] so the trace can
-//! explain its own fidelity: the Perfetto export renders the decisions as
-//! a `governor` lane and the final [`ContinuousReport`] is the artifact
-//! the duty-cycle bench gates on.
-
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Runtime-adjustable span-sampling stride, shared between the governor
-/// (sole writer) and the per-PE trace buffers (readers). `1` keeps every
-/// hot span; `k` keeps one in `k` (superstep spans are always kept).
-#[derive(Debug, Clone)]
-pub struct SamplingKnob(Arc<AtomicU32>);
-
-impl SamplingKnob {
-    /// A knob starting at stride `k` (clamped to at least 1).
-    pub fn new(k: u32) -> SamplingKnob {
-        SamplingKnob(Arc::new(AtomicU32::new(k.max(1))))
-    }
-
-    /// Current stride. Relaxed: the stride is a tuning parameter with no
-    /// ordering role — a reader acting on a stale value for one window is
-    /// correct, just momentarily off-budget.
-    #[inline]
-    pub fn get(&self) -> u32 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Set the stride (governor thread only; clamped to at least 1).
-    pub fn set(&self, k: u32) {
-        self.0.store(k.max(1), Ordering::Relaxed);
-    }
-}
-
-impl PartialEq for SamplingKnob {
-    /// Identity, not value: two configs are "equal" when they share the
-    /// same underlying knob (so cloning a `TraceConfig` across PEs keeps
-    /// comparing equal while the stride moves).
-    fn eq(&self, other: &SamplingKnob) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
+//! Every window is kept as an [`OverheadWindow`] in the run's
+//! [`ContinuousReport`], so the trace can state its own cost: the Perfetto
+//! export renders the windows as an `overhead` lane and the cockpit shows
+//! the latest one next to the data it qualifies.
 
 /// How much a continuous-mode run may spend on its own observability.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadBudget {
     /// Ceiling on measured instrumentation overhead, percent of total PE
     /// cycles per window. Default 5.0 — the paper-era "always-on ≤5%"
-    /// claim, now enforced instead of asserted.
+    /// claim, now checked every window instead of asserted.
     pub pct: f64,
-    /// Stride the run starts at. Conservative by default (64): fidelity is
-    /// *earned* — the governor ratchets toward keep-all only while the
-    /// measured overhead stays under half the budget.
-    pub initial_stride: u32,
-    /// Largest stride the governor may back off to.
-    pub max_stride: u32,
-    /// Shortest observer interval the governor may speed up to.
-    pub min_cadence: Duration,
-    /// Longest observer interval the governor may back off to.
-    pub max_cadence: Duration,
 }
 
 impl Default for OverheadBudget {
     fn default() -> OverheadBudget {
-        OverheadBudget {
-            pct: 5.0,
-            initial_stride: 64,
-            max_stride: 1024,
-            min_cadence: Duration::from_millis(1),
-            max_cadence: Duration::from_millis(500),
-        }
+        OverheadBudget { pct: 5.0 }
     }
 }
 
 impl OverheadBudget {
-    /// A budget of `pct` percent with the default ratchet bounds.
+    /// A budget of `pct` percent.
     pub fn pct(pct: f64) -> OverheadBudget {
-        OverheadBudget {
-            pct,
-            ..OverheadBudget::default()
-        }
+        OverheadBudget { pct }
     }
 }
 
-/// The governor's per-window verdict, attached to the observer [`Frame`]
-/// so a live dashboard can show the overhead number next to the data it
-/// qualifies.
+/// One metered observation window, also attached to the observer
+/// [`Frame`] so a live dashboard can show the overhead number next to the
+/// data it qualifies.
 ///
 /// [`Frame`]: crate::Frame
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorSample {
-    /// Measured instrumentation overhead this window, percent.
-    pub overhead_pct: f64,
-    /// Span-sampling stride in effect after this window's adjustment.
-    pub stride: u32,
-    /// Observer cadence in effect after this window's adjustment.
-    pub cadence: Duration,
-    /// Whether the window landed within the configured budget.
-    pub within_budget: bool,
-}
-
-/// One governor control decision — the before/after of a window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorDecision {
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct OverheadWindow {
     /// Window sequence number (same numbering as observer frames).
     pub window: u64,
     /// Absolute cycle stamp at the end of the window.
@@ -137,155 +55,62 @@ pub struct GovernorDecision {
     pub observer_cycles: u64,
     /// `(instr + observer) / window` as a percentage.
     pub overhead_pct: f64,
-    /// Stride before / after the adjustment.
-    pub stride_before: u32,
-    /// Stride after the adjustment (`!= stride_before` on a ratchet).
-    pub stride_after: u32,
-    /// Cadence before / after the adjustment.
-    pub cadence_before: Duration,
-    /// Cadence after the adjustment.
-    pub cadence_after: Duration,
+    /// Whether the window landed within the configured budget.
+    pub within_budget: bool,
 }
 
-impl GovernorDecision {
-    /// Did this window move the sampling stride?
-    pub fn ratcheted(&self) -> bool {
-        self.stride_before != self.stride_after
-    }
+/// What continuous mode measured over a whole run: the budget and every
+/// metered window, with the summary accessors the smoke gate and the
+/// cockpit use. Built by the observer thread, one
+/// [`meter`](ContinuousReport::meter) call per window.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ContinuousReport {
+    /// The budget each window is checked against.
+    pub budget: OverheadBudget,
+    /// Every metered window, in order.
+    pub metered: Vec<OverheadWindow>,
 }
 
-/// The control loop. Owned and driven by the observer thread; nothing in
-/// here blocks or locks — the only shared state is the [`SamplingKnob`].
-#[derive(Debug)]
-pub struct OverheadGovernor {
-    budget: OverheadBudget,
-    knob: SamplingKnob,
-    cadence: Duration,
-    window: u64,
-    decisions: Vec<GovernorDecision>,
-}
-
-impl OverheadGovernor {
-    /// A governor over `knob`, starting from the budget's initial stride
-    /// and `cadence` (clamped into the budget's cadence bounds).
-    pub fn new(budget: OverheadBudget, knob: SamplingKnob, cadence: Duration) -> OverheadGovernor {
-        knob.set(budget.initial_stride);
-        OverheadGovernor {
-            cadence: cadence.clamp(budget.min_cadence, budget.max_cadence),
+impl ContinuousReport {
+    /// An empty report against `budget`.
+    pub fn new(budget: OverheadBudget) -> ContinuousReport {
+        ContinuousReport {
             budget,
-            knob,
-            window: 0,
-            decisions: Vec::new(),
+            metered: Vec::new(),
         }
     }
 
-    /// The observer interval currently in effect.
-    pub fn cadence(&self) -> Duration {
-        self.cadence
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> &OverheadBudget {
-        &self.budget
-    }
-
-    /// Feed one window's measurements and apply the control law:
-    /// over budget → double the stride and the cadence (coarser, cheaper);
-    /// under half the budget → halve both (finer, costlier); in between →
-    /// hold (hysteresis). Returns the sample to publish with the frame.
-    pub fn observe_window(
+    /// Meter one window ending at `at_cycles` and keep it.
+    pub fn meter(
         &mut self,
         window_cycles: u64,
         instr_cycles: u64,
         observer_cycles: u64,
         at_cycles: u64,
-    ) -> GovernorSample {
+    ) -> OverheadWindow {
         let overhead_pct =
             (instr_cycles + observer_cycles) as f64 / window_cycles.max(1) as f64 * 100.0;
-        let stride_before = self.knob.get();
-        let cadence_before = self.cadence;
-        let (stride_after, cadence_after) = if overhead_pct > self.budget.pct {
-            (
-                stride_before.saturating_mul(2).min(self.budget.max_stride),
-                (cadence_before * 2).min(self.budget.max_cadence),
-            )
-        } else if overhead_pct < self.budget.pct / 2.0 {
-            (
-                (stride_before / 2).max(1),
-                (cadence_before / 2).max(self.budget.min_cadence),
-            )
-        } else {
-            (stride_before, cadence_before)
-        };
-        self.knob.set(stride_after);
-        self.cadence = cadence_after;
-        self.decisions.push(GovernorDecision {
-            window: self.window,
+        let w = OverheadWindow {
+            window: self.windows(),
             at_cycles,
             window_cycles,
             instr_cycles,
             observer_cycles,
             overhead_pct,
-            stride_before,
-            stride_after,
-            cadence_before,
-            cadence_after,
-        });
-        self.window += 1;
-        GovernorSample {
-            overhead_pct,
-            stride: stride_after,
-            cadence: cadence_after,
             within_budget: overhead_pct <= self.budget.pct,
-        }
+        };
+        self.metered.push(w);
+        w
     }
 
-    /// Every decision taken so far, in window order.
-    pub fn decisions(&self) -> &[GovernorDecision] {
-        &self.decisions
-    }
-
-    /// Consume the governor into the run's continuous-mode report.
-    pub fn into_report(self) -> ContinuousReport {
-        ContinuousReport {
-            budget: self.budget,
-            decisions: self.decisions,
-        }
-    }
-}
-
-/// What continuous mode did over a whole run: the budget it enforced and
-/// every control decision, with the summary accessors the bench gate and
-/// the cockpit use.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContinuousReport {
-    /// The enforced budget.
-    pub budget: OverheadBudget,
-    /// Every per-window decision, in order.
-    pub decisions: Vec<GovernorDecision>,
-}
-
-impl ContinuousReport {
-    /// Number of observation windows the governor saw.
+    /// Number of metered observation windows.
     pub fn windows(&self) -> u64 {
-        self.decisions.len() as u64
+        self.metered.len() as u64
     }
 
     /// Measured overhead of the final window (0 when no window completed).
     pub fn final_overhead_pct(&self) -> f64 {
-        self.decisions.last().map_or(0.0, |d| d.overhead_pct)
-    }
-
-    /// Stride in effect at the end of the run.
-    pub fn final_stride(&self) -> u32 {
-        self.decisions
-            .last()
-            .map_or(self.budget.initial_stride, |d| d.stride_after)
-    }
-
-    /// Windows that moved the sampling stride.
-    pub fn ratchet_transitions(&self) -> usize {
-        self.decisions.iter().filter(|d| d.ratcheted()).count()
+        self.metered.last().map_or(0.0, |w| w.overhead_pct)
     }
 
     /// Whether the final window landed within the budget.
@@ -298,89 +123,27 @@ impl ContinuousReport {
 mod tests {
     use super::*;
 
-    fn governor(pct: f64, stride: u32) -> OverheadGovernor {
-        let budget = OverheadBudget {
-            pct,
-            initial_stride: stride,
-            ..OverheadBudget::default()
-        };
-        OverheadGovernor::new(budget, SamplingKnob::new(1), Duration::from_millis(8))
+    #[test]
+    fn windows_meter_instrumentation_plus_observer_against_the_budget() {
+        let mut r = ContinuousReport::new(OverheadBudget::default());
+        let w = r.meter(1000, 80, 20, 7); // 10%: over a 5% budget
+        assert!((w.overhead_pct - 10.0).abs() < 1e-9);
+        assert!(!w.within_budget);
+        assert_eq!((w.window, w.at_cycles), (0, 7));
+        let w = r.meter(10_000, 10, 10, 9); // 0.2%
+        assert!(w.within_budget);
+        assert_eq!(w.window, 1);
+        assert_eq!(r.windows(), 2);
+        assert!((r.final_overhead_pct() - 0.2).abs() < 1e-9);
+        assert!(r.within_budget(), "the verdict is the final window's");
     }
 
     #[test]
-    fn over_budget_ratchets_coarser() {
-        let mut g = governor(5.0, 4);
-        // 10% of the window in instrumentation: double stride and cadence.
-        let s = g.observe_window(1000, 80, 20, 1);
-        assert_eq!(s.stride, 8);
-        assert_eq!(s.cadence, Duration::from_millis(16));
-        assert!(!s.within_budget);
-        assert!((s.overhead_pct - 10.0).abs() < 1e-9);
-        assert!(g.decisions()[0].ratcheted());
-    }
-
-    #[test]
-    fn under_half_budget_ratchets_finer() {
-        let mut g = governor(5.0, 8);
-        let s = g.observe_window(10_000, 10, 10, 1); // 0.2%
-        assert_eq!(s.stride, 4);
-        assert_eq!(s.cadence, Duration::from_millis(4));
-        assert!(s.within_budget);
-    }
-
-    #[test]
-    fn dead_band_holds_settings() {
-        let mut g = governor(5.0, 8);
-        let s = g.observe_window(1000, 30, 0, 1); // 3%: in [2.5, 5]
-        assert_eq!(s.stride, 8);
-        assert_eq!(s.cadence, Duration::from_millis(8));
-        assert!(!g.decisions()[0].ratcheted());
-    }
-
-    #[test]
-    fn clamps_hold_at_the_bounds() {
-        let mut g = governor(5.0, 1024);
-        let s = g.observe_window(100, 100, 0, 1); // 100% over budget
-        assert_eq!(s.stride, 1024, "stride capped at max_stride");
-        let mut g = governor(5.0, 1);
-        let s = g.observe_window(1_000_000, 0, 0, 1);
-        assert_eq!(s.stride, 1, "stride floored at keep-all");
-        assert!(s.cadence >= OverheadBudget::default().min_cadence);
-    }
-
-    #[test]
-    fn knob_is_shared_by_identity() {
-        let knob = SamplingKnob::new(3);
-        let view = knob.clone();
-        assert_eq!(view.get(), 3);
-        knob.set(7);
-        assert_eq!(view.get(), 7, "clone sees the governor's store");
-        assert_eq!(knob, view);
-        assert_ne!(knob, SamplingKnob::new(7), "identity, not value");
-        knob.set(0);
-        assert_eq!(knob.get(), 1, "stride clamps to at least 1");
-    }
-
-    #[test]
-    fn report_summarizes_transitions_and_budget() {
-        let mut g = governor(5.0, 16);
-        g.observe_window(10_000, 1, 0, 1); // finer: 16 -> 8
-        g.observe_window(10_000, 1, 0, 2); // finer: 8 -> 4
-        g.observe_window(1_000, 40, 0, 3); // hold: 4% in dead band
-        let report = g.into_report();
-        assert_eq!(report.windows(), 3);
-        assert_eq!(report.ratchet_transitions(), 2);
-        assert_eq!(report.final_stride(), 4);
-        assert!(report.within_budget());
-        assert!((report.final_overhead_pct() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_report_is_within_budget_at_initial_stride() {
-        let g = governor(5.0, 64);
-        let report = g.into_report();
-        assert_eq!(report.windows(), 0);
-        assert_eq!(report.final_stride(), 64);
-        assert!(report.within_budget());
+    fn empty_report_is_within_budget() {
+        let r = ContinuousReport::new(OverheadBudget::pct(1.0));
+        assert_eq!(r.windows(), 0);
+        assert_eq!(r.final_overhead_pct(), 0.0);
+        assert!(r.within_budget());
+        assert_eq!(OverheadBudget::default().pct, 5.0);
     }
 }

@@ -99,7 +99,7 @@ impl PeMetrics {
     /// reads, and — because this call closes every phase's instrumentation
     /// burst (the caller stamps `end_cycles` right after the phase body,
     /// then runs its gauge/histogram updates and ends here) — into the
-    /// self-cost ledger the continuous-profiling governor steers on.
+    /// self-cost ledger the continuous-profiling meter reads.
     /// `#[track_caller]` registers the call site as the phase's `file:line`
     /// attribution (first caller wins). Owning-PE thread only.
     #[track_caller]
@@ -281,10 +281,9 @@ pub struct Frame {
     pub total: Snapshot,
     /// Change since the previous tick (equals `total` on the first).
     pub delta: Snapshot,
-    /// The continuous-profiling governor's verdict for the window ending
-    /// at this tick; `None` outside continuous mode (and on the final
-    /// post-join frame).
-    pub governor: Option<crate::overhead::GovernorSample>,
+    /// The continuous-profiling meter's window ending at this tick; `None`
+    /// outside continuous mode (and on the final post-join frame).
+    pub overhead: Option<crate::overhead::OverheadWindow>,
 }
 
 /// The always-on registry: one [`PeMetrics`] slab per PE, shared across the

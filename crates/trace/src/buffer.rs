@@ -88,12 +88,6 @@ pub struct TraceBuffer {
     wants_sends: bool,
     wants_physical: bool,
     wants_spans: bool,
-    /// Keep every k-th hot span (superstep spans always kept), the stride
-    /// ratcheted by the continuous-profiling governor and read fresh on
-    /// every hot span; every span is kept without a knob.
-    span_knob: Option<fabsp_telemetry::SamplingKnob>,
-    /// Hot spans seen so far under the knob, sampled or not.
-    span_seen: u64,
     sends: Vec<SendRun>,
     physical: Vec<PhysicalEvent>,
     spans: Vec<SpanEvent>,
@@ -106,8 +100,6 @@ impl TraceBuffer {
             wants_sends: config.logical || config.papi.is_some(),
             wants_physical: config.physical,
             wants_spans: config.spans,
-            span_knob: config.span_knob.clone(),
-            span_seen: 0,
             sends: Vec::new(),
             physical: Vec::new(),
             spans: Vec::new(),
@@ -186,29 +178,16 @@ impl TraceBuffer {
         }
     }
 
-    /// Capture one completed phase span. Superstep spans are always kept;
-    /// the hot per-advance phases honor the live sampling stride, when a
-    /// knob is set, so long runs stay bounded.
+    /// Capture one completed phase span.
     #[inline]
     pub fn record_span(&mut self, phase: Phase, begin_cycles: u64, end_cycles: u64) {
-        if !self.wants_spans {
-            return;
+        if self.wants_spans {
+            self.spans.push(SpanEvent {
+                phase,
+                begin_cycles,
+                end_cycles,
+            });
         }
-        if phase != Phase::Superstep {
-            if let Some(knob) = &self.span_knob {
-                let seen = self.span_seen;
-                self.span_seen += 1;
-                let stride = knob.get();
-                if stride > 1 && !seen.is_multiple_of(stride as u64) {
-                    return;
-                }
-            }
-        }
-        self.spans.push(SpanEvent {
-            phase,
-            begin_cycles,
-            end_cycles,
-        });
     }
 
     /// Whether any captured events await draining.
@@ -297,29 +276,6 @@ mod tests {
         assert_eq!(
             runs,
             [(13, None), (6, Some([7; MAX_EVENTS])), (1, Some([1; MAX_EVENTS]))]
-        );
-    }
-
-    #[test]
-    fn span_knob_overrides_static_stride_live() {
-        let knob = fabsp_telemetry::SamplingKnob::new(1);
-        let mut b = TraceBuffer::for_config(&TraceConfig::off().with_span_knob(knob.clone()));
-        for i in 0..4 {
-            b.record_span(Phase::Advance, i, i + 1);
-        }
-        assert_eq!(b.pending_spans().len(), 4, "stride 1 keeps everything");
-        knob.set(4);
-        for i in 4..12 {
-            b.record_span(Phase::Advance, i, i + 1);
-        }
-        // seen counter is at 4 when the stride coarsens: multiples of 4
-        // (events 4 and 8) survive out of the next eight.
-        assert_eq!(b.pending_spans().len(), 6, "stride 4 keeps every 4th");
-        b.record_span(Phase::Superstep, 100, 101);
-        assert_eq!(
-            b.pending_spans().len(),
-            7,
-            "supersteps bypass sampling regardless of knob"
         );
     }
 

@@ -632,33 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn drained_spans_sample_hot_phases_keep_supersteps() {
-        let cfg = TraceConfig::off().with_span_knob(fabsp_telemetry::SamplingKnob::new(4));
-        let mut c = collector(cfg.clone());
-        let mut buf = crate::TraceBuffer::for_config(&cfg);
-        let t = fabsp_hwpc::cycles_now();
-        for i in 0..8u64 {
-            buf.record_span(Phase::Advance, t + i, t + i + 1);
-        }
-        buf.record_span(Phase::Superstep, t, t + 100);
-        buf.record_span(Phase::Superstep, t + 100, t + 200);
-        c.drain(&mut buf);
-        assert!(buf.is_empty());
-        let kept_hot = c
-            .span_records()
-            .iter()
-            .filter(|s| s.phase == Phase::Advance)
-            .count();
-        assert_eq!(kept_hot, 2, "every 4th of 8 advance spans");
-        let supersteps = c
-            .span_records()
-            .iter()
-            .filter(|s| s.phase == Phase::Superstep)
-            .count();
-        assert_eq!(supersteps, 2, "supersteps never sampled away");
-    }
-
-    #[test]
     fn trace_bytes_counts_every_held_element() {
         use std::mem::size_of;
         let mut c = collector(TraceConfig::all().with_logical_records());

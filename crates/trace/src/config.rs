@@ -12,7 +12,6 @@
 //! branch on a bool (measured by the benchmark's `msgs_per_s_off` column).
 
 use fabsp_hwpc::{Event, MAX_EVENTS};
-use fabsp_telemetry::SamplingKnob;
 
 /// Errors constructing a trace configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,12 +121,6 @@ pub struct TraceConfig {
     /// Record phase spans (superstep / advance / quiet / relay-hop
     /// begin+end pairs), exported as Perfetto duration events.
     pub spans: bool,
-    /// Live span-sampling stride, shared with an
-    /// [`OverheadGovernor`](fabsp_telemetry::OverheadGovernor): keep only
-    /// every k-th hot phase span (`advance`/`quiet`/relay; superstep spans
-    /// are always kept), so the continuous-profiling governor can ratchet
-    /// fidelity mid-run. Without a knob every span is kept.
-    pub span_knob: Option<SamplingKnob>,
 }
 
 impl TraceConfig {
@@ -145,7 +138,6 @@ impl TraceConfig {
             physical: true,
             logical_sample: 0,
             spans: true,
-            span_knob: None,
         }
     }
 
@@ -190,15 +182,6 @@ impl TraceConfig {
     /// Enable phase spans (every span kept).
     pub fn with_spans(mut self) -> TraceConfig {
         self.spans = true;
-        self
-    }
-
-    /// Enable phase spans whose sampling stride is read live from `knob`
-    /// (the continuous-profiling governor owns the writes). Supersteps are
-    /// still always kept.
-    pub fn with_span_knob(mut self, knob: SamplingKnob) -> TraceConfig {
-        self.spans = true;
-        self.span_knob = Some(knob);
         self
     }
 
@@ -285,17 +268,6 @@ mod tests {
     fn all_enables_everything() {
         let c = TraceConfig::all();
         assert!(c.logical && c.overall && c.physical && c.papi.is_some());
-        assert!(c.spans && c.span_knob.is_none());
-    }
-
-    #[test]
-    fn span_knob_implies_spans_and_compares_by_identity() {
-        let knob = SamplingKnob::new(4);
-        let c = TraceConfig::off().with_span_knob(knob.clone());
         assert!(c.spans);
-        assert_eq!(c.clone(), c, "clone shares the same knob");
-        let other = TraceConfig::off().with_span_knob(SamplingKnob::new(4));
-        assert_ne!(c, other, "distinct knobs are distinct configs");
-        assert!(c.any_enabled());
     }
 }

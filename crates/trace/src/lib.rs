@@ -40,7 +40,7 @@ pub mod record;
 pub use buffer::{PhysicalEvent, SendRun, SpanEvent, TraceBuffer};
 pub use collector::{LogicalRecords, PeCollector, SharedCollector};
 pub use config::{PapiConfig, TraceConfig, TraceConfigError};
-pub use fabsp_telemetry::{Phase, SamplingKnob};
+pub use fabsp_telemetry::Phase;
 pub use record::{
     LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, Runs, SendType, SpanRecord,
 };

@@ -271,7 +271,7 @@ mod tests {
             at_cycles: 0,
             delta: total.diff(&actorprof::Snapshot::default()),
             total,
-            governor: None,
+            overhead: None,
         };
         let s = dashboard(&frame);
         assert!(s.contains("tick 2"));
@@ -299,7 +299,7 @@ mod tests {
             at_cycles: 3 * half_sec,
             delta: total.diff(&first),
             total,
-            governor: None,
+            overhead: None,
         };
         let s = dashboard_since(&frame, Some(2 * half_sec));
         assert!(s.contains("rates: sends 980/s"), "per-interval rate:\n{s}");

@@ -10,8 +10,8 @@
 //!
 //! 1. **Master status** — superstep reached, items/s over the tick, net
 //!    retries and restarts (the recovery counters worth glancing at).
-//! 2. **Governor** — in continuous mode, the overhead governor's verdict
-//!    for the window: measured overhead vs budget, stride, cadence.
+//! 2. **Overhead** — in continuous mode, the window's measured
+//!    instrumentation overhead and its verdict against the budget.
 //! 3. **Hottest phases** — top-N phases by in-phase cycles this tick,
 //!    with the `file:line` of the span site doing the work.
 //! 4. **Worker load** — per-PE send bars plus conveyor occupancy gauges;
@@ -142,14 +142,11 @@ impl Cockpit {
             frame.total.counter_total(Counter::Restarts),
         );
 
-        // -- governor ------------------------------------------------------
-        if let Some(g) = &frame.governor {
-            let verdict = if g.within_budget { "ok" } else { "OVER" };
-            let line = format!(
-                "governor  overhead {:.2}% [{verdict}]  stride {}  cadence {:?}",
-                g.overhead_pct, g.stride, g.cadence
-            );
-            let line = if g.within_budget {
+        // -- overhead ------------------------------------------------------
+        if let Some(w) = &frame.overhead {
+            let verdict = if w.within_budget { "ok" } else { "OVER" };
+            let line = format!("overhead  {:.2}% [{verdict}]", w.overhead_pct);
+            let line = if w.within_budget {
                 line
             } else {
                 self.paint("31", &line)
@@ -320,8 +317,7 @@ impl Cockpit {
 mod tests {
     use super::*;
     use actorprof::{Snapshot, TelemetryRegistry};
-    use fabsp_telemetry::GovernorSample;
-    use std::time::Duration;
+    use fabsp_telemetry::OverheadWindow;
 
     fn fixture_site(phase: Phase) -> Option<PhaseSite> {
         Some(match phase {
@@ -339,7 +335,7 @@ mod tests {
             at_cycles: at,
             delta: total.diff(prev),
             total,
-            governor: None,
+            overhead: None,
         }
     }
 
@@ -390,26 +386,21 @@ mod tests {
     }
 
     #[test]
-    fn governor_line_shows_budget_verdict() {
+    fn overhead_line_shows_budget_verdict() {
         let reg = TelemetryRegistry::new(1);
         let mut frame = frame_from(&reg, 3, 100, &Snapshot::default());
-        frame.governor = Some(GovernorSample {
+        frame.overhead = Some(OverheadWindow {
             overhead_pct: 2.25,
-            stride: 16,
-            cadence: Duration::from_millis(8),
             within_budget: true,
+            ..OverheadWindow::default()
         });
         let mut cockpit = Cockpit::new(CockpitConfig::plain(fixture_site));
         let s = cockpit.render(&frame);
-        assert!(
-            s.contains("governor  overhead 2.25% [ok]  stride 16  cadence 8ms"),
-            "{s}"
-        );
-        frame.governor = Some(GovernorSample {
+        assert!(s.contains("\noverhead  2.25% [ok]\n"), "{s}");
+        frame.overhead = Some(OverheadWindow {
             overhead_pct: 9.5,
-            stride: 128,
-            cadence: Duration::from_millis(64),
             within_budget: false,
+            ..OverheadWindow::default()
         });
         let s = cockpit.render(&frame);
         assert!(s.contains("[OVER]"), "{s}");

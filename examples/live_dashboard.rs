@@ -1,11 +1,10 @@
 //! Glass-cockpit demo: fly a run live, then replay a crash.
 //!
-//! Part 1 runs a hash-table histogram under **continuous profiling** — the
-//! overhead governor meters instrumentation cost online and ratchets span
-//! sampling to stay inside a 5% budget — while the cockpit redraws on
-//! every observer tick: master status, governor verdict, hottest phases
-//! with `file:line` attribution, per-PE load bars, and a throughput
-//! sparkline.
+//! Part 1 runs a hash-table histogram under **continuous profiling** —
+//! every span is kept, and instrumentation cost is metered online against
+//! a 5% budget — while the cockpit redraws on every observer tick: master
+//! status, overhead verdict, hottest phases with `file:line` attribution,
+//! per-PE load bars, and a throughput sparkline.
 //!
 //! Part 2 injects a PE kill with a flight-recorder directory configured,
 //! recovers from checkpoint, and renders the post-mortem
@@ -69,20 +68,17 @@ fn main() {
     assert_eq!(total, (N * 4) as u64, "every message handled");
 
     let snap = report.telemetry.expect("telemetry on by default");
-    let governor = report.continuous.expect("continuous mode on");
+    let overhead = report.continuous.expect("continuous mode on");
     println!(
         "\ndone: {} messages on {} PEs ({} sends, {} spans kept)\n\
-         governor: {} windows, {} ratchets, final stride {}, \
-         final overhead {:.2}% (budget {:.1}%)",
+         overhead: {} windows, final {:.2}% (budget {:.1}%)",
         total,
         report.bundle.n_pes(),
         snap.counter_total(Counter::ActorSends),
         snap.counter_total(Counter::TelemetrySpans),
-        governor.windows(),
-        governor.ratchet_transitions(),
-        governor.final_stride(),
-        governor.final_overhead_pct(),
-        governor.budget.pct,
+        overhead.windows(),
+        overhead.final_overhead_pct(),
+        overhead.budget.pct,
     );
 
     // ---- part 2: crash, recover, replay the flight recorder ------------

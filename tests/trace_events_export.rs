@@ -182,7 +182,7 @@ fn exported_json_matches_bundle_and_nests_cleanly() {
 fn continuous_run_round_trips_the_governor_lane() {
     let grid = Grid::new(2, 2).unwrap();
     let path = std::env::temp_dir().join(format!(
-        "actorprof-governor-lane-{}.json",
+        "actorprof-overhead-lane-{}.json",
         std::process::id()
     ));
     let report = Profiler::new(grid)
@@ -208,43 +208,43 @@ fn continuous_run_round_trips_the_governor_lane() {
             handled
         })
         .expect("continuous run");
-    let governor = report.continuous.as_ref().expect("continuous report");
-    assert!(governor.windows() >= 1, "at least one observation window");
+    let continuous = report.continuous.as_ref().expect("continuous report");
+    assert!(continuous.windows() >= 1, "at least one observation window");
 
     let json = std::fs::read_to_string(&path).expect("trace written");
     let _ = std::fs::remove_file(&path);
 
-    // The governor rides as its own process after the node pids.
-    let gov_pid = json
+    // The overhead lane rides as its own process after the node pids.
+    let lane_pid = json
         .lines()
-        .find(|l| args_name(l).as_deref() == Some("governor"))
+        .find(|l| args_name(l).as_deref() == Some("overhead"))
         .and_then(|l| num_field(l, "pid"))
-        .expect("governor process_name metadata") as u64;
-    assert_eq!(gov_pid, 2, "synthetic pid follows the two node pids");
+        .expect("overhead process_name metadata") as u64;
+    assert_eq!(lane_pid, 2, "synthetic pid follows the two node pids");
     assert!(
         json.lines()
-            .any(|l| args_name(l).as_deref() == Some("overhead governor")),
-        "governor thread_name metadata"
+            .any(|l| args_name(l).as_deref() == Some("overhead meter")),
+        "overhead thread_name metadata"
     );
 
-    // One window event per governor decision: the first (no known start)
-    // is an instant, every later one a balanced B/E pair; one ratchet
-    // instant per stride transition.
+    // One window event per metered window: the first (no known start) is
+    // an instant, every later one a balanced B/E pair whose end carries
+    // the window's measured overhead.
     let window = |ph: &str| {
         json.lines()
             .filter(|l| l.contains("\"name\":\"window\"") && l.contains(&format!("\"ph\":\"{ph}\"")))
             .count() as u64
     };
     assert_eq!(window("i"), 1, "first window is an instant");
-    assert_eq!(window("B"), governor.windows() - 1);
+    assert_eq!(window("B"), continuous.windows() - 1);
     assert_eq!(window("B"), window("E"), "window pairs balanced");
-    let ratchets = json
+    let with_pct = json
         .lines()
-        .filter(|l| l.contains("\"name\":\"ratchet\""))
-        .count();
-    assert_eq!(ratchets, governor.ratchet_transitions(), "ratchet instants");
-    assert!(
-        json.contains("\"overhead_pct\":"),
-        "window args carry the measured overhead"
+        .filter(|l| l.contains("\"name\":\"window\"") && l.contains("\"overhead_pct\":"))
+        .count() as u64;
+    assert_eq!(
+        with_pct,
+        continuous.windows(),
+        "every window carries its measured overhead"
     );
 }
