@@ -13,7 +13,7 @@
 //! | `blocking-in-handler`  | no blocking method call (`.barrier_all()`, `.lock()`, `.recv()`, …) inside the arguments of a `selector(..)` / `Selector::new(..)` call, i.e. in a mailbox handler — directly, or through a same-file fn it calls by name |
 //! | `orphaned-acquire`     | an `Acquire` consume of a symbol no site in the tree publishes with `Release` (the cross-file [`pairing`](crate::pairing) audit) |
 //! | `bad-waiver`           | an inline waiver must name a rule of this table and carry a justification |
-//! | `stale-policy-entry`   | every file a policy entry names (`[lock-allowlist]`, `[[ordering]]`, file-restricted `[[pairing]]`) must exist — a deleted file takes its waivers with it |
+//! | `stale-policy-entry`   | every file a policy entry names (`[lock-allowlist]`, `[[ordering]]`, file-restricted `[[pairing]]`) must exist, and every `[[ordering]]` symbol other than `*` must name a `fn` in its file — a deleted file or fn takes its waivers with it |
 
 use std::path::Path;
 
@@ -224,10 +224,13 @@ fn finding(
     }
 }
 
-/// Policy entries naming a file that does not exist under `root`. The
-/// finding points at the entry in the policy file, not at any source file.
+/// Policy entries naming a file that does not exist under `root`, and
+/// `[[ordering]]` entries whose symbol (other than `*`) names no `fn` in
+/// their file. `[[pairing]]` symbols name atomic fields, not functions,
+/// so only their files are checked. Each finding points at the entry in
+/// the policy file, not at any source file.
 pub fn lint_policy_files(root: &Path, policy: &Policy) -> Vec<Finding> {
-    policy
+    let mut findings: Vec<Finding> = policy
         .file_refs
         .iter()
         .filter(|(_, file)| !root.join(file).is_file())
@@ -240,7 +243,30 @@ pub fn lint_policy_files(root: &Path, policy: &Policy) -> Vec<Finding> {
                 "delete this entry (or fix the path if the file was renamed)",
             )
         })
-        .collect()
+        .collect();
+    for rule in policy.ordering.iter().filter(|r| r.symbol != "*") {
+        // A missing file is already reported above.
+        let Ok(src) = std::fs::read_to_string(root.join(&rule.file)) else {
+            continue;
+        };
+        let code = lexer::scan(&src).code;
+        let declared = lexer::idents(&code)
+            .windows(2)
+            .any(|w| w[0].2 == "fn" && w[1].2 == rule.symbol);
+        if !declared {
+            findings.push(finding(
+                &policy.path,
+                rule.line,
+                "stale-policy-entry",
+                format!(
+                    "policy entry names `fn {}` in `{}`, which declares no such fn",
+                    rule.symbol, rule.file
+                ),
+                "delete this entry (or fix the symbol if the fn was renamed)",
+            ));
+        }
+    }
+    findings
 }
 
 /// `unsafe` must carry a SAFETY comment on its line or in the contiguous

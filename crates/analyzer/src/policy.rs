@@ -177,6 +177,8 @@ pub struct OrderingRule {
     pub symbol: String,
     pub allow: Vec<String>,
     pub why: String,
+    /// 1-based line of the entry's `[[ordering]]` header.
+    pub line: usize,
 }
 
 /// One `[[pairing]]` waiver: a symbol whose Release/Acquire sides are
@@ -245,6 +247,7 @@ impl Policy {
                         symbol: take_str(&section, "symbol")?,
                         allow: take_list(&section, "allow")?,
                         why: take_str(&section, "why")?,
+                        line: section.line,
                     });
                 }
                 "pairing" => {

@@ -9,7 +9,7 @@
 //! byte-stable across machines, thread schedules, and test orderings.
 
 use actorprof::{
-    Counter, Frame, Gauge, Hist, OverheadBudget, OverheadWindow, Phase, Snapshot, TelemetryRegistry,
+    Counter, Frame, Gauge, OverheadBudget, OverheadWindow, Phase, Snapshot, TelemetryRegistry,
 };
 use actorprof_viz::ascii;
 use actorprof_viz::cockpit::{Cockpit, CockpitConfig};
@@ -120,7 +120,7 @@ pub fn dashboard_frames() -> String {
     reg.pe(0).add(Counter::ShmemPuts, 40);
     reg.pe(0).gauge_set(Gauge::ConveyorBufferedItems, 6);
     reg.pe(1).gauge_set(Gauge::ConveyorPullBacklog, 2);
-    reg.pe(0).observe(Hist::AdvanceCycles, 1_000);
+    reg.pe(0).flight_span(Phase::Advance, 0, 1_000);
     let first = reg.snapshot();
     let f0 = Frame {
         seq: 0,
@@ -136,7 +136,7 @@ pub fn dashboard_frames() -> String {
     reg.pe(1).add(Counter::ActorSends, 140);
     reg.pe(0).add(Counter::ShmemPuts, 100);
     reg.pe(1).add(Counter::ConveyorPushRetries, 7);
-    reg.pe(0).observe(Hist::AdvanceCycles, 2_000);
+    reg.pe(0).flight_span(Phase::Advance, 1_000, 3_000);
     let total = reg.snapshot();
     let f1 = Frame {
         seq: 1,

@@ -92,7 +92,7 @@ use std::sync::Arc;
 
 use actorprof_trace::{SendType, SharedCollector, TraceBuffer};
 use fabsp_shmem::{Pe, SpscRing};
-use fabsp_telemetry::{Counter, Gauge, Hist, Phase};
+use fabsp_telemetry::{Counter, Gauge, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -301,10 +301,6 @@ pub struct Conveyor<T> {
     /// Receiver-side consumption cursor per (link, slot); non-zero only
     /// while the cell is parked.
     cursors: Vec<Cursor>,
-    /// Cycle stamp of the first blocked consumption per (link, slot),
-    /// cleared when the cell is finally released — measures how long a
-    /// relay park actually stalled the link (telemetry only).
-    park_since: Vec<Option<u64>>,
     /// Next flush sequence expected per incoming link.
     expect_seq: Vec<u32>,
     inbox: PullQueue<T>,
@@ -388,7 +384,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             links,
             cells,
             cursors: vec![Cursor::default(); n_links * 2],
-            park_since: vec![None; n_links * 2],
             expect_seq: vec![0; n_links],
             inbox: PullQueue {
                 batches: VecDeque::new(),
@@ -646,9 +641,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         }
         if batched {
             self.stats.batched_pushes += 1;
-            if let Some(m) = pe.metrics() {
-                m.observe(Hist::BatchLen, items.len() as u64);
-            }
         }
         let link = self.topology.route(self.grid, self.me, dst).link;
         let origin = self.me as u32;
@@ -764,7 +756,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         let end = fabsp_hwpc::cycles_now();
         self.trace_buf.record_span(Phase::Advance, begin, end);
         if let Some(m) = pe.metrics() {
-            m.observe(Hist::AdvanceCycles, end.saturating_sub(begin));
             let buffered: usize = self.links.iter().map(|l| l.buf.len()).sum();
             m.gauge_set(Gauge::ConveyorBufferedItems, buffered as u64);
             // True occupancy: items, not slabs — pull_batch drains whole
@@ -1029,14 +1020,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
 
         // Fully consumed: release the cell, which is also the ack that
         // hands the buffer back to the sender's free list.
-        if let Some(since) = self.park_since[idx].take() {
-            if let Some(m) = pe.metrics() {
-                m.observe(
-                    Hist::RelayParkCycles,
-                    fabsp_hwpc::cycles_now().saturating_sub(since),
-                );
-            }
-        }
         self.cells
             .release(pe, idx, src)
             .expect("own landing cell bounds are static");
@@ -1122,9 +1105,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             };
             m.count(which);
             m.flight_note(which, 1);
-        }
-        if self.park_since[idx].is_none() {
-            self.park_since[idx] = Some(fabsp_hwpc::cycles_now());
         }
         false
     }

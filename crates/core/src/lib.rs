@@ -54,7 +54,7 @@ pub use bundle::TraceBundle;
 pub use error::ProfError;
 pub use fabsp_shmem::{Checkpoint, KillRecord, RecoveryLog, RecoverySpec};
 pub use fabsp_telemetry::{
-    phase_site, ContinuousReport, Counter, FlightDump, Frame, Gauge, Hist, OverheadBudget,
+    phase_site, ContinuousReport, Counter, FlightDump, Frame, Gauge, OverheadBudget,
     OverheadWindow, Phase, PhaseSite, Snapshot, TelemetryRegistry,
 };
 pub use profiler::{ObserveSink, Profiler, ProfilerCtx, Report, RunError};

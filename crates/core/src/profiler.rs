@@ -651,8 +651,8 @@ mod tests {
             200
         );
         assert!(
-            snap.hist_count(fabsp_telemetry::Hist::AdvanceCycles) > 0,
-            "advance latency histogram populated"
+            snap.span_count_total(fabsp_telemetry::Phase::Advance) > 0,
+            "advance spans counted"
         );
         let per_pe = snap.counter_per_pe(fabsp_telemetry::Counter::ActorSends);
         assert_eq!(per_pe, vec![50, 50, 50, 50]);

@@ -141,6 +141,7 @@ mod tests {
     use crate::error::ShmemError;
     use crate::grid::Grid;
     use crate::spmd;
+    use fabsp_telemetry::Counter;
 
     #[test]
     fn capture_restore_roundtrip() {
@@ -187,6 +188,29 @@ mod tests {
             pe.barrier_all();
         })
         .unwrap();
+    }
+
+    #[test]
+    fn only_captured_checkpoints_are_counted() {
+        let grid = Grid::new(2, 1).unwrap();
+        let counts = spmd::run(grid, |pe| {
+            let sym = pe.alloc_sym::<u64>(1);
+            if pe.rank() == 0 {
+                sym.put_nbi(pe, 1, 0, &[5]).unwrap();
+            }
+            assert!(
+                pe.checkpoint().is_err(),
+                "a pending put_nbi refuses the cut"
+            );
+            pe.quiet();
+            pe.checkpoint().unwrap();
+            pe.barrier_all();
+            pe.metrics()
+                .expect("telemetry is on by default")
+                .counter(Counter::Checkpoints)
+        })
+        .unwrap();
+        assert_eq!(counts, vec![1, 1], "a refused cut is not a checkpoint");
     }
 
     #[test]

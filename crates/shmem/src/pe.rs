@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fabsp_hwpc::cost::model;
-use fabsp_telemetry::{Counter, Hist, PeMetrics, TelemetryRegistry};
+use fabsp_telemetry::{Counter, PeMetrics, TelemetryRegistry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -200,11 +200,10 @@ impl Pe {
     /// and not before, which is the semantics the paper's `nonblock_progress`
     /// instrumentation captures. Returns the number of bytes flushed.
     pub fn quiet(&self) -> usize {
-        let quiet_begin = fabsp_hwpc::cycles_now();
         self.sched_point(SchedPoint::Quiet);
         let mut pending = std::mem::take(&mut *self.pending.borrow_mut());
         if pending.is_empty() {
-            self.note_quiet(quiet_begin);
+            self.note_quiet();
             return 0;
         }
         let qseq = self.quiet_seq.get();
@@ -236,21 +235,15 @@ impl Pe {
         self.world
             .ledger
             .record(self.rank, TransferClass::Quiet, bytes);
-        self.note_quiet(quiet_begin);
+        self.note_quiet();
         bytes
     }
 
-    /// Telemetry for one completed `quiet`: bump the counter and record the
-    /// wall-cycle cost (including any scheduler idling, which is real time
-    /// the caller spent inside the call).
+    /// Telemetry for one completed `quiet`.
     #[inline]
-    fn note_quiet(&self, quiet_begin: u64) {
+    fn note_quiet(&self) {
         if let Some(m) = self.metrics() {
             m.count(Counter::ShmemQuiets);
-            m.observe(
-                Hist::QuietCycles,
-                fabsp_hwpc::cycles_now().saturating_sub(quiet_begin),
-            );
         }
     }
 
@@ -275,7 +268,6 @@ impl Pe {
     /// Implies [`quiet`](Pe::quiet), as the OpenSHMEM specification requires.
     pub fn barrier_all(&self) {
         self.quiet();
-        let wait_begin = fabsp_hwpc::cycles_now();
         // Arrive strictly before the physical wait and depart strictly
         // after it, so every departer's clock covers every arriver's.
         #[cfg(feature = "race-detect")]
@@ -302,10 +294,6 @@ impl Pe {
         }
         if let Some(m) = self.metrics() {
             m.count(Counter::ShmemBarrierWaits);
-            m.observe(
-                Hist::BarrierWaitCycles,
-                fabsp_hwpc::cycles_now().saturating_sub(wait_begin),
-            );
         }
     }
 
@@ -422,7 +410,6 @@ impl Pe {
     /// quiescent — if any PE still has non-blocking puts pending, all PEs
     /// get [`ShmemError::CheckpointNotQuiescent`] and nothing is captured.
     pub fn checkpoint(&self) -> Result<Arc<Checkpoint>, ShmemError> {
-        let begin = fabsp_hwpc::cycles_now();
         let world = self.world.clone();
         let superstep = self.superstep.get();
         let result = self.run_collective(
@@ -435,11 +422,8 @@ impl Pe {
                 Ok(world.checkpoint.capture(superstep, &world.ledger))
             },
         );
-        if let Some(m) = self.metrics() {
-            m.observe(
-                Hist::CheckpointCycles,
-                fabsp_hwpc::cycles_now().saturating_sub(begin),
-            );
+        if let (Ok(_), Some(m)) = (&*result, self.metrics()) {
+            m.count(Counter::Checkpoints);
         }
         (*result).clone()
     }
@@ -560,7 +544,6 @@ impl Pe {
                 TransferClass::LocalCopy | TransferClass::RemotePut | TransferClass::NonBlockingPut
             ) {
                 m.count(Counter::ShmemPuts);
-                m.observe(Hist::PutBytes, bytes as u64);
             }
         }
         self.world.ledger.record(self.rank, class, bytes);

@@ -147,56 +147,52 @@ impl FlightRing {
         out
     }
 
-    /// Serialize the retained events as the `flightrec-pe*.json` payload.
+    /// Serialize the retained events as the `flightrec-pe*.json` payload:
+    /// a header line, then one event object per line.
     pub fn to_json(&self, pe: usize) -> String {
-        dump_json(pe, self.recorded(), self.capacity, &self.events())
-    }
-}
-
-/// The one serializer behind every flight-recorder artifact: both a live
-/// [`FlightRing`] dump and a re-serialized [`FlightDump`] go through here,
-/// so parse → serialize round-trips byte-for-byte by construction.
-fn dump_json(pe: usize, recorded: u64, capacity: usize, events: &[FlightEvent]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"pe\":{pe},\"recorded\":{recorded},\"capacity\":{capacity},\"events\":["
-    );
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  ");
-        match ev {
-            FlightEvent::Span {
-                phase,
-                begin_cycles,
-                end_cycles,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\":\"span\",\"phase\":\"{}\",\"begin_cycles\":{begin_cycles},\
-                     \"end_cycles\":{end_cycles},\"dur_us\":{:.3}}}",
-                    phase.label(),
-                    cycles_to_us(end_cycles.saturating_sub(*begin_cycles)),
-                );
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"pe\":{pe},\"recorded\":{},\"capacity\":{},\"events\":[",
+            self.recorded(),
+            self.capacity,
+        );
+        for (i, ev) in self.events().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            FlightEvent::Note {
-                counter,
-                value,
-                at_cycles,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\":\"note\",\"metric\":\"{}\",\"value\":{value},\
-                     \"at_cycles\":{at_cycles}}}",
-                    counter.name(),
-                );
+            out.push_str("\n  ");
+            match ev {
+                FlightEvent::Span {
+                    phase,
+                    begin_cycles,
+                    end_cycles,
+                } => {
+                    let _ = write!(
+                        out,
+                        "{{\"kind\":\"span\",\"phase\":\"{}\",\"begin_cycles\":{begin_cycles},\
+                         \"end_cycles\":{end_cycles},\"dur_us\":{:.3}}}",
+                        phase.label(),
+                        cycles_to_us(end_cycles.saturating_sub(*begin_cycles)),
+                    );
+                }
+                FlightEvent::Note {
+                    counter,
+                    value,
+                    at_cycles,
+                } => {
+                    let _ = write!(
+                        out,
+                        "{{\"kind\":\"note\",\"metric\":\"{}\",\"value\":{value},\
+                         \"at_cycles\":{at_cycles}}}",
+                        counter.name(),
+                    );
+                }
             }
         }
+        out.push_str("\n]}\n");
+        out
     }
-    out.push_str("\n]}\n");
-    out
 }
 
 /// A parsed `flightrec-pe*.json` artifact — the post-mortem side of the
@@ -241,11 +237,10 @@ fn str_field<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
 }
 
 impl FlightDump {
-    /// Parse a dump previously produced by [`FlightRing::to_json`] /
-    /// [`FlightDump::to_json`]. Hand-rolled over our own line-oriented
-    /// format (one event per line) — no JSON dependency, and strict enough
-    /// that [`to_json`](FlightDump::to_json) reproduces the input
-    /// byte-for-byte.
+    /// Parse a dump previously produced by [`FlightRing::to_json`].
+    /// Hand-rolled over our own line-oriented format (one event per
+    /// line) — no JSON dependency; every field of the ring comes back
+    /// exactly.
     pub fn parse(json: &str) -> Result<FlightDump, String> {
         let events_at = json
             .find("\"events\":[")
@@ -315,17 +310,6 @@ impl FlightDump {
         }
         dumps.sort_by_key(|d| d.pe);
         Ok(dumps)
-    }
-
-    /// Re-serialize — byte-identical to the artifact this was parsed from.
-    pub fn to_json(&self) -> String {
-        dump_json(self.pe, self.recorded, self.capacity, &self.events)
-    }
-
-    /// Step through the retained events oldest-first, the replay order
-    /// (identical to dump order by construction).
-    pub fn replay(&self) -> impl Iterator<Item = &FlightEvent> + '_ {
-        self.events.iter()
     }
 
     /// Earliest cycle stamp among the retained events — the replay clock's
@@ -459,25 +443,20 @@ mod tests {
     }
 
     #[test]
-    fn dump_parse_roundtrip_is_byte_identical() {
+    fn dump_parse_roundtrip_is_exact() {
         let ring = FlightRing::new(3);
         ring.span(Phase::Superstep, 5, 500);
         ring.note(Counter::NetRetries, 2, 77);
         ring.span(Phase::RelayHop, 600, 640);
         ring.note(Counter::ConveyorForcedParks, 1, 700); // evicts the superstep
-        let json = ring.to_json(1);
-        let dump = FlightDump::parse(&json).expect("parse");
+        let dump = FlightDump::parse(&ring.to_json(1)).expect("parse");
+        // Field by field, the parsed dump is the ring it was written from.
         assert_eq!(dump.pe, 1);
+        assert_eq!(dump.recorded, ring.recorded());
         assert_eq!(dump.recorded, 4);
-        assert_eq!(dump.capacity, 3);
+        assert_eq!(dump.capacity, ring.capacity());
+        assert_eq!(dump.events, ring.events(), "oldest first, every field");
         assert_eq!(dump.events.len(), 3);
-        assert_eq!(
-            dump.to_json(),
-            json,
-            "parse → serialize reproduces the artifact byte-for-byte"
-        );
-        // Replay iteration matches dump order item by item.
-        assert!(dump.replay().eq(dump.events.iter()));
         assert_eq!(dump.first_cycles(), Some(77));
     }
 

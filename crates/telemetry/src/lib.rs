@@ -8,10 +8,11 @@
 //! This crate provides the three pieces the rest of the stack embeds:
 //!
 //! - [`TelemetryRegistry`] — a lock-free per-PE metrics registry of
-//!   monotonic [`Counter`]s, [`Gauge`]s, and log₂-bucketed [`Hist`]ograms,
-//!   all plain `AtomicU64`s. Each metric cell has a *single writer* (the
-//!   owning PE's thread), so writes are `Relaxed` load+store pairs; readers
-//!   take torn-free point-in-time [`Snapshot`]s from any thread.
+//!   monotonic [`Counter`]s, last-value [`Gauge`]s, and per-[`Phase`] span
+//!   cycles and counts, all plain `AtomicU64`s (22 words per PE). Each
+//!   metric cell has a *single writer* (the owning PE's thread), so writes
+//!   are `Relaxed` load+store pairs; readers take torn-free point-in-time
+//!   [`Snapshot`]s from any thread.
 //! - [`FlightRing`] — a bounded per-PE ring of the last N span/metric
 //!   events, published with a `Release` cursor so a post-mortem dump (on PE
 //!   panic, injected fault, or termination-checker trip) sees every fully
@@ -36,6 +37,6 @@ pub mod overhead;
 pub mod registry;
 
 pub use flight::{FlightDump, FlightEvent, FlightRing};
-pub use metric::{phase_site, Counter, Gauge, Hist, HistBuckets, Phase, PhaseSite, HIST_BUCKETS};
+pub use metric::{phase_site, Counter, Gauge, Phase, PhaseSite};
 pub use overhead::{ContinuousReport, OverheadBudget, OverheadWindow};
 pub use registry::{Frame, PeMetrics, PeSnapshot, Snapshot, TelemetryRegistry};

@@ -4,14 +4,6 @@
 //! compiles to an array index, never a hash or an allocation. Names only
 //! materialize at snapshot/export time.
 
-/// Number of log₂ buckets per histogram. Bucket 0 counts zero-valued
-/// observations; bucket `k ≥ 1` counts values in `[2^(k-1), 2^k)`; the last
-/// bucket absorbs everything larger.
-pub const HIST_BUCKETS: usize = 32;
-
-/// One histogram's bucket counts.
-pub type HistBuckets = [u64; HIST_BUCKETS];
-
 /// Monotonic event counters, one slab per PE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -37,12 +29,13 @@ pub enum Counter {
     NetRetries,
     /// SPMD attempts restarted by the recovery policy after a PE failure.
     Restarts,
-    /// Phase spans recorded through [`crate::PeMetrics::flight_span`].
-    TelemetrySpans,
+    /// Checkpoints actually captured by `Pe::checkpoint` (a cut refused as
+    /// not quiescent is not counted).
+    Checkpoints,
     /// Cycles the runtime spent inside its own instrumentation (span
-    /// capture, gauge/histogram updates, flight-ring writes). The
-    /// continuous-profiling meter divides this by total PE cycles and
-    /// checks the result against its budget.
+    /// capture, gauge updates, flight-ring writes). The continuous-profiling
+    /// meter divides this by total PE cycles and checks the result against
+    /// its budget.
     TelemetrySelfCycles,
 }
 
@@ -59,7 +52,7 @@ impl Counter {
         Counter::ActorYields,
         Counter::NetRetries,
         Counter::Restarts,
-        Counter::TelemetrySpans,
+        Counter::Checkpoints,
         Counter::TelemetrySelfCycles,
     ];
 
@@ -79,7 +72,7 @@ impl Counter {
             Counter::ActorYields => "actor.yields",
             Counter::NetRetries => "shmem.net_retries",
             Counter::Restarts => "spmd.restarts",
-            Counter::TelemetrySpans => "telemetry.spans",
+            Counter::Checkpoints => "shmem.checkpoints",
             Counter::TelemetrySelfCycles => "telemetry.self_cycles",
         }
     }
@@ -114,82 +107,6 @@ impl Gauge {
             Gauge::ConveyorBufferedItems => "conveyor.buffered_items",
             Gauge::ConveyorPullBacklog => "conveyor.pull_backlog",
         }
-    }
-}
-
-/// Log₂-bucketed histograms, one slab per PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Hist {
-    /// Cycles spent per `Conveyor::advance`.
-    AdvanceCycles,
-    /// Cycles spent per `shmem_quiet`.
-    QuietCycles,
-    /// Cycles spent waiting in `shmem_barrier_all`.
-    BarrierWaitCycles,
-    /// Cycles a relay slot stayed parked before it resumed.
-    RelayParkCycles,
-    /// Bytes per substrate put.
-    PutBytes,
-    /// Cycles spent capturing one superstep-boundary checkpoint.
-    CheckpointCycles,
-    /// Items per `push_slice` call (batch sizes reaching the conveyor).
-    BatchLen,
-}
-
-impl Hist {
-    /// Every histogram, in index order.
-    pub const ALL: [Hist; 7] = [
-        Hist::AdvanceCycles,
-        Hist::QuietCycles,
-        Hist::BarrierWaitCycles,
-        Hist::RelayParkCycles,
-        Hist::PutBytes,
-        Hist::CheckpointCycles,
-        Hist::BatchLen,
-    ];
-
-    /// Number of histograms.
-    pub const COUNT: usize = Hist::ALL.len();
-
-    /// Stable dotted name, used in dumps and dashboards.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Hist::AdvanceCycles => "conveyor.advance_cycles",
-            Hist::QuietCycles => "shmem.quiet_cycles",
-            Hist::BarrierWaitCycles => "shmem.barrier_wait_cycles",
-            Hist::RelayParkCycles => "conveyor.relay_park_cycles",
-            Hist::PutBytes => "shmem.put_bytes",
-            Hist::CheckpointCycles => "shmem.checkpoint_cycles",
-            Hist::BatchLen => "conveyor.batch_len",
-        }
-    }
-}
-
-/// The log₂ bucket a value falls in (see [`HIST_BUCKETS`]).
-#[inline]
-pub const fn bucket_of(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        let b = 64 - value.leading_zeros() as usize;
-        if b < HIST_BUCKETS {
-            b
-        } else {
-            HIST_BUCKETS - 1
-        }
-    }
-}
-
-/// Inclusive upper bound of histogram bucket `idx` (saturating for the
-/// overflow bucket), for rendering bucket labels.
-pub const fn bucket_upper_bound(idx: usize) -> u64 {
-    if idx == 0 {
-        0
-    } else if idx >= HIST_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << idx) - 1
     }
 }
 
@@ -286,35 +203,10 @@ mod tests {
         for (i, g) in Gauge::ALL.iter().enumerate() {
             assert_eq!(*g as usize, i);
         }
-        for (i, h) in Hist::ALL.iter().enumerate() {
-            assert_eq!(*h as usize, i);
-        }
         for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(*p as usize, i);
             assert_eq!(Phase::from_index(i), Some(*p));
         }
-    }
-
-    #[test]
-    fn buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn bucket_bounds_cover_bucketing() {
-        for idx in 1..HIST_BUCKETS - 1 {
-            let hi = bucket_upper_bound(idx);
-            assert_eq!(bucket_of(hi), idx, "upper bound lands in its bucket");
-            assert_eq!(bucket_of(hi + 1), idx + 1, "successor spills over");
-        }
-        assert_eq!(bucket_upper_bound(HIST_BUCKETS - 1), u64::MAX);
     }
 
     #[test]
@@ -350,7 +242,6 @@ mod tests {
             .iter()
             .map(|c| c.name())
             .chain(Gauge::ALL.iter().map(|g| g.name()))
-            .chain(Hist::ALL.iter().map(|h| h.name()))
             .collect();
         names.sort_unstable();
         let before = names.len();

@@ -4,7 +4,7 @@
 //! online*, not asserted once on a quiet machine. The runtime charges
 //! every instrumentation burst to
 //! [`Counter::TelemetrySelfCycles`](crate::Counter::TelemetrySelfCycles)
-//! (span capture, gauge/histogram updates, flight-ring writes), the
+//! (span capture, gauge updates, flight-ring writes), the
 //! observer thread adds its own snapshot-diff cost, and each observation
 //! window the sum is divided by total PE cycles and checked against an
 //! [`OverheadBudget`].

@@ -2,18 +2,18 @@
 //!
 //! One [`PeMetrics`] slab per PE; every cell is an `AtomicU64`. The
 //! concurrency discipline is *single writer per slab*: only the owning PE's
-//! thread mutates its counters/gauges/histograms, so updates are `Relaxed`
-//! load+store pairs (no RMW contention, no fences on the hot path). Any
-//! other thread may read concurrently: `AtomicU64` loads cannot tear, so a
-//! [`Snapshot`] is a consistent-enough point-in-time view — counters are
-//! monotonic, and the subscriber model works on snapshot *diffs*, which
-//! tolerate the reader racing a few in-flight increments.
+//! thread mutates its counters, gauges and span tallies, so updates are
+//! `Relaxed` load+store pairs (no RMW contention, no fences on the hot
+//! path). Any other thread may read concurrently: `AtomicU64` loads cannot
+//! tear, so a [`Snapshot`] is a consistent-enough point-in-time view —
+//! counters are monotonic, and the subscriber model works on snapshot
+//! *diffs*, which tolerate the reader racing a few in-flight increments.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::flight::FlightRing;
-use crate::metric::{bucket_of, Counter, Gauge, Hist, HistBuckets, Phase, HIST_BUCKETS};
+use crate::metric::{Counter, Gauge, Phase};
 
 /// Default flight-recorder depth per PE.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
@@ -23,7 +23,6 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 pub struct PeMetrics {
     counters: [AtomicU64; Counter::COUNT],
     gauges: [AtomicU64; Gauge::COUNT],
-    hists: Vec<[AtomicU64; HIST_BUCKETS]>,
     /// Cumulative cycles spent inside each phase, indexed by `Phase`.
     span_cycles: [AtomicU64; Phase::ALL.len()],
     /// Spans recorded per phase, indexed by `Phase`.
@@ -32,16 +31,13 @@ pub struct PeMetrics {
 }
 
 impl PeMetrics {
-    fn new(flight_capacity: usize) -> PeMetrics {
+    fn new() -> PeMetrics {
         PeMetrics {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: (0..Hist::COUNT)
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect(),
             span_cycles: std::array::from_fn(|_| AtomicU64::new(0)),
             span_counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            flight: FlightRing::new(flight_capacity),
+            flight: FlightRing::new(DEFAULT_FLIGHT_CAPACITY),
         }
     }
 
@@ -65,14 +61,6 @@ impl PeMetrics {
         self.gauges[gauge as usize].store(value, Ordering::Relaxed);
     }
 
-    /// Record one observation into `hist`'s log₂ bucket. Owning-PE thread
-    /// only (same single-writer Relaxed discipline as [`add`](Self::add)).
-    #[inline]
-    pub fn observe(&self, hist: Hist, value: u64) {
-        let cell = &self.hists[hist as usize][bucket_of(value)];
-        cell.store(cell.load(Ordering::Relaxed).wrapping_add(1), Ordering::Relaxed);
-    }
-
     /// Current value of `counter` (any thread).
     pub fn counter(&self, counter: Counter) -> u64 {
         self.counters[counter as usize].load(Ordering::Relaxed)
@@ -83,22 +71,11 @@ impl PeMetrics {
         self.gauges[gauge as usize].load(Ordering::Relaxed)
     }
 
-    /// Bucket counts of `hist` (any thread).
-    pub fn hist(&self, hist: Hist) -> HistBuckets {
-        std::array::from_fn(|b| self.hists[hist as usize][b].load(Ordering::Relaxed))
-    }
-
-    /// This PE's flight-recorder ring.
-    #[inline]
-    pub fn flight(&self) -> &FlightRing {
-        &self.flight
-    }
-
     /// Record a completed phase span: into the flight ring, into the
     /// per-phase hot-span accounting the cockpit's "hottest phases" panel
     /// reads, and — because this call closes every phase's instrumentation
     /// burst (the caller stamps `end_cycles` right after the phase body,
-    /// then runs its gauge/histogram updates and ends here) — into the
+    /// then runs its gauge updates and ends here) — into the
     /// self-cost ledger the continuous-profiling meter reads.
     /// `#[track_caller]` registers the call site as the phase's `file:line`
     /// attribution (first caller wins). Owning-PE thread only.
@@ -116,9 +93,8 @@ impl PeMetrics {
         ct.store(ct.load(Ordering::Relaxed).wrapping_add(1), Ordering::Relaxed);
         let site = std::panic::Location::caller();
         crate::metric::note_phase_site(phase, site.file(), site.line());
-        self.add(Counter::TelemetrySpans, 1);
         // Everything since `end_cycles` was stamped — trace-buffer span
-        // capture, gauge/histogram stores, the flight-ring write, and this
+        // capture, gauge stores, the flight-ring write, and this
         // bookkeeping — is instrumentation, not application work.
         let now = fabsp_hwpc::cycles_now();
         self.add(Counter::TelemetrySelfCycles, now.saturating_sub(end_cycles));
@@ -149,8 +125,6 @@ pub struct PeSnapshot {
     pub counters: Vec<u64>,
     /// Gauge values, indexed by `Gauge as usize`.
     pub gauges: Vec<u64>,
-    /// Histogram bucket counts, indexed by `Hist as usize`.
-    pub hists: Vec<[u64; HIST_BUCKETS]>,
     /// Cumulative in-phase cycles, indexed by `Phase as usize`.
     pub span_cycles: Vec<u64>,
     /// Spans recorded per phase, indexed by `Phase as usize`.
@@ -196,22 +170,6 @@ impl Snapshot {
         self.pes.iter().map(|p| p.gauges[gauge as usize]).sum()
     }
 
-    /// Bucket counts of `hist` merged over all PEs.
-    pub fn hist_total(&self, hist: Hist) -> HistBuckets {
-        let mut out = [0u64; HIST_BUCKETS];
-        for p in &self.pes {
-            for (acc, v) in out.iter_mut().zip(p.hists[hist as usize].iter()) {
-                *acc += v;
-            }
-        }
-        out
-    }
-
-    /// Total observations recorded into `hist` across all PEs.
-    pub fn hist_count(&self, hist: Hist) -> u64 {
-        self.hist_total(hist).iter().sum()
-    }
-
     /// Cycles spent inside `phase` summed over all PEs.
     pub fn span_cycles_total(&self, phase: Phase) -> u64 {
         self.pes
@@ -228,7 +186,7 @@ impl Snapshot {
             .sum()
     }
 
-    /// What changed since `prev`: counters and histogram buckets subtract
+    /// What changed since `prev`: counters and span tallies subtract
     /// (wrapping, so a stale `prev` cannot panic); gauges keep this
     /// snapshot's last-value semantics.
     pub fn diff(&self, prev: &Snapshot) -> Snapshot {
@@ -248,16 +206,6 @@ impl Snapshot {
                 PeSnapshot {
                     counters: sub(&cur.counters, &old.counters),
                     gauges: cur.gauges.clone(),
-                    hists: cur
-                        .hists
-                        .iter()
-                        .enumerate()
-                        .map(|(i, buckets)| {
-                            let zero = [0u64; HIST_BUCKETS];
-                            let old_b = old.hists.get(i).unwrap_or(&zero);
-                            std::array::from_fn(|b| buckets[b].wrapping_sub(old_b[b]))
-                        })
-                        .collect(),
                     span_cycles: sub(&cur.span_cycles, &old.span_cycles),
                     span_counts: sub(&cur.span_counts, &old.span_counts),
                 }
@@ -296,15 +244,11 @@ pub struct TelemetryRegistry {
 }
 
 impl TelemetryRegistry {
-    /// A registry for `n_pes` PEs with the default flight-recorder depth.
+    /// A registry for `n_pes` PEs, each retaining the last
+    /// [`DEFAULT_FLIGHT_CAPACITY`] flight-recorder events.
     pub fn new(n_pes: usize) -> TelemetryRegistry {
-        TelemetryRegistry::with_flight_capacity(n_pes, DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// A registry with `flight_capacity` events retained per PE.
-    pub fn with_flight_capacity(n_pes: usize, flight_capacity: usize) -> TelemetryRegistry {
         TelemetryRegistry {
-            pes: (0..n_pes).map(|_| PeMetrics::new(flight_capacity)).collect(),
+            pes: (0..n_pes).map(|_| PeMetrics::new()).collect(),
             flight_dir: None,
         }
     }
@@ -342,7 +286,6 @@ impl TelemetryRegistry {
                 .map(|p| PeSnapshot {
                     counters: Counter::ALL.iter().map(|c| p.counter(*c)).collect(),
                     gauges: Gauge::ALL.iter().map(|g| p.gauge(*g)).collect(),
-                    hists: Hist::ALL.iter().map(|h| p.hist(*h)).collect(),
                     span_cycles: Phase::ALL.iter().map(|ph| p.span_cycles(*ph)).collect(),
                     span_counts: Phase::ALL.iter().map(|ph| p.span_count(*ph)).collect(),
                 })
@@ -386,36 +329,17 @@ mod tests {
     }
 
     #[test]
-    fn histograms_bucket_observations() {
-        let reg = TelemetryRegistry::new(1);
-        reg.pe(0).observe(Hist::PutBytes, 0);
-        reg.pe(0).observe(Hist::PutBytes, 1);
-        reg.pe(0).observe(Hist::PutBytes, 3);
-        reg.pe(0).observe(Hist::PutBytes, 1000);
-        let snap = reg.snapshot();
-        let h = snap.hist_total(Hist::PutBytes);
-        assert_eq!(h[0], 1);
-        assert_eq!(h[1], 1);
-        assert_eq!(h[2], 1);
-        assert_eq!(h[10], 1, "1000 lands in [512, 1024)");
-        assert_eq!(snap.hist_count(Hist::PutBytes), 4);
-    }
-
-    #[test]
     fn diff_subtracts_counters_and_keeps_gauges() {
         let reg = TelemetryRegistry::new(1);
         reg.pe(0).add(Counter::ActorSends, 10);
         reg.pe(0).gauge_set(Gauge::ConveyorBufferedItems, 3);
-        reg.pe(0).observe(Hist::AdvanceCycles, 100);
         let first = reg.snapshot();
         reg.pe(0).add(Counter::ActorSends, 5);
         reg.pe(0).gauge_set(Gauge::ConveyorBufferedItems, 9);
-        reg.pe(0).observe(Hist::AdvanceCycles, 100);
         let second = reg.snapshot();
         let delta = second.diff(&first);
         assert_eq!(delta.counter(0, Counter::ActorSends), 5);
         assert_eq!(delta.gauge(0, Gauge::ConveyorBufferedItems), 9);
-        assert_eq!(delta.hist_count(Hist::AdvanceCycles), 1);
     }
 
     #[test]
@@ -429,12 +353,10 @@ mod tests {
         let first = reg.snapshot();
         assert_eq!(first.span_cycles_total(Phase::Advance), 300);
         assert_eq!(first.span_count_total(Phase::Quiet), 1);
-        assert_eq!(first.counter_total(Counter::TelemetrySpans), 3);
         reg.pe(0).flight_span(Phase::Advance, 500, 600);
         let delta = reg.snapshot().diff(&first);
         assert_eq!(delta.span_cycles_total(Phase::Advance), 100);
         assert_eq!(delta.span_count_total(Phase::Advance), 1);
-        assert_eq!(delta.counter_total(Counter::TelemetrySpans), 1);
         // the call sites above registered a file:line attribution
         let (file, _line) = crate::metric::phase_site(Phase::Quiet).expect("site");
         assert!(file.ends_with("registry.rs"), "{file}");

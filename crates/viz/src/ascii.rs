@@ -1,7 +1,7 @@
 //! Terminal renderings — quick-look versions of every chart for CLI use
 //! and for human-readable test output.
 
-use actorprof::{Counter, Frame, Gauge, Hist, Matrix, Quartiles};
+use actorprof::{Counter, Frame, Gauge, Matrix, Phase, Quartiles};
 use actorprof_trace::OverallRecord;
 
 use crate::scale::Norm;
@@ -180,8 +180,8 @@ pub fn dashboard_since(frame: &Frame, prev_at_cycles: Option<u64>) -> String {
         "now: buffered {}  pull-backlog {}  advances observed {}  checkpoints {}\n",
         frame.total.gauge_total(Gauge::ConveyorBufferedItems),
         frame.total.gauge_total(Gauge::ConveyorPullBacklog),
-        frame.total.hist_count(Hist::AdvanceCycles),
-        frame.total.hist_count(Hist::CheckpointCycles),
+        frame.total.span_count_total(Phase::Advance),
+        frame.total.counter_total(Counter::Checkpoints),
     ));
     out
 }
@@ -264,7 +264,7 @@ mod tests {
         reg.pe(0).gauge_set(Gauge::ConveyorBufferedItems, 3);
         reg.pe(1).add(Counter::NetRetries, 5);
         reg.pe(0).add(Counter::Restarts, 1);
-        reg.pe(0).observe(actorprof::Hist::CheckpointCycles, 900);
+        reg.pe(0).count(Counter::Checkpoints);
         let total = reg.snapshot();
         let frame = Frame {
             seq: 2,

@@ -277,7 +277,7 @@ impl Cockpit {
                     String::new()
                 },
             ));
-            for ev in dump.replay() {
+            for ev in &dump.events {
                 match ev {
                     FlightEvent::Span {
                         phase,

@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use actorprof_suite::actorprof::{
-    Counter, FlightDump, Frame, OverheadBudget, Profiler, RecoverySpec,
+    Counter, FlightDump, Frame, OverheadBudget, Phase, Profiler, RecoverySpec,
 };
 use actorprof_suite::actorprof_viz::cockpit::{Cockpit, CockpitConfig};
 use actorprof_suite::fabsp_shmem::{FaultSpec, Grid};
@@ -75,7 +75,10 @@ fn main() {
         total,
         report.bundle.n_pes(),
         snap.counter_total(Counter::ActorSends),
-        snap.counter_total(Counter::TelemetrySpans),
+        Phase::ALL
+            .iter()
+            .map(|p| snap.span_count_total(*p))
+            .sum::<u64>(),
         overhead.windows(),
         overhead.final_overhead_pct(),
         overhead.budget.pct,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use actorprof_suite::fabsp_conveyors::{Conveyor, ConveyorOptions, ConveyorStats, TopologySpec};
 use actorprof_suite::fabsp_shmem::{spmd, Grid, Harness, SchedSpec};
-use actorprof_suite::fabsp_telemetry::{Counter, Hist, TelemetryRegistry};
+use actorprof_suite::fabsp_telemetry::{Counter, Phase, TelemetryRegistry};
 
 /// Neighbour exchange returning per-PE stats, against a shared registry.
 fn exchange(reg: Arc<TelemetryRegistry>, msgs: usize) -> Vec<ConveyorStats> {
@@ -63,9 +63,9 @@ fn registry_counters_match_conveyor_stats() {
     assert!(snap.counter_total(Counter::ShmemPuts) > 0);
     let advances: u64 = stats.iter().map(|s| s.advances).sum();
     assert_eq!(
-        snap.hist_count(Hist::AdvanceCycles),
+        snap.span_count_total(Phase::Advance),
         advances,
-        "one advance-latency observation per advance call"
+        "one advance span per advance call"
     );
 }
 
