@@ -54,22 +54,19 @@ impl DistKind {
 
 /// Triangle-counting parameters. The paper uses 1×16 and 2×16 grids and
 /// profiles only the counting kernel; graph construction and validation
-/// are outside the trace window, as here.
+/// are outside the trace window, as here. Validation is not optional:
+/// every [`count_triangles`] call checks its answer.
 #[derive(Debug, Clone)]
 pub struct TriangleParams {
     /// Row distribution.
     pub dist: DistKind,
-    /// Validate against the sequential reference count (§IV-C's
-    /// assertion). Skippable for large benchmark sweeps.
-    pub validate: bool,
 }
 
 impl Default for TriangleParams {
-    /// Cyclic distribution, validation on.
+    /// Cyclic distribution.
     fn default() -> Self {
         TriangleParams {
             dist: DistKind::Cyclic,
-            validate: true,
         }
     }
 }
@@ -91,10 +88,10 @@ impl TriangleConfig {
 /// Result of a distributed triangle count.
 #[derive(Debug)]
 pub struct TriangleOutcome {
-    /// The distributed count (validated against the reference when
-    /// configured).
+    /// The distributed count (validated against the reference).
     pub triangles: u64,
-    /// Total wedge messages sent (= `csr.wedge_count()`).
+    /// Wedge messages the handlers received, summed over PEs (validated
+    /// against `csr.wedge_count()`).
     pub wedges: u64,
     /// Per-PE local triangle counters.
     pub per_pe_triangles: Vec<u64>,
@@ -112,6 +109,13 @@ fn pack(j: u32, k: u32) -> u64 {
 
 /// Count triangles of the lower-triangular matrix `l` with one actor per
 /// PE (Algorithm 1 under the given distribution).
+///
+/// Every call validates its answer, outside the trace window (§IV-C's
+/// assertion): the summed count must equal
+/// [`triangle_ref::count_by_intersection`], and the wedges delivered to
+/// the handlers must equal `l.wedge_count()`, so a lost or duplicated
+/// wedge fails even when it would not change the count. Either mismatch
+/// is an [`AppError::Validation`].
 pub fn count_triangles(l: &Csr, config: &TriangleConfig) -> Result<TriangleOutcome, AppError> {
     let n_pes = config.grid.n_pes();
     let dist = config.dist.resolve(l, n_pes);
@@ -154,21 +158,29 @@ pub fn count_triangles(l: &Csr, config: &TriangleConfig) -> Result<TriangleOutco
             })
             .expect("triangle execute");
 
+        // `pulled` counts the wedges the conveyor handed to this PE's
+        // handler; the conveyor keeps it anyway, so it costs nothing here.
         let local = *counter.borrow();
-        local
+        (local, actor.stats().pulled)
     })?;
 
-    let (per_pe_triangles, bundle, recovery) = (report.results, report.bundle, report.recovery);
+    let (bundle, recovery) = (report.bundle, report.recovery);
+    let (per_pe_triangles, per_pe_wedges): (Vec<u64>, Vec<u64>) =
+        report.results.into_iter().unzip();
     let triangles: u64 = per_pe_triangles.iter().sum();
-    let wedges = l.wedge_count();
+    let wedges: u64 = per_pe_wedges.iter().sum();
 
-    if config.validate {
-        let reference = triangle_ref::count_by_wedges(l);
-        if triangles != reference {
-            return Err(AppError::Validation(format!(
-                "distributed count {triangles} != reference {reference}"
-            )));
-        }
+    let reference = triangle_ref::count_by_intersection(l);
+    if triangles != reference {
+        return Err(AppError::Validation(format!(
+            "distributed count {triangles} != reference {reference}"
+        )));
+    }
+    let expected = l.wedge_count();
+    if wedges != expected {
+        return Err(AppError::Validation(format!(
+            "{wedges} wedges received, {expected} in the graph"
+        )));
     }
 
     Ok(TriangleOutcome {

@@ -11,8 +11,10 @@
 //! - [`edgelist`] — dedup/self-loop/lower-triangular edge processing;
 //! - [`csr`] — compressed sparse row storage with O(log d) edge queries;
 //! - [`dist`] — the two row distributions and their ownership maps;
-//! - [`triangle_ref`] — sequential reference triangle counts used to
-//!   validate the distributed runs "by using assertion" as §IV-C does;
+//! - [`triangle_ref`] — two independent sequential triangle counts that
+//!   validate the distributed runs "by using assertion" as §IV-C does: a
+//!   marker-array intersection each run asserts against, and a replay of
+//!   Algorithm 1 that tests use as the golden value;
 //! - [`skew`] — Zipf-distributed key sampling for deliberately
 //!   load-imbalanced aggregation workloads.
 //!

@@ -196,8 +196,9 @@ fn triangle_recovers_bit_identical_from_any_killed_pe() {
         c.faults = FaultSpec::kill_pe(rank, 0);
         c.checkpoint_every = Some(1);
         c.recovery = RecoverySpec::restart(2);
-        // validate=true: the recovered count must also match the
-        // sequential reference, not just the baseline run.
+        // The app validates every run: the recovered count must also match
+        // the sequential reference, and the wedges the handlers received
+        // must equal the graph's, not just the baseline run's.
         let out = count_triangles(&l, &c).unwrap_or_else(|e| panic!("kill rank {rank}: {e}"));
         assert_eq!(out.triangles, base.triangles, "kill rank {rank}");
         assert_eq!(out.per_pe_triangles, base.per_pe_triangles, "kill rank {rank}");
