@@ -718,6 +718,7 @@ impl<T: Copy + Default + Send + 'static> MainCtx<'_, '_, '_, T> {
 mod tests {
     use super::*;
     use actorprof_trace::TraceConfig;
+    use fabsp_conveyors::RING;
     use fabsp_shmem::{spmd, Grid};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -810,8 +811,10 @@ mod tests {
     #[test]
     fn per_batch_dispatch_delivers_each_message_once_in_order() {
         // Requests on mailbox 0 are answered on mailbox 1 from inside the
-        // handler, several batches per source in both directions.
-        const N: u64 = 64;
+        // handler, several batches per source in both directions: N spans
+        // eight producer windows (RING landing cells plus the staging
+        // buffer, 4 items each), and one batch holds at most about one.
+        const N: u64 = 8 * 4 * (RING as u64 + 1);
         let grid = Grid::single_node(2).unwrap();
         let results = spmd::run(grid, |pe| {
             // log[mb][src]: messages in the order the handler saw them

@@ -1,21 +1,31 @@
-//! The conveyor engine: aggregation buffers, double-buffered delivery,
-//! two-hop relaying, and quiescence-based termination.
+//! The conveyor engine: aggregation buffers, a ring of landing cells per
+//! link, two-hop relaying, and quiescence-based termination.
 //!
 //! ## Delivery protocol
 //!
-//! Each directed link owns **two landing cells** at the receiver — lock-free
-//! SPSC ring cells ([`SpscRing`]) whose state word doubles as ready signal
-//! and free-list entry (`0` = free for the sender, non-zero = published).
-//! The sender stages items in a per-link buffer; a flush claims a free cell
-//! and delivers:
+//! Each directed link owns a **ring of [`RING`] landing cells** at the
+//! receiver — lock-free SPSC ring cells ([`SpscRing`]) whose state word
+//! doubles as ready signal and free-list entry (`0` = free for the sender,
+//! non-zero = published). The sender stages items in a per-link buffer; the
+//! link's `n`-th flush goes to cell `n % RING`, and only there, so sender
+//! and receiver agree on the cell without searching. A flush whose cell is
+//! still held (not yet released, or written but unpublished) waits; when
+//! the cell is free it delivers:
 //!
 //! - **local_send** (same node): a blocking [`SpscRing::write`] (the
 //!   `shmem_ptr` memcpy) immediately followed by the *ready* publication.
 //! - **nonblock_send** (cross node): a [`SpscRing::write_nbi`]
 //!   (`shmem_putmem_nbi`) whose data is *not yet visible* — the cell stays
-//!   unpublished and the slot is marked in-flight. A later
-//!   **nonblock_progress** issues one [`Pe::quiet`] and then publishes each
-//!   in-flight cell — the exact `quiet`-then-signal sequence §III-C traces.
+//!   unpublished and is marked in-flight. A later **nonblock_progress**
+//!   issues one [`Pe::quiet`] and then publishes each in-flight cell — the
+//!   exact `quiet`-then-signal sequence §III-C traces. The quiet is issued
+//!   when a link's next cell is held while some of its cells are still in
+//!   flight (up to `RING` slabs), or in the endgame.
+//!
+//! The ring only sets how many slabs a link may have outstanding. Slab
+//! size, flush thresholds and therefore every physical event — one
+//! `local_send` or `nonblock_send` per flushed slab, one
+//! `nonblock_progress` per `nonblock_send` — do not depend on it.
 //!
 //! ### Slab format
 //!
@@ -52,10 +62,11 @@
 //! ### Consumption
 //!
 //! The sequence field counts flushes per link and wraps; the receiver
-//! compares it, in its own width, against the next sequence it expects and
-//! consumes cells strictly in that order, so message order between any PE
-//! pair is preserved (the "ordering guarantees... restricted for a pair of
-//! PEs" of §IV-E) even when double-buffered flushes complete out of order.
+//! polls exactly the cell of the next sequence it expects and consumes
+//! cells strictly in that order, so message order between any PE pair is
+//! preserved (the "ordering guarantees... restricted for a pair of PEs" of
+//! §IV-E). `RING` divides 2³², so the cell index stays continuous across
+//! the wrap.
 //! A bare slab goes from the landing cell into the pull queue in **one bulk
 //! copy**. A slab with a table is walked run by run: a run addressed to this
 //! PE is appended to the pull queue the same way, a run for someone else is
@@ -167,15 +178,19 @@ fn slab_bytes<T>(word: u64) -> u64 {
         + ready::runs(word) * std::mem::size_of::<Run>()) as u64
 }
 
-/// Which of a link's two landing cells the receiver must consume next:
-/// the published one whose sequence field equals `expected` (compared in
-/// the field's own width, so it keeps matching across the wrap). `state`
-/// reads a slot's state word.
-fn next_ready(expected: u32, state: impl Fn(usize) -> u64) -> Option<(usize, u64)> {
-    (0..2).find_map(|slot| {
-        let word = state(slot);
-        (word != 0 && ready::seq(word) == expected).then_some((slot, word))
-    })
+/// Landing cells per directed link: how many flushed slabs a link may have
+/// outstanding (published but unconsumed, or written but not yet quiesced)
+/// before its sender has to wait for the receiver.
+pub const RING: usize = 8;
+
+// A power of two divides 2^32, so `seq % RING` runs on unbroken across the
+// wrap of the u32 flush sequence (u32::MAX lands in the last cell, its
+// successor 0 in the first).
+const _: () = assert!(RING.is_power_of_two());
+
+/// The ring cell a link's flush number `seq` lands in, on both ends.
+fn ring_slot(seq: u32) -> usize {
+    seq as usize % RING
 }
 
 /// Shared termination ledger (the in-process stand-in for Conveyors'
@@ -198,10 +213,13 @@ struct OutLink<T> {
     buf: Vec<T>,
     /// Route table of the staged slab; run lengths sum to `buf.len()`.
     runs: Vec<Run>,
-    /// Remote cells written but not yet published: the ready word to
-    /// publish after the next quiet.
-    in_flight: [Option<u64>; 2],
-    /// Per-link flush sequence (wraps; see [`next_ready`]).
+    /// Per ring cell, the ready word of a remote write not yet published
+    /// (to publish after the next quiet); `0` = not in flight.
+    in_flight: [u64; RING],
+    /// How many of this link's latest flushes are in flight — always the
+    /// newest ones, since a progress publishes every in-flight cell.
+    unpublished: u32,
+    /// Per-link flush sequence (wraps; picks the cell via [`ring_slot`]).
     flush_seq: u32,
 }
 
@@ -294,15 +312,19 @@ pub struct Conveyor<T> {
     /// landing cell and staging buffer.
     capacity: usize,
     links: Vec<OutLink<T>>,
-    /// Landing cells, one SPSC cell per (incoming link, slot), each with a
+    /// Landing cells, `RING` SPSC cells per incoming link, each with a
     /// route table beside the items; the cell state word is ready signal
     /// and free-list entry in one.
     cells: SpscRing<T, Run>,
-    /// Receiver-side consumption cursor per (link, slot); non-zero only
-    /// while the cell is parked.
+    /// Receiver-side consumption cursor per incoming link; non-zero only
+    /// while the link's next cell is parked (only that cell can be).
     cursors: Vec<Cursor>,
     /// Next flush sequence expected per incoming link.
     expect_seq: Vec<u32>,
+    /// Items staged across all links (the sum of their `buf.len()`).
+    staged: usize,
+    /// Remote cells written but not yet published, across all links.
+    in_flight: usize,
     inbox: PullQueue<T>,
     /// The batch most recently lent out by `pull_batch`; its items are
     /// already counted as pulled, and its backing `Vec` is recycled on the
@@ -353,7 +375,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         // Worst case a slab carries one route per item; a 1D grid never
         // relays, so none of its slabs carries a table at all.
         let table_cap = if topology == Topology::OneD { 0 } else { capacity };
-        let cells = SpscRing::with_side(pe, n_links * 2, capacity, table_cap)?;
+        let cells = SpscRing::with_side(pe, n_links * RING, capacity, table_cap)?;
         let shared = pe.allreduce((), |_| {
             Arc::new(SharedState {
                 pushed: AtomicU64::new(0),
@@ -372,7 +394,8 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                 // One route per item at worst; a 1D link only ever stages
                 // the one run its slabs then omit.
                 runs: Vec::with_capacity(table_cap.max(1)),
-                in_flight: [None, None],
+                in_flight: [0; RING],
+                unpublished: 0,
                 flush_seq: 0,
             })
             .collect();
@@ -383,8 +406,10 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             capacity,
             links,
             cells,
-            cursors: vec![Cursor::default(); n_links * 2],
+            cursors: vec![Cursor::default(); n_links],
             expect_seq: vec![0; n_links],
+            staged: 0,
+            in_flight: 0,
             inbox: PullQueue {
                 batches: VecDeque::new(),
                 queued_items: 0,
@@ -487,10 +512,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             "termination implies drained"
         );
         debug_assert!(!self.has_in_flight(), "termination implies progressed");
-        debug_assert!(
-            self.links.iter().all(|l| l.buf.is_empty()),
-            "termination implies flushed"
-        );
+        debug_assert_eq!(self.staged_items(), 0, "termination implies flushed");
         debug_assert!(
             self.trace_buf.is_empty(),
             "the final advance drains the trace batch"
@@ -526,7 +548,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             && self.live.is_none()
             && self.inbox.queued_items == 0
             && !self.has_in_flight()
-            && self.links.iter().all(|l| l.buf.is_empty())
+            && self.staged_items() == 0
             && self.pending_pushed == 0
             && self.pending_pulled == 0
             && self.trace_buf.is_empty()
@@ -661,6 +683,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             let room = self.capacity - self.links[link].buf.len();
             let take = room.min(items.len() - accepted);
             self.links[link].stage(dst as u32, origin, &items[accepted..accepted + take]);
+            self.staged += take;
             accepted += take;
         }
         self.stats.pushed += accepted as u64;
@@ -756,8 +779,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         let end = fabsp_hwpc::cycles_now();
         self.trace_buf.record_span(Phase::Advance, begin, end);
         if let Some(m) = pe.metrics() {
-            let buffered: usize = self.links.iter().map(|l| l.buf.len()).sum();
-            m.gauge_set(Gauge::ConveyorBufferedItems, buffered as u64);
+            m.gauge_set(Gauge::ConveyorBufferedItems, self.staged_items() as u64);
             // True occupancy: items, not slabs — pull_batch drains whole
             // batches, so counting queue entries would under-report the
             // backlog.
@@ -841,13 +863,30 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     }
 
     fn has_in_flight(&self) -> bool {
-        self.links
-            .iter()
-            .any(|l| l.in_flight.iter().any(|s| s.is_some()))
+        debug_assert_eq!(
+            self.in_flight,
+            self.links
+                .iter()
+                .map(|l| l.unpublished as usize)
+                .sum::<usize>(),
+            "in-flight count matches the links"
+        );
+        self.in_flight != 0
     }
 
-    fn slot_index(link: usize, slot: usize) -> usize {
-        link * 2 + slot
+    /// Items staged on all links, from the running count.
+    fn staged_items(&self) -> usize {
+        debug_assert_eq!(
+            self.staged,
+            self.links.iter().map(|l| l.buf.len()).sum::<usize>(),
+            "staged-item count matches the links"
+        );
+        self.staged
+    }
+
+    /// Index of `link`'s ring cell `slot` among a PE's landing cells.
+    fn cell_index(link: usize, slot: usize) -> usize {
+        link * RING + slot
     }
 
     /// Start every link's flush sequence (both ends) at `seq` instead of 0.
@@ -860,8 +899,8 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         self.expect_seq.fill(seq);
     }
 
-    /// Deliver `link`'s staged slab into a free landing cell at the peer,
-    /// if one is available.
+    /// Deliver `link`'s staged slab into its next ring cell at the peer,
+    /// if that cell is free.
     fn flush_link(&mut self, pe: &Pe, link: usize) {
         let l = &self.links[link];
         if l.buf.is_empty() {
@@ -869,20 +908,20 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         }
         let peer = l.peer;
         let rev = self.topology.reverse_link(self.grid, peer, self.me);
-        // A cell is free when its state word is 0 (the receiver released
-        // it) and no unpublished delivery of ours occupies it.
-        let slot = (0..2).find(|&s| {
-            l.in_flight[s].is_none() && self.cells.state(pe, peer, Self::slot_index(rev, s)) == 0
-        });
-        let Some(slot) = slot else {
-            // Both cells busy. If any are merely unpublished, a progress
-            // call will free the pipeline — the paper's "quiet when the
-            // second buffer is full for a particular destination" trigger.
-            if l.in_flight.iter().any(|s| s.is_some()) {
+        let slot = ring_slot(l.flush_seq);
+        let cell = Self::cell_index(rev, slot);
+        // The cell is free when no unpublished delivery of ours occupies it
+        // and its state word is 0 (the receiver released it).
+        if l.in_flight[slot] != 0 || self.cells.state(pe, peer, cell) != 0 {
+            // The next cell is held. If some of this link's cells are
+            // merely unpublished, a progress call will free the pipeline —
+            // the paper's "quiet when the buffers for a particular
+            // destination are full" trigger.
+            if l.unpublished != 0 {
                 self.need_progress = true;
             }
             return;
-        };
+        }
 
         // The receiver of a slab whose only route is "this link's sender to
         // this link's receiver" needs no table to place it.
@@ -896,7 +935,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             "route table covers the staged slab"
         );
         let count = l.buf.len();
-        let cell = Self::slot_index(rev, slot);
         let ready_word = ready::pack(l.flush_seq, table.len(), count);
         let bytes = slab_bytes::<T>(ready_word);
 
@@ -922,7 +960,10 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                 self.cells
                     .write_nbi(pe, peer, cell, &l.buf, table)
                     .expect("landing cell bounds are static");
-                self.links[link].in_flight[slot] = Some(ready_word);
+                let l = &mut self.links[link];
+                l.in_flight[slot] = ready_word;
+                l.unpublished += 1;
+                self.in_flight += 1;
                 self.stats.nonblock_sends += 1;
                 self.stats.item_copies += 2 * count as u64;
                 self.trace_buf
@@ -930,13 +971,14 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             }
         }
         let l = &mut self.links[link];
+        self.staged -= count;
         l.flush_seq = l.flush_seq.wrapping_add(1);
         l.buf.clear();
         l.runs.clear();
     }
 
     /// nonblock_progress: one `shmem_quiet`, then a publishing put per
-    /// in-flight delivery.
+    /// in-flight delivery, each link's in flush order.
     fn progress(&mut self, pe: &Pe) {
         if !self.has_in_flight() {
             self.need_progress = false;
@@ -950,23 +992,26 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             m.flight_span(Phase::Quiet, q_begin, q_end);
         }
         self.stats.quiets += 1;
-        for link in 0..self.links.len() {
-            for slot in 0..2 {
-                if let Some(ready_word) = self.links[link].in_flight[slot].take() {
-                    let peer = self.links[link].peer;
-                    let rev = self.topology.reverse_link(self.grid, peer, self.me);
-                    self.cells
-                        .publish(pe, peer, Self::slot_index(rev, slot), ready_word)
-                        .expect("landing cell bounds are static");
-                    self.stats.nonblock_progress += 1;
-                    self.trace_buf.record_physical(
-                        SendType::NonblockProgress,
-                        slab_bytes::<T>(ready_word),
-                        peer,
-                    );
-                }
+        for l in self.links.iter_mut().filter(|l| l.unpublished != 0) {
+            let rev = self.topology.reverse_link(self.grid, l.peer, self.me);
+            let oldest = l.flush_seq.wrapping_sub(l.unpublished);
+            for k in 0..l.unpublished {
+                let slot = ring_slot(oldest.wrapping_add(k));
+                let ready_word = std::mem::take(&mut l.in_flight[slot]);
+                debug_assert_ne!(ready_word, 0, "in-flight cells are the newest flushes");
+                self.cells
+                    .publish(pe, l.peer, Self::cell_index(rev, slot), ready_word)
+                    .expect("landing cell bounds are static");
+                self.stats.nonblock_progress += 1;
+                self.trace_buf.record_physical(
+                    SendType::NonblockProgress,
+                    slab_bytes::<T>(ready_word),
+                    l.peer,
+                );
             }
+            l.unpublished = 0;
         }
+        self.in_flight = 0;
         self.need_progress = false;
     }
 
@@ -975,12 +1020,21 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
     /// on their next link.
     fn consume_incoming(&mut self, pe: &Pe) {
         for link in 0..self.links.len() {
-            // Consume strictly in sequence so pairwise ordering holds even
-            // when double-buffered flushes are published out of order.
-            while let Some((slot, word)) = next_ready(self.expect_seq[link], |s| {
-                self.cells.state(pe, self.me, Self::slot_index(link, s))
-            }) {
-                if !self.consume_slot(pe, link, slot, word) {
+            // Consume strictly in sequence: poll the cell the next expected
+            // flush lands in, and only that one.
+            loop {
+                let expected = self.expect_seq[link];
+                let idx = Self::cell_index(link, ring_slot(expected));
+                let word = self.cells.state(pe, self.me, idx);
+                if word == 0 {
+                    break;
+                }
+                debug_assert_eq!(
+                    ready::seq(word),
+                    expected,
+                    "a ring cell only ever holds the flush its sequence maps to"
+                );
+                if !self.consume_cell(pe, link, idx, word) {
                     // Relay buffer blocked: park THIS link (cursor saved)
                     // but keep draining the others — final-destination
                     // consumption elsewhere is what frees the relay's
@@ -993,11 +1047,10 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         }
     }
 
-    /// Consume one published cell whose ready word is `word`. Returns
-    /// `false` if consumption blocked on a full relay buffer (cursor saved
-    /// for resumption).
-    fn consume_slot(&mut self, pe: &Pe, link: usize, slot: usize, word: u64) -> bool {
-        let idx = Self::slot_index(link, slot);
+    /// Consume `link`'s published cell `idx` whose ready word is `word`.
+    /// Returns `false` if consumption blocked on a full relay buffer
+    /// (cursor saved for resumption).
+    fn consume_cell(&mut self, pe: &Pe, link: usize, idx: usize, word: u64) -> bool {
         let count = ready::count(word);
         let src = self.topology.link_peer(self.grid, self.me, link);
         match ready::runs(word) {
@@ -1010,11 +1063,11 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                 self.stats.item_copies += count as u64;
             }
             n_runs => {
-                if !self.consume_routed(pe, idx, n_runs) {
+                if !self.consume_routed(pe, link, idx, n_runs) {
                     return false;
                 }
-                debug_assert_eq!(self.cursors[idx].item, count);
-                self.cursors[idx] = Cursor::default();
+                debug_assert_eq!(self.cursors[link].item, count);
+                self.cursors[link] = Cursor::default();
             }
         }
 
@@ -1026,13 +1079,13 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
         true
     }
 
-    /// Walk the route table of published cell `idx` from its saved cursor:
-    /// runs for this PE go to the pull queue, runs for someone else are
-    /// re-staged on their relay link (flushing it first when full).
-    /// Returns `false` — cursor saved, possibly mid-run — when a relay link
-    /// has no room or chaos forces a park.
-    fn consume_routed(&mut self, pe: &Pe, idx: usize, n_runs: usize) -> bool {
-        let mut cur = self.cursors[idx];
+    /// Walk the route table of `link`'s published cell `idx` from the
+    /// link's saved cursor: runs for this PE go to the pull queue, runs for
+    /// someone else are re-staged on their relay link (flushing it first
+    /// when full). Returns `false` — cursor saved, possibly mid-run — when
+    /// a relay link has no room or chaos forces a park.
+    fn consume_routed(&mut self, pe: &Pe, link: usize, idx: usize, n_runs: usize) -> bool {
+        let mut cur = self.cursors[link];
         // Stamped when the first item is relayed; `None` = nothing was.
         let mut hop_begin = None;
         // `Some(forced)` once consumption has to stop.
@@ -1071,6 +1124,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                 self.cells.read_local(pe, idx, |items| {
                     out.stage(run.final_dst, run.origin, &items[cur.item..cur.item + take])
                 });
+                self.staged += take;
                 self.stats.relayed += take as u64;
                 take
             };
@@ -1082,7 +1136,7 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
                 cur.in_run = 0;
             }
         }
-        self.cursors[idx] = cur;
+        self.cursors[link] = cur;
 
         if let Some(hop_begin) = hop_begin {
             let hop_end = fabsp_hwpc::cycles_now();
@@ -1298,12 +1352,13 @@ mod tests {
 
     #[test]
     fn a_park_in_the_middle_of_a_run_resumes_there_without_recopying() {
-        // 2x2 mesh, capacity 4. PE 1 fills its column link to PE 3 — two
-        // unpublished slabs in flight plus two staged items — before PE 0's
-        // four-item run for PE 3 arrives on the row link. Relaying it
-        // stages two items (all the room there is), cannot flush (no free
-        // cell at PE 3), and parks with the cursor inside the run; PE 3
-        // only starts consuming after that.
+        // 2x2 mesh, capacity 4. PE 1 fills its column link to PE 3 — all
+        // `RING` cells hold unpublished slabs in flight, plus two staged
+        // items — before PE 0's four-item run for PE 3 arrives on the row
+        // link. Relaying it stages two items (all the room there is),
+        // cannot flush (no free cell at PE 3), and parks with the cursor
+        // inside the run; PE 3 only starts consuming after that.
+        let own = 4 * RING as u64 + 2;
         let grid = Grid::new(2, 2).unwrap();
         let results = spmd::run(grid, |pe| {
             let mut c = Conveyor::<u64>::new(
@@ -1321,7 +1376,7 @@ mod tests {
                     c.advance(pe, false);
                 }
                 1 => {
-                    for item in 0..10 {
+                    for item in 0..own {
                         assert!(c.push(pe, item, 3).unwrap().is_accepted());
                     }
                 }
@@ -1357,10 +1412,10 @@ mod tests {
             results[3].0.iter().filter(|d| d.0 == src).map(|d| d.1).collect()
         };
         assert_eq!(from(0), vec![100, 101, 102, 103], "the parked run arrives whole, in order");
-        assert_eq!(from(1), (0..10).collect::<Vec<_>>());
+        assert_eq!(from(1), (0..own).collect::<Vec<_>>());
         assert_eq!(results[1].1.relayed, 4);
         let copies: u64 = results.iter().map(|(_, s)| s.item_copies).sum();
-        assert_eq!(copies, 4 * 7 + 10 * 5, "resuming a park re-copies nothing");
+        assert_eq!(copies, 4 * 7 + own * 5, "resuming a park re-copies nothing");
     }
 
     #[test]
@@ -1458,37 +1513,34 @@ mod tests {
     }
 
     #[test]
-    fn next_ready_follows_the_sequence_across_the_wrap_with_cells_out_of_order() {
-        // Double-buffered flushes land in whichever cell is free, so slot
-        // order and flush order disagree half the time; the receiver must
-        // follow the sequence field, in its own width, through the wrap.
-        let word = |seq: u32| ready::pack(seq, 0, 1);
-        let cells = |a: u64, b: u64| move |slot: usize| [a, b][slot];
-        // older slab in slot 1, newer in slot 0
-        let state = cells(word(u32::MAX), word(u32::MAX - 1));
-        assert_eq!(next_ready(u32::MAX - 1, state), Some((1, word(u32::MAX - 1))));
-        assert_eq!(next_ready(u32::MAX, state), Some((0, word(u32::MAX))));
-        // the wrap itself: MAX in slot 1, its successor 0 in slot 0
-        let state = cells(word(0), word(u32::MAX));
-        assert_eq!(next_ready(u32::MAX, state), Some((1, word(u32::MAX))));
-        assert_eq!(next_ready(u32::MAX.wrapping_add(1), state), Some((0, word(0))));
-        // past it, out of order again
-        let state = cells(word(1), word(0));
-        assert_eq!(next_ready(0, state), Some((1, word(0))));
-        // a free cell, and a published cell that is not next, match nothing
-        assert_eq!(next_ready(1, cells(0, word(2))), None);
-        assert_eq!(next_ready(0, cells(0, 0)), None);
+    fn ring_slots_run_on_across_the_sequence_wrap() {
+        // Both ends map a flush sequence to its cell; consecutive flushes
+        // must take consecutive cells through the u32 wrap, or a lap of the
+        // ring would reuse a cell the receiver has not consumed yet.
+        let mut seq = u32::MAX - 2 * RING as u32;
+        for _ in 0..4 * RING {
+            let next = seq.wrapping_add(1);
+            assert_eq!(
+                ring_slot(next),
+                (ring_slot(seq) + 1) % RING,
+                "{seq} -> {next}"
+            );
+            seq = next;
+        }
+        assert_eq!(ring_slot(u32::MAX), RING - 1);
+        assert_eq!(ring_slot(0), 0);
     }
 
     #[test]
     fn links_started_below_the_sequence_wrap_cross_it() {
         // `reset` keeps sequence numbers, so a long-lived conveyor reaches
         // 2^32 flushes on a link. Start three flushes short of it, at
-        // capacity 1 (every item is a flush), on the blocking and the
-        // non-blocking path, free-running and under seeded schedules that
-        // interleave release and reuse of the two cells.
+        // capacity 1 (every item is a flush), so the wrap falls inside the
+        // first lap of the ring, and run four laps on, on the blocking and
+        // the non-blocking path, free-running and under seeded schedules
+        // that interleave release and reuse of the cells.
         use fabsp_shmem::{Harness, SchedSpec};
-        let per_pair = 24u64;
+        let per_pair = 4 * RING as u64;
         for grid in [Grid::single_node(2).unwrap(), Grid::new(2, 1).unwrap()] {
             for sched in std::iter::once(None).chain((0..6).map(Some)) {
                 let harness = match sched {
@@ -1616,6 +1668,175 @@ mod tests {
             }
         }
         assert!(saw_local && saw_nonblock && saw_progress);
+    }
+
+    #[test]
+    fn buffer_counts_do_not_depend_on_ring_depth() {
+        // The physical trace counts slabs (Figs 7-9), and a slab is flushed
+        // only when full or in the endgame, so the ring's depth must not
+        // show in it. Each PE sends `k` items to every PE it has a direct
+        // link to — all of them on a 1D grid, its row and column on the
+        // 2x2 mesh — so no slab is relayed and each link's events are
+        // determined: ceil(k / capacity) slabs, all full but the last, and
+        // on a remote link one nonblock_progress per nonblock_send, of the
+        // same size and in the same order.
+        for grid in [Grid::single_node(3).unwrap(), Grid::new(2, 2).unwrap()] {
+            for capacity in [1, 4, 64] {
+                let k = 3 * RING * capacity + capacity / 2 + 1;
+                let traces = spmd::run(grid, move |pe| {
+                    let collector = PeCollector::new(
+                        pe.rank(),
+                        pe.n_pes(),
+                        pe.grid().pes_per_node(),
+                        TraceConfig::off().with_physical(),
+                    )
+                    .into_shared();
+                    let mut c = Conveyor::<u64>::new(
+                        pe,
+                        ConveyorOptions {
+                            capacity,
+                            ..ConveyorOptions::default()
+                        },
+                    )
+                    .unwrap();
+                    c.attach_collector(collector.clone());
+                    let g = pe.grid();
+                    let me = pe.rank();
+                    let peers: Vec<usize> = (0..pe.n_pes())
+                        .filter(|&d| g.same_node(me, d) || g.local_index(me) == g.local_index(d))
+                        .collect();
+                    let mut next = 0usize;
+                    let total = k * peers.len();
+                    loop {
+                        while next < total
+                            && c.push(pe, next as u64, peers[next % peers.len()])
+                                .unwrap()
+                                .is_accepted()
+                        {
+                            next += 1;
+                        }
+                        let active = c.advance(pe, next == total);
+                        while c.pull().is_some() {}
+                        if !active {
+                            break;
+                        }
+                        pe.poll_yield();
+                    }
+                    let stats = c.stats();
+                    assert_eq!(stats.relayed, 0, "direct links only");
+                    assert_eq!(stats.nonblock_progress, stats.nonblock_sends);
+                    let recs = collector.borrow().physical_records().to_vec();
+                    (peers, recs)
+                })
+                .unwrap();
+                let item = std::mem::size_of::<u64>() as u64;
+                let mut slabs = vec![capacity as u64 * item; k / capacity];
+                if !k.is_multiple_of(capacity) {
+                    slabs.push((k % capacity) as u64 * item);
+                }
+                for (src, (peers, recs)) in traces.iter().enumerate() {
+                    for &dst in peers {
+                        let sizes = |ty: SendType| -> Vec<u64> {
+                            recs.iter()
+                                .filter(|r| r.send_type == ty && r.dst_pe as usize == dst)
+                                .map(|r| r.buffer_size)
+                                .collect()
+                        };
+                        let what = format!("{grid:?}, capacity {capacity}: {src} -> {dst}");
+                        if grid.same_node(src, dst) {
+                            assert_eq!(sizes(SendType::LocalSend), slabs, "{what}");
+                            assert!(sizes(SendType::NonblockSend).is_empty(), "{what}");
+                        } else {
+                            assert!(sizes(SendType::LocalSend).is_empty(), "{what}");
+                            assert_eq!(sizes(SendType::NonblockSend), slabs, "{what}");
+                            assert_eq!(sizes(SendType::NonblockProgress), slabs, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remote_slabs_stay_invisible_until_the_next_cell_is_needed() {
+        // 2x1 grid, capacity 1: every item is one nbi slab. RING slabs fill
+        // the ring with unpublished cells and issue no quiet; the receiver
+        // sees none of them. The next flush finds its cell held, which
+        // triggers one quiet that publishes all RING cells in flush order.
+        let grid = Grid::new(2, 1).unwrap();
+        let ring = RING as u64;
+        let results = spmd::run(grid, move |pe| {
+            let mut c = Conveyor::<u64>::new(
+                pe,
+                ConveyorOptions {
+                    capacity: 1,
+                    ..ConveyorOptions::default()
+                },
+            )
+            .unwrap();
+            let sender = pe.rank() == 0;
+            let mut received: Vec<u64> = Vec::new();
+            let receive = |c: &mut Conveyor<u64>, received: &mut Vec<u64>| {
+                c.advance(pe, false);
+                while let Some(d) = c.pull() {
+                    received.push(d.item);
+                }
+            };
+            if sender {
+                for item in 0..ring {
+                    assert!(c.push(pe, item, 1).unwrap().is_accepted());
+                }
+                c.advance(pe, false);
+                let s = c.stats();
+                assert_eq!(
+                    (s.nonblock_sends, s.nonblock_progress, s.quiets),
+                    (ring, 0, 0)
+                );
+            }
+            pe.barrier_all();
+            if !sender {
+                receive(&mut c, &mut received);
+                assert!(received.is_empty(), "nbi puts are invisible until quiet");
+            }
+            pe.barrier_all();
+            if sender {
+                assert!(c.push(pe, ring, 1).unwrap().is_accepted());
+                c.advance(pe, false);
+                let s = c.stats();
+                assert_eq!(
+                    (s.nonblock_sends, s.nonblock_progress, s.quiets),
+                    (ring, ring, 1)
+                );
+            }
+            pe.barrier_all();
+            if !sender {
+                receive(&mut c, &mut received);
+                assert_eq!(
+                    received,
+                    (0..ring).collect::<Vec<_>>(),
+                    "one quiet publishes all"
+                );
+            }
+            pe.barrier_all();
+            loop {
+                let active = c.advance(pe, true);
+                while let Some(d) = c.pull() {
+                    received.push(d.item);
+                }
+                if !active {
+                    break;
+                }
+                pe.poll_yield();
+            }
+            (received, c.stats())
+        })
+        .unwrap();
+        assert_eq!(results[1].0, (0..=ring).collect::<Vec<_>>());
+        let s = results[0].1;
+        assert_eq!(
+            (s.nonblock_sends, s.nonblock_progress),
+            (ring + 1, ring + 1)
+        );
     }
 
     #[test]
@@ -1878,10 +2099,11 @@ mod tests {
 
     #[test]
     fn push_slice_accepts_a_prefix_under_backpressure() {
-        // Single PE, capacity 4: two landing cells plus one staged buffer
-        // hold exactly 12 items, so a 64-item slice accepts a 12-prefix and
-        // reports the refusal; resubmitting the remainder after advances
-        // delivers everything in order.
+        // Single PE, capacity 4: `RING` landing cells plus one staged
+        // buffer hold exactly `(RING + 1) * 4` items, so a longer slice
+        // accepts that prefix and reports the refusal; resubmitting the
+        // remainder after advances delivers everything in order.
+        let window = (RING + 1) * 4;
         let grid = Grid::single_node(1).unwrap();
         spmd::run(grid, |pe| {
             let mut c = Conveyor::<u64>::new(
@@ -1892,10 +2114,10 @@ mod tests {
                 },
             )
             .unwrap();
-            let items: Vec<u64> = (0..64).collect();
+            let items: Vec<u64> = (0..4 * window as u64).collect();
             let first = c.push_slice(pe, &items, 0).unwrap();
-            assert_eq!(first.accepted, 12, "2 cells + 1 staging buffer of 4");
-            assert!(first.retried >= 1, "the 13th item must report backpressure");
+            assert_eq!(first.accepted, window, "RING cells + 1 staging buffer of 4");
+            assert!(first.retried >= 1, "the next item must report backpressure");
             let mut sent = first.accepted;
             let mut got: Vec<u64> = Vec::new();
             loop {

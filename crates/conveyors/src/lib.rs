@@ -89,7 +89,7 @@ pub mod exchange;
 pub mod stats;
 pub mod topology;
 
-pub use convey::{Conveyor, ConveyorOptions};
+pub use convey::{Conveyor, ConveyorOptions, RING};
 pub use error::ConveyorError;
 pub use exchange::{BatchDelivery, Delivery, PushOutcome, PushReport};
 pub use stats::ConveyorStats;

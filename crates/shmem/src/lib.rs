@@ -77,10 +77,10 @@ pub use ring::SpscRing;
 pub use sched::{SchedPoint, SchedSpec, Scheduler};
 pub use spmd::Harness;
 
-/// Mutex acquisitions by the calling thread so far (debug builds; release
-/// builds return 0). Re-exported so lock-freedom claims about the message
-/// hot path are testable from any layer: sample before/after and assert a
-/// zero delta.
+/// Mutex acquisitions by the calling thread so far, counted in debug and
+/// release builds alike. Re-exported so lock-freedom claims about the
+/// message hot path are testable from any layer: sample before/after and
+/// assert a zero delta.
 pub use parking_lot::lock_acquisitions as debug_lock_acquisitions;
 
 /// The vendored lock shim itself, re-exported so tests can sanity-check

@@ -1,14 +1,15 @@
 //! The lock-freedom acceptance gate: the per-message conveyor hot path
 //! (`push` + `pull`) must never acquire a mutex. The vendored parking_lot
-//! shim counts the calling thread's successful lock acquisitions in debug
-//! builds ([`debug_lock_acquisitions`]), so a mutex anywhere on the path —
-//! say, a `SymmetricVec` landing-slot region sneaking back in — fails
-//! these tests instead of silently re-serializing the benchmark.
+//! shim counts the calling thread's successful lock acquisitions in every
+//! build profile ([`debug_lock_acquisitions`]), so a mutex anywhere on the
+//! path — say, a `SymmetricVec` landing-slot region sneaking back in —
+//! fails these tests instead of silently re-serializing the benchmark,
+//! under `--release` as well as in debug builds.
 //!
 //! The runs use a plain [`Grid`] (free-running world, no deterministic
-//! scheduler), which also arms the conveyor's own internal probes: `push`
-//! asserts a zero delta around its body whenever `!pe.is_scheduled()`, and
-//! `pull` asserts unconditionally.
+//! scheduler), which in debug builds also arms the conveyor's own internal
+//! probes: `push` asserts a zero delta around its body whenever
+//! `!pe.is_scheduled()`, and `pull` asserts unconditionally.
 
 use actorprof_suite::fabsp_conveyors::{Conveyor, ConveyorOptions, TopologySpec};
 use actorprof_suite::fabsp_shmem::{debug_lock_acquisitions, spmd, Grid};
@@ -174,6 +175,6 @@ fn counter_itself_observes_locks() {
     assert_eq!(
         debug_lock_acquisitions(),
         before + 1,
-        "debug lock counter must count acquisitions in debug builds"
+        "the lock counter must count acquisitions in every build profile"
     );
 }

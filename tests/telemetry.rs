@@ -79,13 +79,15 @@ fn flight_dump_written_when_termination_budget_trips() {
     let harness = Harness::new(grid)
         // The PEs below never signal done, so the run cannot terminate and
         // the termination checker trips, poisoning the world. The budget is
-        // far above what set-up takes with or without the race detector, so
-        // the trip lands in the exchange loop, after both PEs have advanced
-        // many times — never before the first `advance`, when no phase span
-        // exists yet.
+        // far above what set-up takes with or without the race detector,
+        // and above the push streak a PE can keep up while its partner
+        // frees ring cells under it (this seed needs over 2 000 steps for
+        // both to reach `advance` with 8 cells per link), so the trip lands
+        // in the exchange loop, after both PEs have advanced many times —
+        // never before the first `advance`, when no phase span exists yet.
         .sched(SchedSpec::RandomWalk {
             seed: 9,
-            max_steps: 1_000,
+            max_steps: 10_000,
         })
         .telemetry(reg.clone());
     let outcome = spmd::run(harness, move |pe| {
