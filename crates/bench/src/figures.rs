@@ -311,14 +311,18 @@ pub fn overall_figure(ctx: &FigureCtx, figure: &str, grid: Grid, node_label: &st
         summaries.push((tag, summary));
 
         // modeled parallel critical path: the most loaded PE's user-region
-        // instruction count (sends constructed + messages handled)
+        // instruction count — sends constructed and messages handled, plus
+        // the modeled copy of every slab `push_slice` flushes inline when
+        // its landing cell is free. The schedule decides which flushes
+        // find the cell free, so the count can differ between runs by a
+        // slab's bytes (512 for a full slab of 8-byte messages).
         let series =
             PapiSeries::from_bundle(&outcome.bundle, fabsp_hwpc::Event::TotIns).expect("papi");
         let critical = series.per_pe.iter().copied().max().unwrap_or(0);
         let user_total: u64 = series.per_pe.iter().sum();
         println!(
-            "[{tag}] modeled critical path: {critical} user-region instructions on PE{} \
-             ({}x the per-PE average)",
+            "[{tag}] modeled critical path: {critical} user-region instructions \
+             (sends, handlers and inline slab copies) on PE{} ({}x the per-PE average)",
             series.imbalance.argmax,
             format_ratio(critical as f64 * grid.n_pes() as f64 / user_total.max(1) as f64),
         );
@@ -470,7 +474,8 @@ pub fn topology_figure(ctx: &FigureCtx, _figure: &str) {
 /// scales with message count under each recording strategy — exact
 /// per-send records (the paper's 100 GB problem; held as runs of equal
 /// records, so their memory grows with runs while their files grow with
-/// messages), sampling, and aggregation.
+/// messages), sampling, and aggregation — and what the physical trace
+/// costs beside them (16 B per flushed slab).
 pub fn trace_size_figure(_ctx: &FigureCtx, _figure: &str) {
     let footprint = |trace, updates| {
         let mut cfg = HistogramConfig::new(Grid::new(2, 4).expect("grid"));
@@ -482,14 +487,15 @@ pub fn trace_size_figure(_ctx: &FigureCtx, _figure: &str) {
     };
     println!("trace footprint vs message volume (histogram, 8 PEs)");
     println!(
-        "{:>10} {:>16} {:>16} {:>16}",
-        "messages", "aggregated [B]", "exact [B]", "sampled/16 [B]"
+        "{:>10} {:>16} {:>16} {:>16} {:>16}",
+        "messages", "aggregated [B]", "exact [B]", "sampled/16 [B]", "physical [B]"
     );
     for updates in [1_000usize, 4_000, 16_000] {
         let (agg, total) = footprint(TraceConfig::off().with_logical(), updates);
         let (exact, _) = footprint(TraceConfig::off().with_logical_records(), updates);
         let (sampled, _) = footprint(TraceConfig::off().with_logical_sampling(16), updates);
-        println!("{total:>10} {agg:>16} {exact:>16} {sampled:>16}");
+        let (physical, _) = footprint(TraceConfig::off().with_physical(), updates);
+        println!("{total:>10} {agg:>16} {exact:>16} {sampled:>16} {physical:>16}");
     }
 }
 

@@ -1626,7 +1626,7 @@ mod tests {
                 pe.poll_yield();
             }
             pending.clear();
-            let recs = collector.borrow().physical_records().to_vec();
+            let recs = collector.borrow().physical_records().iter().collect::<Vec<_>>();
             recs
         })
         .unwrap();
@@ -1725,7 +1725,7 @@ mod tests {
                     let stats = c.stats();
                     assert_eq!(stats.relayed, 0, "direct links only");
                     assert_eq!(stats.nonblock_progress, stats.nonblock_sends);
-                    let recs = collector.borrow().physical_records().to_vec();
+                    let recs = collector.borrow().physical_records().iter().collect::<Vec<_>>();
                     (peers, recs)
                 })
                 .unwrap();

@@ -121,13 +121,13 @@ impl TraceBundle {
         let n = self.n_pes();
         let mut m = Matrix::zeros(n);
         for c in &self.collectors {
-            for r in c.physical_records() {
+            for ev in c.physical_records().events() {
                 let include = match kind {
-                    Some(k) => r.send_type == k,
-                    None => r.send_type != SendType::NonblockProgress,
+                    Some(k) => ev.is(k),
+                    None => !ev.is(SendType::NonblockProgress),
                 };
                 if include {
-                    m.add(r.src_pe as usize, r.dst_pe as usize, 1);
+                    m.add(c.pe() as usize, ev.dst_pe() as usize, 1);
                 }
             }
         }

@@ -15,7 +15,7 @@
 
 use std::path::Path;
 
-use actorprof_trace::{codec, OverallRecord, PeCollector, PhysicalRecord, SendType, SpanRecord};
+use actorprof_trace::{codec, OverallRecord, PeCollector, PhysicalEvent, SendType, SpanRecord};
 use fabsp_hwpc::NOMINAL_HZ;
 use fabsp_telemetry::{ContinuousReport, Phase};
 
@@ -34,7 +34,7 @@ const INSTANT: &str = "i\",\"s\":\"t";
 enum TimelineEv<'a> {
     Begin(&'a SpanRecord),
     End(&'a SpanRecord),
-    Instant(&'a PhysicalRecord, u64),
+    Instant(&'a PhysicalEvent),
 }
 
 impl TimelineEv<'_> {
@@ -47,7 +47,7 @@ impl TimelineEv<'_> {
             TimelineEv::End(s) => (s.end, 0, u64::MAX - s.begin),
             // ties: the span that ends later begins first (outer before inner)
             TimelineEv::Begin(s) => (s.begin, 1, u64::MAX - s.end),
-            TimelineEv::Instant(_, ts) => (*ts, 2, 0),
+            TimelineEv::Instant(ev) => (ev.cycles(), 2, 0),
         }
     }
 }
@@ -57,8 +57,8 @@ struct Lane<'a> {
     node: u32,
     pe: u32,
     spans: &'a [SpanRecord],
-    physical: &'a [PhysicalRecord],
-    stamps: &'a [u64],
+    /// Packed physical sends, stamped relative to collector creation.
+    physical: &'a [PhysicalEvent],
     overall: Option<OverallRecord>,
 }
 
@@ -68,8 +68,7 @@ impl<'a> From<&'a PeCollector> for Lane<'a> {
             node: c.node(),
             pe: c.pe(),
             spans: c.span_records(),
-            physical: c.physical_records(),
-            stamps: c.physical_timestamps(),
+            physical: c.physical_records().events(),
             overall: c.overall(),
         }
     }
@@ -182,8 +181,7 @@ fn render(nodes: u32, lanes: &[Lane<'_>], continuous: Option<&ContinuousReport>)
     // Never the first event, so each opens with `,\n`.
     for l in lanes {
         let spans = l.spans.iter().flat_map(|s| [Begin(s), End(s)]);
-        let sends = l.physical.iter().zip(l.stamps);
-        let mut timeline: Vec<_> = spans.chain(sends.map(|(r, &ts)| Instant(r, ts))).collect();
+        let mut timeline: Vec<_> = spans.chain(l.physical.iter().map(Instant)).collect();
         timeline.sort_by_key(TimelineEv::sort_key);
         // each event head (`{"name":…,"tid":…`) of this thread, built once
         let head =
@@ -195,10 +193,10 @@ fn render(nodes: u32, lanes: &[Lane<'_>], continuous: Option<&ContinuousReport>)
             match event {
                 Begin(s) => j.s(&begins[s.phase as usize]).ts(s.begin).s("}"),
                 End(s) => j.s(&ends[s.phase as usize]).ts(s.end).s("}"),
-                Instant(r, ts) => {
-                    j.s(&instants[r.send_type as usize]).ts(ts);
-                    j.s(",\"args\":{\"bytes\":").n(r.buffer_size);
-                    j.s(",\"dst_pe\":").n(r.dst_pe).s("}}")
+                Instant(ev) => {
+                    j.s(&instants[ev.send_type() as usize]).ts(ev.cycles());
+                    j.s(",\"args\":{\"bytes\":").n(ev.buffer_size());
+                    j.s(",\"dst_pe\":").n(ev.dst_pe()).s("}}")
                 }
             };
         }
@@ -298,8 +296,8 @@ mod tests {
         );
     }
 
-    /// One golden PE: its spans, physical records and their stamps.
-    type Records = (Vec<SpanRecord>, Vec<PhysicalRecord>, Vec<u64>);
+    /// One golden PE: its spans and its stamped physical events.
+    type Records = (Vec<SpanRecord>, Vec<PhysicalEvent>);
 
     /// Three PEs on two nodes: nested spans, a zero-length span,
     /// equal-timestamp ties (begins, ends and instants), instants on both
@@ -309,20 +307,11 @@ mod tests {
         use actorprof_trace::Phase::{Advance, Quiet, RelayHop, Superstep};
         use SendType::{LocalSend, NonblockProgress, NonblockSend};
         let span = |phase, begin, end| SpanRecord { phase, begin, end };
-        let lane = |spans, src_pe, sends: &[(SendType, u64, u32, u64)]| {
-            let records = sends
+        let lane = |spans, sends: &[(SendType, u64, usize, u64)]| {
+            let events = sends
                 .iter()
-                .map(|&(send_type, buffer_size, dst_pe, _)| PhysicalRecord {
-                    send_type,
-                    buffer_size,
-                    src_pe,
-                    dst_pe,
-                });
-            (
-                spans,
-                records.collect(),
-                sends.iter().map(|s| s.3).collect(),
-            )
+                .map(|&(t, bytes, dst_pe, ts)| PhysicalEvent::new(t, bytes, dst_pe, ts));
+            (spans, events.collect())
         };
         vec![
             lane(
@@ -333,7 +322,6 @@ mod tests {
                     span(RelayHop, 500, 1_000_000),
                     span(Advance, 500, 500),
                 ],
-                0,
                 &[
                     (LocalSend, 4096, 1, 49),
                     (NonblockSend, 512, 2, 500),
@@ -343,7 +331,6 @@ mod tests {
             ),
             lane(
                 vec![span(Superstep, 24, (49 << 30) + 1)],
-                1,
                 &[
                     (LocalSend, 8, 0, 25),
                     (LocalSend, 8, 0, (49 << 20) - 1),
@@ -352,7 +339,6 @@ mod tests {
             ),
             lane(
                 vec![span(Quiet, 2_450_000_000, 2_450_000_001)],
-                2,
                 &[(NonblockProgress, 1024, 0, (49 << 40) + 1)],
             ),
         ]
@@ -363,12 +349,11 @@ mod tests {
         let lanes = records.iter().zip(overall).zip(0u32..);
         lanes
             .map(
-                |(((spans, physical, stamps), (t_main, t_proc, t_total)), pe)| Lane {
+                |(((spans, physical), (t_main, t_proc, t_total)), pe)| Lane {
                     node: pe / 2,
                     pe,
                     spans,
                     physical,
-                    stamps,
                     overall: Some(OverallRecord {
                         pe,
                         t_main,

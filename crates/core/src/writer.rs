@@ -97,7 +97,7 @@ pub fn write_papi(dir: &Path, bundle: &TraceBundle) -> Result<Vec<String>, ProfE
         codec::encode_papi_header(&mut header, &papi.papi_names());
         Some(write_file(dir, format!("PE{}_PAPI.csv", c.pe()), |w| {
             w.write_all(&header)?;
-            codec::encode_lines(w, &c.papi_records(), codec::encode_papi)
+            codec::encode_lines(w, c.papi_records(), codec::encode_papi)
         }))
     });
     per_pe.collect()
@@ -108,7 +108,10 @@ pub fn write_physical(dir: &Path, bundle: &TraceBundle) -> Result<String, ProfEr
     if !bundle.has_physical() {
         return Err(ProfError::NotCollected("physical trace"));
     }
-    let records = bundle.collectors().iter().flat_map(|c| c.physical_records());
+    let records = bundle
+        .collectors()
+        .iter()
+        .flat_map(|c| c.physical_records().iter());
     write_file(dir, "physical.txt".into(), |w| {
         codec::encode_lines(w, records, codec::encode_physical)
     })

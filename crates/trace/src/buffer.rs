@@ -19,6 +19,12 @@
 //! coalescing sums them, which is what the collector's per-*(destination,
 //! mailbox)* line does with them anyway.
 //!
+//! The flush path's unit is the slab, one [`PhysicalEvent`] each: send
+//! type, destination PE and buffer bytes packed into one word beside the
+//! cycle stamp, 16 bytes in all. The collector keeps that same value —
+//! the drain only rebases the stamp — so the buffer holds no second,
+//! wider copy of the physical trace.
+//!
 //! Exactness is preserved: every event carries everything `record_send` /
 //! `record_physical` would have been told at event time, including the
 //! hardware-counter deltas and the cycle timestamp, and runs replay in
@@ -33,7 +39,7 @@ use fabsp_hwpc::MAX_EVENTS;
 use fabsp_telemetry::Phase;
 
 use crate::config::TraceConfig;
-use crate::record::SendType;
+use crate::record::{PhysicalRecord, SendType};
 
 /// `count` consecutive logical sends of one size to one destination through
 /// one mailbox, captured on the fast path for deferred replay.
@@ -54,18 +60,107 @@ pub struct SendRun {
     pub papi: Option<[u64; MAX_EVENTS]>,
 }
 
-/// One physical (post-aggregation) send, captured on the flush path.
-#[derive(Debug, Clone, Copy)]
+/// One physical (post-aggregation) send, packed into one word plus its
+/// cycle stamp — 16 bytes from capture in the [`TraceBuffer`] to the
+/// collector that holds it. The word keeps the send type in its top 2
+/// bits, the destination PE in the next 22 and the buffer bytes in the low
+/// 40; the source PE is the capturing collector's own and is not stored.
+/// The stamp is absolute ([`fabsp_hwpc::cycles_now`]) while captured and
+/// relative to the collector's creation once drained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysicalEvent {
-    /// `local_send` / `nonblock_send` / `nonblock_progress`.
-    pub send_type: SendType,
+    word: u64,
+    cycles: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<PhysicalEvent>() == 16);
+
+/// Bits of the packed word holding the buffer bytes (the low ones).
+const BYTES_BITS: u32 = 40;
+/// Bits of the packed word holding the destination PE (above the bytes).
+const DST_BITS: u32 = 22;
+/// Shift of the send type, which takes the top 2 bits.
+const TYPE_SHIFT: u32 = BYTES_BITS + DST_BITS;
+
+impl PhysicalEvent {
+    /// Largest destination PE a physical event can name.
+    pub const MAX_DST_PE: usize = (1 << DST_BITS) - 1;
+    /// Largest buffer, in bytes, a physical event can record.
+    pub const MAX_BUFFER_SIZE: u64 = (1 << BYTES_BITS) - 1;
+
+    /// Pack one event stamped `cycles`.
+    ///
+    /// # Panics
+    /// If `dst_pe` exceeds [`MAX_DST_PE`](Self::MAX_DST_PE) or
+    /// `buffer_size` exceeds [`MAX_BUFFER_SIZE`](Self::MAX_BUFFER_SIZE),
+    /// in every build profile: a field that does not fit would be stored
+    /// as a different event.
+    #[inline]
+    pub fn new(send_type: SendType, buffer_size: u64, dst_pe: usize, cycles: u64) -> PhysicalEvent {
+        assert!(
+            dst_pe <= Self::MAX_DST_PE,
+            "destination PE {dst_pe} does not fit a physical event"
+        );
+        assert!(
+            buffer_size <= Self::MAX_BUFFER_SIZE,
+            "buffer of {buffer_size} B does not fit a physical event"
+        );
+        let word = (send_type as u64) << TYPE_SHIFT | (dst_pe as u64) << BYTES_BITS | buffer_size;
+        PhysicalEvent { word, cycles }
+    }
+
+    /// Which Conveyors call produced this event.
+    #[inline]
+    pub fn send_type(&self) -> SendType {
+        SendType::ALL[(self.word >> TYPE_SHIFT) as usize]
+    }
+
+    /// Whether this event came from a `t` call — read off the word,
+    /// without decoding the other fields.
+    #[inline]
+    pub fn is(&self, t: SendType) -> bool {
+        self.word >> TYPE_SHIFT == t as u64
+    }
+
     /// Bytes in the delivered buffer.
-    pub buffer_size: u64,
-    /// Destination PE.
-    pub dst_pe: u32,
-    /// Absolute cycle stamp taken at event time ([`fabsp_hwpc::cycles_now`]),
-    /// so deferred draining does not skew the physical timeline.
-    pub cycles: u64,
+    #[inline]
+    pub fn buffer_size(&self) -> u64 {
+        self.word & Self::MAX_BUFFER_SIZE
+    }
+
+    /// Destination PE (for `NonblockProgress`, the signalled PE).
+    #[inline]
+    pub fn dst_pe(&self) -> u32 {
+        (self.word >> BYTES_BITS) as u32 & Self::MAX_DST_PE as u32
+    }
+
+    /// The cycle stamp: absolute while captured, relative to collector
+    /// creation once drained.
+    #[inline]
+    pub fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// The same event with its stamp made relative to `t0_cycles`
+    /// (saturating at 0).
+    #[inline]
+    pub(crate) fn rebased(self, t0_cycles: u64) -> PhysicalEvent {
+        PhysicalEvent {
+            cycles: self.cycles.saturating_sub(t0_cycles),
+            ..self
+        }
+    }
+
+    /// The `physical.txt` record of this event sent by `src_pe`.
+    #[inline]
+    pub(crate) fn record(&self, src_pe: u32) -> PhysicalRecord {
+        PhysicalRecord {
+            send_type: self.send_type(),
+            buffer_size: self.buffer_size(),
+            src_pe,
+            dst_pe: self.dst_pe(),
+        }
+    }
 }
 
 /// One completed phase span, captured on the hot path for deferred replay.
@@ -169,12 +264,8 @@ impl TraceBuffer {
     #[inline]
     pub fn record_physical(&mut self, send_type: SendType, buffer_size: u64, dst_pe: usize) {
         if self.wants_physical {
-            self.physical.push(PhysicalEvent {
-                send_type,
-                buffer_size,
-                dst_pe: dst_pe as u32,
-                cycles: fabsp_hwpc::cycles_now(),
-            });
+            let ev = PhysicalEvent::new(send_type, buffer_size, dst_pe, fabsp_hwpc::cycles_now());
+            self.physical.push(ev);
         }
     }
 
@@ -258,7 +349,7 @@ mod tests {
         assert_eq!(b.pending_sends()[1].msg_size, 16);
         assert_eq!(b.pending_sends()[1].count, 1);
         assert_eq!(b.pending_physical().len(), 1);
-        assert_eq!(b.pending_physical()[0].buffer_size, 128);
+        assert_eq!(b.pending_physical()[0].buffer_size(), 128);
     }
 
     #[test]
@@ -280,12 +371,52 @@ mod tests {
     }
 
     #[test]
+    fn physical_events_pack_every_field_at_its_limits() {
+        let dsts = [0, 1, PhysicalEvent::MAX_DST_PE];
+        let sizes = [0, 1, PhysicalEvent::MAX_BUFFER_SIZE];
+        for t in SendType::ALL {
+            for dst in dsts {
+                for size in sizes {
+                    let ev = PhysicalEvent::new(t, size, dst, u64::MAX - dst as u64);
+                    let fields = (ev.send_type(), ev.buffer_size(), ev.dst_pe(), ev.cycles());
+                    assert_eq!(fields, (t, size, dst as u32, u64::MAX - dst as u64));
+                    assert!(SendType::ALL.iter().all(|&u| ev.is(u) == (u == t)));
+                    let record = PhysicalRecord {
+                        send_type: t,
+                        buffer_size: size,
+                        src_pe: 7,
+                        dst_pe: dst as u32,
+                    };
+                    assert_eq!(ev.record(7), record);
+                }
+            }
+        }
+        let limits = (PhysicalEvent::MAX_DST_PE, PhysicalEvent::MAX_BUFFER_SIZE);
+        assert_eq!(limits, ((1 << 22) - 1, (1 << 40) - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a physical event")]
+    fn a_destination_past_the_limit_panics() {
+        let past = PhysicalEvent::MAX_DST_PE + 1;
+        PhysicalEvent::new(SendType::NonblockProgress, 0, past, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a physical event")]
+    fn a_buffer_past_the_limit_panics() {
+        let mut b = TraceBuffer::for_config(&TraceConfig::off().with_physical());
+        let past = PhysicalEvent::MAX_BUFFER_SIZE + 1;
+        b.record_physical(SendType::LocalSend, past, 0);
+    }
+
+    #[test]
     fn physical_stamps_cycles_at_event_time() {
         let mut b = TraceBuffer::for_config(&TraceConfig::off().with_physical());
         b.record_physical(SendType::LocalSend, 1, 0);
         b.record_physical(SendType::LocalSend, 1, 0);
         let p = b.pending_physical();
-        assert!(p[0].cycles > 0);
-        assert!(p[1].cycles >= p[0].cycles, "monotone per thread");
+        assert!(p[0].cycles() > 0);
+        assert!(p[1].cycles() >= p[0].cycles(), "monotone per thread");
     }
 }

@@ -133,17 +133,17 @@ pub fn write_run<T>(
 
 /// Write one line per record. Run-aware: a record equal to the one before
 /// it re-emits the cached bytes instead of being encoded again.
-pub fn encode_lines<'a, T: PartialEq + 'a>(
+pub fn encode_lines<T: PartialEq>(
     w: &mut impl Write,
-    records: impl IntoIterator<Item = &'a T>,
+    records: impl IntoIterator<Item = T>,
     encode: impl Fn(&mut Vec<u8>, &T),
 ) -> std::io::Result<()> {
     let mut line = Vec::new();
     let mut prev = None;
     for record in records {
-        if prev != Some(record) {
+        if prev.as_ref() != Some(&record) {
             line.clear();
-            encode(&mut line, record);
+            encode(&mut line, &record);
             prev = Some(record);
         }
         w.write_all(&line)?;
@@ -366,7 +366,7 @@ mod tests {
         let records = [vec![A; 1000], vec![MAX], vec![A; 2]].concat();
         let encodes = Cell::new(0);
         let mut file = Vec::new();
-        encode_lines(&mut file, &records, |buf, r| {
+        encode_lines(&mut file, records.iter().copied(), |buf, r| {
             encodes.set(encodes.get() + 1);
             encode_logical(buf, r);
         })

@@ -16,6 +16,13 @@
 //! length when longer than one (16 more) — never more per message than
 //! the 20 bytes one expanded record took. Memory grows with the number of
 //! runs, not of messages.
+//!
+//! Physical sends, one per flushed slab, are held as the 16-byte packed
+//! [`PhysicalEvent`]s the conveyor captured — send type, destination PE
+//! and buffer bytes in one word, plus the cycle stamp rebased to
+//! collector creation — and become [`PhysicalRecord`]s only when read
+//! through [`PhysicalRecords`]. The width is fixed, so the physical
+//! footprint is 16 bytes times the slab count, whatever the schedule.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -26,6 +33,7 @@ use fabsp_hwpc::RegionProfile;
 
 use fabsp_telemetry::Phase;
 
+use crate::buffer::PhysicalEvent;
 use crate::config::TraceConfig;
 use crate::record::{
     LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, Runs, SendType, SpanRecord,
@@ -71,6 +79,46 @@ impl<'a> LogicalRecords<'a> {
     }
 }
 
+/// The physical events of one collector, held packed; each becomes a full
+/// [`PhysicalRecord`] only when read.
+#[derive(Clone, Copy)]
+pub struct PhysicalRecords<'a> {
+    src_pe: u32,
+    events: &'a [PhysicalEvent],
+}
+
+impl<'a> PhysicalRecords<'a> {
+    /// The packed events in capture order, stamped relative to collector
+    /// creation.
+    pub fn events(&self) -> &'a [PhysicalEvent] {
+        self.events
+    }
+
+    /// Every record, in capture order.
+    pub fn iter(&self) -> impl Iterator<Item = PhysicalRecord> + 'a {
+        let src_pe = self.src_pe;
+        self.events.iter().map(move |ev| ev.record(src_pe))
+    }
+
+    /// Every record with its cycle stamp (relative to collector creation),
+    /// in capture order.
+    pub fn timed(&self) -> impl Iterator<Item = (PhysicalRecord, u64)> + 'a {
+        let src_pe = self.src_pe;
+        let timed = move |ev: &PhysicalEvent| (ev.record(src_pe), ev.cycles());
+        self.events.iter().map(timed)
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether no record is held.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+}
+
 /// Aggregate of all logical sends from one PE to one destination.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogicalCell {
@@ -97,10 +145,10 @@ pub struct PeCollector {
     logical_matrix: Vec<LogicalCell>,
     logical_runs: Runs<SendKey>,
     papi_agg: HashMap<(u32, u32), PapiAgg>,
-    physical_records: Vec<PhysicalRecord>,
-    /// Cycle timestamp of each physical record, relative to collector
-    /// creation (feeds the Google-Trace-Events exporter — §VI future work).
-    physical_timestamps: Vec<u64>,
+    /// Physical events in capture order, each stamped relative to
+    /// collector creation (the stamps feed the Google-Trace-Events
+    /// exporter — §VI future work).
+    physical: Vec<PhysicalEvent>,
     /// Completed phase spans, in completion order, relative to collector
     /// creation (feeds the Perfetto duration export).
     span_records: Vec<SpanRecord>,
@@ -126,8 +174,7 @@ impl PeCollector {
             logical_matrix: vec![LogicalCell::default(); matrix_len],
             logical_runs: Runs::default(),
             papi_agg: HashMap::new(),
-            physical_records: Vec::new(),
-            physical_timestamps: Vec::new(),
+            physical: Vec::new(),
             span_records: Vec::new(),
             t0_cycles: fabsp_hwpc::cycles_now(),
             overall: None,
@@ -268,15 +315,16 @@ impl PeCollector {
     }
 
     /// Record one physical (post-aggregation) send observed inside the
-    /// conveyor. No-op unless physical tracing is enabled.
+    /// conveyor. No-op unless physical tracing is enabled; panics if a
+    /// field exceeds the [`PhysicalEvent`] limits.
     pub fn record_physical(&mut self, send_type: SendType, buffer_size: u64, dst_pe: usize) {
         self.record_physical_at(send_type, buffer_size, dst_pe, fabsp_hwpc::cycles_now());
     }
 
     /// Like [`record_physical`](PeCollector::record_physical), but with the
-    /// absolute cycle stamp the event was *observed* at — used when events
-    /// are batched in a [`TraceBuffer`](crate::TraceBuffer) and drained
-    /// later, so the physical timeline reflects event time, not drain time.
+    /// absolute cycle stamp the event was *observed* at, rebased exactly as
+    /// [`drain`](PeCollector::drain) rebases an event batched in a
+    /// [`TraceBuffer`](crate::TraceBuffer).
     pub fn record_physical_at(
         &mut self,
         send_type: SendType,
@@ -287,14 +335,9 @@ impl PeCollector {
         if !self.config.physical {
             return;
         }
-        self.physical_records.push(PhysicalRecord {
-            send_type,
-            buffer_size,
-            src_pe: self.pe,
-            dst_pe: dst_pe as u32,
-        });
-        self.physical_timestamps
-            .push(at_cycles.saturating_sub(self.t0_cycles));
+        let at = at_cycles.saturating_sub(self.t0_cycles);
+        let ev = PhysicalEvent::new(send_type, buffer_size, dst_pe, at);
+        self.physical.push(ev);
     }
 
     /// Record one completed phase span from its absolute begin/end cycle
@@ -312,7 +355,8 @@ impl PeCollector {
     /// Replay a batch of hot-path events captured in a
     /// [`TraceBuffer`](crate::TraceBuffer) and leave the buffer empty (its
     /// storage is retained for reuse). Events are replayed in capture
-    /// order — a send run as one aggregate bump, not message by message —
+    /// order — a send run as one aggregate bump, not message by message,
+    /// the physical events appended as they are with their stamps rebased —
     /// so the drained collector state — matrices, exact records, PAPI
     /// aggregates, physical timeline — is identical to eager per-message
     /// recording.
@@ -333,8 +377,10 @@ impl PeCollector {
                 run.papi.as_ref().map(|bank| &bank[..n_events]),
             );
         }
-        for ev in &physical {
-            self.record_physical_at(ev.send_type, ev.buffer_size, ev.dst_pe as usize, ev.cycles);
+        if self.config.physical {
+            let t0 = self.t0_cycles;
+            let rebased = physical.iter().map(|ev| ev.rebased(t0));
+            self.physical.extend(rebased);
         }
         for ev in &spans {
             self.record_span_at(ev.phase, ev.begin_cycles, ev.end_cycles);
@@ -408,15 +454,13 @@ impl PeCollector {
             .collect()
     }
 
-    /// Physical-trace entries recorded by this PE's conveyor.
-    pub fn physical_records(&self) -> &[PhysicalRecord] {
-        &self.physical_records
-    }
-
-    /// Cycle timestamps (relative to collector creation) parallel to
-    /// [`physical_records`](PeCollector::physical_records).
-    pub fn physical_timestamps(&self) -> &[u64] {
-        &self.physical_timestamps
+    /// Physical-trace entries recorded by this PE's conveyor, with their
+    /// cycle stamps.
+    pub fn physical_records(&self) -> PhysicalRecords<'_> {
+        PhysicalRecords {
+            src_pe: self.pe,
+            events: &self.physical,
+        }
     }
 
     /// Completed phase spans, in completion order.
@@ -447,7 +491,7 @@ impl PeCollector {
         self.logical_matrix.len() * size_of::<LogicalCell>()
             + self.logical_runs.held_bytes()
             + self.papi_agg.len() * (size_of::<PapiAgg>() + size_of::<(u32, u32)>())
-            + self.physical_records.len() * (size_of::<PhysicalRecord>() + size_of::<u64>())
+            + self.physical.len() * size_of::<PhysicalEvent>()
             + self.span_records.len() * size_of::<SpanRecord>()
     }
 }
@@ -531,9 +575,14 @@ mod tests {
         let mut c = collector(TraceConfig::off().with_physical());
         assert!(c.wants_physical());
         c.record_physical(SendType::NonblockSend, 1024, 3);
-        assert_eq!(c.physical_records().len(), 1);
-        assert_eq!(c.physical_records()[0].buffer_size, 1024);
-        assert_eq!(c.physical_records()[0].src_pe, 1);
+        let records: Vec<_> = c.physical_records().iter().collect();
+        let expected = PhysicalRecord {
+            send_type: SendType::NonblockSend,
+            buffer_size: 1024,
+            src_pe: 1,
+            dst_pe: 3,
+        };
+        assert_eq!(records, [expected]);
     }
 
     #[test]
@@ -566,8 +615,8 @@ mod tests {
         let mut c = collector(TraceConfig::off().with_physical());
         c.record_physical(SendType::LocalSend, 64, 0);
         c.record_physical(SendType::NonblockSend, 64, 2);
-        assert_eq!(c.physical_timestamps().len(), c.physical_records().len());
-        let ts = c.physical_timestamps();
+        let ts: Vec<u64> = c.physical_records().timed().map(|(_, ts)| ts).collect();
+        assert_eq!(ts.len(), c.physical_records().len());
         assert!(ts[1] >= ts[0], "timestamps are monotone per PE");
     }
 
@@ -590,10 +639,15 @@ mod tests {
             eager.record_send(2, 16, 1, None);
         }
         buf.record_send_run(2, 16, 1, 5, None);
-        eager.record_physical(SendType::LocalSend, 64, 0);
-        eager.record_physical(SendType::NonblockSend, 128, 2);
         buf.record_physical(SendType::LocalSend, 64, 0);
         buf.record_physical(SendType::NonblockSend, 128, 2);
+        buf.record_physical(SendType::NonblockProgress, 128, 2);
+        // eager recording told the stamps the buffer took, against one t0
+        batched.t0_cycles = eager.t0_cycles;
+        for ev in buf.pending_physical() {
+            let (t, bytes, dst) = (ev.send_type(), ev.buffer_size(), ev.dst_pe() as usize);
+            eager.record_physical_at(t, bytes, dst, ev.cycles());
+        }
         batched.drain(&mut buf);
 
         assert!(buf.is_empty(), "drain leaves the buffer reusable");
@@ -603,11 +657,16 @@ mod tests {
             batched.logical_records().runs().collect::<Vec<_>>()
         );
         assert_eq!(eager.papi_records(), batched.papi_records());
-        assert_eq!(eager.physical_records(), batched.physical_records());
         assert_eq!(
-            eager.physical_timestamps().len(),
-            batched.physical_timestamps().len()
+            eager.physical_records().events(),
+            batched.physical_records().events()
         );
+        assert_eq!(
+            eager.physical_records().timed().collect::<Vec<_>>(),
+            batched.physical_records().timed().collect::<Vec<_>>()
+        );
+        assert_eq!(batched.physical_records().len(), 3);
+        assert_eq!(eager.trace_bytes(), batched.trace_bytes());
         // a second batch keeps accumulating
         buf.record_send_run(1, 8, 0, 1, Some(bank));
         batched.drain(&mut buf);
@@ -641,12 +700,12 @@ mod tests {
         c.record_physical(SendType::NonblockSend, 64, 2);
         c.record_span_at(Phase::Superstep, c.t0_cycles, c.t0_cycles + 1);
         assert_eq!(size_of::<SendKey>(), 8, "a run of one is smaller than one expanded record (20 B)");
-        assert_eq!(size_of::<PhysicalRecord>(), 24);
+        assert_eq!(size_of::<PhysicalEvent>(), 16);
         assert_eq!(size_of::<SpanRecord>(), 24);
         let papi_line = size_of::<PapiAgg>() + size_of::<(u32, u32)>();
         // 4 matrix cells, 2 runs (one of them with its length), 2 PAPI
-        // lines, 2 physical records and their timestamps, 1 span
-        assert_eq!(c.trace_bytes(), 4 * 16 + (2 * 8 + 16) + 2 * papi_line + 2 * (24 + 8) + 24);
+        // lines, 2 packed physical events with their stamps, 1 span
+        assert_eq!(c.trace_bytes(), 4 * 16 + (2 * 8 + 16) + 2 * papi_line + 2 * 16 + 24);
     }
 
     /// `n` sends to PE `dst(i)`, one by one, as exact records.

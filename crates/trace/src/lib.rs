@@ -11,7 +11,8 @@
 //!   hardware-counter values.
 //! - [`PhysicalRecord`] — one Conveyors-level send **after aggregation**
 //!   (`physical.txt`): send type (`local_send` / `nonblock_send` /
-//!   `nonblock_progress`), buffer size, source PE, destination PE.
+//!   `nonblock_progress`), buffer size, source PE, destination PE. The
+//!   collector holds each one as a 16-byte packed [`PhysicalEvent`].
 //! - [`OverallRecord`] — the per-PE MAIN/COMM/PROC cycle breakdown
 //!   (`overall.txt`), with `T_COMM` derived as `T_TOTAL − T_MAIN − T_PROC`.
 //! - [`SpanRecord`] — one completed runtime phase (superstep / advance /
@@ -38,7 +39,7 @@ pub mod config;
 pub mod record;
 
 pub use buffer::{PhysicalEvent, SendRun, SpanEvent, TraceBuffer};
-pub use collector::{LogicalRecords, PeCollector, SharedCollector};
+pub use collector::{LogicalRecords, PeCollector, PhysicalRecords, SharedCollector};
 pub use config::{PapiConfig, TraceConfig, TraceConfigError};
 pub use fabsp_telemetry::Phase;
 pub use record::{

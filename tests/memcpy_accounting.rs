@@ -148,7 +148,7 @@ fn physical_trace(
             }
             pe.poll_yield();
         }
-        let records = collector.borrow().physical_records().to_vec();
+        let records = collector.borrow().physical_records().iter().collect::<Vec<_>>();
         records
     })
     .unwrap()

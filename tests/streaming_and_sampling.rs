@@ -3,6 +3,7 @@
 
 use actorprof_suite::actorprof::{compare::Comparison, reader, writer};
 use actorprof_suite::actorprof_trace::TraceConfig;
+use actorprof_suite::fabsp_apps::histogram::{self, HistogramConfig};
 use actorprof_suite::fabsp_apps::triangle::{count_triangles, DistKind, TriangleConfig};
 use actorprof_suite::fabsp_graph::edgelist::to_lower_triangular;
 use actorprof_suite::fabsp_graph::rmat::{generate_edges, RmatParams};
@@ -101,4 +102,40 @@ fn comparison_reproduces_figure5_statements() {
     assert!(exact.trace_bytes() > aggregated.trace_bytes());
     let records: usize = exact.collectors().iter().map(|c| c.logical_records().len()).sum();
     assert!(exact.trace_bytes() - aggregated.trace_bytes() <= 20 * records);
+}
+
+/// The post-mortem bundle (every trace but phase spans) of one input has
+/// one footprint: a histogram seed gives the same bytes on every run, on
+/// the intra-node ring path (1x2) and the `put_nbi` path (2x1), and each
+/// physical event costs exactly its 16 packed bytes on top of the logical,
+/// matrix and PAPI parts — what the same run holds without physical
+/// tracing.
+#[test]
+fn histogram_footprint_is_a_function_of_the_input() {
+    let postmortem = TraceConfig {
+        spans: false,
+        ..TraceConfig::all().with_logical_records()
+    };
+    let without_physical = TraceConfig {
+        physical: false,
+        ..postmortem.clone()
+    };
+    for (nodes, per_node) in [(1, 2), (2, 1)] {
+        let run = |trace: &TraceConfig| {
+            let mut cfg = HistogramConfig::new(Grid::new(nodes, per_node).unwrap());
+            cfg.updates_per_pe = 100_000;
+            cfg.seed = 11;
+            cfg.trace = trace.clone();
+            histogram::run(&cfg).unwrap().bundle
+        };
+        let (first, second, rest) = (run(&postmortem), run(&postmortem), run(&without_physical));
+        let grid = format!("{nodes}x{per_node}");
+        assert_eq!(first.trace_bytes(), second.trace_bytes(), "{grid}");
+        for (c, r) in first.collectors().iter().zip(rest.collectors()) {
+            let events = c.physical_records().len();
+            assert!(events > 0, "{grid} PE{}", c.pe());
+            let expected = 16 * events + r.trace_bytes();
+            assert_eq!(c.trace_bytes(), expected, "{grid} PE{}", c.pe());
+        }
+    }
 }

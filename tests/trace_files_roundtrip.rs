@@ -1,8 +1,9 @@
 //! Run boundaries and byte identity of the trace-file codec.
 //!
 //! Random record sequences — runs of length 1, 2 and 1000, the values 0 and
-//! `u32::MAX`/`u64::MAX`, a run interrupted by one different record and
-//! resumed — go through the real writer and reader. Three things must hold
+//! `u32::MAX`/`u64::MAX` (for a physical buffer, the largest size a packed
+//! event holds), a run interrupted by one different record and resumed —
+//! go through the real writer and reader. Three things must hold
 //! for all five formats: the files are byte-for-byte what the `format!`
 //! lines the writer used before the codec would have been (kept below as
 //! the oracle), and reading them back gives the records that were written,
@@ -11,14 +12,16 @@
 use std::path::{Path, PathBuf};
 
 use actorprof_suite::actorprof::{reader, writer, TraceBundle};
-use actorprof_suite::actorprof_trace::{PapiConfig, PeCollector, SendType, TraceConfig};
+use actorprof_suite::actorprof_trace::{
+    PapiConfig, PeCollector, PhysicalEvent, SendType, TraceConfig,
+};
 use proptest::prelude::*;
 
 const N_PES: usize = 3;
 const PES_PER_NODE: usize = 2;
 const SIZES: [u32; 3] = [0, 8, u32::MAX];
 const RUNS: [u64; 3] = [1, 2, 1000];
-const BUFFERS: [u64; 3] = [0, 4096, u64::MAX];
+const BUFFERS: [u64; 3] = [0, 4096, PhysicalEvent::MAX_BUFFER_SIZE];
 const CYCLES: [u64; 3] = [0, 1, u64::MAX / 4];
 const TYPES: [SendType; 3] = [SendType::LocalSend, SendType::NonblockSend, SendType::NonblockProgress];
 
@@ -101,7 +104,7 @@ fn oracle(bundle: &TraceBundle) -> Vec<(String, String)> {
         }
         files.push((format!("PE{}_PAPI.csv", c.pe()), text));
 
-        for r in c.physical_records() {
+        for r in c.physical_records().iter() {
             physical += &format!("{},{},{},{}\n", r.send_type.label(), r.buffer_size, r.src_pe, r.dst_pe);
         }
         let r = c.overall().unwrap();
@@ -160,7 +163,7 @@ proptest! {
             let (events, papi) = reader::read_papi(&dir.join(format!("PE{pe}_PAPI.csv"))).unwrap();
             prop_assert_eq!(events, ["PAPI_TOT_INS", "PAPI_LST_INS"]);
             prop_assert_eq!(papi, c.papi_records());
-            physical.extend_from_slice(c.physical_records());
+            physical.extend(c.physical_records().iter());
         }
         prop_assert!(reader::read_physical(&dir.join("physical.txt")).unwrap() == physical, "physical.txt");
         prop_assert_eq!(reader::read_overall(&dir.join("overall.txt")).unwrap(), bundle.overall_records().unwrap());
