@@ -9,7 +9,7 @@ use actorprof::overall::OverallSummary;
 use actorprof::papi::PapiSeries;
 use actorprof::stats::Imbalance;
 use actorprof::{Matrix, Quartiles};
-use actorprof_trace::{PapiConfig, SendType, TraceConfig};
+use actorprof_trace::{PapiConfig, PhysicalRecords, SendType, TraceConfig};
 use actorprof_viz::{ascii, bar, heatmap, line, stacked, violin};
 use fabsp_apps::histogram::{self, HistogramConfig};
 use fabsp_apps::triangle::{count_triangles, DistKind, TriangleConfig};
@@ -475,7 +475,8 @@ pub fn topology_figure(ctx: &FigureCtx, _figure: &str) {
 /// per-send records (the paper's 100 GB problem; held as runs of equal
 /// records, so their memory grows with runs while their files grow with
 /// messages), sampling, and aggregation — and what the physical trace
-/// costs beside them (16 B per flushed slab).
+/// costs beside them (8 B per flushed slab, plus each PE's dictionary of
+/// distinct words and its segment header).
 pub fn trace_size_figure(_ctx: &FigureCtx, _figure: &str) {
     let footprint = |trace, updates| {
         let mut cfg = HistogramConfig::new(Grid::new(2, 4).expect("grid"));
@@ -497,6 +498,13 @@ pub fn trace_size_figure(_ctx: &FigureCtx, _figure: &str) {
         let (physical, _) = footprint(TraceConfig::off().with_physical(), updates);
         println!("{total:>10} {agg:>16} {exact:>16} {sampled:>16} {physical:>16}");
     }
+    println!(
+        "\nphysical = 8 B per flushed slab + 8 B per distinct (type, destination, bytes)\n\
+         word + a {} B segment header per PE. It repeats exactly on 1-D grids; on\n\
+         this 2x4 mesh relay PEs re-stage partial slabs that flush when the schedule\n\
+         lets them, so it moves by a few events between runs.",
+        PhysicalRecords::SEGMENT_BYTES
+    );
 }
 
 /// One untraced-but-for-PAPI case-study run: wall milliseconds, wedges and

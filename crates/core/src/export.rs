@@ -57,8 +57,8 @@ struct Lane<'a> {
     node: u32,
     pe: u32,
     spans: &'a [SpanRecord],
-    /// Packed physical sends, stamped relative to collector creation.
-    physical: &'a [PhysicalEvent],
+    /// Physical sends, decoded, stamped relative to collector creation.
+    physical: Vec<PhysicalEvent>,
     overall: Option<OverallRecord>,
 }
 
@@ -68,7 +68,7 @@ impl<'a> From<&'a PeCollector> for Lane<'a> {
             node: c.node(),
             pe: c.pe(),
             spans: c.span_records(),
-            physical: c.physical_records().events(),
+            physical: c.physical_records().events().collect(),
             overall: c.overall(),
         }
     }
@@ -353,7 +353,7 @@ mod tests {
                     node: pe / 2,
                     pe,
                     spans,
-                    physical,
+                    physical: physical.clone(),
                     overall: Some(OverallRecord {
                         pe,
                         t_main,

@@ -21,9 +21,9 @@
 //!
 //! The flush path's unit is the slab, one [`PhysicalEvent`] each: send
 //! type, destination PE and buffer bytes packed into one word beside the
-//! cycle stamp, 16 bytes in all. The collector keeps that same value —
-//! the drain only rebases the stamp — so the buffer holds no second,
-//! wider copy of the physical trace.
+//! cycle stamp, 16 bytes in all. The drain rebases the stamp and packs the
+//! event into the collector's 8-byte form, a dictionary index beside the
+//! stamp's low 48 bits (see [`PeCollector::physical_records`]).
 //!
 //! Exactness is preserved: every event carries everything `record_send` /
 //! `record_physical` would have been told at event time, including the
@@ -34,6 +34,7 @@
 //!
 //! [`PeCollector`]: crate::PeCollector
 //! [`PeCollector::drain`]: crate::PeCollector::drain
+//! [`PeCollector::physical_records`]: crate::PeCollector::physical_records
 
 use fabsp_hwpc::MAX_EVENTS;
 use fabsp_telemetry::Phase;
@@ -61,10 +62,11 @@ pub struct SendRun {
 }
 
 /// One physical (post-aggregation) send, packed into one word plus its
-/// cycle stamp — 16 bytes from capture in the [`TraceBuffer`] to the
-/// collector that holds it. The word keeps the send type in its top 2
-/// bits, the destination PE in the next 22 and the buffer bytes in the low
-/// 40; the source PE is the capturing collector's own and is not stored.
+/// cycle stamp — 16 bytes in the [`TraceBuffer`] that captures it and
+/// wherever a collector's events are read back. The word keeps the send
+/// type in its top 2 bits, the destination PE in the next 22 and the
+/// buffer bytes in the low 40; the source PE is the capturing collector's
+/// own and is not stored.
 /// The stamp is absolute ([`fabsp_hwpc::cycles_now`]) while captured and
 /// relative to the collector's creation once drained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +141,19 @@ impl PhysicalEvent {
     #[inline]
     pub fn cycles(&self) -> u64 {
         self.cycles
+    }
+
+    /// The packed `(send type, destination PE, bytes)` word.
+    #[inline]
+    pub(crate) fn word(&self) -> u64 {
+        self.word
+    }
+
+    /// The event with packed word `word` (as [`word`](Self::word) returns
+    /// it) stamped `cycles`.
+    #[inline]
+    pub(crate) fn from_parts(word: u64, cycles: u64) -> PhysicalEvent {
+        PhysicalEvent { word, cycles }
     }
 
     /// The same event with its stamp made relative to `t0_cycles`

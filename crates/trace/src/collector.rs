@@ -17,12 +17,17 @@
 //! the 20 bytes one expanded record took. Memory grows with the number of
 //! runs, not of messages.
 //!
-//! Physical sends, one per flushed slab, are held as the 16-byte packed
-//! [`PhysicalEvent`]s the conveyor captured — send type, destination PE
-//! and buffer bytes in one word, plus the cycle stamp rebased to
-//! collector creation — and become [`PhysicalRecord`]s only when read
-//! through [`PhysicalRecords`]. The width is fixed, so the physical
-//! footprint is 16 bytes times the slab count, whatever the schedule.
+//! Physical sends, one per flushed slab, arrive as the 16-byte
+//! [`PhysicalEvent`]s the conveyor captured and are held as one `u64`
+//! each: the index of the event's packed send type, destination PE and
+//! buffer bytes in a per-collector dictionary, beside the low 48 bits of
+//! its cycle stamp rebased to collector creation. A new segment, with its
+//! own dictionary and the stamps' high bits, opens when the 16-bit index
+//! or the 48-bit stamp would overflow, so nothing is lost at any size.
+//! They become [`PhysicalEvent`]s and [`PhysicalRecord`]s again only when
+//! read through [`PhysicalRecords`]. The physical footprint is 8 bytes
+//! per slab plus 8 per distinct word and a header per segment — a
+//! function of the events, not of their timing.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -35,6 +40,7 @@ use fabsp_telemetry::Phase;
 
 use crate::buffer::PhysicalEvent;
 use crate::config::TraceConfig;
+use crate::packed::PackedEvents;
 use crate::record::{
     LogicalRecord, OverallRecord, PapiRecord, PhysicalRecord, Runs, SendType, SpanRecord,
 };
@@ -79,43 +85,60 @@ impl<'a> LogicalRecords<'a> {
     }
 }
 
-/// The physical events of one collector, held packed; each becomes a full
-/// [`PhysicalRecord`] only when read.
+/// The physical events of one collector, held as one packed word each;
+/// each becomes a [`PhysicalEvent`] or a full [`PhysicalRecord`] only when
+/// read.
 #[derive(Clone, Copy)]
 pub struct PhysicalRecords<'a> {
     src_pe: u32,
-    events: &'a [PhysicalEvent],
+    packed: &'a PackedEvents,
 }
 
 impl<'a> PhysicalRecords<'a> {
-    /// The packed events in capture order, stamped relative to collector
+    /// Bytes one segment header of the packed form takes (see
+    /// [`segments`](Self::segments)).
+    pub const SEGMENT_BYTES: usize = PackedEvents::SEGMENT_BYTES;
+
+    /// The events in capture order, decoded, stamped relative to collector
     /// creation.
-    pub fn events(&self) -> &'a [PhysicalEvent] {
-        self.events
+    pub fn events(&self) -> impl Iterator<Item = PhysicalEvent> + 'a {
+        self.packed.iter()
     }
 
     /// Every record, in capture order.
     pub fn iter(&self) -> impl Iterator<Item = PhysicalRecord> + 'a {
         let src_pe = self.src_pe;
-        self.events.iter().map(move |ev| ev.record(src_pe))
+        self.events().map(move |ev| ev.record(src_pe))
     }
 
     /// Every record with its cycle stamp (relative to collector creation),
     /// in capture order.
     pub fn timed(&self) -> impl Iterator<Item = (PhysicalRecord, u64)> + 'a {
         let src_pe = self.src_pe;
-        let timed = move |ev: &PhysicalEvent| (ev.record(src_pe), ev.cycles());
-        self.events.iter().map(timed)
+        self.events().map(move |ev| (ev.record(src_pe), ev.cycles()))
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.packed.len()
     }
 
     /// Whether no record is held.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
+    }
+
+    /// Distinct packed `(send type, destination PE, bytes)` words held,
+    /// summed over the segments' dictionaries (8 bytes each).
+    pub fn dictionary_len(&self) -> usize {
+        self.packed.dictionary_len()
+    }
+
+    /// Segments of the packed form: one unless the stamps passed 2⁴⁸
+    /// cycles or a dictionary filled its 65 536 words
+    /// ([`SEGMENT_BYTES`](Self::SEGMENT_BYTES) each).
+    pub fn segments(&self) -> usize {
+        self.packed.segments()
     }
 }
 
@@ -148,7 +171,7 @@ pub struct PeCollector {
     /// Physical events in capture order, each stamped relative to
     /// collector creation (the stamps feed the Google-Trace-Events
     /// exporter — §VI future work).
-    physical: Vec<PhysicalEvent>,
+    physical: PackedEvents,
     /// Completed phase spans, in completion order, relative to collector
     /// creation (feeds the Perfetto duration export).
     span_records: Vec<SpanRecord>,
@@ -174,7 +197,7 @@ impl PeCollector {
             logical_matrix: vec![LogicalCell::default(); matrix_len],
             logical_runs: Runs::default(),
             papi_agg: HashMap::new(),
-            physical: Vec::new(),
+            physical: PackedEvents::default(),
             span_records: Vec::new(),
             t0_cycles: fabsp_hwpc::cycles_now(),
             overall: None,
@@ -335,9 +358,8 @@ impl PeCollector {
         if !self.config.physical {
             return;
         }
-        let at = at_cycles.saturating_sub(self.t0_cycles);
-        let ev = PhysicalEvent::new(send_type, buffer_size, dst_pe, at);
-        self.physical.push(ev);
+        let ev = PhysicalEvent::new(send_type, buffer_size, dst_pe, at_cycles);
+        self.physical.push(ev.rebased(self.t0_cycles));
     }
 
     /// Record one completed phase span from its absolute begin/end cycle
@@ -356,7 +378,7 @@ impl PeCollector {
     /// [`TraceBuffer`](crate::TraceBuffer) and leave the buffer empty (its
     /// storage is retained for reuse). Events are replayed in capture
     /// order — a send run as one aggregate bump, not message by message,
-    /// the physical events appended as they are with their stamps rebased —
+    /// each physical event packed with its stamp rebased —
     /// so the drained collector state — matrices, exact records, PAPI
     /// aggregates, physical timeline — is identical to eager per-message
     /// recording.
@@ -378,9 +400,9 @@ impl PeCollector {
             );
         }
         if self.config.physical {
-            let t0 = self.t0_cycles;
-            let rebased = physical.iter().map(|ev| ev.rebased(t0));
-            self.physical.extend(rebased);
+            for ev in &physical {
+                self.physical.push(ev.rebased(self.t0_cycles));
+            }
         }
         for ev in &spans {
             self.record_span_at(ev.phase, ev.begin_cycles, ev.end_cycles);
@@ -459,7 +481,7 @@ impl PeCollector {
     pub fn physical_records(&self) -> PhysicalRecords<'_> {
         PhysicalRecords {
             src_pe: self.pe,
-            events: &self.physical,
+            packed: &self.physical,
         }
     }
 
@@ -491,7 +513,7 @@ impl PeCollector {
         self.logical_matrix.len() * size_of::<LogicalCell>()
             + self.logical_runs.held_bytes()
             + self.papi_agg.len() * (size_of::<PapiAgg>() + size_of::<(u32, u32)>())
-            + self.physical.len() * size_of::<PhysicalEvent>()
+            + self.physical.held_bytes()
             + self.span_records.len() * size_of::<SpanRecord>()
     }
 }
@@ -657,20 +679,40 @@ mod tests {
             batched.logical_records().runs().collect::<Vec<_>>()
         );
         assert_eq!(eager.papi_records(), batched.papi_records());
-        assert_eq!(
-            eager.physical_records().events(),
-            batched.physical_records().events()
-        );
+        assert!(eager.physical_records().events().eq(batched.physical_records().events()));
         assert_eq!(
             eager.physical_records().timed().collect::<Vec<_>>(),
             batched.physical_records().timed().collect::<Vec<_>>()
         );
         assert_eq!(batched.physical_records().len(), 3);
+        assert_eq!(batched.physical_records().dictionary_len(), 3);
         assert_eq!(eager.trace_bytes(), batched.trace_bytes());
         // a second batch keeps accumulating
         buf.record_send_run(1, 8, 0, 1, Some(bank));
         batched.drain(&mut buf);
         assert_eq!(batched.logical_matrix()[1].sends, 1);
+    }
+
+    #[test]
+    fn two_buffers_drained_apart_keep_their_backward_stamps_exactly() {
+        // two mailboxes' buffers fill side by side and drain one after the
+        // other, so the second batch's stamps fall back below the first's
+        let cfg = TraceConfig::off().with_physical();
+        let mut c = collector(cfg.clone());
+        let [mut a, mut b] = [(); 2].map(|_| crate::TraceBuffer::for_config(&cfg));
+        for i in 0..20 {
+            a.record_physical(SendType::NonblockSend, 512, i % 2);
+            b.record_physical(SendType::NonblockProgress, 64, i % 3);
+        }
+        let pending = a.pending_physical().iter().chain(b.pending_physical());
+        let captured: Vec<_> = pending.copied().collect();
+        c.drain(&mut a);
+        c.drain(&mut b);
+        let expected = captured.iter().map(|ev| ev.rebased(c.t0_cycles));
+        assert!(c.physical_records().events().eq(expected));
+        let stamps: Vec<u64> = c.physical_records().timed().map(|(_, at)| at).collect();
+        assert!(stamps[20] <= stamps[19], "the second batch starts back in time");
+        assert_eq!(c.physical_records().dictionary_len(), 5);
     }
 
     #[test]
@@ -700,12 +742,14 @@ mod tests {
         c.record_physical(SendType::NonblockSend, 64, 2);
         c.record_span_at(Phase::Superstep, c.t0_cycles, c.t0_cycles + 1);
         assert_eq!(size_of::<SendKey>(), 8, "a run of one is smaller than one expanded record (20 B)");
-        assert_eq!(size_of::<PhysicalEvent>(), 16);
+        assert_eq!(PhysicalRecords::SEGMENT_BYTES, 56);
         assert_eq!(size_of::<SpanRecord>(), 24);
         let papi_line = size_of::<PapiAgg>() + size_of::<(u32, u32)>();
         // 4 matrix cells, 2 runs (one of them with its length), 2 PAPI
-        // lines, 2 packed physical events with their stamps, 1 span
-        assert_eq!(c.trace_bytes(), 4 * 16 + (2 * 8 + 16) + 2 * papi_line + 2 * 16 + 24);
+        // lines, 2 packed physical events with the 2 dictionary words and
+        // the one segment header they use, 1 span
+        let physical = 2 * 8 + 2 * 8 + 56;
+        assert_eq!(c.trace_bytes(), 4 * 16 + (2 * 8 + 16) + 2 * papi_line + physical + 24);
     }
 
     /// `n` sends to PE `dst(i)`, one by one, as exact records.

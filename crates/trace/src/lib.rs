@@ -12,7 +12,9 @@
 //! - [`PhysicalRecord`] — one Conveyors-level send **after aggregation**
 //!   (`physical.txt`): send type (`local_send` / `nonblock_send` /
 //!   `nonblock_progress`), buffer size, source PE, destination PE. The
-//!   collector holds each one as a 16-byte packed [`PhysicalEvent`].
+//!   conveyor captures each one as a 16-byte [`PhysicalEvent`], and the
+//!   collector holds it as one 8-byte word: a dictionary index beside the
+//!   low 48 bits of its stamp.
 //! - [`OverallRecord`] — the per-PE MAIN/COMM/PROC cycle breakdown
 //!   (`overall.txt`), with `T_COMM` derived as `T_TOTAL − T_MAIN − T_PROC`.
 //! - [`SpanRecord`] — one completed runtime phase (superstep / advance /
@@ -36,6 +38,7 @@ pub mod buffer;
 pub mod codec;
 pub mod collector;
 pub mod config;
+mod packed;
 pub mod record;
 
 pub use buffer::{PhysicalEvent, SendRun, SpanEvent, TraceBuffer};

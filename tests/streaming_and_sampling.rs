@@ -1,8 +1,8 @@
 //! End-to-end checks of the §VI large-trace features: exact records
 //! written to disk after the run, and sampling them.
 
-use actorprof_suite::actorprof::{compare::Comparison, reader, writer};
-use actorprof_suite::actorprof_trace::TraceConfig;
+use actorprof_suite::actorprof::{compare::Comparison, reader, writer, TraceBundle};
+use actorprof_suite::actorprof_trace::{PhysicalRecords, TraceConfig};
 use actorprof_suite::fabsp_apps::histogram::{self, HistogramConfig};
 use actorprof_suite::fabsp_apps::triangle::{count_triangles, DistKind, TriangleConfig};
 use actorprof_suite::fabsp_graph::edgelist::to_lower_triangular;
@@ -104,22 +104,44 @@ fn comparison_reproduces_figure5_statements() {
     assert!(exact.trace_bytes() - aggregated.trace_bytes() <= 20 * records);
 }
 
-/// The post-mortem bundle (every trace but phase spans) of one input has
-/// one footprint: a histogram seed gives the same bytes on every run, on
-/// the intra-node ring path (1x2) and the `put_nbi` path (2x1), and each
-/// physical event costs exactly its 16 packed bytes on top of the logical,
-/// matrix and PAPI parts — what the same run holds without physical
-/// tracing.
-#[test]
-fn histogram_footprint_is_a_function_of_the_input() {
-    let postmortem = TraceConfig {
+/// The post-mortem config: every trace but phase spans.
+fn postmortem() -> TraceConfig {
+    TraceConfig {
         spans: false,
         ..TraceConfig::all().with_logical_records()
-    };
+    }
+}
+
+/// `run` twice under the post-mortem config gives one footprint, and on
+/// every PE the physical trace costs exactly 8 packed bytes per event plus
+/// its dictionary words (8 B each) and segment headers on top of the
+/// logical, matrix and PAPI parts — what the same run holds without
+/// physical tracing.
+fn assert_footprint_is_a_function_of_the_input(
+    tag: &str,
+    run: impl Fn(&TraceConfig) -> TraceBundle,
+) {
     let without_physical = TraceConfig {
         physical: false,
-        ..postmortem.clone()
+        ..postmortem()
     };
+    let (first, second, rest) = (run(&postmortem()), run(&postmortem()), run(&without_physical));
+    assert_eq!(first.trace_bytes(), second.trace_bytes(), "{tag}");
+    for (c, r) in first.collectors().iter().zip(rest.collectors()) {
+        let physical = c.physical_records();
+        assert!(!physical.is_empty(), "{tag} PE{}", c.pe());
+        assert_eq!(physical.segments(), 1, "{tag} PE{}", c.pe());
+        let packed = 8 * physical.len()
+            + 8 * physical.dictionary_len()
+            + PhysicalRecords::SEGMENT_BYTES * physical.segments();
+        assert_eq!(c.trace_bytes(), packed + r.trace_bytes(), "{tag} PE{}", c.pe());
+    }
+}
+
+/// A histogram seed has one post-mortem footprint on the intra-node ring
+/// path (1x2) and the `put_nbi` path (2x1).
+#[test]
+fn histogram_footprint_is_a_function_of_the_input() {
     for (nodes, per_node) in [(1, 2), (2, 1)] {
         let run = |trace: &TraceConfig| {
             let mut cfg = HistogramConfig::new(Grid::new(nodes, per_node).unwrap());
@@ -128,14 +150,20 @@ fn histogram_footprint_is_a_function_of_the_input() {
             cfg.trace = trace.clone();
             histogram::run(&cfg).unwrap().bundle
         };
-        let (first, second, rest) = (run(&postmortem), run(&postmortem), run(&without_physical));
-        let grid = format!("{nodes}x{per_node}");
-        assert_eq!(first.trace_bytes(), second.trace_bytes(), "{grid}");
-        for (c, r) in first.collectors().iter().zip(rest.collectors()) {
-            let events = c.physical_records().len();
-            assert!(events > 0, "{grid} PE{}", c.pe());
-            let expected = 16 * events + r.trace_bytes();
-            assert_eq!(c.trace_bytes(), expected, "{grid} PE{}", c.pe());
-        }
+        assert_footprint_is_a_function_of_the_input(&format!("{nodes}x{per_node}"), run);
     }
+}
+
+/// So has the paper's case study: triangle counting on one R-MAT graph,
+/// 1D Cyclic on 1x2.
+#[test]
+fn triangle_footprint_is_a_function_of_the_input() {
+    let l = graph(10);
+    let run = |trace: &TraceConfig| {
+        let config = TriangleConfig::new(Grid::new(1, 2).unwrap())
+            .with_dist(DistKind::Cyclic)
+            .with_trace(trace.clone());
+        count_triangles(&l, &config).unwrap().bundle
+    };
+    assert_footprint_is_a_function_of_the_input("tc 1x2 cyclic", run);
 }
