@@ -1,4 +1,4 @@
-//! The ten-app conformance registry — `fabsp_testkit::matrix` made
+//! The three-app conformance registry — `fabsp_testkit::matrix` made
 //! concrete.
 //!
 //! One [`AppSpec`] per bundled workload, each mapping the generic
@@ -11,7 +11,7 @@
 //! schedule-fuzz, crash-recovery, and race-detect suites iterate
 //! [`registry`] instead of hand-writing one test per app.
 //!
-//! ## Adding an eleventh app
+//! ## Adding a fourth app
 //!
 //! Three pieces, ~40 lines total, all in this file:
 //! 1. a `*_config(params)` builder mapping [`MatrixParams`] to your
@@ -29,20 +29,13 @@ use actorprof_trace::TraceConfig;
 use fabsp_graph::edgelist::to_lower_triangular;
 use fabsp_graph::rmat::{generate_edges, RmatParams};
 use fabsp_graph::Csr;
-use fabsp_testkit::matrix::{fnv1a, AppSpec, Digest, MatrixParams, MatrixRun};
+use fabsp_testkit::matrix::{fnv1a, AppSpec, MatrixParams, MatrixRun};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::bfs::{self, symmetric_adjacency, BfsConfig};
 use crate::common::RunConfig;
-use crate::components::{self, ComponentsConfig};
 use crate::histogram::{self, HistogramConfig};
 use crate::index_gather::{self, IndexGatherConfig};
-use crate::intsort::{self, IntSortConfig};
-use crate::jaccard::{self, JaccardConfig};
-use crate::pagerank::{self, PageRankConfig};
-use crate::permute::{self, PermuteConfig};
-use crate::skewed_agg::{self, SkewedAggConfig};
 use crate::triangle::{count_triangles, DistKind, TriangleConfig};
 
 /// Copy the substrate knobs of [`MatrixParams`] onto a [`RunConfig`].
@@ -70,20 +63,10 @@ fn flatten_logical(bundle: &TraceBundle, p: &MatrixParams) -> Option<Vec<u64>> {
     Some((0..m.n()).flat_map(|r| m.row(r).to_vec()).collect())
 }
 
-/// The deterministic R-MAT adjacency the graph apps share, sized off the
-/// global scale (tiny: scheduled replays run hundreds of times in CI).
+/// The deterministic R-MAT scale of the triangle workload, sized off the
+/// global scale (tiny: scheduled replays run a hundred times in CI).
 fn graph_scale(p: &MatrixParams) -> u32 {
     p.scale.saturating_sub(2).clamp(3, 6)
-}
-
-fn lower_csr(p: &MatrixParams) -> (usize, Vec<(u32, u32)>) {
-    let rp = RmatParams::graph500(graph_scale(p));
-    (rp.n_vertices(), to_lower_triangular(&generate_edges(&rp)))
-}
-
-fn adjacency(p: &MatrixParams) -> Csr {
-    let (n, lower) = lower_csr(p);
-    symmetric_adjacency(n, &lower)
 }
 
 // ---------------------------------------------------------------- histogram
@@ -138,8 +121,8 @@ fn run_index_gather(p: &MatrixParams) -> Result<MatrixRun, String> {
 // ----------------------------------------------------------------- triangle
 
 fn run_triangle(p: &MatrixParams) -> Result<MatrixRun, String> {
-    let (n, lower) = lower_csr(p);
-    let l = Csr::from_edges(n, &lower);
+    let rp = RmatParams::graph500(graph_scale(p));
+    let l = Csr::from_edges(rp.n_vertices(), &to_lower_triangular(&generate_edges(&rp)));
     let mut cfg = TriangleConfig::new(p.grid).with_dist(DistKind::Cyclic);
     apply_params(&mut cfg, p);
     let out = count_triangles(&l, &cfg).map_err(|e| format!("triangle: {e}"))?;
@@ -171,205 +154,26 @@ fn run_triangle(p: &MatrixParams) -> Result<MatrixRun, String> {
     })
 }
 
-// ---------------------------------------------------------------------- bfs
-
-fn run_bfs(p: &MatrixParams) -> Result<MatrixRun, String> {
-    let adj = adjacency(p);
-    let mut cfg = BfsConfig::new(p.grid);
-    apply_params(&mut cfg, p);
-    let out = bfs::run(&adj, &cfg).map_err(|e| format!("bfs: {e}"))?;
-    let golden = bfs::sequential_bfs(&adj, cfg.source);
-    Ok(MatrixRun {
-        result_digest: fnv1a(out.distances.iter().map(|&d| d as u64)),
-        golden_digest: fnv1a(golden.iter().map(|&d| d as u64)),
-        logical: flatten_logical(&out.bundle, p),
-        n_pes: p.grid.n_pes(),
-        recovery: out.recovery,
-    })
-}
-
-// --------------------------------------------------------------- components
-
-fn run_components(p: &MatrixParams) -> Result<MatrixRun, String> {
-    let adj = adjacency(p);
-    let mut cfg = ComponentsConfig::new(p.grid);
-    apply_params(&mut cfg, p);
-    let out = components::run(&adj, &cfg).map_err(|e| format!("components: {e}"))?;
-    let golden = components::sequential_components(&adj);
-    Ok(MatrixRun {
-        result_digest: fnv1a(out.labels.iter().map(|&l| l as u64)),
-        golden_digest: fnv1a(golden.iter().map(|&l| l as u64)),
-        logical: flatten_logical(&out.bundle, p),
-        n_pes: p.grid.n_pes(),
-        recovery: out.recovery,
-    })
-}
-
-// ----------------------------------------------------------------- pagerank
-
-/// Quantize a rank to a 1e-6 grid: the distributed canonical fold and the
-/// sequential reference agree to ~1e-12, so both land in the same cell
-/// (deterministically — same seeds, same graph, every run).
-fn quantize(r: f64) -> u64 {
-    (r * 1e6).round() as u64
-}
-
-fn run_pagerank(p: &MatrixParams) -> Result<MatrixRun, String> {
-    let adj = adjacency(p);
-    let mut cfg = PageRankConfig::new(p.grid);
-    apply_params(&mut cfg, p);
-    cfg.iterations = 4;
-    let out = pagerank::run(&adj, &cfg).map_err(|e| format!("pagerank: {e}"))?;
-    let golden = pagerank::sequential_pagerank(&adj, cfg.damping, cfg.iterations);
-    Ok(MatrixRun {
-        result_digest: fnv1a(out.ranks.iter().map(|&r| quantize(r))),
-        golden_digest: fnv1a(golden.iter().map(|&r| quantize(r))),
-        logical: flatten_logical(&out.bundle, p),
-        n_pes: p.grid.n_pes(),
-        recovery: out.recovery,
-    })
-}
-
-// ------------------------------------------------------------------ permute
-
-fn run_permute(p: &MatrixParams) -> Result<MatrixRun, String> {
-    let mut cfg = PermuteConfig::new(p.grid);
-    apply_params(&mut cfg, p);
-    cfg.slots_per_pe = 8 * p.scale as usize;
-    let out = permute::run(&cfg).map_err(|e| format!("permute: {e}"))?;
-    // oracle: apply the named permutation directly
-    let n_total = p.grid.n_pes() * cfg.slots_per_pe;
-    let perm = permute::permutation(n_total, cfg.seed);
-    let mut golden = vec![0u32; n_total];
-    for (i, &target) in perm.iter().enumerate() {
-        golden[target as usize] = i as u32;
-    }
-    Ok(MatrixRun {
-        result_digest: fnv1a(out.permuted.iter().map(|&v| v as u64)),
-        golden_digest: fnv1a(golden.iter().map(|&v| v as u64)),
-        logical: flatten_logical(&out.bundle, p),
-        n_pes: p.grid.n_pes(),
-        recovery: out.recovery,
-    })
-}
-
-// ------------------------------------------------------------------ jaccard
-
-fn run_jaccard(p: &MatrixParams) -> Result<MatrixRun, String> {
-    let adj = adjacency(p);
-    let mut cfg = JaccardConfig::new(p.grid);
-    apply_params(&mut cfg, p);
-    let out = jaccard::run(&adj, &cfg).map_err(|e| format!("jaccard: {e}"))?;
-    // both sides divide the same exact integers, so coefficients match
-    // bit-for-bit; digest sorted (edge, bits) streams
-    let digest_coeffs = |m: &std::collections::HashMap<(u32, u32), f64>| {
-        let mut edges: Vec<((u32, u32), f64)> = m.iter().map(|(&e, &j)| (e, j)).collect();
-        edges.sort_unstable_by_key(|&(e, _)| e);
-        let mut d = Digest::new();
-        for ((u, v), j) in edges {
-            d.word(((u as u64) << 32) | v as u64).word(j.to_bits());
-        }
-        d.finish()
-    };
-    Ok(MatrixRun {
-        result_digest: digest_coeffs(&out.coefficients),
-        golden_digest: digest_coeffs(&jaccard::sequential_jaccard(&adj)),
-        logical: flatten_logical(&out.bundle, p),
-        n_pes: p.grid.n_pes(),
-        recovery: out.recovery,
-    })
-}
-
-// ------------------------------------------------------------------ intsort
-
-fn run_intsort(p: &MatrixParams) -> Result<MatrixRun, String> {
-    let mut cfg = IntSortConfig::new(p.grid);
-    apply_params(&mut cfg, p);
-    cfg.keys_per_pe = 8 * p.scale as usize;
-    cfg.bucket_size = 8 * p.scale as u64;
-    let out = intsort::run(&cfg).map_err(|e| format!("intsort: {e}"))?;
-    Ok(MatrixRun {
-        result_digest: fnv1a(out.sorted.iter().copied()),
-        golden_digest: fnv1a(intsort::sequential_sort(&cfg)),
-        logical: flatten_logical(&out.bundle, p),
-        n_pes: p.grid.n_pes(),
-        recovery: out.recovery,
-    })
-}
-
-// --------------------------------------------------------------- skewed-agg
-
-fn run_skewed_agg(p: &MatrixParams) -> Result<MatrixRun, String> {
-    let mut cfg = SkewedAggConfig::new(p.grid);
-    apply_params(&mut cfg, p);
-    cfg.updates_per_pe = 16 * p.scale as usize;
-    cfg.n_keys = 8 * p.scale as usize;
-    let out = skewed_agg::run(&cfg).map_err(|e| format!("skewed_agg: {e}"))?;
-    let digest_table = |t: &[(u64, u64)]| fnv1a(t.iter().flat_map(|&(c, s)| [c, s]));
-    Ok(MatrixRun {
-        result_digest: digest_table(&out.per_key),
-        golden_digest: digest_table(&skewed_agg::sequential_aggregate(&cfg)),
-        logical: flatten_logical(&out.bundle, p),
-        n_pes: p.grid.n_pes(),
-        recovery: out.recovery,
-    })
-}
-
 /// Every bundled workload, one [`AppSpec`] each. Seed budgets are tuned
-/// so the full fuzz sweep (Σ budgets × 3 fault modes = 132 schedules)
-/// clears the 100-schedule floor while the slow graph apps run fewer
-/// replays than the cheap kernels.
+/// so the full fuzz sweep (Σ budgets × 3 fault modes = 105 schedules)
+/// clears the 100-schedule floor; triangle, the slowest, runs the fewest
+/// replays.
 pub fn registry() -> Vec<AppSpec> {
     vec![
         AppSpec {
             name: "histogram",
-            fuzz_seed_budget: 6,
+            fuzz_seed_budget: 13,
             runner: run_histogram,
         },
         AppSpec {
             name: "index_gather",
-            fuzz_seed_budget: 5,
+            fuzz_seed_budget: 13,
             runner: run_index_gather,
         },
         AppSpec {
             name: "triangle",
-            fuzz_seed_budget: 4,
+            fuzz_seed_budget: 9,
             runner: run_triangle,
-        },
-        AppSpec {
-            name: "bfs",
-            fuzz_seed_budget: 4,
-            runner: run_bfs,
-        },
-        AppSpec {
-            name: "components",
-            fuzz_seed_budget: 3,
-            runner: run_components,
-        },
-        AppSpec {
-            name: "pagerank",
-            fuzz_seed_budget: 3,
-            runner: run_pagerank,
-        },
-        AppSpec {
-            name: "permute",
-            fuzz_seed_budget: 5,
-            runner: run_permute,
-        },
-        AppSpec {
-            name: "jaccard",
-            fuzz_seed_budget: 3,
-            runner: run_jaccard,
-        },
-        AppSpec {
-            name: "intsort",
-            fuzz_seed_budget: 6,
-            runner: run_intsort,
-        },
-        AppSpec {
-            name: "skewed_agg",
-            fuzz_seed_budget: 5,
-            runner: run_skewed_agg,
         },
     ]
 }
@@ -382,11 +186,11 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_budgets_clear_the_floor() {
         let apps = registry();
-        assert_eq!(apps.len(), 10, "ten apps in the matrix");
+        assert_eq!(apps.len(), 3, "three apps in the matrix");
         let mut names: Vec<&str> = apps.iter().map(|a| a.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 10, "names are unique");
+        assert_eq!(names.len(), 3, "names are unique");
         let total: u64 = apps.iter().map(|a| a.fuzz_seed_budget).sum();
         assert!(
             total * 3 >= 100,

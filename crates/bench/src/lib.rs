@@ -10,8 +10,9 @@
 //! ## Scaling knobs (environment)
 //!
 //! The paper ran scale 16 on Perlmutter; this reproduction defaults to a
-//! smaller scale so every figure regenerates in seconds on a laptop core,
-//! and all of the paper's *shape* observations are scale-stable:
+//! smaller scale so every figure regenerates in seconds. The *shape*
+//! observations are asserted at scale 9 (`tests/paper_claims.rs`) and are
+//! not all scale-stable: at scale 16 Fig 3's hot-partner predicate flips.
 //!
 //! - `ACTORPROF_SCALE` — R-MAT scale (default 10).
 //! - `ACTORPROF_PES` — PEs per node (default 16, the paper's value).

@@ -1436,6 +1436,29 @@ mod tests {
     }
 
     #[test]
+    fn termination_waits_for_every_pe_to_signal_done() {
+        // PE 1 signals done while PE 0 has not. Nothing was pushed, so
+        // pushed == pulled already holds and only the ledger's done count
+        // keeps PE 1's conveyor open for what PE 0 may still send.
+        let grid = Grid::single_node(2).unwrap();
+        let closed_early = spmd::run(grid, |pe| {
+            let mut c = Conveyor::<u64>::new(pe, ConveyorOptions::default()).unwrap();
+            let closed_early = pe.rank() == 1 && !c.advance(pe, true);
+            pe.barrier_all();
+            while c.advance(pe, true) {
+                pe.poll_yield();
+            }
+            closed_early
+        })
+        .unwrap();
+        assert_eq!(
+            closed_early,
+            [false, false],
+            "PE 1 completed before PE 0 was done"
+        );
+    }
+
+    #[test]
     fn invalid_destination_errors() {
         let grid = Grid::single_node(2).unwrap();
         spmd::run(grid, |pe| {

@@ -14,9 +14,7 @@
 //! - [`triangle_ref`] — two independent sequential triangle counts that
 //!   validate the distributed runs "by using assertion" as §IV-C does: a
 //!   marker-array intersection each run asserts against, and a replay of
-//!   Algorithm 1 that tests use as the golden value;
-//! - [`skew`] — Zipf-distributed key sampling for deliberately
-//!   load-imbalanced aggregation workloads.
+//!   Algorithm 1 that tests use as the golden value.
 //!
 //! The power-law skew of unpermuted R-MAT concentrates high-degree hubs at
 //! low vertex ids (vertex 0 is the biggest); under 1D Cyclic those hubs
@@ -30,10 +28,8 @@ pub mod csr;
 pub mod dist;
 pub mod edgelist;
 pub mod rmat;
-pub mod skew;
 pub mod triangle_ref;
 
 pub use csr::Csr;
 pub use dist::Distribution;
 pub use rmat::RmatParams;
-pub use skew::ZipfSampler;

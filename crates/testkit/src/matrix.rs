@@ -6,7 +6,7 @@
 //! This module defines that contract *generically* — [`AppSpec`] is a
 //! name, a seed budget, and a runner from [`MatrixParams`] (the substrate
 //! knobs) to [`MatrixRun`] (digests + flattened logical matrix +
-//! [`RecoveryLog`]). The concrete ten-app registry lives in
+//! [`RecoveryLog`]). The concrete three-app registry lives in
 //! `fabsp_apps::matrix` (`fabsp_apps::registry()`), keeping the
 //! dependency edge apps → testkit and letting the suites iterate
 //! `for app in registry()` instead of hand-writing one test per app.
@@ -19,7 +19,7 @@
 //! [`MatrixRun::result_digest`]s across schedules ⇒ schedule
 //! independence, bit-for-bit.
 //!
-//! Adding a tenth app is ~40 lines in `fabsp_apps::matrix`: a config
+//! Adding a fourth app is ~40 lines in `fabsp_apps::matrix`: a config
 //! builder from `MatrixParams`, a runner that digests the outcome and the
 //! oracle, and one `AppSpec` entry. Nothing in the suites changes.
 
@@ -30,7 +30,7 @@ use fabsp_shmem::{FaultSpec, Grid, RecoveryLog, RecoverySpec, SchedSpec};
 use crate::ConveyorOptions;
 
 /// Default scale when `ACTORPROF_SCALE` is unset: small enough that a
-/// full ten-app × three-fault-mode × seed-budget sweep stays in CI
+/// full three-app × three-fault-mode × seed-budget sweep stays in CI
 /// budget, large enough that every PE sees real traffic.
 pub const DEFAULT_SCALE: u32 = 6;
 
@@ -181,54 +181,18 @@ impl AppSpec {
     }
 }
 
-/// FNV-1a over a stream of `u64` words — the canonical result digest.
-/// Not cryptographic; collision resistance here only has to beat "two
-/// different app results produced by the same deterministic seed", and a
-/// 64-bit FNV state is plenty for that.
-#[derive(Debug, Clone, Copy)]
-pub struct Digest(u64);
-
-impl Digest {
+/// FNV-1a over a stream of `u64` words (each folded as its eight
+/// little-endian bytes) — the canonical result digest. Not cryptographic;
+/// collision resistance here only has to beat "two different app results
+/// produced by the same deterministic seed", and a 64-bit FNV state is
+/// plenty for that.
+pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh digest state.
-    pub fn new() -> Digest {
-        Digest(Self::OFFSET)
-    }
-
-    /// Fold one word into the state.
-    pub fn word(&mut self, w: u64) -> &mut Digest {
-        for byte in w.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-        self
-    }
-
-    /// Fold a slice of words.
-    pub fn words(&mut self, ws: impl IntoIterator<Item = u64>) -> &mut Digest {
-        for w in ws {
-            self.word(w);
-        }
-        self
-    }
-
-    /// The digest value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Digest {
-    fn default() -> Digest {
-        Digest::new()
-    }
-}
-
-/// One-shot digest of a word stream.
-pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    Digest::new().words(words).finish()
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(OFFSET, |h, byte| (h ^ u64::from(byte)).wrapping_mul(PRIME))
 }
 
 #[cfg(test)]

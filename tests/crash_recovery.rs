@@ -61,7 +61,7 @@ fn assert_one_recovered_kill(log: &RecoveryLog, rank: u32) {
 #[test]
 fn every_registered_app_recovers_bit_identical_from_any_killed_pe() {
     // The registry-wide form of the per-kernel sweeps below: for each of
-    // the ten apps, kill every rank in turn at the first superstep
+    // the three apps, kill every rank in turn at the first superstep
     // boundary and demand the recovered run reproduce the undisturbed
     // baseline bit-for-bit — result digest, golden oracle, and logical
     // trace matrix — with a RecoveryLog naming exactly the injected fault.

@@ -2,8 +2,10 @@
 //!
 //! The absolute numbers of the paper came from scale-16 R-MAT on
 //! Perlmutter; these tests check the *shape* claims — who is imbalanced,
-//! in which direction, and which patterns appear — at a laptop scale where
-//! they are equally present (power-law skew is scale-stable).
+//! in which direction, and which patterns appear — and assert them at
+//! scale 9 only. They are not scale-stable: at scale 16 Fig 3's
+//! hot-partner predicate finds one partner of PE0, not the paper's 3–4
+//! (ROADMAP item 5 runs the claims as functions of scale).
 
 use actorprof_suite::actorprof::overall::OverallSummary;
 use actorprof_suite::actorprof::papi::PapiSeries;

@@ -13,8 +13,8 @@
 //! 3. **Clean-run + overhead** — a real conveyor workload runs clean under
 //!    seeded schedules, and the same workload with the detector disabled
 //!    gives the overhead baseline (reported in test output; the full
-//!    132-schedule matrix of tests/schedule_fuzz.rs runs under this
-//!    feature in the CI race-detect lane). The ten-app registry lane
+//!    105-schedule matrix of tests/schedule_fuzz.rs runs under this
+//!    feature in the CI race-detect lane). The three-app registry lane
 //!    below additionally runs every bundled workload clean on two seeded
 //!    schedules each.
 
@@ -259,8 +259,7 @@ fn recovery_machinery_adds_no_happens_before_regressions() {
 #[test]
 fn every_registered_app_is_clean_under_the_detector() {
     // The detector attaches by default under this feature, so running the
-    // ten-app registry (bfs, components, pagerank, permute, jaccard, intsort,
-    // skewed_agg, and the original three kernels) IS the check: any
+    // three-app registry (histogram, index_gather, triangle) IS the check: any
     // unordered access pair in an app, the actor layer, or the conveyors
     // panics the run. Two seeded schedules per app on top of the
     // OS-scheduled baseline keep the lane cheap while still exploring
@@ -335,7 +334,7 @@ fn batched_exchange_is_clean_under_the_detector() {
 
 #[test]
 fn conveyor_exchange_is_clean_and_overhead_is_reported() {
-    // Clean across a seed sweep (the full 132-schedule app matrix runs in
+    // Clean across a seed sweep (the full 105-schedule app matrix runs in
     // schedule_fuzz.rs under this same feature)...
     let mut checked = Duration::ZERO;
     let mut unchecked = Duration::ZERO;

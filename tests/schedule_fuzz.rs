@@ -4,7 +4,7 @@
 //! Each app's logical trace matrix and application result are pure
 //! functions of the app seed — the thread interleaving, put/quiet timing,
 //! and conveyor buffer boundaries may vary freely underneath. The sweep
-//! iterates the ten-app registry (`fabsp_apps::registry()`): per app, an
+//! iterates the three-app registry (`fabsp_apps::registry()`): per app, an
 //! OS-scheduled baseline [`MatrixRun`] is captured, checked against the
 //! app's sequential golden oracle, and then replayed under seeded
 //! random-walk schedules in three fault modes (none, `nbi_shuffle`,
@@ -13,7 +13,7 @@
 //! conservation: same per-pair send counts under every schedule). A
 //! divergence names the app and seed, which replays that exact schedule.
 //!
-//! Per-app seed budgets (Σ budgets × 3 modes = 132 schedules) keep the
+//! Per-app seed budgets (Σ budgets × 3 modes = 105 schedules) keep the
 //! sweep past the 100-schedule floor while staying CI-affordable; the
 //! capacity-1 and kill/restart lanes run smaller seed slices on top.
 //!
