@@ -476,8 +476,6 @@ impl<'h, T: Copy + Default + Send + 'static> Selector<'h, T> {
             c.set_overall(profile.main.cycles, profile.proc.cycles, total);
             c.set_region_profile(profile);
         }
-        // End of superstep: where an injected `kill_pe` fault fires.
-        pe.end_superstep(ss);
         Ok(result)
     }
 

@@ -6,7 +6,7 @@ use actorprof::ProfError;
 use actorprof_trace::TraceConfig;
 use fabsp_actor::{ActorError, MainCtx};
 use fabsp_conveyors::ConveyorOptions;
-use fabsp_shmem::{FaultSpec, Grid, RecoverySpec, SchedSpec, ShmemError};
+use fabsp_shmem::{FaultSpec, Grid, SchedSpec, ShmemError};
 
 /// Run configuration shared by every bundled application — layout,
 /// tracing, aggregation, randomness and testkit controls — plus the app's
@@ -34,11 +34,6 @@ pub struct RunConfig<W = ()> {
     /// Substrate fault injection (testkit; [`FaultSpec::NONE`] in
     /// production).
     pub faults: FaultSpec,
-    /// What to do when a PE dies mid-run ([`RecoverySpec::Abort`] by
-    /// default).
-    pub recovery: RecoverySpec,
-    /// Capture a symmetric-state checkpoint every `n` supersteps.
-    pub checkpoint_every: Option<u64>,
     /// The app's own parameters, reached as `cfg.<param>` through `Deref`.
     pub app: W,
 }
@@ -64,8 +59,6 @@ impl<W: AppParams> RunConfig<W> {
             seed: W::SEED,
             sched: SchedSpec::Os,
             faults: FaultSpec::NONE,
-            recovery: RecoverySpec::Abort,
-            checkpoint_every: None,
             app: W::default(),
         }
     }
@@ -81,16 +74,11 @@ impl<W> RunConfig<W> {
     /// An [`actorprof::Profiler`] carrying this configuration — the apps
     /// delegate their run wiring to the facade through this.
     pub fn profiler(&self) -> actorprof::Profiler {
-        let mut p = actorprof::Profiler::new(self.grid)
+        actorprof::Profiler::new(self.grid)
             .trace_config(self.trace.clone())
             .conveyor(self.conveyor)
             .sched(self.sched)
             .faults(self.faults)
-            .recovery(self.recovery);
-        if let Some(n) = self.checkpoint_every {
-            p = p.checkpoint_every(n);
-        }
-        p
     }
 }
 

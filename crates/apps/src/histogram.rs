@@ -48,8 +48,6 @@ pub struct HistogramOutcome {
     pub per_pe_updates: Vec<u64>,
     /// The collected traces.
     pub bundle: TraceBundle,
-    /// Fault-tolerance activity (clean on an undisturbed run).
-    pub recovery: actorprof::RecoveryLog,
 }
 
 /// Run the histogram kernel. Validates that every update landed exactly
@@ -85,7 +83,7 @@ pub fn run(config: &HistogramConfig) -> Result<HistogramOutcome, AppError> {
         local_sum
     })?;
 
-    let (per_pe_updates, bundle, recovery) = (report.results, report.bundle, report.recovery);
+    let (per_pe_updates, bundle) = (report.results, report.bundle);
     let total_updates: u64 = per_pe_updates.iter().sum();
     let expected = (config.updates_per_pe * config.grid.n_pes()) as u64;
     if total_updates != expected {
@@ -97,7 +95,6 @@ pub fn run(config: &HistogramConfig) -> Result<HistogramOutcome, AppError> {
         total_updates,
         per_pe_updates,
         bundle,
-        recovery,
     })
 }
 

@@ -50,8 +50,6 @@ pub struct IndexGatherOutcome {
     pub correct_reads: u64,
     /// The collected traces.
     pub bundle: TraceBundle,
-    /// Fault-tolerance activity (clean on an undisturbed run).
-    pub recovery: actorprof::RecoveryLog,
 }
 
 /// The table value at global index `g` (a recomputable definition, so the
@@ -125,7 +123,7 @@ pub fn run(config: &IndexGatherConfig) -> Result<IndexGatherOutcome, AppError> {
         correct
     })?;
 
-    let (per_pe_correct, bundle, recovery) = (report.results, report.bundle, report.recovery);
+    let (per_pe_correct, bundle) = (report.results, report.bundle);
     let correct_reads: u64 = per_pe_correct.iter().sum();
     let expected = (config.reads_per_pe * config.grid.n_pes()) as u64;
     if correct_reads != expected {
@@ -136,7 +134,6 @@ pub fn run(config: &IndexGatherConfig) -> Result<IndexGatherOutcome, AppError> {
     Ok(IndexGatherOutcome {
         correct_reads,
         bundle,
-        recovery,
     })
 }
 

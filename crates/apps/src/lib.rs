@@ -14,8 +14,8 @@
 //!   counts exactly as §IV-C validates ("by using assertion").
 //!
 //! Every app runs through the [`actorprof::Profiler`] facade via
-//! [`common::RunConfig`] and returns a typed outcome carrying its result,
-//! the [`actorprof::TraceBundle`], and the [`actorprof::RecoveryLog`].
+//! [`common::RunConfig`] and returns a typed outcome carrying its result
+//! and the [`actorprof::TraceBundle`].
 //! The [`matrix`] module registers all three as [`fabsp_testkit::matrix`]
 //! entries so the conformance suites iterate over one registry.
 

@@ -97,8 +97,6 @@ pub struct TriangleOutcome {
     pub per_pe_triangles: Vec<u64>,
     /// The collected traces.
     pub bundle: TraceBundle,
-    /// Fault-tolerance activity (clean on an undisturbed run).
-    pub recovery: actorprof::RecoveryLog,
 }
 
 /// Pack a wedge `(j, k)` into the 8-byte message of Algorithm 1.
@@ -164,7 +162,6 @@ pub fn count_triangles(l: &Csr, config: &TriangleConfig) -> Result<TriangleOutco
         (local, actor.stats().pulled)
     })?;
 
-    let (bundle, recovery) = (report.bundle, report.recovery);
     let (per_pe_triangles, per_pe_wedges): (Vec<u64>, Vec<u64>) =
         report.results.into_iter().unzip();
     let triangles: u64 = per_pe_triangles.iter().sum();
@@ -187,8 +184,7 @@ pub fn count_triangles(l: &Csr, config: &TriangleConfig) -> Result<TriangleOutco
         triangles,
         wedges,
         per_pe_triangles,
-        bundle,
-        recovery,
+        bundle: report.bundle,
     })
 }
 

@@ -8,9 +8,9 @@
 //!   `tests/golden/cockpit_live.txt` byte for byte.
 //! - `cockpit_replay.txt` — the fixture flight-recorder replay; must match
 //!   `tests/golden/cockpit_replay.txt`.
-//! - `cockpit_crash_replay.txt` — a *real* kill-PE run's post-mortem
-//!   dumps rendered through the same replay path (cycle stamps are live,
-//!   so this one is sanity-checked, not golden-checked).
+//! - `cockpit_crash_replay.txt` — the post-mortem dumps of a *real* run
+//!   whose PE 1 panics, rendered through the same replay path (cycle
+//!   stamps are live, so this one is sanity-checked, not golden-checked).
 //!
 //! ```text
 //! cargo run --release -p fabsp-bench --bin cockpit_smoke
@@ -21,10 +21,10 @@ use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use actorprof::{FlightDump, Profiler, RecoverySpec};
+use actorprof::{FlightDump, Profiler, RunError};
 use actorprof_viz::cockpit::{Cockpit, CockpitConfig};
 use fabsp_bench::cockpit_fixture;
-use fabsp_shmem::{FaultSpec, Grid};
+use fabsp_shmem::{Grid, ShmemError};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(name)
@@ -61,14 +61,11 @@ fn main() {
     std::fs::write(dir.join("cockpit_replay.txt"), &replay).expect("write cockpit_replay.txt");
     assert_matches_golden("cockpit_replay.txt", &replay);
 
-    // --- real crash: kill pe1, recover, replay the flight recorder -------
+    // --- real crash: pe1 panics after its superstep, replay the recorder -
     let flight_dir = dir.join("cockpit-flightrec");
     let _ = std::fs::remove_dir_all(&flight_dir);
-    let report = Profiler::new(Grid::single_node(2).expect("grid"))
+    let err = Profiler::new(Grid::single_node(2).expect("grid"))
         .flightrec_dir(&flight_dir)
-        .faults(FaultSpec::kill_pe(1, 0))
-        .checkpoint_every(1)
-        .recovery(RecoverySpec::restart(2))
         .run(|pe, ctx| {
             let table = Rc::new(RefCell::new(vec![0u64; 64]));
             let h = Rc::clone(&table);
@@ -86,14 +83,20 @@ fn main() {
                     main.done(0).expect("done");
                 })
                 .expect("execute");
+            if pe.rank() == 1 {
+                panic!("deliberate crash on pe1");
+            }
             let mass: u64 = table.borrow().iter().sum();
             mass
         })
-        .expect("recovered run");
-    assert!(report.recovery.restarts >= 1, "the kill must have tripped");
+        .expect_err("pe1 panics");
+    assert!(
+        matches!(err, RunError::Shmem(ShmemError::PePanicked { pe: 1, .. })),
+        "the crash is reported as pe1's panic: {err}"
+    );
 
     let dumps = FlightDump::load_dir(&flight_dir).expect("load flight dumps");
-    assert!(!dumps.is_empty(), "kill_pe left at least one dump");
+    assert!(!dumps.is_empty(), "the crash left at least one dump");
     let cockpit = Cockpit::new(CockpitConfig::plain(fabsp_telemetry::phase_site));
     let crash = cockpit.render_replay(&dumps);
     assert!(crash.contains("flight replay"), "replay header present");
@@ -104,10 +107,9 @@ fn main() {
     std::fs::write(dir.join("cockpit_crash_replay.txt"), &crash)
         .expect("write cockpit_crash_replay.txt");
     println!(
-        "cockpit_crash_replay.txt: {} dumps, {} bytes, {} restarts logged",
+        "cockpit_crash_replay.txt: {} dumps, {} bytes",
         dumps.len(),
-        crash.len(),
-        report.recovery.restarts
+        crash.len()
     );
     println!("cockpit smoke ok");
 }

@@ -82,10 +82,9 @@ pub fn cockpit_live() -> String {
     reg.pe(0).flight_span(Phase::Advance, 60_000, 84_500); // 10.0us
     out.push_str(&tick(&mut cockpit, &reg, 1, 3 * half, &mut prev, 4.10));
 
-    // tick 2: second superstep reached, a net retry shows up.
+    // tick 2: second superstep reached.
     reg.pe(0).add(Counter::ActorSends, 150);
     reg.pe(1).add(Counter::ActorSends, 450);
-    reg.pe(1).add(Counter::NetRetries, 2);
     reg.pe(0).flight_span(Phase::Superstep, 200_000, 249_000); // 20.0us
     reg.pe(3).flight_span(Phase::RelayHop, 210_000, 212_450); // 1.0us
     out.push_str(&tick(&mut cockpit, &reg, 2, 4 * half, &mut prev, 2.30));
@@ -105,7 +104,7 @@ pub fn cockpit_replay() -> String {
     let d0 = FlightDump::parse(&r0.to_json(0)).expect("pe0 dump");
     let r1 = FlightRing::new(4);
     r1.span(Phase::Advance, 4_900_000, 7_350_000);
-    r1.note(Counter::NetRetries, 1, 8_575_000);
+    r1.note(Counter::ConveyorRelayParks, 1, 8_575_000);
     let d1 = FlightDump::parse(&r1.to_json(1)).expect("pe1 dump");
     let cockpit = Cockpit::new(CockpitConfig::plain(fixture_site));
     cockpit.render_replay(&[d0, d1])

@@ -554,30 +554,6 @@ impl<T: Copy + Default + Send + 'static> Conveyor<T> {
             && self.trace_buf.is_empty()
     }
 
-    /// Drive the conveyor to quiescence so the superstep can be cleanly
-    /// checkpointed or replayed: signals done, keeps advancing, and hands
-    /// every remaining delivery to `sink` until termination. On return the
-    /// conveyor [`is_complete`](Conveyor::is_complete) and
-    /// [`checkpoint_ready`](Conveyor::checkpoint_ready) (asserted in debug
-    /// builds). Collective in effect: all PEs must drain together, like the
-    /// endgame itself. Cold path — runs at superstep boundaries only.
-    pub fn drain_and_park(&mut self, pe: &Pe, mut sink: impl FnMut(Delivery<T>)) {
-        loop {
-            let active = self.advance(pe, true);
-            while let Some(d) = self.pull() {
-                sink(d);
-            }
-            if !active {
-                break;
-            }
-            pe.poll_yield();
-        }
-        debug_assert!(
-            self.checkpoint_ready(),
-            "a parked conveyor must be checkpoint-ready"
-        );
-    }
-
     /// Try to enqueue `item` for `dst`. [`PushOutcome::Retry`] — item *not*
     /// accepted — means aggregation buffers are full; the caller must
     /// [`advance`](Conveyor::advance) and retry (HClib-Actor's send loop
@@ -1974,7 +1950,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_and_park_reaches_checkpoint_ready() {
+    fn checkpoint_ready_holds_at_fresh_and_terminated_cuts_only() {
         let grid = Grid::new(2, 2).unwrap();
         spmd::run(grid, |pe| {
             let mut c = Conveyor::<u64>::new(pe, ConveyorOptions::default()).unwrap();
@@ -1987,9 +1963,17 @@ mod tests {
             }
             assert!(!c.checkpoint_ready(), "staged items poison the cut");
             let mut got = 0u64;
-            c.drain_and_park(pe, |_| got += 1);
+            while c.advance(pe, true) {
+                while c.pull().is_some() {
+                    got += 1;
+                }
+                pe.poll_yield();
+            }
+            while c.pull().is_some() {
+                got += 1;
+            }
             assert!(c.is_complete());
-            assert!(c.checkpoint_ready(), "parked conveyor is a valid cut");
+            assert!(c.checkpoint_ready(), "a terminated conveyor is a valid cut");
             assert_eq!(got, n as u64, "every delivery reached the sink");
             pe.barrier_all();
         })

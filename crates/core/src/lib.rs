@@ -52,7 +52,7 @@ pub mod writer;
 pub use actorprof_trace::{PapiConfig, TraceConfig};
 pub use bundle::TraceBundle;
 pub use error::ProfError;
-pub use fabsp_shmem::{Checkpoint, KillRecord, RecoveryLog, RecoverySpec};
+pub use fabsp_shmem::Checkpoint;
 pub use fabsp_telemetry::{
     phase_site, ContinuousReport, Counter, FlightDump, Frame, Gauge, OverheadBudget,
     OverheadWindow, Phase, PhaseSite, Snapshot, TelemetryRegistry,

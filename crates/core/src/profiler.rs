@@ -45,9 +45,7 @@ use std::time::Duration;
 use actorprof_trace::{PapiConfig, SharedCollector, TraceConfig};
 use fabsp_actor::{ActorError, ProcCtx, Selector, SelectorConfig};
 use fabsp_conveyors::ConveyorOptions;
-use fabsp_shmem::{
-    spmd, FaultSpec, Grid, Harness, Pe, RecoveryLog, RecoverySpec, SchedSpec, ShmemError,
-};
+use fabsp_shmem::{spmd, FaultSpec, Grid, Harness, Pe, SchedSpec, ShmemError};
 use fabsp_telemetry::{
     ContinuousReport, Counter, Frame, OverheadBudget, Snapshot, TelemetryRegistry,
 };
@@ -112,7 +110,7 @@ impl From<ProfError> for RunError {
 /// once per PE and assembles everything into a [`Report`].
 #[derive(Clone)]
 pub struct Profiler {
-    /// The SPMD world: grid, schedule, faults, recovery, checkpoint period.
+    /// The SPMD world: grid, schedule, faults, checkpoint period.
     harness: Harness,
     trace: TraceConfig,
     conveyor: ConveyorOptions,
@@ -138,7 +136,6 @@ impl std::fmt::Debug for Profiler {
             .field("conveyor", &self.conveyor)
             .field("sched", &self.harness.sched)
             .field("faults", &self.harness.faults)
-            .field("recovery", &self.harness.recovery)
             .field("checkpoint_every", &self.harness.checkpoint_every)
             .field("telemetry_enabled", &self.telemetry_enabled)
             .field("observe_interval", &self.observe.as_ref().map(|(i, _)| *i))
@@ -226,14 +223,6 @@ impl Profiler {
     /// Inject substrate faults (testkit).
     pub fn faults(mut self, faults: FaultSpec) -> Profiler {
         self.harness = self.harness.faults(faults);
-        self
-    }
-
-    /// What to do when a PE panics mid-run: [`RecoverySpec::Abort`]
-    /// (default) fails the run; [`RecoverySpec::RestartFromCheckpoint`]
-    /// re-executes the whole SPMD body, up to `max_retries` times.
-    pub fn recovery(mut self, recovery: RecoverySpec) -> Profiler {
-        self.harness = self.harness.recovery(recovery);
         self
     }
 
@@ -422,7 +411,7 @@ impl Profiler {
 
         let trace = &trace;
         let conveyor = self.conveyor;
-        let outcomes = spmd::run_recovering(harness, |pe| {
+        let outcomes = spmd::run(harness, |pe| {
             let mut ctx = ProfilerCtx {
                 pe,
                 trace: trace.clone(),
@@ -450,7 +439,7 @@ impl Profiler {
                 continuous_report = report;
             }
         }
-        let (outcomes, recovery) = outcomes?;
+        let outcomes = outcomes?;
 
         let mut results = Vec::with_capacity(outcomes.len());
         let mut collectors = Vec::with_capacity(outcomes.len());
@@ -478,7 +467,6 @@ impl Profiler {
             results,
             bundle,
             telemetry,
-            recovery,
             continuous: continuous_report,
         })
     }
@@ -551,10 +539,6 @@ pub struct Report<R = ()> {
     /// `None` only when the run was built with
     /// [`telemetry_off`](Profiler::telemetry_off).
     pub telemetry: Option<Snapshot>,
-    /// What fault tolerance did during the run: checkpoints taken, PE
-    /// kills observed, restarts, net retries, wasted supersteps. All-zero
-    /// ([`RecoveryLog::is_clean`]) on an undisturbed run.
-    pub recovery: RecoveryLog,
     /// The overhead measured window by window; `Some` only when
     /// the run was built with [`Profiler::continuous`].
     pub continuous: Option<ContinuousReport>,
@@ -771,35 +755,9 @@ mod tests {
     }
 
     #[test]
-    fn undisturbed_run_has_a_clean_recovery_log() {
-        let report = run_histogram(Profiler::new(Grid::single_node(2).unwrap()));
-        assert!(report.recovery.is_clean(), "{}", report.recovery);
-    }
-
-    #[test]
-    fn facade_recovers_from_a_killed_pe() {
-        let report = run_histogram(
-            Profiler::new(Grid::single_node(2).unwrap())
-                .logical()
-                .faults(FaultSpec::kill_pe(1, 0))
-                .checkpoint_every(1)
-                .recovery(RecoverySpec::restart(2)),
-        );
-        // The retried attempt produced the full, undisturbed result.
-        assert_eq!(report.results.iter().sum::<u64>(), 100);
-        assert_eq!(report.bundle.logical_matrix().unwrap().total(), 100);
-        assert_eq!(report.recovery.kills_observed.len(), 1);
-        assert_eq!(report.recovery.kills_observed[0].pe, 1);
-        assert_eq!(report.recovery.restarts, 1);
-        assert!(report.recovery.checkpoints_taken >= 1);
-        assert_eq!(report.recovery.wasted_supersteps, 1);
-    }
-
-    #[test]
-    fn panicking_body_fails_the_run_under_abort() {
+    fn panicking_body_fails_the_run() {
         let err = Profiler::new(Grid::new(1, 2).unwrap())
             .logical()
-            .recovery(RecoverySpec::Abort)
             .run(|pe, ctx| {
                 let mut actor = ctx
                     .selector(1, |_mb, _msg: u64, _from, _ctx| {})

@@ -153,10 +153,6 @@ impl SymmetricAtomicVec {
     ) -> Result<u64, ShmemError> {
         self.check(dst_pe, index)?;
         pe.sched_point(SchedPoint::Atomic);
-        if dst_pe != pe.rank() {
-            // Off-rank AMOs traverse the modeled (possibly flaky) NIC.
-            pe.net_attempt(TransferClass::Atomic);
-        }
         let slot = &self.inner.regions[dst_pe][index];
         #[cfg(feature = "race-detect")]
         let prev = match pe.race_detector() {
@@ -177,9 +173,6 @@ impl SymmetricAtomicVec {
     pub fn store(&self, pe: &Pe, dst_pe: usize, index: usize, value: u64) -> Result<(), ShmemError> {
         self.check(dst_pe, index)?;
         pe.sched_point(SchedPoint::Atomic);
-        if dst_pe != pe.rank() {
-            pe.net_attempt(TransferClass::Atomic);
-        }
         let slot = &self.inner.regions[dst_pe][index];
         #[cfg(feature = "race-detect")]
         match pe.race_detector() {
@@ -200,9 +193,6 @@ impl SymmetricAtomicVec {
     pub fn load(&self, pe: &Pe, src_pe: usize, index: usize) -> Result<u64, ShmemError> {
         self.check(src_pe, index)?;
         pe.sched_point(SchedPoint::Atomic);
-        if src_pe != pe.rank() {
-            pe.net_attempt(TransferClass::Atomic);
-        }
         let slot = &self.inner.regions[src_pe][index];
         #[cfg(feature = "race-detect")]
         let v = match pe.race_detector() {

@@ -73,13 +73,12 @@ impl std::fmt::Debug for Checkpoint {
     }
 }
 
-/// Per-world checkpoint machinery: the target registry, the most recent
-/// checkpoint, and the capture counter feeding the recovery log.
+/// Per-world checkpoint machinery: the target registry and the most recent
+/// checkpoint.
 #[derive(Default)]
 pub(crate) struct CheckpointState {
     targets: Mutex<Vec<Weak<dyn CheckpointTarget>>>,
     latest: Mutex<Option<Arc<Checkpoint>>>,
-    taken: Mutex<u64>,
 }
 
 impl CheckpointState {
@@ -111,7 +110,6 @@ impl CheckpointState {
             net: ledger.snapshot_all(),
         });
         *self.latest.lock() = Some(ckpt.clone());
-        *self.taken.lock() += 1;
         ckpt
     }
 
@@ -128,11 +126,6 @@ impl CheckpointState {
     /// The most recent checkpoint (captured or restored-to), if any.
     pub(crate) fn latest(&self) -> Option<Arc<Checkpoint>> {
         self.latest.lock().clone()
-    }
-
-    /// Checkpoints captured so far in this world.
-    pub(crate) fn taken(&self) -> u64 {
-        *self.taken.lock()
     }
 }
 

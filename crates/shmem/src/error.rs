@@ -22,13 +22,6 @@ pub enum ShmemError {
     /// had non-blocking puts pending (issue a [`crate::Pe::quiet`] or
     /// barrier first). The cut would not be globally consistent.
     CheckpointNotQuiescent { pending_nbi: usize },
-    /// The recovery policy restarted the run `attempts` times and every
-    /// attempt failed; the last failure is kept.
-    RetriesExhausted {
-        attempts: u32,
-        pe: usize,
-        message: String,
-    },
 }
 
 impl std::fmt::Display for ShmemError {
@@ -54,14 +47,6 @@ impl std::fmt::Display for ShmemError {
             ShmemError::CheckpointNotQuiescent { pending_nbi } => write!(
                 f,
                 "checkpoint rejected: cut is not quiescent ({pending_nbi} non-blocking puts pending)"
-            ),
-            ShmemError::RetriesExhausted {
-                attempts,
-                pe,
-                message,
-            } => write!(
-                f,
-                "recovery exhausted after {attempts} attempts; last failure on PE {pe}: {message}"
             ),
         }
     }

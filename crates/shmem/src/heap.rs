@@ -228,11 +228,6 @@ impl<T: Copy + Default + Send + Sync + 'static> SymmetricVec<T> {
         self.check(dst_pe, offset, src.len())?;
         pe.sched_point(SchedPoint::Put);
         let bytes = std::mem::size_of_val(src);
-        if !pe.same_node_as(dst_pe) {
-            // Inter-node puts traverse the modeled (possibly flaky) NIC;
-            // same-node puts are shmem_ptr memcpys and cannot time out.
-            pe.net_attempt(TransferClass::RemotePut);
-        }
         #[cfg(feature = "race-detect")]
         self.trace_range(pe, dst_pe, offset, src.len(), true, "SymmetricVec::put");
         {
@@ -261,9 +256,6 @@ impl<T: Copy + Default + Send + Sync + 'static> SymmetricVec<T> {
         self.check(src_pe, offset, dst.len())?;
         pe.sched_point(SchedPoint::Get);
         let bytes = std::mem::size_of_val(dst);
-        if !pe.same_node_as(src_pe) {
-            pe.net_attempt(TransferClass::RemoteGet);
-        }
         #[cfg(feature = "race-detect")]
         self.trace_range(pe, src_pe, offset, dst.len(), false, "SymmetricVec::get");
         {

@@ -59,7 +59,6 @@ pub mod net;
 pub mod pe;
 #[cfg(feature = "race-detect")]
 pub mod race;
-pub mod recovery;
 pub mod ring;
 pub mod sched;
 pub mod spmd;
@@ -70,9 +69,8 @@ pub use checkpoint::Checkpoint;
 pub use error::ShmemError;
 pub use grid::Grid;
 pub use heap::SymmetricVec;
-pub use net::{FaultSpec, KillSpec, NetFlaky, NetStats, TransferClass, DEFAULT_NET_RETRIES};
+pub use net::{FaultSpec, NetStats, TransferClass};
 pub use pe::Pe;
-pub use recovery::{KillRecord, RecoveryLog, RecoverySpec};
 pub use ring::SpscRing;
 pub use sched::{SchedPoint, SchedSpec, Scheduler};
 pub use spmd::Harness;

@@ -95,38 +95,6 @@ impl NetStats {
     }
 }
 
-/// Deterministic PE-death injection: kill one rank at the end of one
-/// superstep, on the first SPMD attempt only (a restarted attempt models
-/// the failed node's replacement, so the fault does not recur).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct KillSpec {
-    /// Rank of the PE to kill.
-    pub rank: u32,
-    /// Superstep (0-based, as counted by [`crate::Pe::begin_superstep`])
-    /// at whose end the PE dies.
-    pub at_superstep: u32,
-}
-
-/// Default per-op retry budget for [`NetFlaky`]: an operation that times
-/// out this many consecutive times is declared dead (the PE panics and the
-/// harness recovery policy takes over).
-pub const DEFAULT_NET_RETRIES: u32 = 8;
-
-/// Seeded transient network flakiness: each network operation attempt
-/// times out with probability `drop_ppm / 1e6` and is retried with bounded
-/// exponential backoff. Probability is stored in parts-per-million so the
-/// spec stays `Copy + Eq` (replayable as a test input, like a seed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NetFlaky {
-    /// Seed of the per-PE timeout stream.
-    pub seed: u64,
-    /// Per-attempt timeout probability, in parts per million (clamped to
-    /// 950_000 at construction so op completion stays almost sure).
-    pub drop_ppm: u32,
-    /// Consecutive timeouts tolerated per op before the PE gives up.
-    pub max_retries: u32,
-}
-
 /// Network-level fault injection, installed per-run through
 /// [`crate::spmd::Harness`].
 ///
@@ -142,83 +110,25 @@ pub struct NetFlaky {
 ///   OpenSHMEM leaves non-blocking puts unordered, so any permutation of
 ///   their delivery is a legal network. Puts separated by a
 ///   [`fence`](crate::Pe::fence) keep their relative order.
-/// - [`flaky`](FaultSpec::flaky) makes individual operations *time out and
-///   retry*: OpenSHMEM guarantees completion, not latency, so a retried op
-///   that eventually lands is indistinguishable from a slow network. A
-///   retried `put_nbi` stays invisible until the initiator's `quiet`
-///   exactly like an un-retried one.
-/// - [`kill`](FaultSpec::kill) steps outside the contract on purpose: it
-///   models fail-stop node death, the input of the recovery policy
-///   ([`crate::RecoverySpec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSpec {
     /// Apply the non-blocking puts completed by each `quiet` in a seeded
     /// pseudo-random order (per PE, per quiet) instead of issue order.
     /// `None` keeps issue order.
     pub nbi_shuffle_seed: Option<u64>,
-    /// Kill one PE at one superstep boundary (first attempt only).
-    pub kill: Option<KillSpec>,
-    /// Seeded transient timeouts with exponential-backoff retry.
-    pub flaky: Option<NetFlaky>,
 }
 
 impl FaultSpec {
     /// No faults (production behaviour).
     pub const NONE: FaultSpec = FaultSpec {
         nbi_shuffle_seed: None,
-        kill: None,
-        flaky: None,
     };
 
     /// Shuffle non-blocking-put delivery order with `seed`.
     pub fn nbi_shuffle(seed: u64) -> FaultSpec {
         FaultSpec {
             nbi_shuffle_seed: Some(seed),
-            ..FaultSpec::NONE
         }
-    }
-
-    /// Kill PE `rank` at the end of superstep `at_superstep` (first SPMD
-    /// attempt only). A deterministic, replayable test input: combined
-    /// with a seeded schedule it names one exact death.
-    pub fn kill_pe(rank: u32, at_superstep: u32) -> FaultSpec {
-        FaultSpec {
-            kill: Some(KillSpec { rank, at_superstep }),
-            ..FaultSpec::NONE
-        }
-    }
-
-    /// Make each network operation attempt time out with probability `p`
-    /// (clamped to `[0, 0.95]`), seeded so the timeout stream is
-    /// deterministic per PE. Retries use bounded exponential backoff
-    /// ([`DEFAULT_NET_RETRIES`] attempts per op).
-    pub fn net_flaky(seed: u64, p: f64) -> FaultSpec {
-        let drop_ppm = (p.clamp(0.0, 0.95) * 1_000_000.0) as u32;
-        FaultSpec {
-            flaky: Some(NetFlaky {
-                seed,
-                drop_ppm,
-                max_retries: DEFAULT_NET_RETRIES,
-            }),
-            ..FaultSpec::NONE
-        }
-    }
-
-    /// Add a kill fault to this spec (builder-style composition).
-    pub fn and_kill_pe(mut self, rank: u32, at_superstep: u32) -> FaultSpec {
-        self.kill = Some(KillSpec { rank, at_superstep });
-        self
-    }
-
-    /// Add seeded transient flakiness to this spec.
-    pub fn and_net_flaky(mut self, seed: u64, p: f64) -> FaultSpec {
-        self.flaky = FaultSpec::net_flaky(seed, p).flaky;
-        self
-    }
-
-    /// Whether any fault is enabled.
-    pub fn any(&self) -> bool {
-        self.nbi_shuffle_seed.is_some() || self.kill.is_some() || self.flaky.is_some()
     }
 }
 

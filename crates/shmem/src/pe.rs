@@ -7,7 +7,7 @@
 //! one thread, just as an OpenSHMEM PE is one process.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fabsp_hwpc::cost::model;
@@ -40,14 +40,6 @@ pub(crate) struct World {
     pub(crate) checkpoint: CheckpointState,
     /// Auto-checkpoint period in supersteps (facade `checkpoint_every`).
     pub(crate) checkpoint_every: Option<u64>,
-    /// Which SPMD attempt this world belongs to (0 = initial run). Kill
-    /// faults fire on attempt 0 only, modeling a replaced node.
-    pub(crate) attempt: u32,
-    /// High-water superstep count over all PEs, for the recovery log's
-    /// wasted-superstep accounting.
-    pub(crate) superstep_high: AtomicU64,
-    /// Network operations re-attempted after injected transient timeouts.
-    pub(crate) net_retries: AtomicU64,
     /// Happens-before race detector, when this run checks its schedules.
     #[cfg(feature = "race-detect")]
     pub(crate) race: Option<Arc<crate::race::Detector>>,
@@ -60,7 +52,6 @@ impl World {
         faults: FaultSpec,
         telemetry: Option<Arc<TelemetryRegistry>>,
         checkpoint_every: Option<u64>,
-        attempt: u32,
     ) -> Arc<World> {
         if let Some(reg) = &telemetry {
             assert_eq!(
@@ -80,9 +71,6 @@ impl World {
             telemetry,
             checkpoint: CheckpointState::default(),
             checkpoint_every,
-            attempt,
-            superstep_high: AtomicU64::new(0),
-            net_retries: AtomicU64::new(0),
             #[cfg(feature = "race-detect")]
             race: None,
         })
@@ -124,17 +112,10 @@ pub struct Pe {
     quiet_seq: Cell<u64>,
     /// Supersteps begun on this PE (bumped by [`Pe::begin_superstep`]).
     superstep: Cell<u64>,
-    /// Per-PE splitmix64 state for transient-failure injection; zero when
-    /// the fault plan has no flaky network.
-    flaky_state: Cell<u64>,
 }
 
 impl Pe {
     pub(crate) fn new(rank: usize, world: Arc<World>) -> Pe {
-        let flaky_state = world
-            .faults
-            .flaky
-            .map_or(0, |f| f.seed ^ (rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         Pe {
             rank,
             world,
@@ -143,7 +124,6 @@ impl Pe {
             fence_epoch: Cell::new(0),
             quiet_seq: Cell::new(0),
             superstep: Cell::new(0),
-            flaky_state: Cell::new(flaky_state),
         }
     }
 
@@ -223,12 +203,6 @@ impl Pe {
         let mut bytes = 0;
         for op in pending {
             bytes += op.bytes;
-            // A non-blocking put meets the (possibly flaky) wire at quiet
-            // time. Rolling the timeout/retry loop *before* applying keeps
-            // the deferred closure — and with it the race detector's
-            // nbi-pending mark — untouched until the final successful
-            // attempt: a retried put_nbi stays invisible until quiet.
-            self.net_attempt(TransferClass::NonBlockingPut);
             (op.apply)();
         }
         model::QUIET.charge();
@@ -364,37 +338,16 @@ impl Pe {
     /// Enter the next superstep and return its 0-based index. Called by the
     /// actor layer at the top of each selector execution; applications
     /// driving the substrate directly may call it around their own
-    /// superstep loops to get kill injection and auto-checkpoint hooks.
+    /// superstep loops to get the auto-checkpoint hook.
     pub fn begin_superstep(&self) -> u64 {
         let ss = self.superstep.get();
         self.superstep.set(ss + 1);
-        // Relaxed: a monotonic statistic, read by the launcher only after
-        // every PE thread has been joined (the join is the sync edge).
-        self.world.superstep_high.fetch_max(ss + 1, Ordering::Relaxed);
         ss
     }
 
     /// Supersteps begun on this PE so far.
     pub fn superstep(&self) -> u64 {
         self.superstep.get()
-    }
-
-    /// Leave superstep `superstep`. If the world's fault plan kills this
-    /// rank at this superstep — and this is the initial attempt, a restart
-    /// modeling a replaced node — the PE dies here, *after* the superstep's
-    /// work, so the recovery log's wasted-superstep accounting is real.
-    pub fn end_superstep(&self, superstep: u64) {
-        if let Some(kill) = self.world.faults.kill {
-            if self.world.attempt == 0
-                && kill.rank as usize == self.rank
-                && u64::from(kill.at_superstep) == superstep
-            {
-                panic!(
-                    "fault injection: kill_pe rank {} at superstep {superstep}",
-                    self.rank
-                );
-            }
-        }
     }
 
     /// Whether the harness' `checkpoint_every` period lands on `superstep`.
@@ -457,59 +410,6 @@ impl Pe {
     /// checkpoint targets from inside their collective combine closures.
     pub(crate) fn world_arc(&self) -> Arc<World> {
         self.world.clone()
-    }
-
-    /// One modeled network operation under the fault plan's flaky network:
-    /// each attempt times out with probability `drop_ppm / 1e6`; timed-out
-    /// attempts retry after bounded exponential backoff (cooperative
-    /// yields, so serialized schedules stay live). Exhausting the retry
-    /// budget is a PE failure, routed to the recovery policy like any
-    /// other panic. No-op without a flaky network.
-    #[inline]
-    pub(crate) fn net_attempt(&self, class: TransferClass) {
-        let Some(flaky) = self.world.faults.flaky else {
-            return;
-        };
-        if flaky.drop_ppm == 0 {
-            return;
-        }
-        let mut attempt = 0u32;
-        while self.flaky_timeout(flaky.drop_ppm) {
-            attempt += 1;
-            self.note_net_retry();
-            assert!(
-                attempt <= flaky.max_retries,
-                "net timeout: {class:?} exceeded {} retries (injected transient failure)",
-                flaky.max_retries
-            );
-            // Bounded exponential backoff: the modeled NIC re-arms after
-            // 2^attempt cooperative yields (capped), each of which checks
-            // for poisoning so a dead world cannot strand a retrier.
-            for _ in 0..(1u32 << attempt.min(6)) {
-                self.poll_yield();
-            }
-        }
-    }
-
-    /// Roll the per-PE deterministic splitmix64 stream: `true` = this
-    /// attempt timed out.
-    fn flaky_timeout(&self, drop_ppm: u32) -> bool {
-        let s = self.flaky_state.get().wrapping_add(0x9e37_79b9_7f4a_7c15);
-        self.flaky_state.set(s);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z % 1_000_000) < u64::from(drop_ppm)
-    }
-
-    #[inline]
-    fn note_net_retry(&self) {
-        // Relaxed: a statistic read by the launcher after joining threads.
-        self.world.net_retries.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics() {
-            m.count(Counter::NetRetries);
-        }
     }
 
     /// Network statistics attributed to this PE as a source.

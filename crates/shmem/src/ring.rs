@@ -286,6 +286,18 @@ where
         c.state.store(word, order)
     }
 
+    /// Read `owner_pe`'s cell state word `Relaxed` and with no race-detect
+    /// edge, for the double-publish and double-release `debug_assert`s of
+    /// [`publish`](Self::publish) and [`release`](Self::release). The
+    /// checks order nothing: the `Release` store that follows each is the
+    /// edge, and keeping their loads here lets the policy hold those two
+    /// functions to `Release` alone.
+    fn peek_state(&self, owner_pe: usize, cell: usize) -> u64 {
+        self.inner.regions[owner_pe][cell]
+            .state
+            .load(Ordering::Relaxed)
+    }
+
     /// Copy `src` (and the side table `side`, possibly empty) into
     /// `dst_pe`'s cell as one *blocking* put: the data is in place on return
     /// (visible once the caller publishes). The cell must be free and owned
@@ -408,9 +420,7 @@ where
         debug_assert_ne!(word, 0, "0 is the free-cell sentinel");
         pe.sched_point(SchedPoint::Atomic);
         debug_assert_eq!(
-            self.inner.regions[dst_pe][cell]
-                .state
-                .load(Ordering::Relaxed),
+            self.peek_state(dst_pe, cell),
             0,
             "SPSC protocol violation: double publish"
         );
@@ -466,9 +476,7 @@ where
         self.inner.grid.check_pe(producer_pe)?;
         pe.sched_point(SchedPoint::Atomic);
         debug_assert_ne!(
-            self.inner.regions[pe.rank()][cell]
-                .state
-                .load(Ordering::Relaxed),
+            self.peek_state(pe.rank(), cell),
             0,
             "SPSC protocol violation: release of a free cell"
         );

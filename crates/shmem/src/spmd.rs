@@ -7,16 +7,14 @@
 //! reported as [`ShmemError::PePanicked`].
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use fabsp_telemetry::{Counter, TelemetryRegistry};
+use fabsp_telemetry::TelemetryRegistry;
 
 use crate::error::ShmemError;
 use crate::grid::Grid;
 use crate::net::FaultSpec;
 use crate::pe::{Pe, World};
-use crate::recovery::{backoff_delay, KillRecord, RecoveryLog, RecoverySpec};
 use crate::sched::{SchedSpec, Scheduler};
 
 /// How a run acquires its telemetry registry.
@@ -56,8 +54,6 @@ pub struct Harness {
     pub faults: FaultSpec,
     /// Telemetry wiring: always-on by default, shareable, or disabled.
     telemetry: TelemetrySpec,
-    /// What to do when a PE fails (default: abort the run).
-    pub recovery: RecoverySpec,
     /// Auto-checkpoint period in supersteps, surfaced to the actor layer's
     /// superstep hooks via [`Pe::checkpoint_due`].
     pub checkpoint_every: Option<u64>,
@@ -78,7 +74,6 @@ impl Harness {
             sched: SchedSpec::Os,
             faults: FaultSpec::NONE,
             telemetry: TelemetrySpec::Fresh,
-            recovery: RecoverySpec::Abort,
             checkpoint_every: None,
             #[cfg(feature = "race-detect")]
             race_detect: true,
@@ -96,12 +91,6 @@ impl Harness {
     /// Enable fault injection.
     pub fn faults(mut self, faults: FaultSpec) -> Harness {
         self.faults = faults;
-        self
-    }
-
-    /// Select the recovery policy applied when a PE fails.
-    pub fn recovery(mut self, recovery: RecoverySpec) -> Harness {
-        self.recovery = recovery;
         self
     }
 
@@ -175,113 +164,34 @@ where
     F: Fn(&Pe) -> R + Sync,
     H: Into<Harness>,
 {
-    run_recovering(harness, f).map(|(results, _)| results)
-}
-
-/// Run `f` once per PE under the harness's [`RecoverySpec`], returning the
-/// per-PE results plus the [`RecoveryLog`] of everything fault tolerance
-/// did along the way.
-///
-/// Under [`RecoverySpec::Abort`] (the default) this behaves exactly like
-/// [`run`]: any PE failure tears the world down and is reported as
-/// [`ShmemError::PePanicked`]. Under
-/// [`RecoverySpec::RestartFromCheckpoint`], a failed attempt is retried —
-/// the SPMD closure runs again as a fresh attempt (a restarted, seeded run
-/// is bit-identical to an unkilled one; see [`crate::recovery`]) with
-/// bounded exponential backoff between attempts, up to `max_retries`
-/// restarts. Telemetry is shared across attempts, so counters accumulate;
-/// the deterministic scheduler, if any, is rebuilt per attempt from its
-/// spec so the replay walks the same schedule.
-pub fn run_recovering<R, F, H>(harness: H, f: F) -> Result<(Vec<R>, RecoveryLog), ShmemError>
-where
-    R: Send,
-    F: Fn(&Pe) -> R + Sync,
-    H: Into<Harness>,
-{
     let harness = harness.into();
     let grid = harness.grid;
-    let max_retries = harness.recovery.max_retries();
-    let backoff = match harness.recovery {
-        RecoverySpec::RestartFromCheckpoint { backoff, .. } => backoff,
-        RecoverySpec::Abort => std::time::Duration::ZERO,
-    };
-    // Built once and shared across attempts: counters accumulate over
-    // restarts and live observers keep their subscription.
     let telemetry = match &harness.telemetry {
         TelemetrySpec::Fresh => Some(Arc::new(TelemetryRegistry::new(grid.n_pes()))),
         TelemetrySpec::Off => None,
         TelemetrySpec::Shared(reg) => Some(reg.clone()),
     };
-    let mut log = RecoveryLog::default();
-    let mut attempt = 0u32;
-    loop {
-        // The scheduler is rebuilt per attempt — a failed attempt poisons
-        // it — and, being spec-seeded, replays the same schedule.
-        let sched = harness.sched.build(grid.n_pes());
-        #[cfg_attr(not(feature = "race-detect"), allow(unused_mut))]
-        let mut world = World::with_harness(
-            grid,
-            sched.clone(),
-            harness.faults,
-            telemetry.clone(),
-            harness.checkpoint_every,
-            attempt,
-        );
-        #[cfg(feature = "race-detect")]
-        if harness.race_detect {
-            let detector = crate::race::Detector::new(
-                grid.n_pes(),
-                harness.schedule_name(),
-                harness.race_hooks,
-            );
-            Arc::get_mut(&mut world)
-                .expect("world is not yet shared at detector installation")
-                .race = Some(Arc::new(detector));
-        }
-        let outcome = run_attempt(&world, sched, &f);
-        // Relaxed loads: every PE thread has been joined inside
-        // `run_attempt`; the joins are the synchronizing edges.
-        log.net_retries += world.net_retries.load(Ordering::Relaxed);
-        log.checkpoints_taken += world.checkpoint.taken();
-        match outcome {
-            Ok(results) => return Ok((results, log)),
-            Err((pe, message)) => {
-                log.kills_observed.push(KillRecord {
-                    attempt,
-                    pe,
-                    message: message.clone(),
-                });
-                log.wasted_supersteps += world.superstep_high.load(Ordering::Relaxed);
-                if attempt >= max_retries {
-                    return Err(if max_retries == 0 {
-                        // Abort policy (or a zero-retry restart spec):
-                        // preserve the pre-recovery error shape.
-                        ShmemError::PePanicked { pe, message }
-                    } else {
-                        ShmemError::RetriesExhausted {
-                            attempts: attempt + 1,
-                            pe,
-                            message,
-                        }
-                    });
-                }
-                if let Some(reg) = &telemetry {
-                    // Attributed to the PE that died; its threads are
-                    // joined, so the slab has a unique writer again.
-                    reg.pe(pe).count(Counter::Restarts);
-                }
-                let delay = backoff_delay(backoff, attempt);
-                attempt += 1;
-                log.restarts += 1;
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
-        }
+    let sched = harness.sched.build(grid.n_pes());
+    #[cfg_attr(not(feature = "race-detect"), allow(unused_mut))]
+    let mut world = World::with_harness(
+        grid,
+        sched.clone(),
+        harness.faults,
+        telemetry,
+        harness.checkpoint_every,
+    );
+    #[cfg(feature = "race-detect")]
+    if harness.race_detect {
+        let detector =
+            crate::race::Detector::new(grid.n_pes(), harness.schedule_name(), harness.race_hooks);
+        Arc::get_mut(&mut world)
+            .expect("world is not yet shared at detector installation")
+            .race = Some(Arc::new(detector));
     }
+    run_attempt(&world, sched, &f).map_err(|(pe, message)| ShmemError::PePanicked { pe, message })
 }
 
-/// One SPMD attempt: spawn, run, join. `Err` carries the rank and message
+/// Spawn, run and join one thread per PE. `Err` carries the rank and message
 /// of the original panic (collateral world-poison unwinds are filtered).
 fn run_attempt<R, F>(
     world: &Arc<World>,
@@ -436,89 +346,6 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, ShmemError::PePanicked { .. }));
-    }
-
-    #[test]
-    fn recoverable_fault_no_longer_fails_the_harness() {
-        // Regression: the poisoned-worker path used to tear down all PEs on
-        // any single panic even when a RecoverySpec could handle it. A kill
-        // fault under RestartFromCheckpoint must now succeed via restart.
-        let grid = Grid::single_node(3).unwrap();
-        let harness = Harness::new(grid)
-            .faults(FaultSpec::kill_pe(1, 0))
-            .recovery(RecoverySpec::restart(2));
-        let (results, log) = run_recovering(harness, |pe| {
-            let ss = pe.begin_superstep();
-            pe.barrier_all();
-            pe.end_superstep(ss);
-            pe.rank() * 10
-        })
-        .unwrap();
-        assert_eq!(results, vec![0, 10, 20]);
-        assert_eq!(log.restarts, 1);
-        assert_eq!(log.kills_observed.len(), 1);
-        assert_eq!(log.kills_observed[0].pe, 1);
-        assert!(log.kills_observed[0].message.contains("kill_pe"));
-        assert_eq!(log.wasted_supersteps, 1);
-    }
-
-    #[test]
-    fn same_fault_under_abort_still_fails() {
-        let grid = Grid::single_node(3).unwrap();
-        let harness = Harness::new(grid).faults(FaultSpec::kill_pe(1, 0));
-        let err = run(harness, |pe| {
-            let ss = pe.begin_superstep();
-            pe.barrier_all();
-            pe.end_superstep(ss);
-        })
-        .unwrap_err();
-        match err {
-            ShmemError::PePanicked { pe, message } => {
-                assert_eq!(pe, 1);
-                assert!(message.contains("kill_pe"), "unexpected: {message}");
-            }
-            other => panic!("expected PePanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_report_the_last_failure() {
-        // A plain panic (not a kill fault) fires on every attempt, so even
-        // restarts cannot save the run.
-        let grid = Grid::single_node(2).unwrap();
-        let harness = Harness::new(grid).recovery(RecoverySpec::restart(2));
-        let err = run_recovering(harness, |pe| {
-            if pe.rank() == 0 {
-                panic!("always fails");
-            }
-            pe.barrier_all();
-        })
-        .unwrap_err();
-        match err {
-            ShmemError::RetriesExhausted { attempts, pe, message } => {
-                assert_eq!(attempts, 3);
-                assert_eq!(pe, 0);
-                assert!(message.contains("always fails"));
-            }
-            other => panic!("expected RetriesExhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn kill_fires_only_on_the_initial_attempt() {
-        // attempt index is threaded into the world: a restarted attempt
-        // models a replaced node, so the same kill spec must not re-fire.
-        let grid = Grid::single_node(2).unwrap();
-        let harness = Harness::new(grid)
-            .faults(FaultSpec::kill_pe(0, 0))
-            .recovery(RecoverySpec::restart(1));
-        let (_, log) = run_recovering(harness, |pe| {
-            let ss = pe.begin_superstep();
-            pe.end_superstep(ss);
-        })
-        .unwrap();
-        assert_eq!(log.restarts, 1);
-        assert_eq!(log.kills_observed.len(), 1);
     }
 
     #[test]

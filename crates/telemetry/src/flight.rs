@@ -446,7 +446,7 @@ mod tests {
     fn dump_parse_roundtrip_is_exact() {
         let ring = FlightRing::new(3);
         ring.span(Phase::Superstep, 5, 500);
-        ring.note(Counter::NetRetries, 2, 77);
+        ring.note(Counter::ConveyorPushRetries, 2, 77);
         ring.span(Phase::RelayHop, 600, 640);
         ring.note(Counter::ConveyorForcedParks, 1, 700); // evicts the superstep
         let dump = FlightDump::parse(&ring.to_json(1)).expect("parse");

@@ -9,7 +9,7 @@
 //!
 //! - [`TelemetryRegistry`] — a lock-free per-PE metrics registry of
 //!   monotonic [`Counter`]s, last-value [`Gauge`]s, and per-[`Phase`] span
-//!   cycles and counts, all plain `AtomicU64`s (22 words per PE). Each
+//!   cycles and counts, all plain `AtomicU64`s (20 words per PE). Each
 //!   metric cell has a *single writer* (the owning PE's thread), so writes
 //!   are `Relaxed` load+store pairs; readers take torn-free point-in-time
 //!   [`Snapshot`]s from any thread.

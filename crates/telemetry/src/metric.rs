@@ -24,11 +24,6 @@ pub enum Counter {
     ActorSends,
     /// Cooperative yields taken while a selector polled for progress.
     ActorYields,
-    /// Network operations re-attempted after an injected transient timeout
-    /// (`FaultSpec::net_flaky` exponential-backoff retries).
-    NetRetries,
-    /// SPMD attempts restarted by the recovery policy after a PE failure.
-    Restarts,
     /// Checkpoints actually captured by `Pe::checkpoint` (a cut refused as
     /// not quiescent is not counted).
     Checkpoints,
@@ -41,7 +36,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 12] = [
+    pub const ALL: [Counter; 10] = [
         Counter::ShmemPuts,
         Counter::ShmemQuiets,
         Counter::ShmemBarrierWaits,
@@ -50,8 +45,6 @@ impl Counter {
         Counter::ConveyorRelayParks,
         Counter::ActorSends,
         Counter::ActorYields,
-        Counter::NetRetries,
-        Counter::Restarts,
         Counter::Checkpoints,
         Counter::TelemetrySelfCycles,
     ];
@@ -70,8 +63,6 @@ impl Counter {
             Counter::ConveyorRelayParks => "conveyor.relay_parks",
             Counter::ActorSends => "actor.sends",
             Counter::ActorYields => "actor.yields",
-            Counter::NetRetries => "shmem.net_retries",
-            Counter::Restarts => "spmd.restarts",
             Counter::Checkpoints => "shmem.checkpoints",
             Counter::TelemetrySelfCycles => "telemetry.self_cycles",
         }

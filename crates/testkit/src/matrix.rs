@@ -1,12 +1,12 @@
 //! The app conformance matrix — one generic registry, every workload.
 //!
-//! The deterministic-schedule, crash-recovery, and race-detect suites all
+//! The deterministic-schedule and race-detect suites both
 //! need the same thing from every bundled application: "build a config
 //! from these substrate knobs, run, and give me something comparable".
 //! This module defines that contract *generically* — [`AppSpec`] is a
 //! name, a seed budget, and a runner from [`MatrixParams`] (the substrate
-//! knobs) to [`MatrixRun`] (digests + flattened logical matrix +
-//! [`RecoveryLog`]). The concrete three-app registry lives in
+//! knobs) to [`MatrixRun`] (digests + flattened logical matrix). The
+//! concrete three-app registry lives in
 //! `fabsp_apps::matrix` (`fabsp_apps::registry()`), keeping the
 //! dependency edge apps → testkit and letting the suites iterate
 //! `for app in registry()` instead of hand-writing one test per app.
@@ -25,12 +25,12 @@
 
 use std::fmt;
 
-use fabsp_shmem::{FaultSpec, Grid, RecoveryLog, RecoverySpec, SchedSpec};
+use fabsp_shmem::{FaultSpec, Grid, SchedSpec};
 
 use crate::ConveyorOptions;
 
 /// Default scale when `ACTORPROF_SCALE` is unset: small enough that a
-/// full three-app × three-fault-mode × seed-budget sweep stays in CI
+/// full three-app × two-fault-mode × seed-budget sweep stays in CI
 /// budget, large enough that every PE sees real traffic.
 pub const DEFAULT_SCALE: u32 = 6;
 
@@ -64,15 +64,11 @@ pub struct MatrixParams {
     pub sched: SchedSpec,
     /// Substrate fault injection.
     pub faults: FaultSpec,
-    /// PE-death recovery policy.
-    pub recovery: RecoverySpec,
-    /// Checkpoint cadence in supersteps.
-    pub checkpoint_every: Option<u64>,
 }
 
 impl MatrixParams {
     /// Baseline params on the given grid: env scale, logical tracing on,
-    /// default conveyors, OS schedule, no faults, abort on death.
+    /// default conveyors, OS schedule, no faults.
     pub fn new(grid: Grid) -> MatrixParams {
         MatrixParams {
             grid,
@@ -81,8 +77,6 @@ impl MatrixParams {
             conveyor: ConveyorOptions::default(),
             sched: SchedSpec::Os,
             faults: FaultSpec::NONE,
-            recovery: RecoverySpec::Abort,
-            checkpoint_every: None,
         }
     }
 
@@ -95,13 +89,6 @@ impl MatrixParams {
     /// Inject substrate faults.
     pub fn with_faults(mut self, faults: FaultSpec) -> MatrixParams {
         self.faults = faults;
-        self
-    }
-
-    /// Select the recovery policy and checkpoint cadence.
-    pub fn with_recovery(mut self, recovery: RecoverySpec, checkpoint_every: u64) -> MatrixParams {
-        self.recovery = recovery;
-        self.checkpoint_every = Some(checkpoint_every);
         self
     }
 
@@ -124,8 +111,6 @@ pub struct MatrixRun {
     pub logical: Option<Vec<u64>>,
     /// PE count the run used (the logical matrix's dimension).
     pub n_pes: usize,
-    /// Fault-tolerance activity observed by the run.
-    pub recovery: RecoveryLog,
 }
 
 impl MatrixRun {
@@ -216,7 +201,6 @@ mod tests {
             golden_digest: 7,
             logical: Some(vec![0, 1, 1, 0]),
             n_pes: 2,
-            recovery: RecoveryLog::default(),
         };
         run.assert_golden(&"test");
         run.assert_matches(&run.clone(), &"test");
@@ -230,7 +214,6 @@ mod tests {
             golden_digest: 8,
             logical: None,
             n_pes: 2,
-            recovery: RecoveryLog::default(),
         };
         run.assert_golden(&"test");
     }
@@ -240,10 +223,9 @@ mod tests {
         let grid = Grid::single_node(2).unwrap();
         let p = MatrixParams::new(grid)
             .with_sched(SchedSpec::random_walk(3))
-            .with_faults(FaultSpec::nbi_shuffle(9))
-            .with_recovery(RecoverySpec::restart(2), 1);
+            .with_faults(FaultSpec::nbi_shuffle(9));
         assert!(matches!(p.sched, SchedSpec::RandomWalk { seed: 3, .. }));
-        assert_eq!(p.checkpoint_every, Some(1));
+        assert_eq!(p.faults.nbi_shuffle_seed, Some(9));
         assert!(p.logical);
     }
 

@@ -130,7 +130,6 @@ pub fn dashboard_since(frame: &Frame, prev_at_cycles: Option<u64>) -> String {
         ("sends", Counter::ActorSends),
         ("puts", Counter::ShmemPuts),
         ("push-retries", Counter::ConveyorPushRetries),
-        ("net-retries", Counter::NetRetries),
     ];
     let secs = prev_at_cycles
         .map(|prev| fabsp_hwpc::cycles_to_secs(frame.at_cycles.saturating_sub(prev)));
@@ -166,8 +165,6 @@ pub fn dashboard_since(frame: &Frame, prev_at_cycles: Option<u64>) -> String {
         ("push-retries", Counter::ConveyorPushRetries),
         ("relay-parks", Counter::ConveyorRelayParks),
         ("forced-parks", Counter::ConveyorForcedParks),
-        ("net-retries", Counter::NetRetries),
-        ("restarts", Counter::Restarts),
     ];
     let summary = totals
         .iter()
@@ -262,8 +259,6 @@ mod tests {
         reg.pe(0).add(Counter::ActorSends, 8);
         reg.pe(1).add(Counter::ActorSends, 4);
         reg.pe(0).gauge_set(Gauge::ConveyorBufferedItems, 3);
-        reg.pe(1).add(Counter::NetRetries, 5);
-        reg.pe(0).add(Counter::Restarts, 1);
         reg.pe(0).count(Counter::Checkpoints);
         let total = reg.snapshot();
         let frame = Frame {
@@ -278,8 +273,6 @@ mod tests {
         assert!(s.contains("tick:  sends +12"), "delta line rendered:\n{s}");
         assert!(s.contains("sends 12"), "cumulative total rendered:\n{s}");
         assert!(s.contains("buffered 3"));
-        assert!(s.contains("net-retries 5"), "recovery totals rendered:\n{s}");
-        assert!(s.contains("restarts 1"));
         assert!(s.contains("checkpoints 1"), "checkpoint count rendered:\n{s}");
         assert!(s.lines().any(|l| l.starts_with("PE  0") && l.contains('#')));
     }

@@ -8,8 +8,7 @@
 //!
 //! Panels, top to bottom:
 //!
-//! 1. **Master status** — superstep reached, items/s over the tick, net
-//!    retries and restarts (the recovery counters worth glancing at).
+//! 1. **Master status** — superstep reached and items/s over the tick.
 //! 2. **Overhead** — in continuous mode, the window's measured
 //!    instrumentation overhead and its verdict against the budget.
 //! 3. **Hottest phases** — top-N phases by in-phase cycles this tick,
@@ -136,10 +135,8 @@ impl Cockpit {
         };
         let mut out = format!(
             "┌ actorprof cockpit ── tick {:>4} ┐\n\
-             superstep {superstep}  items {items}  net-retries {}  restarts {}\n",
+             superstep {superstep}  items {items}\n",
             frame.seq,
-            frame.total.counter_total(Counter::NetRetries),
-            frame.total.counter_total(Counter::Restarts),
         );
 
         // -- overhead ------------------------------------------------------

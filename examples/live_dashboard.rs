@@ -6,9 +6,9 @@
 //! status, overhead verdict, hottest phases with `file:line` attribution,
 //! per-PE load bars, and a throughput sparkline.
 //!
-//! Part 2 injects a PE kill with a flight-recorder directory configured,
-//! recovers from checkpoint, and renders the post-mortem
-//! `flightrec-pe*.json` dumps as a time-rebased replay.
+//! Part 2 crashes PE 1 with a flight-recorder directory configured and
+//! renders the post-mortem `flightrec-pe*.json` dumps as a time-rebased
+//! replay.
 //!
 //! ```text
 //! cargo run --release --example live_dashboard
@@ -20,15 +20,17 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use actorprof_suite::actorprof::{
-    Counter, FlightDump, Frame, OverheadBudget, Phase, Profiler, RecoverySpec,
+    Counter, FlightDump, Frame, OverheadBudget, Phase, Profiler, Report, RunError,
 };
 use actorprof_suite::actorprof_viz::cockpit::{Cockpit, CockpitConfig};
-use actorprof_suite::fabsp_shmem::{FaultSpec, Grid};
+use actorprof_suite::fabsp_shmem::{Grid, ShmemError};
 
 const N: usize = 200_000; // messages per PE — long enough to see ticks
 const TABLE: usize = 512;
 
-fn histogram_run(p: Profiler, n: usize) -> actorprof_suite::actorprof::Report<u64> {
+/// A histogram of `n` messages per PE; PE `crash_pe`, if any, panics once
+/// its superstep is done.
+fn histogram_run(p: Profiler, n: usize, crash_pe: Option<usize>) -> Result<Report<u64>, RunError> {
     p.run(move |pe, ctx| {
         let larray = Rc::new(RefCell::new(vec![0u64; TABLE]));
         let handler_array = Rc::clone(&larray);
@@ -46,10 +48,12 @@ fn histogram_run(p: Profiler, n: usize) -> actorprof_suite::actorprof::Report<u6
                 main.done(0).expect("done");
             })
             .expect("execute");
+        if crash_pe == Some(pe.rank()) {
+            panic!("deliberate crash on pe{}", pe.rank());
+        }
         let mass: u64 = larray.borrow().iter().sum();
         mass
     })
-    .expect("profiled run")
 }
 
 fn main() {
@@ -63,7 +67,9 @@ fn main() {
                 print!("{}{}", cockpit.clear(), cockpit.render(frame));
             }),
         N,
-    );
+        None,
+    )
+    .expect("profiled run");
     let total: u64 = report.results.iter().sum();
     assert_eq!(total, (N * 4) as u64, "every message handled");
 
@@ -84,20 +90,19 @@ fn main() {
         overhead.budget.pct,
     );
 
-    // ---- part 2: crash, recover, replay the flight recorder ------------
+    // ---- part 2: crash, replay the flight recorder ---------------------
     let dumps_dir = std::env::temp_dir().join(format!("actorprof-cockpit-{}", std::process::id()));
-    let report = histogram_run(
-        Profiler::new(Grid::single_node(2).expect("grid"))
-            .flightrec_dir(&dumps_dir)
-            .faults(FaultSpec::kill_pe(1, 0))
-            .checkpoint_every(1)
-            .recovery(RecoverySpec::restart(2)),
+    let err = histogram_run(
+        Profiler::new(Grid::single_node(2).expect("grid")).flightrec_dir(&dumps_dir),
         2_000,
+        Some(1),
+    )
+    .expect_err("pe1 panics");
+    assert!(
+        matches!(err, RunError::Shmem(ShmemError::PePanicked { pe: 1, .. })),
+        "the crash is reported as pe1's panic: {err}"
     );
-    println!(
-        "\nkilled pe1 once, recovered: {} restarts, {} wasted supersteps",
-        report.recovery.restarts, report.recovery.wasted_supersteps
-    );
+    println!("\ncrashed: {err}");
     let dumps = FlightDump::load_dir(&dumps_dir).expect("load dumps");
     let cockpit = Cockpit::new(CockpitConfig::default());
     print!("{}", cockpit.render_replay(&dumps));

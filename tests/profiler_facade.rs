@@ -9,8 +9,13 @@
 //! interleaving (and hence the physical trace and PAPI per-send deltas) is
 //! reproducible. `overall.txt` is deliberately not collected: it contains
 //! real rdtsc cycle counts, which no two runs share.
+//!
+//! A third test pins the facade's `checkpoint_every`: checkpointing every
+//! superstep changes neither the results nor the logical trace.
 
-use actorprof_suite::actorprof::{writer, PapiConfig, Profiler, TraceBundle, TraceConfig};
+use actorprof_suite::actorprof::{
+    writer, Counter, PapiConfig, Profiler, Report, TraceBundle, TraceConfig,
+};
 use actorprof_suite::fabsp_actor::{ProcCtx, Selector, SelectorConfig};
 use actorprof_suite::fabsp_conveyors::ConveyorOptions;
 use actorprof_suite::fabsp_hwpc::Cost;
@@ -280,4 +285,68 @@ fn facade_matches_legacy_wiring_on_triangle() {
     assert_dirs_equal(&facade_dir, &legacy_dir);
     let _ = std::fs::remove_dir_all(&facade_dir);
     let _ = std::fs::remove_dir_all(&legacy_dir);
+}
+
+// --------------------------------------------------------------- checkpoint
+
+/// A three-superstep kernel through the facade: each superstep every PE
+/// sends one tagged message per peer; the handler folds them into a
+/// per-PE accumulator that survives across supersteps.
+fn three_superstep_run(profiler: Profiler) -> Report<u64> {
+    profiler
+        .run(|pe, prof| {
+            let acc = Rc::new(RefCell::new(0u64));
+            let a = Rc::clone(&acc);
+            let mut actor = prof
+                .selector(1, move |_mb, msg: u64, from, _ctx| {
+                    *a.borrow_mut() += msg * (from as u64 + 1);
+                })
+                .expect("selector");
+            for round in 0..3u64 {
+                actor
+                    .execute(pe, |ctx| {
+                        for dst in 0..ctx.n_pes() {
+                            ctx.send(0, round * 10 + ctx.rank() as u64, dst)
+                                .expect("send");
+                        }
+                        ctx.done(0).expect("done");
+                    })
+                    .expect("execute");
+            }
+            let got = *acc.borrow();
+            got
+        })
+        .expect("profiled run")
+}
+
+#[test]
+fn checkpoint_every_superstep_changes_neither_results_nor_trace() {
+    // Every superstep boundary takes a checkpoint, so the selector's
+    // debug-build assert that each conveyor is checkpoint-ready runs at
+    // all three boundaries.
+    let grid = Grid::new(2, 2).unwrap();
+    let plain = three_superstep_run(Profiler::new(grid).logical());
+    let checkpointed = three_superstep_run(Profiler::new(grid).logical().checkpoint_every(1));
+    assert_eq!(checkpointed.results, plain.results, "results diverged");
+    assert_eq!(
+        checkpointed.bundle.logical_matrix().expect("logical"),
+        plain.bundle.logical_matrix().expect("logical"),
+        "logical trace diverged"
+    );
+    let count = |r: &Report<u64>| {
+        r.telemetry
+            .as_ref()
+            .expect("telemetry on by default")
+            .counter_per_pe(Counter::Checkpoints)
+    };
+    assert_eq!(
+        count(&checkpointed),
+        vec![3; grid.n_pes()],
+        "one per superstep per PE"
+    );
+    assert_eq!(
+        count(&plain),
+        vec![0; grid.n_pes()],
+        "no period, no checkpoint"
+    );
 }
