@@ -85,19 +85,15 @@ pub fn generate_edges(params: &RmatParams) -> Vec<(u32, u32)> {
         let mut row = 0u32;
         let mut col = 0u32;
         for _ in 0..params.scale {
-            row <<= 1;
-            col <<= 1;
+            // Quadrant by thresholds: r < a upper-left (no bit), < a+b
+            // upper-right (col), < a+b+c lower-left (row), else both. The
+            // thresholds ascend, so the row bit is `r >= a+b` and the col
+            // bit the parity of the three comparisons — no branch to
+            // mispredict.
             let r: f64 = rng.gen();
-            if r < params.a {
-                // upper-left: neither bit set
-            } else if r < ab {
-                col |= 1;
-            } else if r < abc {
-                row |= 1;
-            } else {
-                row |= 1;
-                col |= 1;
-            }
+            let (ge_a, ge_ab, ge_abc) = (r >= params.a, r >= ab, r >= abc);
+            row = row << 1 | ge_ab as u32;
+            col = col << 1 | (ge_a ^ ge_ab ^ ge_abc) as u32;
         }
         edges.push((row, col));
     }
@@ -133,6 +129,32 @@ mod tests {
         let p = RmatParams::graph500(8);
         let q = p.with_seed(42);
         assert_ne!(generate_edges(&p), generate_edges(&q));
+    }
+
+    /// FNV-1a over the edge list, one `(row << 32 | col)` word per edge.
+    fn digest(edges: &[(u32, u32)]) -> u64 {
+        edges.iter().fold(0xcbf2_9ce4_8422_2325, |h, &(u, v)| {
+            (h ^ ((u as u64) << 32 | v as u64)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn edge_lists_are_pinned() {
+        // Digests of the if-chain generator's output: the comparison form
+        // makes the same RNG draws and must give bit-identical edge lists.
+        for (scale, seed, expected) in [
+            (8, None, 0x456a_04a8_3cf6_e34d),
+            (12, Some(7), 0xaa2e_f1c7_5793_5209),
+            (13, None, 0x6b44_03bb_c388_0946),
+        ] {
+            let mut p = RmatParams::graph500(scale);
+            if let Some(s) = seed {
+                p = p.with_seed(s);
+            }
+            let edges = generate_edges(&p);
+            assert_eq!(edges.len(), p.n_edges());
+            assert_eq!(digest(&edges), expected, "scale {scale}, seed {seed:?}");
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl MatrixRun {
 /// registry itself a simple `Vec`.
 #[derive(Debug, Clone, Copy)]
 pub struct AppSpec {
-    /// Short app name (`"histogram"`, `"intsort"`, …).
+    /// Short app name (`"histogram"`, `"triangle"`, …).
     pub name: &'static str,
     /// Schedule-fuzz seeds this app runs per fault mode.
     pub fuzz_seed_budget: u64,
