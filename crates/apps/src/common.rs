@@ -6,7 +6,7 @@ use actorprof::ProfError;
 use actorprof_trace::TraceConfig;
 use fabsp_actor::{ActorError, MainCtx};
 use fabsp_conveyors::ConveyorOptions;
-use fabsp_shmem::{FaultSpec, Grid, SchedSpec, ShmemError};
+use fabsp_shmem::{Grid, SchedSpec, ShmemError};
 
 /// Run configuration shared by every bundled application — layout,
 /// tracing, aggregation, randomness and testkit controls — plus the app's
@@ -31,9 +31,6 @@ pub struct RunConfig<W = ()> {
     /// Thread schedule: OS-free-running (default) or a seeded
     /// deterministic random walk (testkit).
     pub sched: SchedSpec,
-    /// Substrate fault injection (testkit; [`FaultSpec::NONE`] in
-    /// production).
-    pub faults: FaultSpec,
     /// The app's own parameters, reached as `cfg.<param>` through `Deref`.
     pub app: W,
 }
@@ -50,7 +47,7 @@ impl AppParams for () {}
 
 impl<W: AppParams> RunConfig<W> {
     /// Defaults on the given grid: the app's default parameters and seed,
-    /// no tracing, default conveyor options, OS scheduling, no faults.
+    /// no tracing, default conveyor options, OS scheduling.
     pub fn new(grid: Grid) -> RunConfig<W> {
         RunConfig {
             grid,
@@ -58,7 +55,6 @@ impl<W: AppParams> RunConfig<W> {
             conveyor: ConveyorOptions::default(),
             seed: W::SEED,
             sched: SchedSpec::Os,
-            faults: FaultSpec::NONE,
             app: W::default(),
         }
     }
@@ -78,7 +74,6 @@ impl<W> RunConfig<W> {
             .trace_config(self.trace.clone())
             .conveyor(self.conveyor)
             .sched(self.sched)
-            .faults(self.faults)
     }
 }
 

@@ -45,7 +45,7 @@ use std::time::Duration;
 use actorprof_trace::{PapiConfig, SharedCollector, TraceConfig};
 use fabsp_actor::{ActorError, ProcCtx, Selector, SelectorConfig};
 use fabsp_conveyors::ConveyorOptions;
-use fabsp_shmem::{spmd, FaultSpec, Grid, Harness, Pe, SchedSpec, ShmemError};
+use fabsp_shmem::{spmd, Grid, Harness, Pe, SchedSpec, ShmemError};
 use fabsp_telemetry::{
     ContinuousReport, Counter, Frame, OverheadBudget, Snapshot, TelemetryRegistry,
 };
@@ -110,7 +110,7 @@ impl From<ProfError> for RunError {
 /// once per PE and assembles everything into a [`Report`].
 #[derive(Clone)]
 pub struct Profiler {
-    /// The SPMD world: grid, schedule, faults, checkpoint period.
+    /// The SPMD world: grid, schedule, checkpoint period.
     harness: Harness,
     trace: TraceConfig,
     conveyor: ConveyorOptions,
@@ -135,7 +135,6 @@ impl std::fmt::Debug for Profiler {
             .field("trace", &self.trace)
             .field("conveyor", &self.conveyor)
             .field("sched", &self.harness.sched)
-            .field("faults", &self.harness.faults)
             .field("checkpoint_every", &self.harness.checkpoint_every)
             .field("telemetry_enabled", &self.telemetry_enabled)
             .field("observe_interval", &self.observe.as_ref().map(|(i, _)| *i))
@@ -217,12 +216,6 @@ impl Profiler {
     /// Select the thread schedule (deterministic random walk for tests).
     pub fn sched(mut self, sched: SchedSpec) -> Profiler {
         self.harness = self.harness.sched(sched);
-        self
-    }
-
-    /// Inject substrate faults (testkit).
-    pub fn faults(mut self, faults: FaultSpec) -> Profiler {
-        self.harness = self.harness.faults(faults);
         self
     }
 

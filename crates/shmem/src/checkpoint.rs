@@ -1,9 +1,10 @@
 //! Superstep-boundary checkpoints of the symmetric state.
 //!
 //! A [`Checkpoint`] is a deep copy of everything the substrate owns on
-//! behalf of the application: every live [`crate::SymmetricVec`] region,
-//! every [`crate::SymmetricAtomicVec`] region, and the per-PE network
-//! ledger. Capture and restore are *collective* operations taken at a
+//! behalf of the application: every live [`crate::SymmetricVec`] region
+//! and the per-PE network ledger. [`crate::SpscRing`] cells are not
+//! captured: at a quiescent cut every conveyor is drained, so every cell
+//! is free. Capture and restore are *collective* operations taken at a
 //! quiescent cut — all PEs inside the rendezvous, no non-blocking put
 //! pending, conveyors drained — which is what makes the copy globally
 //! consistent without any marker propagation: the barrier in the
@@ -141,22 +142,21 @@ mod tests {
         let grid = Grid::new(2, 1).unwrap();
         spmd::run(grid, |pe| {
             let sym = pe.alloc_sym::<u64>(2);
-            let sig = pe.alloc_sym_atomic(1);
-            sym.write_local(pe, |v| v.fill(pe.rank() as u64 + 1));
-            sig.store(pe, pe.rank(), 0, 7).unwrap();
+            let me = pe.rank();
+            sym.put_nbi(pe, me, 0, &[me as u64 + 1; 2]).unwrap();
             pe.barrier_all();
             let ckpt = pe.checkpoint().unwrap();
-            assert_eq!(ckpt.allocations(), 2);
+            assert_eq!(ckpt.allocations(), 1);
             // Scribble over everything, then restore the cut.
-            sym.write_local(pe, |v| v.fill(99));
-            sig.store(pe, pe.rank(), 0, 0).unwrap();
+            sym.put_nbi(pe, me, 0, &[99; 2]).unwrap();
+            pe.barrier_all();
+            assert_eq!(sym.read_local(pe, |v| v.to_vec()), vec![99; 2]);
             pe.barrier_all();
             pe.restore_checkpoint(&ckpt).unwrap();
             assert_eq!(
                 sym.read_local(pe, |v| v.to_vec()),
                 vec![pe.rank() as u64 + 1; 2]
             );
-            assert_eq!(sig.local_load(pe, 0), 7);
             let latest = pe.latest_checkpoint().expect("restore keeps latest");
             assert_eq!(latest.superstep(), ckpt.superstep());
             pe.barrier_all();
@@ -218,7 +218,7 @@ mod tests {
             pe.barrier_all();
             let ckpt = pe.checkpoint().unwrap();
             assert_eq!(ckpt.allocations(), 1, "dead allocation must be pruned");
-            keep.local_set(pe, 0, 3);
+            drop(keep);
             pe.barrier_all();
         })
         .unwrap();

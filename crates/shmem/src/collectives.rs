@@ -1,13 +1,11 @@
-//! Collective operations on [`Pe`]: allocation, reductions, broadcast,
-//! all-gather.
+//! Collective operations on [`Pe`]: symmetric allocation and the generic
+//! all-reduce.
 //!
 //! OpenSHMEM collectives are *symmetric*: every PE must call the same
 //! collectives in the same order. That discipline is what lets the
 //! rendezvous identify call sites by sequence number; diverging call orders
 //! are detected and panic rather than corrupting state.
 
-use crate::atomics::SymmetricAtomicVec;
-use crate::error::ShmemError;
 use crate::heap::SymmetricVec;
 use crate::pe::Pe;
 
@@ -23,12 +21,6 @@ impl Pe {
         SymmetricVec::new(self, len).expect("symmetric allocation diverged across PEs")
     }
 
-    /// Collectively allocate a [`SymmetricAtomicVec`] of `len` atomics per
-    /// PE. Panics on SPMD divergence, like [`Pe::alloc_sym`].
-    pub fn alloc_sym_atomic(&self, len: usize) -> SymmetricAtomicVec {
-        SymmetricAtomicVec::new(self, len).expect("symmetric allocation diverged across PEs")
-    }
-
     /// Generic all-reduce: every PE contributes `value`; all receive
     /// `combine` folded over contributions in rank order.
     pub fn allreduce<T, R>(&self, value: T, combine: impl FnOnce(Vec<T>) -> R) -> R
@@ -39,51 +31,6 @@ impl Pe {
         let arc = self.run_collective(value, combine);
         (*arc).clone()
     }
-
-    /// Sum-reduce a `u64` across all PEs (`shmem_sum_reduce`).
-    pub fn allreduce_sum_u64(&self, value: u64) -> u64 {
-        self.allreduce(value, |vs| vs.into_iter().sum())
-    }
-
-    /// Sum-reduce an `i64` across all PEs.
-    pub fn allreduce_sum_i64(&self, value: i64) -> i64 {
-        self.allreduce(value, |vs| vs.into_iter().sum())
-    }
-
-    /// Sum-reduce an `f64` across all PEs (rank-ordered, hence
-    /// deterministic).
-    pub fn allreduce_sum_f64(&self, value: f64) -> f64 {
-        self.allreduce(value, |vs| vs.into_iter().sum())
-    }
-
-    /// Max-reduce a `u64` across all PEs.
-    pub fn allreduce_max_u64(&self, value: u64) -> u64 {
-        self.allreduce(value, |vs| vs.into_iter().max().unwrap_or(0))
-    }
-
-    /// Min-reduce a `u64` across all PEs.
-    pub fn allreduce_min_u64(&self, value: u64) -> u64 {
-        self.allreduce(value, |vs| vs.into_iter().min().unwrap_or(0))
-    }
-
-    /// Broadcast `value` from `root` to all PEs (`shmem_broadcast`).
-    /// Non-root contributions are ignored.
-    pub fn broadcast<T>(&self, root: usize, value: T) -> Result<T, ShmemError>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        self.grid().check_pe(root)?;
-        Ok(self.allreduce(value, move |mut vs| vs.swap_remove(root)))
-    }
-
-    /// Gather every PE's `value`; all PEs receive the rank-ordered vector
-    /// (`shmem_collect`).
-    pub fn allgather<T>(&self, value: T) -> Vec<T>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        self.allreduce(value, |vs| vs)
-    }
 }
 
 #[cfg(test)]
@@ -92,59 +39,9 @@ mod tests {
     use crate::spmd;
 
     #[test]
-    fn sum_reductions() {
+    fn allreduce_folds_in_rank_order() {
         let grid = Grid::new(2, 2).unwrap();
-        let results = spmd::run(grid, |pe| {
-            let s = pe.allreduce_sum_u64(pe.rank() as u64);
-            let i = pe.allreduce_sum_i64(-(pe.rank() as i64));
-            let f = pe.allreduce_sum_f64(0.5);
-            (s, i, f)
-        })
-        .unwrap();
-        for (s, i, f) in results {
-            assert_eq!(s, 6);
-            assert_eq!(i, -6);
-            assert!((f - 2.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn max_min_reductions() {
-        let grid = Grid::single_node(4).unwrap();
-        let results = spmd::run(grid, |pe| {
-            (
-                pe.allreduce_max_u64(pe.rank() as u64 * 10),
-                pe.allreduce_min_u64(pe.rank() as u64 * 10 + 5),
-            )
-        })
-        .unwrap();
-        for (max, min) in results {
-            assert_eq!(max, 30);
-            assert_eq!(min, 5);
-        }
-    }
-
-    #[test]
-    fn broadcast_takes_root_value() {
-        let grid = Grid::single_node(3).unwrap();
-        let results = spmd::run(grid, |pe| {
-            pe.broadcast(2, format!("pe{}", pe.rank())).unwrap()
-        })
-        .unwrap();
-        assert_eq!(results, vec!["pe2", "pe2", "pe2"]);
-    }
-
-    #[test]
-    fn broadcast_invalid_root_errors() {
-        let grid = Grid::single_node(2).unwrap();
-        let results = spmd::run(grid, |pe| pe.broadcast(9, 0u8).is_err()).unwrap();
-        assert_eq!(results, vec![true, true]);
-    }
-
-    #[test]
-    fn allgather_is_rank_ordered() {
-        let grid = Grid::new(2, 2).unwrap();
-        let results = spmd::run(grid, |pe| pe.allgather(pe.rank() * pe.rank())).unwrap();
+        let results = spmd::run(grid, |pe| pe.allreduce(pe.rank() * pe.rank(), |vs| vs)).unwrap();
         for r in results {
             assert_eq!(r, vec![0, 1, 4, 9]);
         }
@@ -156,7 +53,7 @@ mod tests {
         let results = spmd::run(grid, |pe| {
             let mut acc = 0;
             for round in 0..5u64 {
-                acc += pe.allreduce_sum_u64(round);
+                acc += pe.allreduce(round, |vs| vs.into_iter().sum::<u64>());
                 pe.barrier_all();
             }
             acc

@@ -7,25 +7,34 @@
 //! - **PEs are OS threads** launched SPMD-style by [`spmd::run`]; **nodes**
 //!   are groups of PEs described by a [`Grid`] (e.g. the paper's
 //!   2 nodes × 16 PEs/node).
-//! - A **symmetric heap**: [`SymmetricVec`] gives every PE a same-shaped
-//!   region, addressable remotely by `(pe, offset)` just like
-//!   `shmem_malloc` memory.
-//! - **Blocking puts/gets** ([`SymmetricVec::put`]/[`SymmetricVec::get`])
-//!   complete immediately — the `shmem_ptr` + `memcpy` path Conveyors uses
-//!   for intra-node `local_send`.
-//! - **Non-blocking puts** ([`SymmetricVec::put_nbi`]) are *deferred*: the
-//!   bytes become visible at the target only after the initiating PE calls
-//!   [`Pe::quiet`] — exactly the `shmem_putmem_nbi` → `shmem_quiet` →
-//!   signal-`put` sequence the paper traces as `nonblock_send` +
-//!   `nonblock_progress` (§III-C), and exactly the behaviour that makes
-//!   those routines invisible to conventional profilers (§V-B).
-//! - **Atomics & signals**: [`SymmetricAtomicVec`] supports remote
-//!   fetch-add/store/load and spin-waiting, used for delivery signals.
-//! - **Collectives**: barrier, broadcast, reductions, all-gather
-//!   ([`collectives`]).
-//! - A **network model** ([`net::NetStats`]) counts messages/bytes per
-//!   class (intra-node copy, non-blocking put, quiet) so the substrate's
-//!   traffic is observable independent of the profiler.
+//! - **Two symmetric allocations.** [`SpscRing`] gives every PE a set of
+//!   lock-free landing cells, one per directed link; it is the conveyor's
+//!   hot path. [`SymmetricVec`] gives every PE a same-shaped region,
+//!   addressable remotely by `(pe, offset)` just like `shmem_malloc`
+//!   memory, written only by `put_nbi`; the benchmark's raw all-to-all
+//!   rung allocates it, `put_nbi`s into it and reads it back.
+//!
+//! The OpenSHMEM calls the substrate models, and the type that models each:
+//!
+//! | OpenSHMEM | here |
+//! |---|---|
+//! | `shmem_malloc` | [`SpscRing::new`], [`Pe::alloc_sym`] |
+//! | `shmem_ptr` + `memcpy` / blocking put | [`SpscRing::write`] |
+//! | `shmem_putmem_nbi` | [`SpscRing::write_nbi`], [`SymmetricVec::put_nbi`] |
+//! | `shmem_quiet` | [`Pe::quiet`] |
+//! | signalling store | [`SpscRing::publish`], [`SpscRing::release`] |
+//! | `shmem_barrier_all` | [`Pe::barrier_all`] |
+//! | reduction | [`Pe::allreduce`] |
+//!
+//! Non-blocking puts are *deferred*: the bytes become visible at the
+//! target only after the initiating PE calls [`Pe::quiet`] — exactly the
+//! `shmem_putmem_nbi` → `shmem_quiet` → signal sequence the paper traces
+//! as `nonblock_send` + `nonblock_progress` (§III-C), and exactly the
+//! behaviour that makes those routines invisible to conventional
+//! profilers (§V-B). A **network model** ([`net::NetStats`]) counts
+//! messages/bytes per class (intra-node copy, put, non-blocking put,
+//! quiet, signal) so the substrate's traffic is observable independent of
+//! the profiler.
 //!
 //! ## Example
 //!
@@ -38,8 +47,8 @@
 //! let results = spmd::run(grid, |pe| {
 //!     let sym = pe.alloc_sym::<u64>(1);
 //!     let dst = (pe.rank() + 1) % pe.n_pes();
-//!     sym.put(pe, dst, 0, &[pe.rank() as u64]).unwrap();
-//!     pe.barrier_all();
+//!     sym.put_nbi(pe, dst, 0, &[pe.rank() as u64]).unwrap();
+//!     pe.barrier_all(); // implies quiet: the put has landed
 //!     sym.read_local(pe, |v| v[0])
 //! })
 //! .unwrap();
@@ -49,7 +58,6 @@
 // Every unsafe operation must sit in an explicit, commented block.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod atomics;
 pub mod checkpoint;
 pub mod collectives;
 pub mod error;
@@ -64,12 +72,11 @@ pub mod sched;
 pub mod spmd;
 mod sync;
 
-pub use atomics::SymmetricAtomicVec;
 pub use checkpoint::Checkpoint;
 pub use error::ShmemError;
 pub use grid::Grid;
 pub use heap::SymmetricVec;
-pub use net::{FaultSpec, NetStats, TransferClass};
+pub use net::{NetStats, TransferClass};
 pub use pe::Pe;
 pub use ring::SpscRing;
 pub use sched::{SchedPoint, SchedSpec, Scheduler};

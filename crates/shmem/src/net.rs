@@ -1,12 +1,13 @@
 //! Network traffic accounting.
 //!
-//! Each transfer the symmetric heap performs is classified and counted so
-//! the substrate's traffic is observable even without the profiler: the
-//! physical trace of §III-C is the per-event view; these are the aggregate
-//! counters. Counters are kept per *source* PE as plain atomics — each PE
-//! only ever records against its own slot, so the per-message/per-flush
-//! recording path is wait-free and mutex-free (readers merging the ledger
-//! tolerate the usual snapshot skew of concurrent counters).
+//! Each transfer the ring cells and the symmetric heap perform is
+//! classified and counted so the substrate's traffic is observable even
+//! without the profiler: the physical trace of §III-C is the per-event
+//! view; these are the aggregate counters. Counters are kept per
+//! *source* PE as plain atomics — each PE only ever records against its
+//! own slot, so the per-message/per-flush recording path is wait-free and
+//! mutex-free (readers merging the ledger tolerate the usual snapshot skew
+//! of concurrent counters).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -17,13 +18,11 @@ pub enum TransferClass {
     LocalCopy,
     /// Cross-node blocking put.
     RemotePut,
-    /// Cross-node blocking get.
-    RemoteGet,
     /// Cross-node non-blocking put (`shmem_putmem_nbi`) — *initiated*.
     NonBlockingPut,
     /// Completion fence (`shmem_quiet`); byte count is the flushed volume.
     Quiet,
-    /// Remote atomic operation (fetch-add, store, …).
+    /// Signalling store to another PE (ring `publish` / `release`).
     Atomic,
 }
 
@@ -43,13 +42,11 @@ pub struct NetStats {
     pub local_copy: ClassStats,
     /// Cross-node blocking put traffic.
     pub remote_put: ClassStats,
-    /// Cross-node blocking get traffic.
-    pub remote_get: ClassStats,
     /// Non-blocking put initiations.
     pub nbi_put: ClassStats,
     /// Quiet fences (bytes = flushed volume).
     pub quiet: ClassStats,
-    /// Remote atomics.
+    /// Signalling stores.
     pub atomic: ClassStats,
 }
 
@@ -60,7 +57,6 @@ impl NetStats {
         let slot = match class {
             TransferClass::LocalCopy => &mut self.local_copy,
             TransferClass::RemotePut => &mut self.remote_put,
-            TransferClass::RemoteGet => &mut self.remote_get,
             TransferClass::NonBlockingPut => &mut self.nbi_put,
             TransferClass::Quiet => &mut self.quiet,
             TransferClass::Atomic => &mut self.atomic,
@@ -74,7 +70,6 @@ impl NetStats {
         for (a, b) in [
             (&mut self.local_copy, &other.local_copy),
             (&mut self.remote_put, &other.remote_put),
-            (&mut self.remote_get, &other.remote_get),
             (&mut self.nbi_put, &other.nbi_put),
             (&mut self.quiet, &other.quiet),
             (&mut self.atomic, &other.atomic),
@@ -84,9 +79,9 @@ impl NetStats {
         }
     }
 
-    /// Total bytes that crossed a node boundary (puts, gets, nbi puts).
+    /// Total bytes that crossed a node boundary (puts and nbi puts).
     pub fn inter_node_bytes(&self) -> u64 {
-        self.remote_put.bytes + self.remote_get.bytes + self.nbi_put.bytes
+        self.remote_put.bytes + self.nbi_put.bytes
     }
 
     /// Total bytes copied within a node.
@@ -95,47 +90,10 @@ impl NetStats {
     }
 }
 
-/// Network-level fault injection, installed per-run through
-/// [`crate::spmd::Harness`].
-///
-/// Every fault here stays inside OpenSHMEM's legal envelope — it makes the
-/// substrate exercise freedoms the specification grants but a friendly
-/// in-process implementation never uses:
-///
-/// - Non-blocking puts are already *delayed to the latest legal instant*:
-///   data becomes visible only at the initiator's `quiet` (never earlier),
-///   which is the substrate's baseline behaviour.
-/// - [`nbi_shuffle_seed`](FaultSpec::nbi_shuffle_seed) additionally
-///   *reorders* the puts applied by one `quiet`: between two fences,
-///   OpenSHMEM leaves non-blocking puts unordered, so any permutation of
-///   their delivery is a legal network. Puts separated by a
-///   [`fence`](crate::Pe::fence) keep their relative order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultSpec {
-    /// Apply the non-blocking puts completed by each `quiet` in a seeded
-    /// pseudo-random order (per PE, per quiet) instead of issue order.
-    /// `None` keeps issue order.
-    pub nbi_shuffle_seed: Option<u64>,
-}
-
-impl FaultSpec {
-    /// No faults (production behaviour).
-    pub const NONE: FaultSpec = FaultSpec {
-        nbi_shuffle_seed: None,
-    };
-
-    /// Shuffle non-blocking-put delivery order with `seed`.
-    pub fn nbi_shuffle(seed: u64) -> FaultSpec {
-        FaultSpec {
-            nbi_shuffle_seed: Some(seed),
-        }
-    }
-}
-
 /// Atomic (ops, bytes) pair per transfer class for one source PE.
 #[derive(Default)]
 struct PeNetCells {
-    cells: [(AtomicU64, AtomicU64); 6],
+    cells: [(AtomicU64, AtomicU64); 5],
 }
 
 impl PeNetCells {
@@ -143,10 +101,9 @@ impl PeNetCells {
         match class {
             TransferClass::LocalCopy => 0,
             TransferClass::RemotePut => 1,
-            TransferClass::RemoteGet => 2,
-            TransferClass::NonBlockingPut => 3,
-            TransferClass::Quiet => 4,
-            TransferClass::Atomic => 5,
+            TransferClass::NonBlockingPut => 2,
+            TransferClass::Quiet => 3,
+            TransferClass::Atomic => 4,
         }
     }
 
@@ -158,10 +115,9 @@ impl PeNetCells {
         NetStats {
             local_copy: read(0),
             remote_put: read(1),
-            remote_get: read(2),
-            nbi_put: read(3),
-            quiet: read(4),
-            atomic: read(5),
+            nbi_put: read(2),
+            quiet: read(3),
+            atomic: read(4),
         }
     }
 
@@ -176,10 +132,9 @@ impl PeNetCells {
         };
         write(0, &s.local_copy);
         write(1, &s.remote_put);
-        write(2, &s.remote_get);
-        write(3, &s.nbi_put);
-        write(4, &s.quiet);
-        write(5, &s.atomic);
+        write(2, &s.nbi_put);
+        write(3, &s.quiet);
+        write(4, &s.atomic);
     }
 }
 

@@ -12,14 +12,11 @@ use std::sync::Arc;
 
 use fabsp_hwpc::cost::model;
 use fabsp_telemetry::{Counter, PeMetrics, TelemetryRegistry};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::checkpoint::{Checkpoint, CheckpointState};
 use crate::error::ShmemError;
 use crate::grid::Grid;
-use crate::net::{FaultSpec, NetLedger, NetStats, TransferClass};
+use crate::net::{NetLedger, NetStats, TransferClass};
 use crate::sched::{SchedPoint, Scheduler};
 use crate::sync::{PoisonBarrier, Rendezvous};
 
@@ -32,7 +29,6 @@ pub(crate) struct World {
     pub(crate) poisoned: AtomicBool,
     /// Serializing scheduler, if this run is under deterministic control.
     pub(crate) sched: Option<Arc<dyn Scheduler>>,
-    pub(crate) faults: FaultSpec,
     /// Always-on runtime telemetry. `None` only when a harness explicitly
     /// disabled it (A/B overhead measurement).
     pub(crate) telemetry: Option<Arc<TelemetryRegistry>>,
@@ -49,7 +45,6 @@ impl World {
     pub(crate) fn with_harness(
         grid: Grid,
         sched: Option<Arc<dyn Scheduler>>,
-        faults: FaultSpec,
         telemetry: Option<Arc<TelemetryRegistry>>,
         checkpoint_every: Option<u64>,
     ) -> Arc<World> {
@@ -67,7 +62,6 @@ impl World {
             ledger: NetLedger::new(grid.n_pes()),
             poisoned: AtomicBool::new(false),
             sched,
-            faults,
             telemetry,
             checkpoint: CheckpointState::default(),
             checkpoint_every,
@@ -97,9 +91,6 @@ impl World {
 pub(crate) struct PendingPut {
     pub(crate) apply: Box<dyn FnOnce()>,
     pub(crate) bytes: usize,
-    /// Fence epoch the put was issued in; fault-injected reordering only
-    /// permutes puts within one epoch ([`Pe::fence`] bumps it).
-    pub(crate) epoch: u64,
 }
 
 /// Handle to one processing element, passed to the SPMD closure.
@@ -108,8 +99,6 @@ pub struct Pe {
     world: Arc<World>,
     collective_seq: Cell<u64>,
     pending: RefCell<Vec<PendingPut>>,
-    fence_epoch: Cell<u64>,
-    quiet_seq: Cell<u64>,
     /// Supersteps begun on this PE (bumped by [`Pe::begin_superstep`]).
     superstep: Cell<u64>,
 }
@@ -121,8 +110,6 @@ impl Pe {
             world,
             collective_seq: Cell::new(0),
             pending: RefCell::new(Vec::new()),
-            fence_epoch: Cell::new(0),
-            quiet_seq: Cell::new(0),
             superstep: Cell::new(0),
         }
     }
@@ -181,24 +168,10 @@ impl Pe {
     /// instrumentation captures. Returns the number of bytes flushed.
     pub fn quiet(&self) -> usize {
         self.sched_point(SchedPoint::Quiet);
-        let mut pending = std::mem::take(&mut *self.pending.borrow_mut());
+        let pending = std::mem::take(&mut *self.pending.borrow_mut());
         if pending.is_empty() {
             self.note_quiet();
             return 0;
-        }
-        let qseq = self.quiet_seq.get();
-        self.quiet_seq.set(qseq + 1);
-        if let Some(seed) = self.world.faults.nbi_shuffle_seed {
-            // Between fences, OpenSHMEM leaves nbi puts unordered, so a
-            // hostile-but-legal network may deliver them in any order.
-            // Shuffle, then stable-sort by fence epoch so ordering across
-            // fences is preserved. Seeded per (run, PE, quiet) so every
-            // quiet explores a different permutation, deterministically.
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ (self.rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ qseq.rotate_left(17),
-            );
-            pending.shuffle(&mut rng);
-            pending.sort_by_key(|op| op.epoch);
         }
         let mut bytes = 0;
         for op in pending {
@@ -219,18 +192,6 @@ impl Pe {
         if let Some(m) = self.metrics() {
             m.count(Counter::ShmemQuiets);
         }
-    }
-
-    /// Order non-blocking puts (OpenSHMEM `shmem_fence`): puts issued
-    /// before the fence are delivered before puts issued after it, even
-    /// under fault-injected delivery reordering. Completion is still only
-    /// guaranteed by [`quiet`](Pe::quiet).
-    ///
-    /// The substrate applies pending puts in issue order anyway, so without
-    /// fault injection this is purely an observable scheduling point.
-    pub fn fence(&self) {
-        self.sched_point(SchedPoint::Fence);
-        self.fence_epoch.set(self.fence_epoch.get() + 1);
     }
 
     /// Number of non-blocking puts issued but not yet completed by `quiet`.
@@ -430,11 +391,7 @@ impl Pe {
     }
 
     pub(crate) fn push_pending(&self, bytes: usize, apply: Box<dyn FnOnce()>) {
-        self.pending.borrow_mut().push(PendingPut {
-            apply,
-            bytes,
-            epoch: self.fence_epoch.get(),
-        });
+        self.pending.borrow_mut().push(PendingPut { apply, bytes });
     }
 
     pub(crate) fn record_net(&self, class: TransferClass, bytes: usize) {

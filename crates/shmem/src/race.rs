@@ -12,8 +12,7 @@
 //!   reads/writes and [`SpscRing`](crate::SpscRing) cell-buffer fills/reads,
 //!   at element/cell granularity.
 //! - **Sync edges** — ring state-word publish/release (`Release` stores)
-//!   paired with `state()` polls (`Acquire` loads), every
-//!   [`SymmetricAtomicVec`](crate::SymmetricAtomicVec) operation, barrier
+//!   paired with `state()` polls (`Acquire` loads), barrier
 //!   arrive/depart, collective rendezvous arrive/depart, and explicit
 //!   [`HbObject`] edges (the conveyor termination ledger).
 //! - **The nbi protocol** — a ring `write_nbi` marks its cell *pending*;

@@ -25,20 +25,21 @@
 //!
 //! ## Accounting
 //!
-//! The cost-model and network-ledger charges mirror the symmetric-heap
-//! operations each call models (so the profiler observes the same calls
-//! whether bytes land in a ring cell or a heap region):
+//! The cost-model and network-ledger charges are those of the OpenSHMEM
+//! call each method models:
 //!
-//! - [`write`](SpscRing::write) ≙ [`SymmetricVec::put`]: the `shmem_ptr` +
-//!   memcpy (same node) or blocking put (cross node).
+//! - [`write`](SpscRing::write): the `shmem_ptr` + memcpy (same node, one
+//!   [`TransferClass::LocalCopy`]) or blocking put (cross node, one
+//!   [`TransferClass::RemotePut`]).
 //! - [`write_nbi`](SpscRing::write_nbi) ≙ [`SymmetricVec::put_nbi`]: a
 //!   `shmem_putmem_nbi` — it registers with the PE's pending-put queue so
 //!   [`Pe::quiet`]/[`Pe::pending_nbi`] behave identically, but (unlike the
 //!   mutex path) captures no data and allocates nothing: the bytes land in
 //!   the cell immediately and simply stay unpublished until after `quiet`.
 //! - [`publish`](SpscRing::publish) / [`release`](SpscRing::release) ≙ the
-//!   signalling atomic puts ([`crate::SymmetricAtomicVec::store`] /
-//!   `fetch_add`).
+//!   signalling stores (`shmem_uint64_atomic_set` on a delivery flag):
+//!   one [`TransferClass::Atomic`] of 8 bytes when the other end is
+//!   another PE.
 //!
 //! ## Protocol obligations (checked by debug assertions)
 //!
@@ -49,7 +50,6 @@
 //! and reads may only touch **published** cells. Violations are caught by
 //! `debug_assert!`s on the state word.
 //!
-//! [`SymmetricVec::put`]: crate::SymmetricVec::put
 //! [`SymmetricVec::put_nbi`]: crate::SymmetricVec::put_nbi
 
 use std::cell::UnsafeCell;
@@ -662,8 +662,10 @@ mod tests {
             let ring = SpscRing::<u8>::new(pe, 1, 16).unwrap();
             if pe.rank() == 0 {
                 ring.write(pe, 1, 0, &[7; 16], &[]).unwrap(); // same node
+                ring.write(pe, 2, 0, &[7; 8], &[]).unwrap(); // other node
                 let s = pe.net_stats();
                 assert_eq!(s.local_copy, crate::net::ClassStats { ops: 1, bytes: 16 });
+                assert_eq!(s.remote_put, crate::net::ClassStats { ops: 1, bytes: 8 });
                 ring.publish(pe, 1, 0, 1).unwrap();
                 assert_eq!(pe.net_stats().atomic.ops, 1);
             }

@@ -4,7 +4,7 @@
 //! kernel happens to produce — unrepeatable, and skewed toward a tiny
 //! corner of the legal schedule space. This module lets a [`Scheduler`]
 //! take over: every observable substrate operation (put, non-blocking put,
-//! quiet, fence, barrier, collective, atomic, poll) calls
+//! quiet, barrier, collective, signalling store, poll) calls
 //! [`Scheduler::yield_point`], and a scheduler that serializes PEs there
 //! controls the *complete* interleaving of observable events.
 //!
@@ -30,19 +30,16 @@ use rand::{Rng, SeedableRng};
 pub enum SchedPoint {
     /// Blocking put about to become remotely visible.
     Put,
-    /// Blocking get about to read remote memory.
-    Get,
     /// Non-blocking put about to be staged (visibility still deferred).
     PutNbi,
     /// `quiet`: pending non-blocking puts about to become visible.
     Quiet,
-    /// `fence`: ordering point between non-blocking puts.
-    Fence,
     /// Barrier entry.
     Barrier,
-    /// Collective (allocation, reduction, broadcast, gather) entry.
+    /// Collective (symmetric allocation, all-reduce, checkpoint) entry.
     Collective,
-    /// Remote atomic operation (fetch-add / store / load).
+    /// Signalling store on a ring state word
+    /// ([`crate::SpscRing::publish`] / [`crate::SpscRing::release`]).
     Atomic,
     /// A cooperative poll iteration ([`crate::Pe::poll_yield`]).
     Poll,

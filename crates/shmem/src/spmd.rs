@@ -13,7 +13,6 @@ use fabsp_telemetry::TelemetryRegistry;
 
 use crate::error::ShmemError;
 use crate::grid::Grid;
-use crate::net::FaultSpec;
 use crate::pe::{Pe, World};
 use crate::sched::{SchedSpec, Scheduler};
 
@@ -31,19 +30,17 @@ enum TelemetrySpec {
 }
 
 /// How to run one SPMD execution: the PE layout plus the (optional)
-/// deterministic scheduler and fault injection driving it.
+/// deterministic scheduler driving it.
 ///
-/// A bare [`Grid`] converts into a harness with OS scheduling and no
-/// faults, so `spmd::run(grid, f)` keeps its production meaning while
-/// tests can pass a full harness:
+/// A bare [`Grid`] converts into a harness with OS scheduling, so
+/// `spmd::run(grid, f)` keeps its production meaning while tests can pass
+/// a full harness:
 ///
 /// ```
-/// use fabsp_shmem::{spmd, spmd::Harness, sched::SchedSpec, net::FaultSpec, Grid};
+/// use fabsp_shmem::{spmd, spmd::Harness, sched::SchedSpec, Grid};
 ///
 /// let grid = Grid::single_node(2).unwrap();
-/// let harness = Harness::new(grid)
-///     .sched(SchedSpec::random_walk(42))
-///     .faults(FaultSpec::nbi_shuffle(7));
+/// let harness = Harness::new(grid).sched(SchedSpec::random_walk(42));
 /// let ranks = spmd::run(harness, |pe| pe.rank()).unwrap();
 /// assert_eq!(ranks, vec![0, 1]);
 /// ```
@@ -51,7 +48,6 @@ enum TelemetrySpec {
 pub struct Harness {
     pub grid: Grid,
     pub sched: SchedSpec,
-    pub faults: FaultSpec,
     /// Telemetry wiring: always-on by default, shareable, or disabled.
     telemetry: TelemetrySpec,
     /// Auto-checkpoint period in supersteps, surfaced to the actor layer's
@@ -67,12 +63,11 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// OS scheduling, no faults — identical to running with the bare grid.
+    /// OS scheduling — identical to running with the bare grid.
     pub fn new(grid: Grid) -> Harness {
         Harness {
             grid,
             sched: SchedSpec::Os,
-            faults: FaultSpec::NONE,
             telemetry: TelemetrySpec::Fresh,
             checkpoint_every: None,
             #[cfg(feature = "race-detect")]
@@ -85,12 +80,6 @@ impl Harness {
     /// Select a built-in scheduling spec.
     pub fn sched(mut self, sched: SchedSpec) -> Harness {
         self.sched = sched;
-        self
-    }
-
-    /// Enable fault injection.
-    pub fn faults(mut self, faults: FaultSpec) -> Harness {
-        self.faults = faults;
         self
     }
 
@@ -156,8 +145,8 @@ impl From<Grid> for Harness {
 ///
 /// `f` runs concurrently on `grid.n_pes()` threads; the `&Pe` argument is
 /// the calling PE's identity and capability handle. `harness` is either a
-/// bare [`Grid`] (production: OS scheduling, no faults) or a [`Harness`]
-/// selecting a deterministic schedule and fault injection.
+/// bare [`Grid`] (production: OS scheduling) or a [`Harness`] selecting a
+/// deterministic schedule.
 pub fn run<R, F, H>(harness: H, f: F) -> Result<Vec<R>, ShmemError>
 where
     R: Send,
@@ -173,13 +162,7 @@ where
     };
     let sched = harness.sched.build(grid.n_pes());
     #[cfg_attr(not(feature = "race-detect"), allow(unused_mut))]
-    let mut world = World::with_harness(
-        grid,
-        sched.clone(),
-        harness.faults,
-        telemetry,
-        harness.checkpoint_every,
-    );
+    let mut world = World::with_harness(grid, sched.clone(), telemetry, harness.checkpoint_every);
     #[cfg(feature = "race-detect")]
     if harness.race_detect {
         let detector =
@@ -225,7 +208,7 @@ where
                     if result.is_err() {
                         world.poison();
                         // Post-mortem flight-recorder dump for this PE —
-                        // covers direct panics, testkit faults, and
+                        // covers direct panics, race-detector reports and
                         // termination-checker (step-budget) trips, all of
                         // which unwind through here. Best-effort: a dump
                         // failure must not mask the original panic.

@@ -1,4 +1,4 @@
-//! # fabsp-testkit — deterministic schedule exploration and fault injection
+//! # fabsp-testkit — deterministic schedule exploration and invariant checkers
 //!
 //! The FA-BSP substrate (`fabsp-shmem` + `fabsp-conveyors`) is concurrent:
 //! under the OS scheduler a test exercises one arbitrary interleaving per
@@ -12,10 +12,6 @@
 //!   substrate events. [`assert_schedule_independent`] additionally checks
 //!   every schedule produces the same per-PE results as a free-running
 //!   baseline.
-//! - **Fault injection** — any [`FaultSpec`] (e.g.
-//!   [`FaultSpec::nbi_shuffle`], which delivers non-blocking puts in a
-//!   hostile-but-legal order at each `quiet`) can be combined with every
-//!   explored schedule.
 //! - **Invariant checkers** — [`MsgLog`] records push/pull events and
 //!   [`MsgLog::check`] verifies per-`(src, dst)` FIFO delivery and message
 //!   conservation; [`check_conveyor_quiescent`] verifies pushed == pulled
@@ -35,15 +31,15 @@
 //! ## Example
 //!
 //! ```
-//! use fabsp_testkit::{assert_schedule_independent, FaultSpec, Grid};
+//! use fabsp_testkit::{assert_schedule_independent, Grid};
 //!
 //! // A ring rotation must produce the same answer under every schedule.
 //! let grid = Grid::single_node(3).unwrap();
-//! let results = assert_schedule_independent(grid, 0..4, FaultSpec::NONE, |pe| {
+//! let results = assert_schedule_independent(grid, 0..4, |pe| {
 //!     let sym = pe.alloc_sym::<u64>(1);
 //!     let dst = (pe.rank() + 1) % pe.n_pes();
-//!     sym.put(pe, dst, 0, &[pe.rank() as u64]).unwrap();
-//!     pe.barrier_all();
+//!     sym.put_nbi(pe, dst, 0, &[pe.rank() as u64]).unwrap();
+//!     pe.barrier_all(); // implies quiet: the put has landed
 //!     sym.read_local(pe, |v| v[0])
 //! });
 //! assert_eq!(results, vec![2, 0, 1]);
@@ -61,8 +57,9 @@ use std::sync::Mutex;
 
 pub use fabsp_conveyors::{Conveyor, ConveyorOptions, ConveyorStats};
 pub use fabsp_shmem::sched::DEFAULT_STEP_BUDGET;
+use fabsp_shmem::SpscRing;
 pub use fabsp_shmem::{
-    spmd, Checkpoint, FaultSpec, Grid, Harness, Pe, SchedPoint, SchedSpec, Scheduler, ShmemError,
+    spmd, Checkpoint, Grid, Harness, Pe, SchedPoint, SchedSpec, Scheduler, ShmemError,
 };
 
 /// One explored schedule: the seed that names it and every PE's result.
@@ -94,8 +91,8 @@ impl fmt::Display for ScheduleFailure {
 
 impl std::error::Error for ScheduleFailure {}
 
-/// Run `f` once per seed under a seeded random-walk schedule (plus the
-/// given faults), collecting each schedule's rank-ordered results.
+/// Run `f` once per seed under a seeded random-walk schedule, collecting
+/// each schedule's rank-ordered results.
 ///
 /// The first failing schedule aborts the sweep and reports its seed —
 /// re-running that single seed reproduces the failure exactly. A schedule
@@ -104,7 +101,6 @@ impl std::error::Error for ScheduleFailure {}
 pub fn explore_schedules<R, F>(
     grid: Grid,
     seeds: impl IntoIterator<Item = u64>,
-    faults: FaultSpec,
     f: F,
 ) -> Result<Vec<ScheduleRun<R>>, ScheduleFailure>
 where
@@ -113,9 +109,7 @@ where
 {
     let mut runs = Vec::new();
     for seed in seeds {
-        let harness = Harness::new(grid)
-            .sched(SchedSpec::random_walk(seed))
-            .faults(faults);
+        let harness = Harness::new(grid).sched(SchedSpec::random_walk(seed));
         let results = spmd::run(harness, &f).map_err(|error| ScheduleFailure {
             seed: Some(seed),
             error,
@@ -126,8 +120,8 @@ where
 }
 
 /// Assert that `f`'s per-PE results are identical under a free-running
-/// (OS-scheduled, fault-free) baseline and under every seeded schedule
-/// with the given faults. Returns the baseline results.
+/// (OS-scheduled) baseline and under every seeded schedule. Returns the
+/// baseline results.
 ///
 /// # Panics
 /// Panics if any run fails or any schedule's results diverge from the
@@ -135,7 +129,6 @@ where
 pub fn assert_schedule_independent<R, F>(
     grid: Grid,
     seeds: impl IntoIterator<Item = u64>,
-    faults: FaultSpec,
     f: F,
 ) -> Vec<R>
 where
@@ -144,7 +137,7 @@ where
 {
     let baseline = spmd::run(grid, &f)
         .unwrap_or_else(|error| panic!("{}", ScheduleFailure { seed: None, error }));
-    let runs = explore_schedules(grid, seeds, faults, &f).unwrap_or_else(|e| panic!("{e}"));
+    let runs = explore_schedules(grid, seeds, &f).unwrap_or_else(|e| panic!("{e}"));
     for run in &runs {
         assert_eq!(
             run.results, baseline,
@@ -346,45 +339,48 @@ pub fn check_conveyor_quiescent(stats: &[ConveyorStats]) -> Result<(), Invariant
 
 /// Litmus test: no byte of a non-blocking put is visible at the target
 /// before the issuing PE's `quiet`, and every byte is visible after —
-/// under every given schedule and the given faults.
+/// under every given schedule.
 ///
-/// Two PEs on two nodes run a flag protocol: PE 0 issues `put_nbi`, then
-/// signals "staged"; PE 1 reads the target location **while PE 0 is
-/// provably pre-`quiet`** (PE 0 blocks on PE 1's acknowledgement before
-/// calling `quiet`) and must see the old value; after PE 0 signals
-/// "flushed", PE 1 must see the put value. This is the property that makes
-/// `shmem_putmem_nbi` invisible to conventional profilers (paper §V-B) —
-/// and the one [`FaultSpec::nbi_shuffle`] must not break, since shuffling
-/// is only legal *within* the pending set of one `quiet`.
+/// Two PEs on two nodes run a flag protocol on the state words of a
+/// two-cell [`SpscRing`] living on PE 1. PE 0 issues a heap `put_nbi`,
+/// then publishes cell 0 ("staged"); PE 1 reads the target location
+/// **while PE 0 is provably pre-`quiet`** (PE 0 waits for PE 1 to release
+/// cell 0, the acknowledgement, before calling `quiet`) and must see the
+/// old value; after PE 0 publishes cell 1 ("flushed"), PE 1 must see the
+/// put value. This is the property that makes `shmem_putmem_nbi`
+/// invisible to conventional profilers (paper §V-B).
 ///
 /// # Panics
 /// Panics naming the violating seed.
-pub fn assert_nbi_invisible_until_quiet(seeds: impl IntoIterator<Item = u64>, faults: FaultSpec) {
+pub fn assert_nbi_invisible_until_quiet(seeds: impl IntoIterator<Item = u64>) {
     const MAGIC: u64 = 0xF00D_FACE;
-    const STAGED: usize = 0; // PE1's flag: the put is staged
-    const FLUSHED: usize = 1; // PE1's flag: quiet has completed
+    const STAGED: usize = 0; // cell 0: the put is staged
+    const FLUSHED: usize = 1; // cell 1: quiet has completed
     let grid = Grid::new(2, 1).expect("2x1 grid");
     for seed in seeds {
-        let harness = Harness::new(grid)
-            .sched(SchedSpec::random_walk(seed))
-            .faults(faults);
+        let harness = Harness::new(grid).sched(SchedSpec::random_walk(seed));
         let results = spmd::run(harness, |pe| {
             let data = pe.alloc_sym::<u64>(1);
-            let flags = pe.alloc_sym_atomic(2);
+            let flags = SpscRing::<u64>::new(pe, 2, 0).expect("flag ring");
+            let wait = |cell: usize, published: bool| {
+                while (flags.state(pe, 1, cell) != 0) != published {
+                    pe.poll_yield();
+                }
+            };
             if pe.rank() == 0 {
                 data.put_nbi(pe, 1, 0, &[MAGIC]).unwrap();
-                flags.store(pe, 1, STAGED, 1).unwrap();
+                flags.publish(pe, 1, STAGED, 1).unwrap();
                 // Hold pre-quiet until PE 1 has sampled the target.
-                flags.wait_until(pe, STAGED, |v| v == 1);
+                wait(STAGED, false);
                 pe.quiet();
-                flags.store(pe, 1, FLUSHED, 1).unwrap();
+                flags.publish(pe, 1, FLUSHED, 1).unwrap();
                 (0, MAGIC)
             } else {
-                flags.wait_until(pe, STAGED, |v| v == 1);
-                let before = data.local_get(pe, 0);
-                flags.store(pe, 0, STAGED, 1).unwrap(); // acknowledge
-                flags.wait_until(pe, FLUSHED, |v| v == 1);
-                let after = data.local_get(pe, 0);
+                wait(STAGED, true);
+                let before = data.read_local(pe, |v| v[0]);
+                flags.release(pe, STAGED, 0).unwrap(); // acknowledge
+                wait(FLUSHED, true);
+                let after = data.read_local(pe, |v| v[0]);
                 (before, after)
             }
         })
@@ -475,27 +471,32 @@ mod tests {
     #[test]
     fn same_seed_replays_identical_results() {
         let grid = Grid::single_node(3).unwrap();
+        // Every PE publishes its rank + 1 into its own cell on every PE;
+        // each then sums the words that landed on it.
         let program = |pe: &Pe| {
-            let sym = pe.alloc_sym_atomic(1);
+            let ring = SpscRing::<u64>::new(pe, pe.n_pes(), 0).unwrap();
             for dst in 0..pe.n_pes() {
-                sym.fetch_add(pe, dst, 0, pe.rank() as u64).unwrap();
+                ring.publish(pe, dst, pe.rank(), pe.rank() as u64 + 1)
+                    .unwrap();
             }
             pe.barrier_all();
-            sym.local_load(pe, 0)
+            (0..pe.n_pes())
+                .map(|cell| ring.state(pe, pe.rank(), cell))
+                .sum::<u64>()
         };
-        let a = explore_schedules(grid, [9, 10, 11], FaultSpec::NONE, program).unwrap();
-        let b = explore_schedules(grid, [9, 10, 11], FaultSpec::NONE, program).unwrap();
+        let a = explore_schedules(grid, [9, 10, 11], program).unwrap();
+        let b = explore_schedules(grid, [9, 10, 11], program).unwrap();
         assert_eq!(a, b, "a seed must name exactly one schedule");
         for run in &a {
-            assert_eq!(run.results, vec![3, 3, 3]);
+            assert_eq!(run.results, vec![6, 6, 6]);
         }
     }
 
     #[test]
     fn schedule_independence_of_a_reduction() {
         let grid = Grid::new(2, 2).unwrap();
-        let results = assert_schedule_independent(grid, 0..6, FaultSpec::NONE, |pe| {
-            pe.allreduce_sum_u64(pe.rank() as u64 + 1)
+        let results = assert_schedule_independent(grid, 0..6, |pe| {
+            pe.allreduce(pe.rank() as u64 + 1, |vs| vs.into_iter().sum::<u64>())
         });
         assert_eq!(results, vec![10; 4]);
     }
@@ -595,12 +596,7 @@ mod tests {
 
     #[test]
     fn nbi_litmus_holds_across_schedules() {
-        assert_nbi_invisible_until_quiet(0..6, FaultSpec::NONE);
-    }
-
-    #[test]
-    fn nbi_litmus_holds_under_shuffle_faults() {
-        assert_nbi_invisible_until_quiet(0..6, FaultSpec::nbi_shuffle(0xC4A0));
+        assert_nbi_invisible_until_quiet(0..6);
     }
 
     #[test]
@@ -610,11 +606,13 @@ mod tests {
             seed: 1,
             max_steps: 20_000,
         });
-        // PE 0 waits on a flag nobody ever sets.
+        // PE 0 waits on a cell nobody ever publishes.
         let err = spmd::run(harness, |pe| {
-            let flags = pe.alloc_sym_atomic(1);
+            let flags = SpscRing::<u64>::new(pe, 1, 0).unwrap();
             if pe.rank() == 0 {
-                flags.wait_until(pe, 0, |v| v == 1);
+                while flags.state(pe, 0, 0) == 0 {
+                    pe.poll_yield();
+                }
             }
         })
         .unwrap_err();

@@ -25,12 +25,12 @@
 
 use std::fmt;
 
-use fabsp_shmem::{FaultSpec, Grid, SchedSpec};
+use fabsp_shmem::{Grid, SchedSpec};
 
 use crate::ConveyorOptions;
 
 /// Default scale when `ACTORPROF_SCALE` is unset: small enough that a
-/// full three-app × two-fault-mode × seed-budget sweep stays in CI
+/// full three-app × seed-budget sweep stays in CI
 /// budget, large enough that every PE sees real traffic.
 pub const DEFAULT_SCALE: u32 = 6;
 
@@ -62,13 +62,11 @@ pub struct MatrixParams {
     pub conveyor: ConveyorOptions,
     /// Thread schedule.
     pub sched: SchedSpec,
-    /// Substrate fault injection.
-    pub faults: FaultSpec,
 }
 
 impl MatrixParams {
     /// Baseline params on the given grid: env scale, logical tracing on,
-    /// default conveyors, OS schedule, no faults.
+    /// default conveyors, OS schedule.
     pub fn new(grid: Grid) -> MatrixParams {
         MatrixParams {
             grid,
@@ -76,19 +74,12 @@ impl MatrixParams {
             logical: true,
             conveyor: ConveyorOptions::default(),
             sched: SchedSpec::Os,
-            faults: FaultSpec::NONE,
         }
     }
 
     /// Select the thread schedule.
     pub fn with_sched(mut self, sched: SchedSpec) -> MatrixParams {
         self.sched = sched;
-        self
-    }
-
-    /// Inject substrate faults.
-    pub fn with_faults(mut self, faults: FaultSpec) -> MatrixParams {
-        self.faults = faults;
         self
     }
 
@@ -153,7 +144,7 @@ impl MatrixRun {
 pub struct AppSpec {
     /// Short app name (`"histogram"`, `"triangle"`, …).
     pub name: &'static str,
-    /// Schedule-fuzz seeds this app runs per fault mode.
+    /// Schedule-fuzz seeds this app runs.
     pub fuzz_seed_budget: u64,
     /// Build the app's config from the params, run it, digest it.
     pub runner: fn(&MatrixParams) -> Result<MatrixRun, String>,
@@ -223,9 +214,12 @@ mod tests {
         let grid = Grid::single_node(2).unwrap();
         let p = MatrixParams::new(grid)
             .with_sched(SchedSpec::random_walk(3))
-            .with_faults(FaultSpec::nbi_shuffle(9));
+            .with_conveyor(ConveyorOptions {
+                capacity: 1,
+                ..ConveyorOptions::default()
+            });
         assert!(matches!(p.sched, SchedSpec::RandomWalk { seed: 3, .. }));
-        assert_eq!(p.faults.nbi_shuffle_seed, Some(9));
+        assert_eq!(p.conveyor.capacity, 1);
         assert!(p.logical);
     }
 

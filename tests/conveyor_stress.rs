@@ -3,7 +3,7 @@
 
 use actorprof_suite::fabsp_actor::{Selector, SelectorConfig};
 use actorprof_suite::fabsp_conveyors::{Conveyor, ConveyorOptions, TopologySpec};
-use actorprof_suite::fabsp_shmem::{spmd, FaultSpec, Grid, ShmemError};
+use actorprof_suite::fabsp_shmem::{spmd, Grid, ShmemError};
 use actorprof_suite::fabsp_testkit::{assert_schedule_independent, handler_backlog, BacklogRun};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -240,7 +240,7 @@ fn handler_outbox_backlog_keeps_its_contract_in_linear_time() {
                 })
                 .unwrap();
                 check_backlog_runs(&runs, deep, &ctx);
-                let runs = assert_schedule_independent(grid, 0..2, FaultSpec::NONE, |pe| {
+                let runs = assert_schedule_independent(grid, 0..2, |pe| {
                     handler_backlog(pe, capacity, scaled, alternating)
                 });
                 check_backlog_runs(&runs, scaled, &format!("{ctx}, seeded"));

@@ -3,7 +3,7 @@
 //! delivered exactly once, to the right PE, in pairwise FIFO order.
 
 use actorprof_suite::fabsp_conveyors::{Conveyor, ConveyorOptions, TopologySpec};
-use actorprof_suite::fabsp_shmem::{spmd, FaultSpec, Grid, Harness, SchedSpec};
+use actorprof_suite::fabsp_shmem::{spmd, Grid, Harness, SchedSpec};
 use actorprof_suite::fabsp_testkit::{check_conveyor_quiescent, MsgLog};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -115,15 +115,15 @@ proptest! {
 
     /// The same delivery invariants, but under testkit control: a seeded
     /// random-walk schedule serializes every observable substrate event,
-    /// optionally combined with nbi-shuffle faults and chaos-forced relay
-    /// parking. Completion itself is the termination property — the
-    /// scheduler's step budget turns any deadlock into a failed run — and
-    /// the [`MsgLog`] checker verifies per-pair FIFO plus conservation.
+    /// optionally combined with chaos-forced relay parking. Completion
+    /// itself is the termination property — the scheduler's step budget
+    /// turns any deadlock into a failed run — and the [`MsgLog`] checker
+    /// verifies per-pair FIFO plus conservation.
     #[test]
     fn conveyor_invariants_hold_under_explored_schedules(
         scenario in arb_scenario(),
         seed in 0u64..(1u64 << 48),
-        fault_mode in 0usize..4,
+        chaos in 0u8..2,
     ) {
         let grid = Grid::new(scenario.nodes, scenario.ppn).unwrap();
         let traffic = Arc::new(scenario.traffic.clone());
@@ -132,20 +132,13 @@ proptest! {
             capacity: scenario.capacity,
             topology: scenario.topology,
         };
-        let faults = if fault_mode & 1 == 1 {
-            FaultSpec::nbi_shuffle(seed ^ 0xF0)
-        } else {
-            FaultSpec::NONE
-        };
-        let harness = Harness::new(grid)
-            .sched(SchedSpec::random_walk(seed))
-            .faults(faults);
+        let harness = Harness::new(grid).sched(SchedSpec::random_walk(seed));
         let stats = spmd::run(harness, {
             let traffic = Arc::clone(&traffic);
             let log = Arc::clone(&log);
             move |pe| {
                 let mut c = Conveyor::<u64>::new(pe, options).unwrap();
-                if fault_mode & 2 == 2 {
+                if chaos == 1 {
                     // Randomly pretend relay buffers are full, exercising
                     // the parked-link path on mesh topologies.
                     c.inject_chaos(seed, 0.5);
@@ -177,15 +170,15 @@ proptest! {
                 c.stats()
             }
         })
-        .unwrap_or_else(|e| panic!("schedule seed {seed}, fault mode {fault_mode}: {e}"));
+        .unwrap_or_else(|e| panic!("schedule seed {seed}, chaos {chaos}: {e}"));
 
         let summary = log
             .check()
-            .unwrap_or_else(|v| panic!("seed {seed}, fault mode {fault_mode}: {v}"));
+            .unwrap_or_else(|v| panic!("seed {seed}, chaos {chaos}: {v}"));
         let total: usize = traffic.iter().map(|t| t.len()).sum();
         prop_assert_eq!(summary.delivered as usize, total, "conservation, seed {}", seed);
         check_conveyor_quiescent(&stats)
-            .unwrap_or_else(|v| panic!("seed {seed}, fault mode {fault_mode}: {v}"));
+            .unwrap_or_else(|v| panic!("seed {seed}, chaos {chaos}: {v}"));
     }
 }
 

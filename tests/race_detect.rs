@@ -54,16 +54,17 @@ fn expect_race(err: ShmemError, what: &str) -> String {
 }
 
 #[test]
-fn racy_put_vs_local_get_is_flagged_on_every_schedule() {
+fn racy_put_vs_local_read_is_flagged_on_every_schedule() {
     for seed in schedules() {
         let err = spmd::run(harness(Grid::single_node(2).unwrap(), seed), |pe| {
             let sym = pe.alloc_sym::<u64>(1);
             if pe.rank() == 0 {
-                // No flag, no barrier, no quiet: nothing orders this put
-                // against PE 1's read.
-                sym.put(pe, 1, 0, &[7]).unwrap();
+                // No flag and no barrier before the read: nothing orders
+                // this completed put against PE 1's read.
+                sym.put_nbi(pe, 1, 0, &[7]).unwrap();
+                pe.quiet();
             } else {
-                let _ = sym.local_get(pe, 0);
+                sym.read_local(pe, |_| ());
             }
             pe.barrier_all();
         })
@@ -148,9 +149,9 @@ fn litmus_skipped_quiet_edge_is_flagged() {
 
 #[test]
 fn litmus_skipped_barrier_edge_is_flagged() {
-    // put → barrier_all → local_get is the canonical correct pattern; with
-    // the barrier's happens-before edge dropped the read must be reported
-    // even though the physical barrier still ran.
+    // put → quiet → barrier_all → local read is the canonical correct
+    // pattern; with the barrier's happens-before edge dropped the read
+    // must be reported even though the physical barrier still ran.
     let hooks = RaceHooks {
         skip_barrier_edge: true,
         ..Default::default()
@@ -159,11 +160,12 @@ fn litmus_skipped_barrier_edge_is_flagged() {
     let err = spmd::run(h, |pe| {
         let sym = pe.alloc_sym::<u64>(1);
         if pe.rank() == 0 {
-            sym.put(pe, 1, 0, &[9]).unwrap();
+            sym.put_nbi(pe, 1, 0, &[9]).unwrap();
+            pe.quiet();
         }
         pe.barrier_all();
         if pe.rank() == 1 {
-            let _ = sym.local_get(pe, 0);
+            sym.read_local(pe, |_| ());
         }
         pe.barrier_all();
     })
@@ -238,11 +240,11 @@ fn checkpoint_capture_and_restore_add_no_happens_before_regressions() {
             sym.put_nbi(pe, dst, 0, &[pe.rank() as u64 + 1]).unwrap();
             pe.quiet();
             pe.barrier_all();
-            let got = sym.local_get(pe, 0);
+            let got = sym.read_local(pe, |v| v[0]);
             let ckpt = pe.latest_checkpoint().expect("checkpoint taken");
             pe.restore_checkpoint(&ckpt)
                 .expect("quiescent after the barrier");
-            (got, sym.local_get(pe, 0))
+            (got, sym.read_local(pe, |v| v[0]))
         })
         .unwrap_or_else(|e| panic!("checkpoint raced (seed {seed:?}): {e}"));
         assert_eq!(results, vec![(2, 0), (1, 0)], "seed {seed:?}");
